@@ -339,9 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="multiplier tolerance (default: --primal-tol)")
         p.add_argument("--iter-limit", dest="iter_limit", type=int,
                        default=15, help="iteration cap (default 15)")
-        p.add_argument("--workers", type=int,
-                       default=max(1, os.cpu_count() or 1),
-                       help="parallel workers (default: all cores)")
+        p.add_argument("--workers", type=int, default=1,
+                       help="parallel worker threads (default 1; the work "
+                       "is small numpy calls under the interpreter lock, "
+                       "so more threads are usually slower)")
         if model_flags:
             p.add_argument("--eps-bar", dest="eps_bar", type=float,
                            default=None,

@@ -6,6 +6,15 @@ fallback once pivots stop making progress. That is slow compared to a real
 LP library, but the systems this package solves are desk-scale (tens of
 rows, dimension below ten or so) and a hand-rolled kernel keeps results
 bit-reproducible across platforms and worker counts.
+
+Each pivot is one numpy block elimination (_eliminate): the pivot row is
+scaled, then every row with a nonzero multiplier in the entering column
+gets `row -= f * pivot_row` at once. Rows whose multiplier is zero are left
+untouched rather than multiplied by zero, so the signs of zeros, and with
+them every pivot choice, LP count and partition document, are bit for bit
+those of a row-at-a-time elimination. The objective rows are built by
+sequential subtraction in row order for the same reason: a summed reduction
+rounds differently.
 """
 
 from __future__ import annotations
@@ -55,9 +64,9 @@ class _Counter:
         self._lock = threading.Lock()
         self._n = 0
 
-    def bump(self) -> None:
+    def bump(self, k: int = 1) -> None:
         with self._lock:
-            self._n += 1
+            self._n += k
 
     def value(self) -> int:
         with self._lock:
@@ -65,11 +74,17 @@ class _Counter:
 
 
 _LP_CALLS = _Counter()
+_PIVOTS = _Counter()
 
 
 def lp_call_count() -> int:
     """Process-wide number of simplex solves, for certification stats."""
     return _LP_CALLS.value()
+
+
+def pivot_count() -> int:
+    """Process-wide number of simplex pivots taken by completed solves."""
+    return _PIVOTS.value()
 
 
 class Polyhedron:
@@ -156,25 +171,34 @@ class LpResult:
     point: Optional[np.ndarray]
 
 
+def _eliminate(T, rhs, row, col):
+    """Scale `row` to a unit entry in `col`, then clear `col` from every other row.
+
+    Only rows with a nonzero multiplier are touched; subtracting 0 * pivot
+    row could turn a -0.0 into +0.0 and change later pivot decisions.
+    """
+    piv = T[row, col]
+    T[row] /= piv
+    rhs[row] /= piv
+    f = T[:, col].copy()
+    f[row] = 0.0
+    nz = f.nonzero()[0]
+    T[nz] -= f[nz, None] * T[row]
+    rhs[nz] -= f[nz] * rhs[row]
+
+
 def _pivot_once(T, rhs, obj, basis, col, tol_piv):
     """Pivot on the column `col`; returns the leaving row or None if unbounded."""
     d = T[:, col]
-    rows = np.nonzero(d > tol_piv)[0]
+    rows = (d > tol_piv).nonzero()[0]
     if rows.size == 0:
         return None
     ratios = rhs[rows] / d[rows]
     best = ratios.min()
     ties = rows[ratios <= best + 1e-15]
     # Lowest basic column index among ties keeps Bland's rule honest.
-    leave = ties[np.argmin([basis[r] for r in ties])]
-    piv = T[leave, col]
-    T[leave] /= piv
-    rhs[leave] /= piv
-    for r in range(T.shape[0]):
-        if r != leave and T[r, col] != 0.0:
-            f = T[r, col]
-            T[r] -= f * T[leave]
-            rhs[r] -= f * rhs[leave]
+    leave = ties[basis[ties].argmin()]
+    _eliminate(T, rhs, leave, col)
     f = obj[col]
     if f != 0.0:
         obj -= f * T[leave]
@@ -186,39 +210,33 @@ def _pivot_once(T, rhs, obj, basis, col, tol_piv):
 
 
 def _simplex(A, b, c, budget, tol):
-    """min c^T x over {A x <= b}, x free. Returns (status, x, phase1_measure).
+    """min c^T x over {A x <= b}, x free.
 
-    status: "optimal" | "infeasible" | "unbounded". x is None unless optimal.
-    phase1_measure is the minimal total constraint violation (0 when feasible).
+    Returns (status, x, phase1_measure, pivots). status: "optimal" |
+    "infeasible" | "unbounded". x is None unless optimal. phase1_measure is
+    the minimal total constraint violation (0 when feasible). pivots counts
+    every tableau pivot, the drive-out of leftover artificials included.
     """
     m, n = A.shape
     if m == 0:
         if np.allclose(c, 0.0):
-            return "optimal", np.zeros(n), 0.0
-        return "unbounded", None, 0.0
+            return "optimal", np.zeros(n), 0.0, 0
+        return "unbounded", None, 0.0, 0
     flip = b < 0.0
     sign = np.where(flip, -1.0, 1.0)[:, None]
     Aw = sign * A
     rhs = np.abs(b).astype(float)
-    nart = int(flip.sum())
+    flipped = flip.nonzero()[0]
+    nart = flipped.size
     ncols = 2 * n + m + nart
     T = np.zeros((m, ncols))
     T[:, :n] = Aw
     T[:, n:2 * n] = -Aw
     T[np.arange(m), 2 * n + np.arange(m)] = sign.ravel()
-    basis = np.empty(m, dtype=int)
-    art_cols = []
-    k = 0
-    for i in range(m):
-        if flip[i]:
-            col = 2 * n + m + k
-            T[i, col] = 1.0
-            art_cols.append(col)
-            basis[i] = col
-            k += 1
-        else:
-            basis[i] = 2 * n + i
-    art_cols = np.array(art_cols, dtype=int)
+    basis = 2 * n + np.arange(m)
+    art_cols = 2 * n + m + np.arange(nart)
+    T[flipped, art_cols] = 1.0
+    basis[flipped] = art_cols
     is_art = np.zeros(ncols, dtype=bool)
     is_art[art_cols] = True
 
@@ -230,10 +248,10 @@ def _simplex(A, b, c, budget, tol):
         bland = False
         while True:
             reduced = np.where(allowed, obj, np.inf)
-            cand = np.nonzero(reduced < -tol)[0]
+            cand = (reduced < -tol).nonzero()[0]
             if cand.size == 0:
                 return "optimal"
-            col = cand[0] if bland else cand[np.argmin(reduced[cand])]
+            col = cand[0] if bland else cand[reduced[cand].argmin()]
             if pivots_used >= budget:
                 raise LpPivotLimitError(f"simplex exceeded {budget} pivots")
             leave = _pivot_once(T, rhs, obj, basis, col, _PIVOT_EPS)
@@ -247,34 +265,27 @@ def _simplex(A, b, c, budget, tol):
                 streak = 0
 
     # Phase 1: minimize the total artificial content.
+    drive_outs = 0
     if nart > 0:
         obj1 = is_art.astype(float)
-        for i in range(m):
-            if is_art[basis[i]]:
-                obj1 -= T[i]
+        for i in flipped:
+            obj1 -= T[i]
         run(obj1, np.ones(ncols, dtype=bool))
         measure = float(rhs[is_art[basis]].sum())
         if measure > tol:
-            return "infeasible", None, measure
+            return "infeasible", None, measure, pivots_used
         # Drive leftover basic artificials out on their own row; a row with no
         # structural pivot left is a dependent 0 = 0 constraint and is dropped.
         drop = []
-        for i in range(T.shape[0]):
-            if is_art[basis[i]]:
-                cols = np.nonzero(np.abs(T[i, : 2 * n + m]) > _PIVOT_EPS)[0]
-                if cols.size == 0:
-                    drop.append(i)
-                    continue
-                j = int(cols[0])
-                piv = T[i, j]
-                T[i] /= piv
-                rhs[i] /= piv
-                for r in range(T.shape[0]):
-                    if r != i and T[r, j] != 0.0:
-                        f = T[r, j]
-                        T[r] -= f * T[i]
-                        rhs[r] -= f * rhs[i]
-                basis[i] = j
+        for i in is_art[basis].nonzero()[0]:
+            cols = (np.abs(T[i, : 2 * n + m]) > _PIVOT_EPS).nonzero()[0]
+            if cols.size == 0:
+                drop.append(i)
+                continue
+            j = int(cols[0])
+            _eliminate(T, rhs, i, j)
+            basis[i] = j
+            drive_outs += 1
         if drop:
             hold = np.setdiff1d(np.arange(T.shape[0]), drop)
             T, rhs, basis = T[hold], rhs[hold], basis[hold]
@@ -286,16 +297,17 @@ def _simplex(A, b, c, budget, tol):
     c2[:n] = c
     c2[n:2 * n] = -c
     obj2 = c2.copy()
-    for i in range(m):
-        if c2[basis[i]] != 0.0:
-            obj2 -= c2[basis[i]] * T[i]
+    cb = c2[basis]
+    for i in cb.nonzero()[0]:
+        obj2 -= cb[i] * T[i]
     status = run(obj2, ~is_art)
+    pivots = pivots_used + drive_outs
     if status == "unbounded":
-        return "unbounded", None, measure
+        return "unbounded", None, measure, pivots
     x_full = np.zeros(ncols)
     x_full[basis] = rhs
     x = x_full[:n] - x_full[n:2 * n]
-    return "optimal", x, measure
+    return "optimal", x, measure, pivots
 
 
 def solve_lp(c, P: Polyhedron, sense: str = "min", *, tol: float = OPT_TOL) -> LpResult:
@@ -318,7 +330,8 @@ def solve_lp(c, P: Polyhedron, sense: str = "min", *, tol: float = OPT_TOL) -> L
     _LP_CALLS.bump()
     budget = PIVOT_CAP_FACTOR * (P.nrows + P.dim)
     cw = c if sense == "min" else -c
-    status, x, _ = _simplex(P.A, P.b, cw, budget, tol)
+    status, x, _, pivots = _simplex(P.A, P.b, cw, budget, tol)
+    _PIVOTS.bump(pivots)
     if status == "infeasible":
         return LpResult("infeasible", float("nan"), None)
     if status == "unbounded":
@@ -331,7 +344,8 @@ def phase1_measure(P: Polyhedron, *, tol: float = OPT_TOL) -> float:
     """Minimal total violation of P's rows (0 means feasible)."""
     _LP_CALLS.bump()
     budget = PIVOT_CAP_FACTOR * (P.nrows + P.dim)
-    _, _, measure = _simplex(P.A, P.b, np.zeros(P.dim), budget, tol)
+    _, _, measure, pivots = _simplex(P.A, P.b, np.zeros(P.dim), budget, tol)
+    _PIVOTS.bump(pivots)
     return measure
 
 

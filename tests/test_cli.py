@@ -1,11 +1,14 @@
 """End-to-end CLI runs against real problem files in a temp directory."""
 
+import hashlib
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
 from certias.cli import (
+    build_parser,
     dump_document,
     main,
     model_from_document,
@@ -53,6 +56,10 @@ class TestCertify:
         assert doc["config"]["problem_path"] == toy_path
         assert "workers" not in doc["config"]
         assert {r["iterations"] for r in doc["regions"]} == {1, 2}
+
+    def test_workers_default_to_one(self):
+        for command in ("certify", "validate", "sweep", "report"):
+            assert build_parser().parse_args([command]).workers == 1
 
     def test_stdout_when_no_out(self, toy_path, capsys):
         assert main(["certify", "--problem", toy_path]) == 0
@@ -127,6 +134,40 @@ class TestDeterminism:
                 assert code == 0
                 outs.append(out.read_bytes())
             assert outs[0] == outs[1]
+
+    # sha256 of `certify --workers 1` documents for the shipped problems,
+    # recorded before the simplex kernel was vectorized. A kernel change that
+    # moves one bit of one partition shows here. The documents also pass
+    # through BLAS matrix products outside the kernel, so they are platform
+    # bound: recorded on x86_64 (AVX-512), CPython 3.11, numpy 2.4.6 with
+    # scipy-openblas 0.3.31. On another CPU, BLAS or numpy build, check the
+    # pins against the parent commit before blaming the kernel.
+    PINNED_SHA256 = {
+        ("toy.json", None):
+            "18826d897804021618d3e6a5bad2b1910b816851a89a0cc36edd7100010781fe",
+        ("toy.json", "1e-4"):
+            "0b5ce8eea0277fc1fd17145a29a847774469183f764f70889c31ec096b346491",
+        ("double_integrator.json", None):
+            "97136b60c469f6ef1f56775b86fde27832fead579ef6b05c65165a8b879ebf93",
+        ("double_integrator.json", "1e-4"):
+            "df6cfc37598ee5d3c97e5d1344d6ccbd3a1bf1d9e3069438d6c3686fb5ee04de",
+    }
+
+    @pytest.mark.parametrize("name,eps_bar", sorted(
+        PINNED_SHA256, key=lambda k: (k[0], k[1] or "")))
+    def test_documents_match_pinned_bytes(self, name, eps_bar, tmp_path,
+                                          monkeypatch):
+        # The document echoes --problem, so run from the repository root
+        # with the same relative path the pins were recorded with.
+        monkeypatch.chdir(pathlib.Path(__file__).resolve().parent.parent)
+        out = tmp_path / "part.json"
+        argv = ["certify", "--problem", f"problems/{name}", "--workers", "1",
+                "--out", str(out)]
+        if eps_bar is not None:
+            argv += ["--eps-bar", eps_bar]
+        assert main(argv) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self.PINNED_SHA256[(name, eps_bar)]
 
     def test_round_trip_bit_for_bit(self, toy_partition):
         doc = json.loads(toy_partition.read_text())

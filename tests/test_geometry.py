@@ -323,3 +323,196 @@ def test_box_chebyshev_radius_is_half_min_side(w, h):
     P = Polyhedron.box([0.0, 0.0], [w, h])
     _, radius = interior_point(P)
     assert radius == pytest.approx(min(w, h) / 2.0, rel=1e-7)
+
+
+def _eliminate_by_rows(T, rhs, row, col):
+    """Row-at-a-time elimination the vectorized kernel must match bit for bit."""
+    piv = T[row, col]
+    T[row] /= piv
+    rhs[row] /= piv
+    for r in range(T.shape[0]):
+        if r != row and T[r, col] != 0.0:
+            f = T[r, col]
+            T[r] -= f * T[row]
+            rhs[r] -= f * rhs[row]
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+def _pivot_batch():
+    """A fixed seeded mix of optimal, phase-1 and redundancy LPs."""
+    rng = np.random.default_rng(2211)
+    for trial in range(40):
+        dim = int(rng.integers(1, 5))
+        P = random_bounded(rng, dim, int(rng.integers(0, 6)))
+        solve_lp(rng.standard_normal(dim), P, "max")
+        Q = P.intersect(rng.standard_normal((2, dim)), rng.uniform(-4.0, 0.5, size=2))
+        geo.phase1_measure(Q)
+        if not is_empty(Q):
+            remove_redundant(Q)
+
+
+class TestKernel:
+    def test_elimination_matches_row_loop_bitwise(self):
+        rng = np.random.default_rng(19)
+        for trial in range(200):
+            m, ncols = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+            T = rng.standard_normal((m, ncols))
+            # Zeros of both signs, whole zero multipliers included, are where
+            # a multiply-by-zero update would flip bits.
+            T[rng.random((m, ncols)) < 0.3] = 0.0
+            T[rng.random((m, ncols)) < 0.2] = -0.0
+            rhs = rng.standard_normal(m)
+            rhs[rng.random(m) < 0.3] = -0.0
+            row, col = int(rng.integers(m)), int(rng.integers(ncols))
+            T[row, col] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+            T_ref, rhs_ref = T.copy(), rhs.copy()
+            _eliminate_by_rows(T_ref, rhs_ref, row, col)
+            geo._eliminate(T, rhs, row, col)
+            assert _same_bits(T, T_ref), trial
+            assert _same_bits(rhs, rhs_ref), trial
+
+    def test_pivot_total_of_seeded_batch(self):
+        # Counts recorded with the row-at-a-time kernel; they must not move.
+        lps, pivots = geo.lp_call_count(), geo.pivot_count()
+        _pivot_batch()
+        assert geo.lp_call_count() - lps == 182
+        assert geo.pivot_count() - pivots == 683
+
+    def test_pivot_count_follows_each_solve(self):
+        P = Polyhedron([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [-0.5, -0.5, 3.0])
+        before = geo.pivot_count()
+        _, _, _, pivots = geo._simplex(P.A, P.b, np.array([-1.0, -2.0]), 100, geo.OPT_TOL)
+        assert pivots > 0
+        assert geo.pivot_count() == before
+        solve_lp([1.0, 2.0], P, "max")
+        assert geo.pivot_count() - before == pivots
+        geo.phase1_measure(P)
+        assert geo.pivot_count() - before > pivots
+
+
+def _hard_instances(seed, count=60):
+    """(kind, P, c): degenerate vertices, near-parallel rows, rows scaled 1e+-4.
+
+    Every instance sits inside the box [-1, 1]^dim, so a nonempty one is
+    bounded and has a vertex the oracle can find.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for trial in range(count):
+        dim = int(rng.integers(2, 4))
+        box = Polyhedron.box(-np.ones(dim), np.ones(dim))
+        kind = ("degenerate", "parallel", "scaled")[trial % 3]
+        if kind == "degenerate":
+            # Several cuts through one box corner, one of them repeated.
+            corner = rng.choice([-1.0, 1.0], size=dim)
+            A = rng.standard_normal((3, dim))
+            A = np.vstack([A, A[:1]])
+            P = box.intersect(A, A @ corner)
+            c = corner + 0.1 * rng.standard_normal(dim)
+        elif kind == "parallel":
+            # a x <= beta against (a + 1e-9 noise) x >= beta + gap: a sliver of
+            # width 1e-3 when gap < 0, empty when gap > 0; plus a near-duplicate.
+            a = rng.standard_normal(dim)
+            a2 = a + 1e-9 * rng.standard_normal(dim)
+            beta = float(a @ rng.uniform(-0.5, 0.5, size=dim))
+            gap = 1e-3 * rng.choice([-1.0, 1.0])
+            a3 = a + 1e-9 * rng.standard_normal(dim)
+            P = box.intersect(np.vstack([a, -a2, a3]),
+                              [beta, -(beta + gap), beta + 1e-10])
+            c = rng.standard_normal(dim)
+        else:
+            P = random_bounded(rng, dim, int(rng.integers(1, 5)), spread=0.9)
+            if trial % 2:
+                # A clearly contradictory pair keeps empties in the mix.
+                e = rng.standard_normal(dim)
+                P = P.intersect(np.vstack([e, -e]), [0.0, -0.5])
+            s = 10.0 ** rng.choice([-4.0, 0.0, 4.0], size=P.nrows)
+            P = Polyhedron(P.A * s[:, None], P.b * s, dim)
+            c = rng.standard_normal(dim)
+        out.append((kind, P, c))
+    return out
+
+
+def _unit_rows(P):
+    """Rows of P scaled to unit norm, for the scale-sensitive vertex oracle."""
+    norms = np.linalg.norm(P.A, axis=1)
+    return P.A / norms[:, None], P.b / norms
+
+
+def _highs(c, P, sense="max"):
+    """(status, value) of scipy's HiGHS on the same LP."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    sgn = -1.0 if sense == "max" else 1.0
+    res = linprog(sgn * np.asarray(c), A_ub=P.A, b_ub=P.b,
+                  bounds=[(None, None)] * P.dim, method="highs")
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
+    return status, (sgn * res.fun if status == "optimal" else None)
+
+
+class TestKernelDifferential:
+    """solve_lp, is_empty and remove_redundant against independent references."""
+
+    def test_solve_lp_matches_vertex_oracle(self):
+        for kind, P, c in _hard_instances(101):
+            An, bn = _unit_rows(P)
+            want = lp_by_vertices(c, An, bn, "max")
+            res = solve_lp(c, P, "max")
+            if want is None:
+                assert res.status == "infeasible", kind
+            else:
+                assert res.status == "optimal", kind
+                assert res.value == pytest.approx(want, abs=1e-7), kind
+
+    def test_solve_lp_matches_highs(self):
+        rng = np.random.default_rng(103)
+        cases = [(P, c) for _, P, c in _hard_instances(102)]
+        # Unboxed cones make unbounded LPs part of the comparison.
+        for trial in range(20):
+            dim = int(rng.integers(2, 4))
+            A = rng.standard_normal((int(rng.integers(1, 5)), dim))
+            cases.append((Polyhedron(A, rng.uniform(0.1, 1.0, size=A.shape[0])),
+                          rng.standard_normal(dim)))
+        statuses = set()
+        for P, c in cases:
+            for sense in ("max", "min"):
+                status, value = _highs(c, P, sense)
+                res = solve_lp(c, P, sense)
+                assert res.status == status
+                statuses.add(status)
+                if status == "optimal":
+                    assert res.value == pytest.approx(value, abs=1e-6)
+        assert statuses == {"optimal", "infeasible", "unbounded"}
+
+    def test_is_empty_matches_references(self):
+        seen = set()
+        for kind, P, _ in _hard_instances(104):
+            empty = is_empty(P)
+            assert empty == (not enumerate_vertices(*_unit_rows(P))), kind
+            assert empty == (_highs(np.zeros(P.dim), P)[0] == "infeasible"), kind
+            seen.add(empty)
+        assert seen == {True, False}
+
+    def test_remove_redundant_matches_references(self):
+        for kind, P, _ in _hard_instances(105):
+            if is_empty(P):
+                continue
+            R = remove_redundant(P)
+            # R keeps a subset of P's rows, so it contains P. Every row of P
+            # must also hold on R, up to tolerance: the oracle maximizes each
+            # unit-norm row of P over R's vertices.
+            Rn = _unit_rows(R)
+            for a, beta in zip(*_unit_rows(P)):
+                assert lp_by_vertices(a, *Rn, "max") <= beta + 1e-7, kind
+            # No kept row is implied by the other kept rows.
+            for i in range(R.nrows):
+                others = np.arange(R.nrows) != i
+                guard = Polyhedron(np.vstack([R.A[others], R.A[i]]),
+                                   np.concatenate([R.b[others], [R.b[i] + 1.0]]),
+                                   R.dim)
+                status, value = _highs(R.A[i], guard)
+                tol = 1e-7 * max(1.0, np.linalg.norm(R.A[i]))
+                assert status == "optimal" and value > R.b[i] - tol, kind
+
