@@ -274,21 +274,21 @@ def _simplex(A, b, c, budget, tol):
         measure = float(rhs[is_art[basis]].sum())
         if measure > tol:
             return "infeasible", None, measure, pivots_used
-        # Drive leftover basic artificials out on their own row; a row with no
-        # structural pivot left is a dependent 0 = 0 constraint and is dropped.
-        drop = []
+        # Drive leftover basic artificials out on their own row. Such a row
+        # always has a pivot among the first 2n+m columns: each artificial
+        # column starts as the exact negative of its row's slack column, and
+        # row scaling and row -= f * pivot_row keep that bitwise (IEEE
+        # rounding is sign-symmetric). A basic artificial's column is the unit
+        # vector of its row, so that row holds -1 in the paired slack column.
         for i in is_art[basis].nonzero()[0]:
             cols = (np.abs(T[i, : 2 * n + m]) > _PIVOT_EPS).nonzero()[0]
             if cols.size == 0:
-                drop.append(i)
-                continue
+                raise GeometryError("basic artificial row has no structural "
+                                    "or slack pivot")
             j = int(cols[0])
             _eliminate(T, rhs, i, j)
             basis[i] = j
             drive_outs += 1
-        if drop:
-            hold = np.setdiff1d(np.arange(T.shape[0]), drop)
-            T, rhs, basis = T[hold], rhs[hold], basis[hold]
     else:
         measure = 0.0
 

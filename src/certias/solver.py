@@ -106,10 +106,12 @@ class ErrorInjector:
 
     @classmethod
     def from_sequence(cls, vectors, perturb_dual: bool = False) -> "ErrorInjector":
-        """Replays a finite list of vectors, zeros afterwards."""
-        vecs = [np.asarray(v, dtype=float).ravel().copy() for v in vectors]
-        if not vecs:
+        """Replays a finite list of vectors (or the rows of a 2-D array),
+        zeros afterwards. The input is copied once, as a whole."""
+        vecs = np.array(vectors, dtype=float)
+        if not len(vecs):
             raise ValueError("need at least one vector")
+        vecs = vecs.reshape(len(vecs), -1)
         zero = np.zeros_like(vecs[0])
 
         def sched(k: int) -> np.ndarray:

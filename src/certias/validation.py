@@ -94,35 +94,71 @@ def model_from_description(desc: dict) -> ErrorModel:
                       perturb_dual=desc.get("perturb_dual", False))
 
 
-def _boundary_rows(result: CertificationResult) -> tuple[np.ndarray, np.ndarray]:
-    """All region rows stacked, with unit-normalized coefficients."""
-    blocks_A, blocks_b = [], []
-    for r in result.regions:
-        if r.region.nrows:
-            blocks_A.append(r.region.A)
-            blocks_b.append(r.region.b)
-    if not blocks_A:
-        return np.zeros((0, result.regions[0].region.dim)), np.zeros(0)
-    A = np.vstack(blocks_A)
-    b = np.concatenate(blocks_b)
-    norms = np.linalg.norm(A, axis=1)
-    norms[norms == 0.0] = 1.0
-    return A / norms[:, None], b / norms
+class _RegionStack:
+    """Every region's rows stacked once, so locating a point is one product.
+
+    A holds the raw rows region after region, so the per-row test
+    A theta <= b + 1e-9 is the one `contains` makes with that slack. starts marks where each
+    region with rows begins; a region without rows contains every point.
+    unit_A/unit_b are the same rows with unit-norm coefficients, for the
+    boundary-distance test.
+    """
+
+    def __init__(self, result: CertificationResult):
+        regions = [r.region for r in result.regions]
+        counts = np.array([P.nrows for P in regions])
+        self.n_regions = len(regions)
+        self.A = np.vstack([P.A for P in regions])
+        self.b = np.concatenate([P.b for P in regions])
+        self.rowful = (counts > 0).nonzero()[0]
+        self.starts = (np.cumsum(counts) - counts)[self.rowful]
+        norms = np.linalg.norm(self.A, axis=1)
+        norms[norms == 0.0] = 1.0
+        self.unit_A = self.A / norms[:, None]
+        self.unit_b = self.b / norms
+
+    def near_boundary(self, theta: np.ndarray) -> bool:
+        """Whether theta lies within DELTA_MARGIN (normalized) of any region row."""
+        if not self.unit_A.size:
+            return False
+        return bool(np.min(np.abs(self.unit_A @ theta - self.unit_b)) < DELTA_MARGIN)
+
+    def host_ids(self, theta: np.ndarray) -> list[int]:
+        """Ids of the regions containing theta (slack 1e-9), ascending."""
+        hosts = np.ones(self.n_regions, dtype=bool)
+        if self.starts.size:
+            inside = self.A @ theta <= self.b + 1e-9
+            hosts[self.rowful] = np.logical_and.reduceat(inside, self.starts)
+        return hosts.nonzero()[0].tolist()
 
 
-def _draw_injector(model: ErrorModel, rng: np.random.Generator, m: int,
-                   n_steps: int) -> ErrorInjector:
-    """One admissible error sequence, uniform per step within the model."""
-    vecs = []
+def _step_bounds(model: ErrorModel, n_steps: int) -> np.ndarray:
+    """Hypercube bound of each automaton step; 0 where the step draws nothing."""
+    bounds = np.zeros(n_steps)
     for k in range(n_steps):
         mk = model.at(k)
-        if mk.kind == KIND_NONE or (mk.kind == KIND_HYPERCUBE and mk.bound == 0.0):
-            vecs.append(np.zeros(m))
-        elif mk.kind == KIND_HYPERCUBE:
-            vecs.append(rng.uniform(-mk.bound, mk.bound, size=m))
-        else:
+        if mk.kind == KIND_HYPERCUBE:
+            bounds[k] = mk.bound
+        elif mk.kind != KIND_NONE:
             raise ValueError(f"cannot sample from error model kind {mk.kind!r}")
-    return ErrorInjector.from_sequence(vecs, perturb_dual=model.perturb_dual)
+    return bounds
+
+
+def _draw_injector(bounds: np.ndarray, rng: np.random.Generator, m: int,
+                   perturb_dual: bool = False) -> ErrorInjector:
+    """One admissible error sequence, uniform per step within `bounds`
+    (from _step_bounds), drawn with one generator call.
+
+    The values and the generator's final state equal those of one
+    rng.uniform(-b, b, size=m) call per step with a nonzero bound b, in
+    step order: with a column of bounds, Generator.uniform fills the block
+    in C order, element by element, from the same stream of doubles.
+    """
+    errors = np.zeros((bounds.size, m))
+    drawn = bounds != 0.0
+    b = bounds[drawn, None]
+    errors[drawn] = rng.uniform(-b, b, size=(b.shape[0], m))
+    return ErrorInjector.from_sequence(errors, perturb_dual=perturb_dual)
 
 
 def validate_conformance(prob: MpQP, result: CertificationResult,
@@ -136,6 +172,8 @@ def validate_conformance(prob: MpQP, result: CertificationResult,
     as skipped. Each remaining draw gets a fresh error sequence admissible
     under the result's model (or the `model` override) and its realized run
     must match the sequence of some certified region containing it.
+    Raises ValueError when some step of the model is polyhedral or
+    relative: those cannot be sampled.
 
     Deterministic for a fixed seed.
     """
@@ -146,8 +184,9 @@ def validate_conformance(prob: MpQP, result: CertificationResult,
     tol = _tolerances_from_settings(result.settings)
     rng = np.random.default_rng(seed)
     lo, hi = bounding_box(prob.theta_set)
-    bound_A, bound_b = _boundary_rows(result)
+    stack = _RegionStack(result)
     n_steps = 2 * tol.iter_limit + 2
+    bounds = _step_bounds(model, n_steps)
 
     report = ValidationReport(samples_total=n_samples)
     for _ in range(n_samples):
@@ -155,13 +194,12 @@ def validate_conformance(prob: MpQP, result: CertificationResult,
         if not contains(prob.theta_set, theta, slack=1e-9):
             report.samples_outside += 1
             continue
-        if bound_A.size and np.min(np.abs(bound_A @ theta - bound_b)) < DELTA_MARGIN:
+        if stack.near_boundary(theta):
             report.samples_skipped_boundary += 1
             continue
-        injector = _draw_injector(model, rng, prob.m, n_steps)
+        injector = _draw_injector(bounds, rng, prob.m, model.perturb_dual)
         realized = tuple(run(prob, theta, injector=injector, tol=tol).sequence)
-        host_ids = [i for i, r in enumerate(result.regions)
-                    if contains(r.region, theta, slack=1e-9)]
+        host_ids = stack.host_ids(theta)
         if not host_ids:
             report.coverage_gaps.append(tuple(theta))
             continue

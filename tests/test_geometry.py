@@ -392,6 +392,40 @@ class TestKernel:
         geo.phase1_measure(P)
         assert geo.pivot_count() - before > pivots
 
+    @pytest.mark.parametrize("A, b, c, point", [
+        ([[1.0], [-1.0], [-1.0], [2.0], [-2.0]], [1.0, -1.0, -1.0, 2.0, -2.0],
+         [1.0], [1.0]),
+        ([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0], [0.0, 1.0], [-1.0, -1.0]],
+         [1.0, -1.0, -1.0, 1.0, -2.0], [1.0, 1.0], [1.0, 1.0]),
+    ])
+    def test_dependent_rows_drive_out_on_slack_columns(self, monkeypatch, A, b, c, point):
+        # Repeated equalities leave artificials basic at level zero after
+        # phase 1, on rows with no structural entry left. Each is driven out
+        # on a slack column, so no row ever has to be dropped.
+        drive_outs, in_pivot = [], [False]
+        pivot_once, eliminate = geo._pivot_once, geo._eliminate
+
+        def pivot(*args):
+            in_pivot[0] = True
+            try:
+                return pivot_once(*args)
+            finally:
+                in_pivot[0] = False
+
+        def elim(T, rhs, row, col):
+            if not in_pivot[0]:
+                drive_outs.append(col)
+            eliminate(T, rhs, row, col)
+
+        monkeypatch.setattr(geo, "_pivot_once", pivot)
+        monkeypatch.setattr(geo, "_eliminate", elim)
+        P = Polyhedron(A, b)
+        status, x, measure, _ = geo._simplex(P.A, P.b, np.array(c), 100, geo.OPT_TOL)
+        assert status == "optimal" and measure == 0.0
+        assert np.allclose(x, point)
+        n, m = P.dim, P.nrows
+        assert drive_outs and all(2 * n <= j < 2 * n + m for j in drive_outs)
+
 
 def _hard_instances(seed, count=60):
     """(kind, P, c): degenerate vertices, near-parallel rows, rows scaled 1e+-4.

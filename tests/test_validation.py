@@ -7,14 +7,19 @@ suite reruns them at full sample counts.
 import numpy as np
 import pytest
 
-from certias.certifier import certify
+from certias.certifier import CertificationResult, CertifiedRegion, certify
 from certias.examples import double_integrator_problem, toy_problem
-from certias.geometry import Polyhedron, interior_point
-from certias.lpp import KIND_HYPERCUBE, KIND_POLYHEDRAL, ErrorModel
+from certias.geometry import Polyhedron, bounding_box, contains, interior_point
+from certias.lpp import KIND_HYPERCUBE, KIND_NONE, KIND_POLYHEDRAL, KIND_RELATIVE, ErrorModel
 from certias.mpqp import MpQP
 from certias.solver import ErrorInjector, run
 from certias.validation import (
+    DELTA_MARGIN,
     InfeasibleProblemError,
+    _draw_injector,
+    _RegionStack,
+    _step_bounds,
+    _tolerances_from_settings,
     brute_force_solve,
     model_from_description,
     search_realization,
@@ -127,6 +132,250 @@ class TestValidateConformance:
             toy, result, n_samples=800, seed=5,
             model=ErrorModel(kind=KIND_HYPERCUBE, bound=0.05))
         assert report.passed
+
+
+def _hosts_one_by_one(result, theta):
+    """Host ids as a per-region `contains` loop finds them."""
+    return [i for i, r in enumerate(result.regions)
+            if contains(r.region, theta, slack=1e-9)]
+
+
+def _per_step_injector(model, rng, m, n_steps):
+    """One rng.uniform call per drawing step, in step order."""
+    vecs = []
+    for k in range(n_steps):
+        mk = model.at(k)
+        if mk.kind == KIND_NONE or (mk.kind == KIND_HYPERCUBE and mk.bound == 0.0):
+            vecs.append(np.zeros(m))
+        elif mk.kind == KIND_HYPERCUBE:
+            vecs.append(rng.uniform(-mk.bound, mk.bound, size=m))
+        else:
+            raise ValueError(f"cannot sample from error model kind {mk.kind!r}")
+    return ErrorInjector.from_sequence(vecs, perturb_dual=model.perturb_dual)
+
+
+def _validate_one_by_one(prob, result, n_samples, seed, model=None):
+    """validate_conformance with per-region point location and per-step
+    draws: the reference the stacked version must reproduce exactly."""
+    if model is None:
+        model = model_from_description(result.settings["error_model"])
+    tol = _tolerances_from_settings(result.settings)
+    rng = np.random.default_rng(seed)
+    lo, hi = bounding_box(prob.theta_set)
+    rows = [r.region for r in result.regions if r.region.nrows]
+    A = np.vstack([P.A for P in rows])
+    b = np.concatenate([P.b for P in rows])
+    norms = np.linalg.norm(A, axis=1)
+    norms[norms == 0.0] = 1.0
+    A, b = A / norms[:, None], b / norms
+    n_steps = 2 * tol.iter_limit + 2
+    out = dict(samples_total=n_samples, samples_outside=0,
+               samples_skipped_boundary=0, mismatches=[], coverage_gaps=[],
+               realization_failures=[])
+    for _ in range(n_samples):
+        theta = rng.uniform(lo, hi)
+        if not contains(prob.theta_set, theta, slack=1e-9):
+            out["samples_outside"] += 1
+            continue
+        if np.min(np.abs(A @ theta - b)) < DELTA_MARGIN:
+            out["samples_skipped_boundary"] += 1
+            continue
+        injector = _per_step_injector(model, rng, prob.m, n_steps)
+        realized = tuple(run(prob, theta, injector=injector, tol=tol).sequence)
+        host_ids = _hosts_one_by_one(result, theta)
+        if not host_ids:
+            out["coverage_gaps"].append(tuple(theta))
+            continue
+        if not any(tuple(result.regions[i].sequence) == realized for i in host_ids):
+            out["mismatches"].append((tuple(theta), realized, host_ids))
+    out["mismatches"].sort(key=lambda entry: entry[0])
+    out["coverage_gaps"].sort()
+    return out
+
+
+def _assert_same_report(report, reference):
+    assert vars(report) == reference
+    for _, _, hosts in report.mismatches:
+        assert all(type(i) is int for i in hosts)
+
+
+def _with_free_region(result, where):
+    """A copy of result with a zero-row region inserted at position `where`."""
+    dim = result.regions[0].region.dim
+    free = CertifiedRegion(region=Polyhedron(np.zeros((0, dim)), np.zeros(0), dim),
+                           sequence=result.regions[0].sequence,
+                           status=result.regions[0].status,
+                           iterations=result.regions[0].iterations)
+    regions = list(result.regions)
+    regions.insert(where, free)
+    return CertificationResult(regions=regions, problem_digest=result.problem_digest,
+                               settings=result.settings, stats=result.stats)
+
+
+def _facet_points(result, offsets, cycle=False):
+    """Points at signed distances `offsets` from every region facet, taken
+    from the projection of the region's center onto the facet. With `cycle`,
+    each facet gets one offset, the next one for the next facet."""
+    points = []
+    for r in result.regions:
+        P = r.region
+        if P.nrows == 0:
+            continue
+        center = np.linalg.lstsq(P.A, P.b, rcond=None)[0] if P.nrows < P.dim \
+            else interior_point(P)[0]
+        for a, beta in zip(P.A, P.b):
+            unit = a / np.linalg.norm(a)
+            foot = center + (beta - a @ center) / (a @ a) * a
+            if cycle:
+                points.append(foot + offsets[len(points) % len(offsets)] * unit)
+            else:
+                points.extend(foot + t * unit for t in offsets)
+    return points
+
+
+# Signed distances from a facet that straddle the 1e-9 containment slack.
+_NEAR_FACET = (-2e-9, -1e-9, -1e-12, 0.0, 1e-12, 5e-10, 9.99e-10, 1e-9,
+               1.001e-9, 2e-9)
+
+
+class TestStackedPointLocation:
+    def test_double_integrator_leaves(self, mpc, mpc_inflated):
+        regions = mpc_inflated.regions
+        assert len(regions) == 223
+        zero_width = sum(interior_point(r.region)[1] <= 1e-9 for r in regions)
+        assert zero_width == 128
+        stack = _RegionStack(mpc_inflated)
+        rng = np.random.default_rng(11)
+        lo, hi = bounding_box(mpc.theta_set)
+        points = [rng.uniform(lo, hi) for _ in range(400)]
+        points += _facet_points(mpc_inflated, _NEAR_FACET, cycle=True)
+        for theta in points:
+            assert stack.host_ids(theta) == _hosts_one_by_one(mpc_inflated, theta)
+
+    def test_zero_row_region_contains_everything(self, toy, toy_nominal):
+        for where in (0, 1, len(toy_nominal.regions)):
+            result = _with_free_region(toy_nominal, where)
+            stack = _RegionStack(result)
+            for theta in np.linspace(-3.0, 3.0, 61)[:, None]:
+                hosts = stack.host_ids(theta)
+                assert where in hosts
+                assert hosts == _hosts_one_by_one(result, theta)
+
+    def test_only_zero_row_regions(self, toy, toy_nominal):
+        result = _with_free_region(toy_nominal, 0)
+        result.regions = result.regions[:1]
+        stack = _RegionStack(result)
+        assert stack.host_ids(np.array([0.5])) == [0]
+        assert not stack.near_boundary(np.array([0.5]))
+
+    def test_points_near_shared_facets(self, toy_inflated):
+        # Toy facets are at theta = -1 +- 0.1 and thereabouts; points within
+        # 1e-9 of a shared facet belong to both sides only inside the slack.
+        stack = _RegionStack(toy_inflated)
+        for theta in _facet_points(toy_inflated, _NEAR_FACET):
+            assert stack.host_ids(theta) == _hosts_one_by_one(toy_inflated, theta)
+
+    def test_host_ids_are_python_ints(self, toy_nominal):
+        hosts = _RegionStack(toy_nominal).host_ids(np.array([0.0]))
+        assert hosts and all(type(i) is int for i in hosts)
+
+
+class TestReportsMatchOneByOne:
+    def test_toy_nominal(self, toy, toy_nominal):
+        _assert_same_report(validate_conformance(toy, toy_nominal, n_samples=600, seed=1),
+                            _validate_one_by_one(toy, toy_nominal, 600, 1))
+
+    def test_toy_inflated(self, toy, toy_inflated):
+        _assert_same_report(validate_conformance(toy, toy_inflated, n_samples=600, seed=2),
+                            _validate_one_by_one(toy, toy_inflated, 600, 2))
+
+    def test_mpc_inflated(self, mpc, mpc_inflated):
+        _assert_same_report(validate_conformance(mpc, mpc_inflated, n_samples=300, seed=3),
+                            _validate_one_by_one(mpc, mpc_inflated, 300, 3))
+
+    def test_unmodeled_errors(self, toy, toy_nominal):
+        # Seed 4 of test_unmodeled_errors_are_caught: hundreds of mismatches,
+        # each with its host list.
+        model = ErrorModel(kind=KIND_HYPERCUBE, bound=0.1)
+        report = validate_conformance(toy, toy_nominal, n_samples=2000, seed=4, model=model)
+        assert len(report.mismatches) > 100
+        _assert_same_report(report, _validate_one_by_one(toy, toy_nominal, 2000, 4, model))
+
+    def test_zero_row_region(self, toy, toy_nominal):
+        result = _with_free_region(toy_nominal, 1)
+        model = ErrorModel(kind=KIND_HYPERCUBE, bound=0.1)
+        report = validate_conformance(toy, result, n_samples=400, seed=6, model=model)
+        assert report.mismatches
+        _assert_same_report(report, _validate_one_by_one(toy, result, 400, 6, model))
+
+
+def _assert_same_draws(model, m=5, n_steps=32, seed=3):
+    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+    new = _draw_injector(_step_bounds(model, n_steps), rng_new, m, model.perturb_dual)
+    old = _per_step_injector(model, rng_old, m, n_steps)
+    assert new.perturb_dual == old.perturb_dual == model.perturb_dual
+    for k in range(n_steps + 2):
+        assert new.schedule(k).tobytes() == old.schedule(k).tobytes()
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+    # Both generators continue with the same stream.
+    assert rng_new.random() == rng_old.random()
+
+
+class TestOneCallDraws:
+    def test_plain_hypercube(self):
+        _assert_same_draws(ErrorModel(kind=KIND_HYPERCUBE, bound=1e-4))
+        _assert_same_draws(ErrorModel(kind=KIND_HYPERCUBE, bound=0.37), m=1, n_steps=7)
+
+    def test_schedule_with_silent_steps(self):
+        model = ErrorModel(kind=KIND_HYPERCUBE, bound=0.5, schedule=(
+            ErrorModel(kind=KIND_HYPERCUBE, bound=0.1),
+            ErrorModel(),
+            ErrorModel(kind=KIND_HYPERCUBE, bound=0.0),
+            ErrorModel(kind=KIND_HYPERCUBE, bound=3.0),
+        ))
+        _assert_same_draws(model)
+        tail_silent = ErrorModel(schedule=(ErrorModel(kind=KIND_HYPERCUBE, bound=0.2),))
+        _assert_same_draws(tail_silent)
+
+    def test_perturb_dual(self):
+        _assert_same_draws(ErrorModel(kind=KIND_HYPERCUBE, bound=1e-3, perturb_dual=True))
+
+    def test_zero_bound_draws_nothing(self):
+        model = ErrorModel(kind=KIND_HYPERCUBE, bound=0.0)
+        _assert_same_draws(model)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        injector = _draw_injector(_step_bounds(model, 10), rng, 3)
+        assert rng.bit_generator.state == before
+        assert all(not injector.schedule(k).any() for k in range(12))
+
+    def test_unsupported_kinds_raise(self):
+        rng = np.random.default_rng(0)
+        for model in (ErrorModel(kind=KIND_POLYHEDRAL, set=Polyhedron.box([-0.1], [0.1])),
+                      ErrorModel(kind=KIND_RELATIVE, rel_bound=0.1),
+                      ErrorModel(kind=KIND_HYPERCUBE, bound=0.1,
+                                 schedule=(ErrorModel(kind=KIND_RELATIVE, rel_bound=0.1),))):
+            with pytest.raises(ValueError, match="cannot sample"):
+                _step_bounds(model, 4)
+
+
+class TestInjectorFromBlock:
+    def test_rows_replayed_then_zeros(self):
+        block = np.arange(6.0).reshape(3, 2)
+        injector = ErrorInjector.from_sequence(block)
+        for k in range(3):
+            assert np.array_equal(injector.schedule(k), block[k])
+        assert np.array_equal(injector.schedule(3), np.zeros(2))
+
+    def test_block_is_copied(self):
+        block = np.ones((2, 3))
+        injector = ErrorInjector.from_sequence(block)
+        block[:] = 7.0
+        assert np.array_equal(injector.schedule(1), np.ones(3))
+
+    def test_integer_block_becomes_float(self):
+        injector = ErrorInjector.from_sequence(np.array([[1, 2]]))
+        assert injector.schedule(0).dtype == float
 
 
 class TestSearchRealization:
