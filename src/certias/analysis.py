@@ -140,7 +140,7 @@ def iteration_cdf(result: CertificationResult) -> list:
 
 
 def sweep(prob: MpQP, eps_primal_list, eps_bar_list,
-          tol_base: Optional[Tolerances] = None, *, workers: int = 1) -> SweepTable:
+          tol_base: Optional[Tolerances] = None) -> SweepTable:
     """Certify the cross product of tolerances and error bounds.
 
     Rows come out sorted by (eps_primal, eps_bar) ascending regardless of
@@ -163,7 +163,7 @@ def sweep(prob: MpQP, eps_primal_list, eps_bar_list,
             model = (ErrorModel() if eb == 0.0
                      else ErrorModel(kind=KIND_HYPERCUBE, bound=eb))
             try:
-                result = certify(prob, tol, model, workers=workers)
+                result = certify(prob, tol, model)
             except Exception as exc:
                 log.warning("sweep cell (%g, %g) failed: %s", ep, eb, exc)
                 table.annotations.append((ep, eb, f"{type(exc).__name__}: {exc}"))

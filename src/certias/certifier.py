@@ -15,7 +15,6 @@ parameter covered by several leaves gets the worst case over all of them.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -216,9 +215,6 @@ def _effective_model(model: ErrorModel, k: int, state: SolverState,
     if mk.kind == KIND_RELATIVE:
         return ErrorModel(kind=KIND_HYPERCUBE,
                           bound=rel_to_abs(zmap, region, mk.rel_bound))
-    if mk.schedule is not None:
-        return ErrorModel(kind=mk.kind, bound=mk.bound, set=mk.set,
-                          rel_bound=mk.rel_bound)
     return mk
 
 
@@ -289,9 +285,9 @@ def certify(prob: MpQP, tol: Optional[Tolerances] = None,
             ) -> CertificationResult:
     """Explore the whole parameter set and certify every leaf.
 
-    workers > 1 expands the frontier in parallel batches; the result is
-    canonically sorted by sequence, so the output does not depend on the
-    worker count or exploration order. max_live caps the frontier size to
+    workers is accepted for compatibility; certification runs on the
+    calling thread. The result is canonically sorted by sequence, so it does
+    not depend on exploration order. max_live caps the frontier size to
     guard against error-model-induced blowup (BudgetExceededError).
 
     record_trace keeps every expansion (parent region, state, children) for
@@ -306,29 +302,18 @@ def certify(prob: MpQP, tol: Optional[Tolerances] = None,
     trace: Optional[list[TraceRecord]] = [] if record_trace else None
     explored = 0
     pruned = 0
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        while stack:
-            if len(stack) > max_live:
-                raise BudgetExceededError(
-                    f"live regions ({len(stack)}) exceed max_live={max_live}")
-            if pool is not None and len(stack) > 1:
-                batch, stack = stack, []
-                results = list(pool.map(
-                    lambda n: _expand(n, prob, tol, model, record_trace), batch))
-            else:
-                node = stack.pop()
-                results = [_expand(node, prob, tol, model, record_trace)]
-            for children, leaf_list, rec, n_pruned in results:
-                explored += 1
-                pruned += n_pruned
-                finals.extend(leaf_list)
-                stack.extend(children)
-                if rec is not None:
-                    trace.append(rec)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+    while stack:
+        if len(stack) > max_live:
+            raise BudgetExceededError(
+                f"live regions ({len(stack)}) exceed max_live={max_live}")
+        children, leaf_list, rec, n_pruned = _expand(stack.pop(), prob, tol,
+                                                     model, record_trace)
+        explored += 1
+        pruned += n_pruned
+        finals.extend(leaf_list)
+        stack.extend(children)
+        if rec is not None:
+            trace.append(rec)
 
     finals.sort(key=lambda r: sequence_key(r.sequence))
     settings = {

@@ -4,7 +4,8 @@ All documents are JSON with matrices as row-major nested arrays; floats are
 written in their shortest round-tripping decimal form, so reading a document
 back reproduces every matrix bit for bit. Keys are sorted and indentation is
 fixed, which makes output documents byte-stable: the same problem, flags,
-and seed give identical bytes no matter how many workers ran.
+and seed give identical bytes on every run. --workers is accepted for
+compatibility; certification runs on the calling thread.
 
 Exit codes: 0 success, 1 validation found mismatches or coverage gaps,
 2 input problems (missing or malformed files, bad flag values), 3 anything
@@ -61,7 +62,8 @@ class RunConfig:
     Everything except the worker count and the output path is echoed into
     the output document; those two cannot affect the computed content, and
     leaving them out keeps documents byte-identical across machines and
-    --workers values.
+    --workers values. workers is accepted for compatibility and otherwise
+    unused: certification runs on the calling thread.
     """
 
     command: str
@@ -154,6 +156,8 @@ def model_from_document(doc: dict) -> ErrorModel:
 
 
 def build_model(cfg: RunConfig) -> Optional[ErrorModel]:
+    """Error model the flags select, None when no model flag is given.
+    --eps-bar 0 selects exact arithmetic."""
     given = [name for name, flag in (("--error-model", cfg.error_model_path),
                                      ("--eps-bar", cfg.eps_bar),
                                      ("--rel-bound", cfg.rel_bound))
@@ -168,8 +172,9 @@ def build_model(cfg: RunConfig) -> Optional[ErrorModel]:
                              f"{cfg.error_model_path}: {exc}") from exc
     if cfg.rel_bound is not None:
         return ErrorModel(kind=KIND_RELATIVE, rel_bound=cfg.rel_bound)
-    if cfg.eps_bar is not None and cfg.eps_bar != 0.0:
-        return ErrorModel(kind=KIND_HYPERCUBE, bound=cfg.eps_bar)
+    if cfg.eps_bar is not None:
+        return (ErrorModel() if cfg.eps_bar == 0.0
+                else ErrorModel(kind=KIND_HYPERCUBE, bound=cfg.eps_bar))
     return None
 
 
@@ -232,8 +237,7 @@ def _require(cfg: RunConfig, field_name: str, flag: str):
 
 def cmd_certify(cfg: RunConfig) -> int:
     prob = _load_mpqp(_require(cfg, "problem_path", "--problem"))
-    result = certify(prob, cfg.tolerances(), build_model(cfg),
-                     workers=cfg.workers)
+    result = certify(prob, cfg.tolerances(), build_model(cfg))
     text = dump_document(result_to_document(result, cfg))
     if cfg.out is None:
         sys.stdout.write(text)
@@ -247,10 +251,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     prob = _load_mpqp(_require(cfg, "problem_path", "--problem"))
     doc = _load_json(_require(cfg, "partition_path", "--partition"))
     result = partition_to_result(doc)
-    override = None
-    if cfg.eps_bar is not None:
-        override = (ErrorModel() if cfg.eps_bar == 0.0
-                    else ErrorModel(kind=KIND_HYPERCUBE, bound=cfg.eps_bar))
+    override = build_model(cfg)
     try:
         report = validate_conformance(prob, result, n_samples=cfg.samples,
                                       seed=cfg.seed, model=override)
@@ -280,7 +281,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     bar_list = _require(cfg, "eps_bars", "--eps-bars")
     tol_base = Tolerances(eps_primal=eps_list[0], eps_dual=cfg.dual_tol,
                           iter_limit=cfg.iter_limit)
-    table = sweep(prob, eps_list, bar_list, tol_base, workers=cfg.workers)
+    table = sweep(prob, eps_list, bar_list, tol_base)
     json_doc = sweep_to_json(table)
     json_doc["config"] = cfg.echo()
     _emit(sweep_to_csv(table), json_doc, cfg.out)
@@ -303,7 +304,7 @@ def cmd_report(cfg: RunConfig) -> int:
     # so recertify with trace recording on.
     prob = _load_mpqp(_require(cfg, "problem_path", "--problem"))
     result = certify(prob, cfg.tolerances(), build_model(cfg),
-                     workers=cfg.workers, record_trace=True)
+                     record_trace=True)
     profile = slack_profile(prob, result)
     json_doc = profile_to_json(profile)
     json_doc["config"] = cfg.echo()
@@ -340,9 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--iter-limit", dest="iter_limit", type=int,
                        default=15, help="iteration cap (default 15)")
         p.add_argument("--workers", type=int, default=1,
-                       help="parallel worker threads (default 1; the work "
-                       "is small numpy calls under the interpreter lock, "
-                       "so more threads are usually slower)")
+                       help="accepted for compatibility; certification runs "
+                       "on the calling thread")
         if model_flags:
             p.add_argument("--eps-bar", dest="eps_bar", type=float,
                            default=None,

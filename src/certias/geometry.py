@@ -385,10 +385,7 @@ def remove_redundant(P: Polyhedron, tol: float = REDUNDANCY_TOL) -> Polyhedron:
     r = P.nrows
     if r <= 1:
         return P
-    norms = np.linalg.norm(P.A, axis=1)
-    scale = np.where(norms > 0.0, norms, 1.0)
-    An = P.A / scale[:, None]
-    bn = P.b / scale
+    An, bn = normalize_rows(P.A, P.b)
     keep = []
     for i in range(r):
         dup = False

@@ -222,8 +222,9 @@ def subproblem_maps(prob: MpQP, working_set: Sequence[int]) -> SubproblemMaps:
 
     Solves the stationarity system through a Cholesky factorization of H and
     a Schur complement over the working rows. Results are cached per working
-    set on the problem object; the returned maps are immutable so sharing is
-    safe across threads.
+    set on the problem object under its lock, and the returned maps are
+    immutable, so sharing them is safe across threads: callers may run
+    certify on several threads against one problem.
     """
     W = tuple(int(i) for i in working_set)
     for i in W:

@@ -151,16 +151,19 @@ def _argmin_lowest_index(values: np.ndarray, labels: Sequence[int]) -> int:
     return min(tied)
 
 
-def step(prob: MpQP, state: SolverState, theta, epsilon, tol: Tolerances
-         ) -> tuple[SolverState, int, np.ndarray]:
+def step(prob: MpQP, state: SolverState, theta, epsilon, tol: Tolerances,
+         perturb_dual: bool = False) -> tuple[SolverState, int, np.ndarray]:
     """One automaton step at a fixed parameter.
 
     Args:
         prob: problem instance.
         state: current non-terminal state.
         theta: parameter vector.
-        epsilon: length-m perturbation added to the slack (slack_check mode).
+        epsilon: length-m perturbation added to the slack (slack_check mode)
+            and, when perturb_dual is set, whose working-set components are
+            added to the multipliers (dual_check mode).
         tol: tolerances in effect.
+        perturb_dual: whether dual checks see epsilon too.
 
     Returns:
         (next_state, chosen_index, snapshot) where snapshot is the vector the
@@ -173,11 +176,13 @@ def step(prob: MpQP, state: SolverState, theta, epsilon, tol: Tolerances
     if maps.singular:
         return SolverState(state.working_set, DEGENERATE), NO_INDEX, np.zeros(0)
     theta = np.asarray(theta, dtype=float).ravel()
-
-    if state.mode == SLACK_CHECK:
+    is_slack = state.mode == SLACK_CHECK
+    if is_slack or perturb_dual:
         epsilon = np.asarray(epsilon, dtype=float).ravel()
         if epsilon.size != prob.m:
             raise ValueError(f"epsilon must have {prob.m} entries")
+
+    if is_slack:
         slack = maps.mu_map(theta) + epsilon
         violated = np.nonzero(slack < -tol.eps_primal)[0]
         if violated.size == 0:
@@ -185,7 +190,10 @@ def step(prob: MpQP, state: SolverState, theta, epsilon, tol: Tolerances
         j = _argmin_lowest_index(slack[violated], violated.tolist())
         return transition(state, j), j, slack
 
-    return _dual_decision(state, maps.lambda_map(theta), tol)
+    lam = maps.lambda_map(theta)
+    if perturb_dual:
+        lam = lam + epsilon[list(state.working_set)]
+    return _dual_decision(state, lam, tol)
 
 
 @dataclass
@@ -231,18 +239,10 @@ def run(prob: MpQP, theta, injector: Optional[ErrorInjector] = None,
         if state.mode == SLACK_CHECK and slack_done == tol.iter_limit:
             sequence.append(SolverState(state.working_set, TERMINATED_ITER_LIMIT))
             break
-        eps_k = np.asarray(injector.schedule(k), dtype=float).ravel()
         sequence.append(state)
         was_slack = state.mode == SLACK_CHECK
-        if state.mode == DUAL_CHECK and injector.perturb_dual and state.working_set:
-            maps = subproblem_maps(prob, state.working_set)
-            if maps.singular:
-                nxt, idx, snap = SolverState(state.working_set, DEGENERATE), NO_INDEX, np.zeros(0)
-            else:
-                lam = maps.lambda_map(theta) + eps_k[list(state.working_set)]
-                nxt, idx, snap = _dual_decision(state, lam, tol)
-        else:
-            nxt, idx, snap = step(prob, state, theta, eps_k, tol)
+        nxt, _, snap = step(prob, state, theta, injector.schedule(k), tol,
+                            injector.perturb_dual)
         snapshots.append(snap)
         if was_slack:
             slack_done += 1

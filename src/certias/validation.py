@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from certias.certifier import CertificationResult, CertifiedRegion
-from certias.geometry import bounding_box, contains
+from certias.geometry import bounding_box, contains, normalize_rows
 from certias.lpp import KIND_HYPERCUBE, KIND_NONE, ErrorModel
 from certias.mpqp import MpQP
 from certias.solver import (
@@ -112,10 +112,7 @@ class _RegionStack:
         self.b = np.concatenate([P.b for P in regions])
         self.rowful = (counts > 0).nonzero()[0]
         self.starts = (np.cumsum(counts) - counts)[self.rowful]
-        norms = np.linalg.norm(self.A, axis=1)
-        norms[norms == 0.0] = 1.0
-        self.unit_A = self.A / norms[:, None]
-        self.unit_b = self.b / norms
+        self.unit_A, self.unit_b = normalize_rows(self.A, self.b)
 
     def near_boundary(self, theta: np.ndarray) -> bool:
         """Whether theta lies within DELTA_MARGIN (normalized) of any region row."""
@@ -287,15 +284,7 @@ def search_realization(prob: MpQP, region: CertifiedRegion, theta,
     if attempt(zero):
         return True, zero
 
-    bounds = []
-    for k in range(len(indices)):
-        mk = model.at(k)
-        if mk.kind == KIND_HYPERCUBE:
-            bounds.append(mk.bound)
-        elif mk.kind == KIND_NONE:
-            bounds.append(0.0)
-        else:
-            raise ValueError(f"cannot search over error model kind {mk.kind!r}")
+    bounds = _step_bounds(model, len(indices))
     vertex = [_vertex_for(idx, prob.m, b) for idx, b in zip(indices, bounds)]
     if attempt(vertex):
         return True, vertex

@@ -1,6 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
+import certias.certifier
 from certias.certifier import (
     BudgetExceededError,
     certify,
@@ -277,6 +280,19 @@ class TestCertifyToyInflated:
             assert np.array_equal(a.region.A, b.region.A)
             assert np.array_equal(a.region.b, b.region.b)
             assert a.status == b.status and a.iterations == b.iterations
+
+    def test_runs_on_calling_thread(self, monkeypatch):
+        threads = set()
+        real = certias.certifier.partition_step
+
+        def spy(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(certias.certifier, "partition_step", spy)
+        certify(toy_problem(), model=ErrorModel(kind="hypercube", bound=0.1),
+                workers=4)
+        assert threads == {threading.get_ident()}
 
     def test_budget_cap(self):
         with pytest.raises(BudgetExceededError):

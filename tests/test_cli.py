@@ -216,6 +216,55 @@ class TestValidate:
         assert code == 2
         assert "different problem" in capsys.readouterr().err
 
+    def _validate(self, toy_path, partition, *flags):
+        return main(["validate", "--problem", toy_path,
+                     "--partition", str(partition),
+                     "--samples", "200", "--seed", "5", *flags])
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "relative", "rel_bound": 0.5},
+        {"kind": "polyhedral", "set": {"A": [[1.0], [-1.0]], "b": [0.1, 0.1]}},
+    ])
+    def test_unsampleable_model_file_exits_2(self, toy_path, toy_partition,
+                                             tmp_path, capsys, doc):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(doc))
+        code = self._validate(toy_path, toy_partition,
+                              "--error-model", str(model_path))
+        assert code == 2
+        assert "cannot sample" in capsys.readouterr().err
+
+    def test_rel_bound_exits_2(self, toy_path, toy_partition, capsys):
+        assert self._validate(toy_path, toy_partition, "--rel-bound", "0.5") == 2
+        assert "cannot sample" in capsys.readouterr().err
+
+    def test_conflicting_model_flags(self, toy_path, toy_partition, capsys):
+        code = self._validate(toy_path, toy_partition,
+                              "--rel-bound", "0.5", "--eps-bar", "1e-4")
+        assert code == 2
+        assert "mutually exclusive" in capsys.readouterr().err
+
+    def test_hypercube_file_matches_eps_bar(self, toy_path, toy_partition,
+                                            tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({"kind": "hypercube", "eps_bar": 0.1}))
+        from_file = self._validate(toy_path, toy_partition,
+                                   "--error-model", str(model_path))
+        file_out = capsys.readouterr().out
+        from_flag = self._validate(toy_path, toy_partition, "--eps-bar", "0.1")
+        assert from_file == from_flag == 1
+        assert file_out == capsys.readouterr().out
+
+    def test_zero_eps_bar_is_exact(self, toy_path, toy_partition, tmp_path):
+        # An exact partition whose settings claim errors of 0.1: the settings
+        # model fails it, --eps-bar 0 overrides it with exact arithmetic.
+        doc = json.loads(toy_partition.read_text())
+        doc["settings"]["error_model"] = {"kind": "hypercube", "bound": 0.1}
+        claimed = tmp_path / "claimed.json"
+        claimed.write_text(dump_document(doc))
+        assert self._validate(toy_path, claimed) == 1
+        assert self._validate(toy_path, claimed, "--eps-bar", "0") == 0
+
 
 class TestSweep:
     def test_csv_output(self, toy_path, tmp_path):

@@ -89,6 +89,31 @@ class TestStep:
         assert idx == PASS_INDEX
         assert nxt == SolverState((0,), SLACK_CHECK)
 
+    def test_dual_perturbation_only_when_asked(self):
+        prob = toy_problem()
+        theta = [-1.0 + 1e-7]  # exact multiplier -1e-7, inside tolerance
+        state = SolverState((0,), DUAL_CHECK)
+        nxt, idx, snap = step(prob, state, theta, [-1e-5], Tolerances())
+        assert idx == PASS_INDEX
+        assert snap == pytest.approx([-1e-7])
+        nxt, idx, snap = step(prob, state, theta, [-1e-5], Tolerances(),
+                              perturb_dual=True)
+        assert idx == 0
+        assert nxt == SolverState((), SLACK_CHECK)
+        assert snap == pytest.approx([-1e-7 - 1e-5])
+
+    def test_epsilon_length_checked_when_used(self):
+        prob = toy_problem()
+        with pytest.raises(ValueError, match="epsilon"):
+            step(prob, SolverState((), SLACK_CHECK), [0.0], [0.0, 0.0], Tolerances())
+        with pytest.raises(ValueError, match="epsilon"):
+            step(prob, SolverState((0,), DUAL_CHECK), [0.0], [0.0, 0.0],
+                 Tolerances(), perturb_dual=True)
+        # An exact dual check never reads epsilon.
+        nxt, _, _ = step(prob, SolverState((0,), DUAL_CHECK), [0.0], [0.0, 0.0],
+                         Tolerances())
+        assert nxt == SolverState((), SLACK_CHECK)
+
     def test_singular_subproblem_goes_degenerate(self):
         prob = double_integrator_problem()
         nxt, idx, _ = step(prob, SolverState((0, 0), DUAL_CHECK), [0.0, 0.0],

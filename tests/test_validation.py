@@ -133,6 +133,13 @@ class TestValidateConformance:
             model=ErrorModel(kind=KIND_HYPERCUBE, bound=0.05))
         assert report.passed
 
+    def test_perturbed_dual_certificate_passes(self, toy):
+        model = ErrorModel(kind=KIND_HYPERCUBE, bound=1e-2, perturb_dual=True)
+        result = certify(toy, model=model)
+        report = validate_conformance(toy, result, n_samples=500, seed=6)
+        assert report.passed
+        assert report.samples_total == 500
+
 
 def _hosts_one_by_one(result, theta):
     """Host ids as a per-region `contains` loop finds them."""
@@ -424,6 +431,21 @@ class TestSearchRealization:
         outside = np.array([100.0])
         with pytest.raises(ValueError, match="outside"):
             search_realization(toy, region, outside, ErrorModel())
+
+    @pytest.mark.parametrize("model", [
+        ErrorModel(kind=KIND_POLYHEDRAL, set=Polyhedron.box([-0.1], [0.1])),
+        ErrorModel(kind=KIND_RELATIVE, rel_bound=0.1),
+    ])
+    def test_unsampleable_models_rejected(self, toy, toy_inflated, model):
+        # A region the exact run does not follow at theta, so the search
+        # gets past its zero-error attempt to the step bounds.
+        theta = np.array([-1.05])
+        exact = tuple(run(toy, theta).sequence)
+        region = next(r for r in toy_inflated.regions
+                      if contains(r.region, theta, slack=1e-12)
+                      and tuple(r.sequence) != exact)
+        with pytest.raises(ValueError, match="cannot sample"):
+            search_realization(toy, region, theta, model)
 
 
 def _random_feasible_qp(rng, n_x, m):
