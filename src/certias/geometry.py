@@ -7,14 +7,17 @@ LP library, but the systems this package solves are desk-scale (tens of
 rows, dimension below ten or so) and a hand-rolled kernel keeps results
 bit-reproducible across platforms and worker counts.
 
-Each pivot is one numpy block elimination (_eliminate): the pivot row is
-scaled, then every row with a nonzero multiplier in the entering column
-gets `row -= f * pivot_row` at once. Rows whose multiplier is zero are left
-untouched rather than multiplied by zero, so the signs of zeros, and with
-them every pivot choice, LP count and partition document, are bit for bit
-those of a row-at-a-time elimination. The objective rows are built by
-sequential subtraction in row order for the same reason: a summed reduction
-rounds differently.
+Each LP lives in one augmented array M = [T rhs; obj .]: the constraint
+rows with their right-hand side in the last column, and the objective row
+last. Each pivot is one numpy block elimination (_eliminate) over all of
+M: the pivot row is scaled, then every row with a nonzero multiplier in the
+entering column, the objective row included, gets `row -= f * pivot_row` at
+once. Rows whose multiplier is zero are left untouched rather than
+multiplied by zero, so the signs of zeros, and with them every pivot choice,
+LP count and partition document, are bit for bit those of a row-at-a-time
+elimination with a separate right-hand side and objective. The objective
+rows of both phases are built by sequential subtraction in row order for
+the same reason: a summed reduction rounds differently.
 """
 
 from __future__ import annotations
@@ -116,8 +119,20 @@ class Polyhedron:
         trivial = ~A.any(axis=1) & (b >= 0.0)
         if trivial.any():
             A, b = A[~trivial], b[~trivial]
-        A = A.copy()
-        b = b.copy()
+        self._freeze(A.copy(), b.copy(), dim)
+
+    @classmethod
+    def _from_rows(cls, A, b, dim: int) -> "Polyhedron":
+        """{x : A x <= b} from rows the constructor has already validated.
+
+        A and b must be fresh float arrays, of shapes (k, dim) and (k,), with
+        no trivial rows; they are frozen in place rather than copied.
+        """
+        self = object.__new__(cls)
+        self._freeze(A, b, dim)
+        return self
+
+    def _freeze(self, A, b, dim: int) -> None:
         A.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "A", A)
@@ -171,42 +186,60 @@ class LpResult:
     point: Optional[np.ndarray]
 
 
-def _eliminate(T, rhs, row, col):
+def _eliminate(M, row, col):
     """Scale `row` to a unit entry in `col`, then clear `col` from every other row.
 
     Only rows with a nonzero multiplier are touched; subtracting 0 * pivot
     row could turn a -0.0 into +0.0 and change later pivot decisions.
     """
-    piv = T[row, col]
-    T[row] /= piv
-    rhs[row] /= piv
-    f = T[:, col].copy()
+    M[row] /= M[row, col]
+    f = M[:, col, None].copy()
     f[row] = 0.0
-    nz = f.nonzero()[0]
-    T[nz] -= f[nz, None] * T[row]
-    rhs[nz] -= f[nz] * rhs[row]
+    np.subtract(M, f * M[row], out=M, where=f != 0.0)
 
 
-def _pivot_once(T, rhs, obj, basis, col, tol_piv):
-    """Pivot on the column `col`; returns the leaving row or None if unbounded."""
-    d = T[:, col]
-    rows = (d > tol_piv).nonzero()[0]
-    if rows.size == 0:
-        return None
-    ratios = rhs[rows] / d[rows]
-    best = ratios.min()
-    ties = rows[ratios <= best + 1e-15]
-    # Lowest basic column index among ties keeps Bland's rule honest.
-    leave = ties[basis[ties].argmin()]
-    _eliminate(T, rhs, leave, col)
-    f = obj[col]
-    if f != 0.0:
-        obj -= f * T[leave]
-    basis[leave] = col
-    tiny = (rhs < 0.0) & (rhs > -1e-11)
-    if tiny.any():
-        rhs[tiny] = 0.0
-    return leave
+def _optimize(M, basis, nprice, pivots, budget, tol):
+    """Pivot the tableau M until its objective row prices out.
+
+    M is [T rhs; obj .] with m = len(basis) constraint rows; only the first
+    `nprice` columns may enter. Returns (status, pivots), status "optimal"
+    or "unbounded", pivots the running total the budget is checked against.
+    """
+    m = basis.size
+    obj = M[m, :nprice]
+    rhs = M[:m, -1]
+    streak = 0
+    bland = False
+    while True:
+        # argmin is the first most negative reduced cost, as Dantzig's rule
+        # over the candidates would pick.
+        col = obj.argmin()
+        if not obj[col] < -tol:
+            return "optimal", pivots
+        if bland:
+            col = (obj < -tol).argmax()
+        if pivots >= budget:
+            raise LpPivotLimitError(f"simplex exceeded {budget} pivots")
+        d = M[:m, col]
+        rows = (d > _PIVOT_EPS).nonzero()[0]
+        if rows.size == 0:
+            return "unbounded", pivots
+        ratios = rhs[rows] / d[rows]
+        # x[x.argmin()] is x.min() without min's Python-level wrapper.
+        ties = rows[ratios <= ratios[ratios.argmin()] + 1e-15]
+        # Lowest basic column index among ties keeps Bland's rule honest.
+        leave = ties[0] if ties.size == 1 else ties[basis[ties].argmin()]
+        _eliminate(M, leave, col)
+        basis[leave] = col
+        if rhs[rhs.argmin()] < 0.0:
+            tiny = (rhs < 0.0) & (rhs > -1e-11)
+            rhs[tiny] = 0.0
+        pivots += 1
+        if rhs[leave] <= 1e-13:
+            streak += 1
+            bland = bland or streak >= _BLAND_AFTER
+        else:
+            streak = 0
 
 
 def _simplex(A, b, c, budget, tol):
@@ -222,92 +255,85 @@ def _simplex(A, b, c, budget, tol):
         if np.allclose(c, 0.0):
             return "optimal", np.zeros(n), 0.0, 0
         return "unbounded", None, 0.0, 0
-    flip = b < 0.0
-    sign = np.where(flip, -1.0, 1.0)[:, None]
-    Aw = sign * A
-    rhs = np.abs(b).astype(float)
-    flipped = flip.nonzero()[0]
+    # Rows with b < 0 are negated and get an artificial column.
+    flipped = (b < 0.0).nonzero()[0]
     nart = flipped.size
-    ncols = 2 * n + m + nart
-    T = np.zeros((m, ncols))
-    T[:, :n] = Aw
-    T[:, n:2 * n] = -Aw
-    T[np.arange(m), 2 * n + np.arange(m)] = sign.ravel()
-    basis = 2 * n + np.arange(m)
-    art_cols = 2 * n + m + np.arange(nart)
-    T[flipped, art_cols] = 1.0
+    nreal = 2 * n + m
+    ncols = nreal + nart
+    # Columns: x+, x-, slacks, artificials; then the right-hand side. The
+    # last row is the objective, eliminated along with the constraint rows.
+    M = np.zeros((m + 1, ncols + 1))
+    Aw = M[:m, :n]
+    Aw[:] = A
+    Aw[flipped] *= -1.0
+    np.negative(Aw, out=M[:m, n:2 * n])
+    slack = M[:m, 2 * n:nreal]
+    np.fill_diagonal(slack, 1.0)
+    slack[flipped, flipped] = -1.0
+    art_cols = nreal + np.arange(nart)
+    M[flipped, art_cols] = 1.0
+    rhs = M[:m, -1]
+    np.abs(b, out=rhs)
+    basis = np.arange(2 * n, nreal)
     basis[flipped] = art_cols
-    is_art = np.zeros(ncols, dtype=bool)
-    is_art[art_cols] = True
-
-    pivots_used = 0
-
-    def run(obj, allowed):
-        nonlocal pivots_used
-        streak = 0
-        bland = False
-        while True:
-            reduced = np.where(allowed, obj, np.inf)
-            cand = (reduced < -tol).nonzero()[0]
-            if cand.size == 0:
-                return "optimal"
-            col = cand[0] if bland else cand[reduced[cand].argmin()]
-            if pivots_used >= budget:
-                raise LpPivotLimitError(f"simplex exceeded {budget} pivots")
-            leave = _pivot_once(T, rhs, obj, basis, col, _PIVOT_EPS)
-            if leave is None:
-                return "unbounded"
-            pivots_used += 1
-            if rhs[leave] <= 1e-13:
-                streak += 1
-                bland = bland or streak >= _BLAND_AFTER
-            else:
-                streak = 0
 
     # Phase 1: minimize the total artificial content.
+    pivots = 0
     drive_outs = 0
     if nart > 0:
-        obj1 = is_art.astype(float)
+        M[m, art_cols] = 1.0
         for i in flipped:
-            obj1 -= T[i]
-        run(obj1, np.ones(ncols, dtype=bool))
-        measure = float(rhs[is_art[basis]].sum())
+            M[m] -= M[i]
+        _, pivots = _optimize(M, basis, ncols, pivots, budget, tol)
+        measure = float(rhs[basis >= nreal].sum())
         if measure > tol:
-            return "infeasible", None, measure, pivots_used
+            return "infeasible", None, measure, pivots
         # Drive leftover basic artificials out on their own row. Such a row
         # always has a pivot among the first 2n+m columns: each artificial
         # column starts as the exact negative of its row's slack column, and
         # row scaling and row -= f * pivot_row keep that bitwise (IEEE
         # rounding is sign-symmetric). A basic artificial's column is the unit
         # vector of its row, so that row holds -1 in the paired slack column.
-        for i in is_art[basis].nonzero()[0]:
-            cols = (np.abs(T[i, : 2 * n + m]) > _PIVOT_EPS).nonzero()[0]
+        # These eliminations also touch the phase-1 objective row, which is
+        # rebuilt below.
+        for i in (basis >= nreal).nonzero()[0]:
+            cols = (np.abs(M[i, :nreal]) > _PIVOT_EPS).nonzero()[0]
             if cols.size == 0:
                 raise GeometryError("basic artificial row has no structural "
                                     "or slack pivot")
-            j = int(cols[0])
-            _eliminate(T, rhs, i, j)
+            j = cols[0]
+            _eliminate(M, i, j)
             basis[i] = j
             drive_outs += 1
     else:
         measure = 0.0
 
-    # Phase 2 on the real objective, artificial columns barred from entering.
-    c2 = np.zeros(ncols)
+    # Phase 2 on the real objective. The artificial columns are last, so
+    # pricing only the first 2n+m columns bars them from entering.
+    c2 = np.zeros(ncols + 1)
     c2[:n] = c
     c2[n:2 * n] = -c
-    obj2 = c2.copy()
+    M[m] = c2
     cb = c2[basis]
     for i in cb.nonzero()[0]:
-        obj2 -= cb[i] * T[i]
-    status = run(obj2, ~is_art)
-    pivots = pivots_used + drive_outs
+        M[m] -= cb[i] * M[i]
+    status, pivots = _optimize(M, basis, nreal, pivots, budget, tol)
+    pivots += drive_outs
     if status == "unbounded":
         return "unbounded", None, measure, pivots
     x_full = np.zeros(ncols)
     x_full[basis] = rhs
     x = x_full[:n] - x_full[n:2 * n]
     return "optimal", x, measure, pivots
+
+
+def _solve(P: Polyhedron, c, tol):
+    """(status, x, phase1_measure) of min c^T x over P, counted and budgeted."""
+    _LP_CALLS.bump()
+    budget = PIVOT_CAP_FACTOR * (P.nrows + P.dim)
+    status, x, measure, pivots = _simplex(P.A, P.b, c, budget, tol)
+    _PIVOTS.bump(pivots)
+    return status, x, measure
 
 
 def solve_lp(c, P: Polyhedron, sense: str = "min", *, tol: float = OPT_TOL) -> LpResult:
@@ -327,11 +353,7 @@ def solve_lp(c, P: Polyhedron, sense: str = "min", *, tol: float = OPT_TOL) -> L
         raise ValueError(f"objective has {c.size} entries, polyhedron dim is {P.dim}")
     if sense not in ("min", "max"):
         raise ValueError(f"unknown sense {sense!r}")
-    _LP_CALLS.bump()
-    budget = PIVOT_CAP_FACTOR * (P.nrows + P.dim)
-    cw = c if sense == "min" else -c
-    status, x, _, pivots = _simplex(P.A, P.b, cw, budget, tol)
-    _PIVOTS.bump(pivots)
+    status, x, _ = _solve(P, c if sense == "min" else -c, tol)
     if status == "infeasible":
         return LpResult("infeasible", float("nan"), None)
     if status == "unbounded":
@@ -342,11 +364,7 @@ def solve_lp(c, P: Polyhedron, sense: str = "min", *, tol: float = OPT_TOL) -> L
 
 def phase1_measure(P: Polyhedron, *, tol: float = OPT_TOL) -> float:
     """Minimal total violation of P's rows (0 means feasible)."""
-    _LP_CALLS.bump()
-    budget = PIVOT_CAP_FACTOR * (P.nrows + P.dim)
-    _, _, measure, pivots = _simplex(P.A, P.b, np.zeros(P.dim), budget, tol)
-    _PIVOTS.bump(pivots)
-    return measure
+    return _solve(P, np.zeros(P.dim), tol)[2]
 
 
 def is_empty(P: Polyhedron, tol: float = FEAS_TOL) -> bool:
@@ -396,15 +414,23 @@ def remove_redundant(P: Polyhedron, tol: float = REDUNDANCY_TOL) -> Polyhedron:
         if not dup:
             keep.append(i)
 
+    # Guard rows are rows of P, so only a zero row of P, whose raised bound
+    # b_i + 1 may make it trivial, needs the constructor's checks.
+    zero = ~P.A.any(axis=1)
     survivors = list(keep)
     for i in list(survivors):
         others = [j for j in survivors if j != i]
         if not others:
             break
-        guard_A = np.vstack([P.A[others], P.A[i][None, :]])
-        guard_b = np.concatenate([P.b[others], [P.b[i] + 1.0]])
+        rows = others + [i]
+        guard_b = P.b[rows]
+        guard_b[-1] += 1.0
+        if zero[i]:
+            guard = Polyhedron(P.A[rows], guard_b, P.dim)
+        else:
+            guard = Polyhedron._from_rows(P.A[rows], guard_b, P.dim)
         try:
-            res = solve_lp(P.A[i], Polyhedron(guard_A, guard_b, P.dim), "max")
+            res = solve_lp(P.A[i], guard, "max")
         except LpPivotLimitError:
             log.debug("redundancy LP hit the pivot cap, retaining row %d", i)
             continue

@@ -280,11 +280,11 @@ def search_realization(prob: MpQP, region: CertifiedRegion, theta,
         got = run(prob, theta, injector=injector, tol=tol)
         return tuple(got.sequence) == target
 
+    bounds = _step_bounds(model, len(indices))
     zero = [np.zeros(prob.m)]
     if attempt(zero):
         return True, zero
 
-    bounds = _step_bounds(model, len(indices))
     vertex = [_vertex_for(idx, prob.m, b) for idx, b in zip(indices, bounds)]
     if attempt(vertex):
         return True, vertex

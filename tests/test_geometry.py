@@ -180,7 +180,62 @@ class TestContains:
         assert contains(P, [x, y]) == want
 
 
+def _public_guards(P):
+    """The guard polyhedra of remove_redundant(P), built by the public
+    constructor from stacked rows, in the order its LPs solve them."""
+    An, bn = geo.normalize_rows(P.A, P.b)
+    keep = []
+    for i in range(P.nrows):
+        if not any(abs(bn[i] - bn[j]) <= 1e-12 and np.max(np.abs(An[i] - An[j])) <= 1e-12
+                   for j in keep):
+            keep.append(i)
+    guards = []
+    survivors = list(keep)
+    for i in list(survivors):
+        others = [j for j in survivors if j != i]
+        if not others:
+            break
+        guard = Polyhedron(np.vstack([P.A[others], P.A[i][None, :]]),
+                           np.concatenate([P.b[others], [P.b[i] + 1.0]]), P.dim)
+        guards.append(guard)
+        res = solve_lp(P.A[i], guard, "max")
+        if res.status == "optimal" and res.value <= P.b[i] + geo.REDUNDANCY_TOL:
+            survivors.remove(i)
+    return guards
+
+
 class TestRemoveRedundant:
+    def test_guards_match_public_constructor(self, monkeypatch):
+        # remove_redundant skips the constructor's checks for its guards;
+        # each must still be bitwise the constructor's. A zero row of P is
+        # the case where the constructor drops the raised guard row.
+        calls = []
+        solve, remove = geo.solve_lp, remove_redundant
+
+        def spy_solve(c, P, sense="min", **kw):
+            calls[-1][1].append(P)
+            return solve(c, P, sense, **kw)
+
+        def spy_remove(P, *args):
+            calls.append((P, []))
+            return remove(P, *args)
+
+        monkeypatch.setattr(geo, "solve_lp", spy_solve)
+        monkeypatch.setitem(globals(), "remove_redundant", spy_remove)
+        _pivot_batch()
+        for b_zero in (-0.5, -2.0):
+            spy_remove(Polyhedron([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], [1.0, 1.0, b_zero]))
+        for P, guards in calls:
+            want = _public_guards(P)
+            assert len(guards) == len(want)
+            for got, w in zip(guards, want):
+                assert got.dim == w.dim
+                assert _same_bits(got.A, w.A) and _same_bits(got.b, w.b)
+        assert sum(len(guards) for _, guards in calls) > 60
+        # The zero row's guard loses its raised row only once b + 1 >= 0.
+        assert [g.nrows for g in calls[-2][1]] == [3, 3, 2]
+        assert [g.nrows for g in calls[-1][1]] == [3, 3, 3]
+
     def test_drops_dominated_row(self):
         P = Polyhedron([[1.0], [1.0]], [1.0, 2.0])
         R = remove_redundant(P)
@@ -337,6 +392,171 @@ def _eliminate_by_rows(T, rhs, row, col):
             rhs[r] -= f * rhs[row]
 
 
+# The kernel as it was before the augmented tableau: separate T, rhs and
+# objective arrays. The current kernel must match it bit for bit.
+def _ref_eliminate(T, rhs, row, col):
+    piv = T[row, col]
+    T[row] /= piv
+    rhs[row] /= piv
+    f = T[:, col].copy()
+    f[row] = 0.0
+    nz = f.nonzero()[0]
+    T[nz] -= f[nz, None] * T[row]
+    rhs[nz] -= f[nz] * rhs[row]
+
+
+def _ref_pivot_once(T, rhs, obj, basis, col, tol_piv):
+    d = T[:, col]
+    rows = (d > tol_piv).nonzero()[0]
+    if rows.size == 0:
+        return None
+    ratios = rhs[rows] / d[rows]
+    best = ratios.min()
+    ties = rows[ratios <= best + 1e-15]
+    leave = ties[basis[ties].argmin()]
+    _ref_eliminate(T, rhs, leave, col)
+    f = obj[col]
+    if f != 0.0:
+        obj -= f * T[leave]
+    basis[leave] = col
+    tiny = (rhs < 0.0) & (rhs > -1e-11)
+    if tiny.any():
+        rhs[tiny] = 0.0
+    return leave
+
+
+def _ref_simplex(A, b, c, budget, tol):
+    m, n = A.shape
+    if m == 0:
+        if np.allclose(c, 0.0):
+            return "optimal", np.zeros(n), 0.0, 0
+        return "unbounded", None, 0.0, 0
+    flip = b < 0.0
+    sign = np.where(flip, -1.0, 1.0)[:, None]
+    Aw = sign * A
+    rhs = np.abs(b).astype(float)
+    flipped = flip.nonzero()[0]
+    nart = flipped.size
+    ncols = 2 * n + m + nart
+    T = np.zeros((m, ncols))
+    T[:, :n] = Aw
+    T[:, n:2 * n] = -Aw
+    T[np.arange(m), 2 * n + np.arange(m)] = sign.ravel()
+    basis = 2 * n + np.arange(m)
+    art_cols = 2 * n + m + np.arange(nart)
+    T[flipped, art_cols] = 1.0
+    basis[flipped] = art_cols
+    is_art = np.zeros(ncols, dtype=bool)
+    is_art[art_cols] = True
+
+    pivots_used = 0
+
+    def run(obj, allowed):
+        nonlocal pivots_used
+        streak = 0
+        bland = False
+        while True:
+            reduced = np.where(allowed, obj, np.inf)
+            cand = (reduced < -tol).nonzero()[0]
+            if cand.size == 0:
+                return "optimal"
+            col = cand[0] if bland else cand[reduced[cand].argmin()]
+            if pivots_used >= budget:
+                raise LpPivotLimitError(f"simplex exceeded {budget} pivots")
+            leave = _ref_pivot_once(T, rhs, obj, basis, col, geo._PIVOT_EPS)
+            if leave is None:
+                return "unbounded"
+            pivots_used += 1
+            if rhs[leave] <= 1e-13:
+                streak += 1
+                bland = bland or streak >= geo._BLAND_AFTER
+            else:
+                streak = 0
+
+    drive_outs = 0
+    if nart > 0:
+        obj1 = is_art.astype(float)
+        for i in flipped:
+            obj1 -= T[i]
+        run(obj1, np.ones(ncols, dtype=bool))
+        measure = float(rhs[is_art[basis]].sum())
+        if measure > tol:
+            return "infeasible", None, measure, pivots_used
+        for i in is_art[basis].nonzero()[0]:
+            cols = (np.abs(T[i, : 2 * n + m]) > geo._PIVOT_EPS).nonzero()[0]
+            if cols.size == 0:
+                raise GeometryError("basic artificial row has no structural "
+                                    "or slack pivot")
+            j = int(cols[0])
+            _ref_eliminate(T, rhs, i, j)
+            basis[i] = j
+            drive_outs += 1
+    else:
+        measure = 0.0
+
+    c2 = np.zeros(ncols)
+    c2[:n] = c
+    c2[n:2 * n] = -c
+    obj2 = c2.copy()
+    cb = c2[basis]
+    for i in cb.nonzero()[0]:
+        obj2 -= cb[i] * T[i]
+    status = run(obj2, ~is_art)
+    pivots = pivots_used + drive_outs
+    if status == "unbounded":
+        return "unbounded", None, measure, pivots
+    x_full = np.zeros(ncols)
+    x_full[basis] = rhs
+    x = x_full[:n] - x_full[n:2 * n]
+    return "optimal", x, measure, pivots
+
+
+_KERNEL_KINDS = ("random", "degenerate", "equality", "scaled", "infeasible", "unbounded")
+
+
+def _kernel_lps(seed, count):
+    """(kind, P, c) cycling through _KERNEL_KINDS, for the bitwise comparison."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        kind = _KERNEL_KINDS[trial % len(_KERNEL_KINDS)]
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+        if kind == "random":
+            A = rng.standard_normal((m, n))
+            b = rng.uniform(-1.0, 2.0, m)
+        elif kind == "degenerate":
+            # Many rows through one vertex in 3 to 6 dimensions, inside a box:
+            # runs of degenerate pivots long enough to switch to Bland's rule.
+            n += 2
+            v = rng.standard_normal(n)
+            A = rng.standard_normal((4 * m + n, n))
+            A = np.vstack([A, np.eye(n), -np.eye(n)])
+            b = np.concatenate([A[:-2 * n] @ v, v + 3.0, 3.0 - v])
+        elif kind == "equality":
+            # Each equality as a pair of rows, repeated, inside a box: leftover
+            # artificials after phase 1 have to be driven out.
+            E = rng.standard_normal((int(rng.integers(1, 3)), n))
+            v = rng.standard_normal(n)
+            reps = int(rng.integers(1, 3))
+            A = np.vstack([E, -E] * reps + [np.eye(n), -np.eye(n)])
+            b = np.concatenate([E @ v, -(E @ v)] * reps + [np.full(2 * n, 3.0)])
+        elif kind == "scaled":
+            A = rng.standard_normal((m, n))
+            A[rng.random(A.shape) < 0.3] = 0.0
+            b = rng.uniform(-1.0, 2.0, m)
+            s = 10.0 ** rng.choice([-4.0, 0.0, 4.0], size=m)
+            A, b = A * s[:, None], b * s
+        elif kind == "infeasible":
+            e = rng.standard_normal(n)
+            A = np.vstack([rng.standard_normal((m, n)), e, -e])
+            b = np.concatenate([rng.uniform(0.1, 1.0, m), [-0.5, 0.0]])
+        else:
+            # A cone around the origin: most objectives are unbounded on it.
+            A = rng.standard_normal((m, n))
+            b = rng.uniform(0.1, 1.0, m)
+        c = np.zeros(n) if rng.random() < 0.15 else rng.standard_normal(n)
+        yield kind, Polyhedron(A, b), c
+
+
 def _same_bits(x, y):
     return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
 
@@ -354,25 +574,70 @@ def _pivot_batch():
             remove_redundant(Q)
 
 
+def _spy_drive_outs(monkeypatch):
+    """Columns of the eliminations made outside a pivot loop, i.e. drive-outs."""
+    drive_outs, in_loop = [], [False]
+    optimize, eliminate = geo._optimize, geo._eliminate
+
+    def loop(*args):
+        in_loop[0] = True
+        try:
+            return optimize(*args)
+        finally:
+            in_loop[0] = False
+
+    def elim(M, row, col):
+        if not in_loop[0]:
+            drive_outs.append(col)
+        eliminate(M, row, col)
+
+    monkeypatch.setattr(geo, "_optimize", loop)
+    monkeypatch.setattr(geo, "_eliminate", elim)
+    return drive_outs
+
+
 class TestKernel:
     def test_elimination_matches_row_loop_bitwise(self):
         rng = np.random.default_rng(19)
         for trial in range(200):
             m, ncols = int(rng.integers(2, 9)), int(rng.integers(2, 9))
-            T = rng.standard_normal((m, ncols))
+            # [T rhs; obj value], the augmented tableau _eliminate works on.
+            M = rng.standard_normal((m + 1, ncols + 1))
             # Zeros of both signs, whole zero multipliers included, are where
             # a multiply-by-zero update would flip bits.
-            T[rng.random((m, ncols)) < 0.3] = 0.0
-            T[rng.random((m, ncols)) < 0.2] = -0.0
-            rhs = rng.standard_normal(m)
-            rhs[rng.random(m) < 0.3] = -0.0
+            M[rng.random(M.shape) < 0.3] = 0.0
+            M[rng.random(M.shape) < 0.2] = -0.0
             row, col = int(rng.integers(m)), int(rng.integers(ncols))
-            T[row, col] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
-            T_ref, rhs_ref = T.copy(), rhs.copy()
-            _eliminate_by_rows(T_ref, rhs_ref, row, col)
-            geo._eliminate(T, rhs, row, col)
-            assert _same_bits(T, T_ref), trial
-            assert _same_bits(rhs, rhs_ref), trial
+            M[row, col] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+            T, rhs = M[:m, :-1].copy(), M[:m, -1].copy()
+            obj = M[m].copy()
+            _eliminate_by_rows(T, rhs, row, col)
+            f = obj[col]
+            if f != 0.0:
+                obj -= f * np.append(T[row], rhs[row])
+            geo._eliminate(M, row, col)
+            assert _same_bits(M[:m, :-1], T), trial
+            assert _same_bits(M[:m, -1], rhs), trial
+            assert _same_bits(M[m], obj), trial
+
+    def test_matches_reference_kernel_bitwise(self, monkeypatch):
+        drive_outs = _spy_drive_outs(monkeypatch)
+        seen = {}
+        for kind, P, c in _kernel_lps(31, 2400):
+            budget = geo.PIVOT_CAP_FACTOR * (P.nrows + P.dim)
+            want = _ref_simplex(P.A, P.b, c, budget, geo.OPT_TOL)
+            got = geo._simplex(P.A, P.b, c, budget, geo.OPT_TOL)
+            assert got[0] == want[0], kind
+            assert (got[1] is None) == (want[1] is None), kind
+            if want[1] is not None:
+                assert _same_bits(got[1], want[1]), kind
+            assert _same_bits(np.float64(got[2]), np.float64(want[2])), kind
+            assert got[3] == want[3], kind
+            seen.setdefault(kind, set()).add(want[0])
+        assert set(seen) == set(_KERNEL_KINDS)
+        assert set().union(*seen.values()) == {"optimal", "infeasible", "unbounded"}
+        assert "infeasible" in seen["infeasible"] and "unbounded" in seen["unbounded"]
+        assert drive_outs
 
     def test_pivot_total_of_seeded_batch(self):
         # Counts recorded with the row-at-a-time kernel; they must not move.
@@ -402,23 +667,7 @@ class TestKernel:
         # Repeated equalities leave artificials basic at level zero after
         # phase 1, on rows with no structural entry left. Each is driven out
         # on a slack column, so no row ever has to be dropped.
-        drive_outs, in_pivot = [], [False]
-        pivot_once, eliminate = geo._pivot_once, geo._eliminate
-
-        def pivot(*args):
-            in_pivot[0] = True
-            try:
-                return pivot_once(*args)
-            finally:
-                in_pivot[0] = False
-
-        def elim(T, rhs, row, col):
-            if not in_pivot[0]:
-                drive_outs.append(col)
-            eliminate(T, rhs, row, col)
-
-        monkeypatch.setattr(geo, "_pivot_once", pivot)
-        monkeypatch.setattr(geo, "_eliminate", elim)
+        drive_outs = _spy_drive_outs(monkeypatch)
         P = Polyhedron(A, b)
         status, x, measure, _ = geo._simplex(P.A, P.b, np.array(c), 100, geo.OPT_TOL)
         assert status == "optimal" and measure == 0.0

@@ -436,16 +436,20 @@ class TestSearchRealization:
         ErrorModel(kind=KIND_POLYHEDRAL, set=Polyhedron.box([-0.1], [0.1])),
         ErrorModel(kind=KIND_RELATIVE, rel_bound=0.1),
     ])
-    def test_unsampleable_models_rejected(self, toy, toy_inflated, model):
-        # A region the exact run does not follow at theta, so the search
-        # gets past its zero-error attempt to the step bounds.
+    def test_unsampleable_models_rejected(self, toy, toy_nominal, toy_inflated, model):
+        # Rejected whether or not the exact run already follows the region,
+        # as validate_conformance rejects the model before any sample.
         theta = np.array([-1.05])
         exact = tuple(run(toy, theta).sequence)
-        region = next(r for r in toy_inflated.regions
+        followed = next(r for r in toy_nominal.regions
+                        if contains(r.region, theta, slack=1e-12))
+        assert tuple(followed.sequence) == exact
+        missed = next(r for r in toy_inflated.regions
                       if contains(r.region, theta, slack=1e-12)
                       and tuple(r.sequence) != exact)
-        with pytest.raises(ValueError, match="cannot sample"):
-            search_realization(toy, region, theta, model)
+        for region in (followed, missed):
+            with pytest.raises(ValueError, match="cannot sample"):
+                search_realization(toy, region, theta, model)
 
 
 def _random_feasible_qp(rng, n_x, m):
