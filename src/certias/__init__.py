@@ -21,6 +21,7 @@ from certias.geometry import (
     RowExplosionError,
     bounding_box,
     contains,
+    feasible_point,
     interior_point,
     is_empty,
     project_fm,
@@ -75,6 +76,7 @@ __all__ = [
     "certify",
     "contains",
     "double_integrator_problem",
+    "feasible_point",
     "hypercube_inflate",
     "interior_point",
     "is_empty",

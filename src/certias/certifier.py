@@ -20,7 +20,13 @@ from typing import Optional
 
 import numpy as np
 
-from certias.geometry import Polyhedron, is_empty, lp_call_count, project_fm, remove_redundant
+from certias.geometry import (
+    Polyhedron,
+    feasible_point,
+    lp_call_count,
+    project_fm,
+    remove_redundant,
+)
 from certias.lpp import (
     KIND_HYPERCUBE,
     KIND_NONE,
@@ -236,9 +242,10 @@ def partition_step(region: Polyhedron, state: SolverState, prob: MpQP,
     kids = lift_partition_project(region, [(A, b) for A, b, _ in fams], zmap, eff)
     out = []
     for (A, b, idx), kid in zip(fams, kids):
-        if is_empty(kid):
+        x0 = feasible_point(kid)
+        if x0 is None:
             continue
-        out.append((idx, remove_redundant(kid)))
+        out.append((idx, remove_redundant(kid, point=x0)))
     return out
 
 

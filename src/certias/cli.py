@@ -9,7 +9,8 @@ compatibility; certification runs on the calling thread.
 
 Exit codes: 0 success, 1 validation found mismatches or coverage gaps,
 2 input problems (missing or malformed files, bad flag values), 3 anything
-unexpected.
+unexpected, 4 a numerical failure in the geometry kernel (GeometryError: the
+simplex pivot cap or the Fourier-Motzkin row cap).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from certias.analysis import (
     sweep_to_json,
 )
 from certias.certifier import CertificationResult, CertifiedRegion, certify
-from certias.geometry import Polyhedron
+from certias.geometry import GeometryError, Polyhedron
 from certias.lpp import (
     KIND_HYPERCUBE,
     KIND_NONE,
@@ -406,6 +407,10 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except GeometryError as exc:
+        log.debug("numerical failure", exc_info=True)
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     except Exception as exc:
         log.exception("internal failure")
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -362,23 +362,39 @@ def solve_lp(c, P: Polyhedron, sense: str = "min", *, tol: float = OPT_TOL) -> L
     return LpResult("optimal", value, x)
 
 
-def phase1_measure(P: Polyhedron, *, tol: float = OPT_TOL) -> float:
-    """Minimal total violation of P's rows (0 means feasible)."""
-    return _solve(P, np.zeros(P.dim), tol)[2]
+def phase1_measure(P: Polyhedron, *, tol: float = OPT_TOL
+                   ) -> tuple[float, Optional[np.ndarray]]:
+    """(measure, x) of P's phase-1 LP.
+
+    measure is the minimal total violation of P's rows (0 means feasible); x
+    is the basic point phase 1 ends on, None when the kernel finds P
+    infeasible.
+    """
+    _, x, measure = _solve(P, np.zeros(P.dim), tol)
+    return measure, x
 
 
-def is_empty(P: Polyhedron, tol: float = FEAS_TOL) -> bool:
-    """True iff P is empty, judged by the phase-1 violation exceeding tol.
+def feasible_point(P: Polyhedron) -> Optional[np.ndarray]:
+    """A point of P from one phase-1 LP, or None when P is empty.
 
-    A set that is nonempty but has no interior (a single point, a facet) is
-    reported nonempty: the test measures infeasibility, not thinness.
+    P is empty when its phase-1 violation exceeds FEAS_TOL. The point is the
+    basic solution phase 1 ends on, so it may violate a row by rounding
+    error, and on badly conditioned rows by more; remove_redundant checks it
+    before use. A set that is nonempty but has no interior (a single point, a
+    facet) is nonempty: the test measures infeasibility, not thinness.
     """
     zero = ~P.A.any(axis=1)
     if (zero & (P.b < 0.0)).any():
-        return True
+        return None
     if P.nrows == 0:
-        return False
-    return phase1_measure(P) > tol
+        return np.zeros(P.dim)
+    measure, x = phase1_measure(P)
+    return None if x is None or measure > FEAS_TOL else x
+
+
+def is_empty(P: Polyhedron) -> bool:
+    """True iff P is empty, judged by the phase-1 violation exceeding FEAS_TOL."""
+    return feasible_point(P) is None
 
 
 def contains(P: Polyhedron, point, slack: float = 0.0) -> bool:
@@ -391,7 +407,8 @@ def contains(P: Polyhedron, point, slack: float = 0.0) -> bool:
     return bool(np.all(P.A @ point <= P.b + slack))
 
 
-def remove_redundant(P: Polyhedron, tol: float = REDUNDANCY_TOL) -> Polyhedron:
+def remove_redundant(P: Polyhedron, tol: float = REDUNDANCY_TOL,
+                     point: Optional[np.ndarray] = None) -> Polyhedron:
     """Minimal sub-representation of a nonempty P with the same point set.
 
     Exact duplicate rows (up to positive scaling) are dropped first, then
@@ -399,10 +416,21 @@ def remove_redundant(P: Polyhedron, tol: float = REDUNDANCY_TOL) -> Polyhedron:
     to the other rows can exceed b_i + tol. A row whose test LP fails
     numerically is retained: keeping a redundant row is harmless, dropping a
     needed one is not.
+
+    `point`, a point of P such as feasible_point(P) returns, lets every test
+    LP skip phase 1: the LPs are solved in y = x - point, where the right-hand
+    side b - A point is nonnegative, and row i is kept when a_i y can exceed
+    (b_i - a_i point) + tol. In exact arithmetic these are the same LPs. A
+    point that violates some row by more than FEAS_TOL is ignored.
     """
     r = P.nrows
     if r <= 1:
         return P
+    rhs = P.b
+    if point is not None:
+        shifted = P.b - P.A @ point
+        if shifted.min() >= -FEAS_TOL:
+            rhs = shifted
     An, bn = normalize_rows(P.A, P.b)
     keep = []
     for i in range(r):
@@ -423,7 +451,7 @@ def remove_redundant(P: Polyhedron, tol: float = REDUNDANCY_TOL) -> Polyhedron:
         if not others:
             break
         rows = others + [i]
-        guard_b = P.b[rows]
+        guard_b = rhs[rows]
         guard_b[-1] += 1.0
         if zero[i]:
             guard = Polyhedron(P.A[rows], guard_b, P.dim)
@@ -434,7 +462,7 @@ def remove_redundant(P: Polyhedron, tol: float = REDUNDANCY_TOL) -> Polyhedron:
         except LpPivotLimitError:
             log.debug("redundancy LP hit the pivot cap, retaining row %d", i)
             continue
-        if res.status == "optimal" and res.value <= P.b[i] + tol:
+        if res.status == "optimal" and res.value <= rhs[i] + tol:
             survivors.remove(i)
     return Polyhedron(P.A[survivors], P.b[survivors], P.dim)
 
@@ -518,9 +546,10 @@ def project_fm(P: Polyhedron, keep: int, *, row_cap: int = FM_ROW_CAP) -> Polyhe
             parts_A.append(comb_A.reshape(-1, A.shape[1] - 1))
             parts_b.append(comb_b.reshape(-1))
         cur = Polyhedron(np.vstack(parts_A), np.concatenate(parts_b), cur.dim - 1)
-        if is_empty(cur):
+        x0 = feasible_point(cur)
+        if x0 is None:
             return Polyhedron.empty(keep)
-        cur = remove_redundant(cur)
+        cur = remove_redundant(cur, point=x0)
     return cur
 
 

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from certias.geometry import Polyhedron, bounding_box, is_empty
+from certias.geometry import LpPivotLimitError, Polyhedron, bounding_box, is_empty
 
 # A Schur-complement Cholesky pivot below this marks the working set as
 # rank deficient rather than letting the solve produce garbage.
@@ -117,6 +117,8 @@ class MpQP:
             raise ProblemFormatError("the parameter set is empty")
         try:
             bounding_box(theta_set)
+        except LpPivotLimitError:
+            raise
         except Exception:
             raise ProblemFormatError("the parameter set is unbounded") from None
 

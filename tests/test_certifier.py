@@ -1,9 +1,12 @@
+import json
+import pathlib
 import threading
 
 import numpy as np
 import pytest
 
 import certias.certifier
+import certias.geometry as geo
 from certias.certifier import (
     BudgetExceededError,
     certify,
@@ -15,7 +18,7 @@ from certias.certifier import transition as certifier_transition
 from certias.examples import double_integrator_problem, toy_problem
 from certias.geometry import Polyhedron, bounding_box, contains, interior_point, is_empty
 from certias.lpp import ErrorModel
-from certias.mpqp import MpQP
+from certias.mpqp import MpQP, load_problem
 from certias.solver import (
     DEGENERATE,
     DUAL_CHECK,
@@ -367,3 +370,18 @@ class TestCanonicalOrder:
         keys = [sequence_key(r.sequence) for r in res.regions]
         assert len(keys) == len(set(keys))
         assert keys == sorted(keys)
+
+
+def test_work_counters_of_shipped_double_integrator():
+    # Regression counters for problems/double_integrator.json at hypercube
+    # 1e-4. LP calls are fixed by the exploration; pivots by the kernel and
+    # by how each LP is posed. Pivots were 12604 while every redundancy LP
+    # still ran its own phase 1; they fell when those LPs started at the
+    # emptiness test's point.
+    path = pathlib.Path(__file__).resolve().parent.parent / "problems" / "double_integrator.json"
+    prob = load_problem(json.loads(path.read_text()))
+    lps, pivots = geo.lp_call_count(), geo.pivot_count()
+    res = certify(prob, model=ErrorModel(kind="hypercube", bound=1e-4))
+    assert geo.lp_call_count() - lps == res.stats["lp_calls"] == 4149
+    assert geo.pivot_count() - pivots == 7870
+    assert len(res.regions) == 223

@@ -7,6 +7,8 @@ import pathlib
 import numpy as np
 import pytest
 
+from certias import geometry
+from certias.certifier import certify
 from certias.cli import (
     build_parser,
     dump_document,
@@ -116,6 +118,31 @@ class TestCertify:
         monkeypatch.setattr("certias.cli.certify", boom)
         assert main(["certify", "--problem", toy_path]) == 3
         assert "internal error" in capsys.readouterr().err
+
+    def test_pivot_cap_is_exit_4(self, toy_path, capsys, monkeypatch):
+        monkeypatch.setattr(geometry, "PIVOT_CAP_FACTOR", 0)
+        assert main(["certify", "--problem", toy_path]) == 4
+        assert "numerical failure: LpPivotLimitError" in capsys.readouterr().err
+
+    def test_pivot_cap_during_certify_is_exit_4(self, toy_path, capsys, monkeypatch):
+        # The cap set only once the problem has loaded, so certify hits it.
+        real = certify
+
+        def capped(*args, **kwargs):
+            monkeypatch.setattr(geometry, "PIVOT_CAP_FACTOR", 0)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr("certias.cli.certify", capped)
+        assert main(["certify", "--problem", toy_path]) == 4
+        assert "numerical failure: LpPivotLimitError" in capsys.readouterr().err
+
+    def test_row_cap_is_exit_4(self, toy_path, capsys, monkeypatch):
+        def explode(*args, **kwargs):
+            raise geometry.RowExplosionError("projection needs 20000 rows, cap is 10000")
+
+        monkeypatch.setattr("certias.cli.certify", explode)
+        assert main(["certify", "--problem", toy_path]) == 4
+        assert "numerical failure: RowExplosionError" in capsys.readouterr().err
 
     def test_bad_flag_exits_2(self, toy_path, capsys):
         assert main(["certify", "--problem", toy_path,

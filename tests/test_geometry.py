@@ -161,6 +161,47 @@ class TestIsEmpty:
             assert is_empty(P) == (not has_vertex)
 
 
+class TestFeasiblePoint:
+    def _cases(self):
+        rng = np.random.default_rng(41)
+        cases = [P for _, P, _ in _hard_instances(106)]
+        cases += [random_bounded(rng, int(rng.integers(1, 4)), int(rng.integers(0, 5)))
+                  for _ in range(20)]
+        cases += [Polyhedron([[1.0], [-1.0]], [-1.0, -1.0]),
+                  Polyhedron([[1.0], [-1.0]], [2.0, -2.0]),
+                  Polyhedron([[1.0, 0.0], [0.0, 0.0]], [1.0, -1.0]),
+                  Polyhedron(np.zeros((0, 2)), [], dim=2)]
+        return cases
+
+    def test_none_exactly_when_empty(self):
+        seen = set()
+        for P in self._cases():
+            x = geo.feasible_point(P)
+            # The emptiness test as it read before feasible_point existed.
+            zero_neg = (~P.A.any(axis=1) & (P.b < 0.0)).any()
+            old = bool(zero_neg or (P.nrows > 0 and geo.phase1_measure(P)[0] > geo.FEAS_TOL))
+            assert (x is None) == is_empty(P) == old
+            if x is not None:
+                assert x.shape == (P.dim,)
+                assert np.all(P.A @ x <= P.b + geo.FEAS_TOL)
+            seen.add(x is None)
+        assert seen == {True, False}
+
+    def test_costs_one_phase1_lp(self):
+        for P in self._cases():
+            lps, pivots = geo.lp_call_count(), geo.pivot_count()
+            geo.feasible_point(P)
+            used = geo.lp_call_count() - lps, geo.pivot_count() - pivots
+            zero_neg = (~P.A.any(axis=1) & (P.b < 0.0)).any()
+            if zero_neg or P.nrows == 0:
+                assert used == (0, 0)
+                continue
+            lps, pivots = geo.lp_call_count(), geo.pivot_count()
+            geo.phase1_measure(P)
+            assert used == (geo.lp_call_count() - lps, geo.pivot_count() - pivots)
+            assert used[0] == 1
+
+
 class TestContains:
     def test_box_membership(self):
         P = Polyhedron.box([0.0, 0.0], [1.0, 1.0])
@@ -266,6 +307,92 @@ class TestRemoveRedundant:
     def test_irredundant_set_unchanged(self):
         P = Polyhedron.box([0.0, 0.0], [1.0, 1.0])
         assert remove_redundant(P).nrows == 4
+
+
+def _redundancy_batch(seed):
+    """(kind, P): nonempty polytopes whose redundancy tests are easy to get wrong.
+
+    thin: equality pairs, so P has zero width in one or two directions.
+    near: rows cutting P by less than REDUNDANCY_TOL (dropped) or a little
+    more (kept). scaled: rows multiplied by 1e-4, where the absolute
+    tolerance is large next to the row.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for trial in range(90):
+        kind = ("random", "thin", "near", "scaled")[trial % 4]
+        dim = int(rng.integers(1, 4))
+        P = random_bounded(rng, dim, int(rng.integers(0, 5)))
+        if kind in ("thin", "near"):
+            x = interior_point(P)[0]
+            for _ in range(int(rng.integers(1, min(dim, 2) + 1))):
+                a = rng.standard_normal(dim)
+                if kind == "thin":
+                    P = P.intersect(np.vstack([a, -a]), [a @ x, -(a @ x)])
+                else:
+                    top = solve_lp(a, P, "max").value
+                    cut = rng.choice([0.3, 0.7, 3.0, 30.0]) * geo.REDUNDANCY_TOL
+                    P = P.intersect(a, [top - cut])
+        elif kind == "scaled":
+            s = np.where(rng.random(P.nrows) < 0.5, 1e-4, 1.0)
+            P = Polyhedron(P.A * s[:, None], P.b * s, dim)
+        out.append((kind, P))
+    return out
+
+
+class TestShiftedRedundancy:
+    def test_point_gives_bitwise_same_rows(self):
+        pivots = {"point": 0, "none": 0}
+        rows_in = rows_out = 0
+        for kind, P in _redundancy_batch(43):
+            x0 = geo.feasible_point(P)
+            assert x0 is not None, kind
+            assert np.min(P.b - P.A @ x0) >= -geo.FEAS_TOL, kind
+            results = {}
+            for key, point in (("none", None), ("point", x0)):
+                lps, before = geo.lp_call_count(), geo.pivot_count()
+                results[key] = remove_redundant(P, point=point), geo.lp_call_count() - lps
+                pivots[key] += geo.pivot_count() - before
+            (R, lps), (R0, lps0) = results["point"], results["none"]
+            assert _same_bits(R.A, R0.A) and _same_bits(R.b, R0.b), kind
+            assert lps == lps0, kind
+            rows_in, rows_out = rows_in + P.nrows, rows_out + R.nrows
+        # The batch drops and keeps rows, and the point spares phase 1.
+        assert 0.3 * rows_in < rows_out < 0.9 * rows_in
+        assert pivots["point"] < 0.8 * pivots["none"]
+
+    def test_near_rows_decided_by_tolerance(self):
+        # x + y <= 1 - cut trims the box's corner (3, -2) by `cut`: a row that
+        # cuts by less than REDUNDANCY_TOL is dropped, one that cuts by more
+        # is kept, whichever point of the box the LPs start from.
+        P = Polyhedron.box([2.0, -3.0], [3.0, -2.0])
+        for cut, kept in ((0.5e-9, False), (5e-9, True)):
+            Q = P.intersect([1.0, 1.0], [1.0 - cut])
+            for point in (None, geo.feasible_point(Q), np.array([2.5, -2.5])):
+                assert (remove_redundant(Q, point=point).nrows == 5) == kept
+
+    @pytest.mark.parametrize("violation", [3 * geo.FEAS_TOL, 1e-6, 1.0])
+    def test_violating_point_is_ignored(self, violation):
+        total = 0
+        for kind, P in _redundancy_batch(47)[:40]:
+            if P.nrows < 2:
+                continue
+            # Step out of P across row k until it is violated by `violation`.
+            x0 = geo.feasible_point(P)
+            k = int(np.argmin(P.b - P.A @ x0))
+            a = P.A[k]
+            bad = x0 + a * ((P.b[k] - a @ x0 + violation) / (a @ a))
+            assert np.max(P.A @ bad - P.b) > geo.FEAS_TOL, kind
+            got = []
+            for point in (None, bad):
+                lps, pivots = geo.lp_call_count(), geo.pivot_count()
+                R = remove_redundant(P, point=point)
+                got.append((R, geo.lp_call_count() - lps, geo.pivot_count() - pivots))
+            (R0, lps0, piv0), (R, lps, piv) = got
+            assert _same_bits(R.A, R0.A) and _same_bits(R.b, R0.b), kind
+            assert (lps, piv) == (lps0, piv0), kind
+            total += 1
+        assert total > 30
 
 
 class TestInteriorPoint:
