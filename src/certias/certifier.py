@@ -29,7 +29,6 @@ from certias.geometry import (
 )
 from certias.lpp import (
     KIND_HYPERCUBE,
-    KIND_NONE,
     KIND_POLYHEDRAL,
     KIND_RELATIVE,
     ErrorModel,
@@ -124,6 +123,17 @@ class CertifiedRegion:
     status: str
     iterations: int
 
+    def to_document(self) -> dict:
+        return {**self.region.to_document(),
+                "sequence": [s.to_document() for s in self.sequence],
+                "status": self.status, "iterations": self.iterations}
+
+    @classmethod
+    def from_document(cls, doc: dict) -> "CertifiedRegion":
+        return cls(Polyhedron.from_document(doc),
+                   tuple(SolverState.from_document(s) for s in doc["sequence"]),
+                   doc["status"], doc["iterations"])
+
 
 @dataclass
 class TraceRecord:
@@ -138,11 +148,27 @@ class TraceRecord:
 
 @dataclass
 class CertificationResult:
+    """Certified leaves; settings holds the tolerances and the error model's
+    document, stats the counters. The trace is never written."""
+
     regions: list[CertifiedRegion]
     problem_digest: str
     settings: dict
     stats: dict
     trace: Optional[list[TraceRecord]] = field(default=None, repr=False)
+
+    def to_document(self) -> dict:
+        return {"problem_digest": self.problem_digest, "settings": self.settings,
+                "regions": [r.to_document() for r in self.regions],
+                "stats": self.stats}
+
+    @classmethod
+    def from_document(cls, doc: dict) -> "CertificationResult":
+        """Result from a partition document; every matrix reads back bit for
+        bit. Raises KeyError, ValueError or TypeError on a malformed one."""
+        return cls(regions=[CertifiedRegion.from_document(r) for r in doc["regions"]],
+                   problem_digest=doc["problem_digest"], settings=doc["settings"],
+                   stats=doc["stats"])
 
 
 def _argmin_family(n: int, pick: int, threshold: float) -> tuple[np.ndarray, np.ndarray]:
@@ -198,6 +224,9 @@ def _coordinate_slice(err_set: Polyhedron, coords: tuple[int, ...]) -> Polyhedro
     return project_fm(shuffled, len(coords))
 
 
+_EXACT = ErrorModel()
+
+
 def _effective_model(model: ErrorModel, k: int, state: SolverState,
                      zmap, region: Polyhedron) -> ErrorModel:
     """Error model actually applied at this node.
@@ -205,19 +234,16 @@ def _effective_model(model: ErrorModel, k: int, state: SolverState,
     Relative bounds are converted against the node's own region and decision
     map, which is as tight as the formulation allows. Dual checks see no
     error unless the model opts in, in which case the working-set slice of
-    the error set applies.
+    the error set applies. Only the slice and the relative conversion build
+    a model; otherwise this is model.at(k) itself.
     """
     mk = model.at(k)
     if state.mode == DUAL_CHECK:
-        if not model.perturb_dual or mk.kind == KIND_NONE:
-            return ErrorModel()
-        if mk.kind == KIND_HYPERCUBE:
-            return ErrorModel(kind=KIND_HYPERCUBE, bound=mk.bound)
+        if not model.perturb_dual:
+            return _EXACT
         if mk.kind == KIND_POLYHEDRAL:
             return ErrorModel(kind=KIND_POLYHEDRAL,
                               set=_coordinate_slice(mk.set, state.working_set))
-        return ErrorModel(kind=KIND_HYPERCUBE,
-                          bound=rel_to_abs(zmap, region, mk.rel_bound))
     if mk.kind == KIND_RELATIVE:
         return ErrorModel(kind=KIND_HYPERCUBE,
                           bound=rel_to_abs(zmap, region, mk.rel_bound))
@@ -327,7 +353,7 @@ def certify(prob: MpQP, tol: Optional[Tolerances] = None,
         "eps_primal": tol.eps_primal,
         "eps_dual": tol.dual,
         "iter_limit": tol.iter_limit,
-        "error_model": model.describe(),
+        "error_model": model.to_document(),
     }
     stats = {
         "regions": len(finals),

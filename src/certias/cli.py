@@ -1,11 +1,12 @@
 """Command-line front end: certify, validate, sweep, and report.
 
-All documents are JSON with matrices as row-major nested arrays; floats are
-written in their shortest round-tripping decimal form, so reading a document
-back reproduces every matrix bit for bit. Keys are sorted and indentation is
-fixed, which makes output documents byte-stable: the same problem, flags,
-and seed give identical bytes on every run. --workers is accepted for
-compatibility; certification runs on the calling thread.
+Each output document is its type's to_document() plus the echoed run
+configuration. All are JSON with matrices as row-major nested arrays; floats
+are written in their shortest round-tripping decimal form, so reading a
+document back reproduces every matrix bit for bit. Keys are sorted and
+indentation is fixed, which makes output documents byte-stable: the same
+problem, flags, and seed give identical bytes on every run. --workers is
+accepted for compatibility; certification runs on the calling thread.
 
 Exit codes: 0 success, 1 validation found mismatches or coverage gaps,
 2 input problems (missing or malformed files, bad flag values), 3 anything
@@ -24,8 +25,6 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from certias.analysis import (
     cdf_to_csv,
     cdf_to_json,
@@ -37,17 +36,11 @@ from certias.analysis import (
     sweep_to_csv,
     sweep_to_json,
 )
-from certias.certifier import CertificationResult, CertifiedRegion, certify
-from certias.geometry import GeometryError, Polyhedron
-from certias.lpp import (
-    KIND_HYPERCUBE,
-    KIND_NONE,
-    KIND_POLYHEDRAL,
-    KIND_RELATIVE,
-    ErrorModel,
-)
+from certias.certifier import CertificationResult, certify
+from certias.geometry import GeometryError
+from certias.lpp import KIND_HYPERCUBE, KIND_RELATIVE, ErrorModel
 from certias.mpqp import MpQP, load_problem
-from certias.solver import SolverState, Tolerances
+from certias.solver import Tolerances
 from certias.validation import validate_conformance
 
 log = logging.getLogger("certias.cli")
@@ -126,34 +119,12 @@ def _load_mpqp(path: str) -> MpQP:
         raise InputError(f"bad problem document {path}: {exc}") from exc
 
 
-def model_to_document(model: ErrorModel) -> dict:
-    doc: dict = {"kind": model.kind}
-    if model.kind == KIND_HYPERCUBE:
-        doc["eps_bar"] = model.bound
-    elif model.kind == KIND_POLYHEDRAL:
-        doc["set"] = {"A": model.set.A.tolist(), "b": model.set.b.tolist()}
-    elif model.kind == KIND_RELATIVE:
-        doc["rel_bound"] = model.rel_bound
-    if model.perturb_dual:
-        doc["perturb_dual"] = True
-    if model.schedule is not None:
-        doc["schedule"] = [model_to_document(e) for e in model.schedule]
-    return doc
-
-
-def model_from_document(doc: dict) -> ErrorModel:
-    kind = doc.get("kind", KIND_NONE)
-    schedule = doc.get("schedule")
-    if schedule is not None:
-        schedule = tuple(model_from_document(e) for e in schedule)
-    err_set = None
-    if kind == KIND_POLYHEDRAL:
-        spec = doc["set"]
-        err_set = Polyhedron(np.asarray(spec["A"], dtype=float),
-                             np.asarray(spec["b"], dtype=float))
-    return ErrorModel(kind=kind, bound=doc.get("eps_bar", 0.0), set=err_set,
-                      rel_bound=doc.get("rel_bound", 0.0), schedule=schedule,
-                      perturb_dual=doc.get("perturb_dual", False))
+def _load_partition(path: str) -> CertificationResult:
+    doc = _load_json(path)
+    try:
+        return CertificationResult.from_document(doc)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise InputError(f"bad partition document: {exc}") from exc
 
 
 def build_model(cfg: RunConfig) -> Optional[ErrorModel]:
@@ -167,7 +138,7 @@ def build_model(cfg: RunConfig) -> Optional[ErrorModel]:
         raise InputError(f"{' and '.join(given)} are mutually exclusive")
     if cfg.error_model_path is not None:
         try:
-            return model_from_document(_load_json(cfg.error_model_path))
+            return ErrorModel.from_document(_load_json(cfg.error_model_path))
         except (KeyError, ValueError, TypeError) as exc:
             raise InputError(f"bad error-model document "
                              f"{cfg.error_model_path}: {exc}") from exc
@@ -180,53 +151,23 @@ def build_model(cfg: RunConfig) -> Optional[ErrorModel]:
 
 
 def result_to_document(result: CertificationResult, cfg: RunConfig) -> dict:
-    regions = []
-    for r in result.regions:
-        regions.append({
-            "A": r.region.A.tolist(),
-            "b": r.region.b.tolist(),
-            "sequence": [{"working_set": list(s.working_set), "mode": s.mode}
-                         for s in r.sequence],
-            "status": r.status,
-            "iterations": r.iterations,
-        })
-    return {"config": cfg.echo(), "problem_digest": result.problem_digest,
-            "settings": result.settings, "regions": regions,
-            "stats": result.stats}
-
-
-def partition_to_result(doc: dict) -> CertificationResult:
-    try:
-        regions = []
-        for entry in doc["regions"]:
-            poly = Polyhedron(np.asarray(entry["A"], dtype=float),
-                              np.asarray(entry["b"], dtype=float))
-            seq = tuple(SolverState(tuple(s["working_set"]), s["mode"])
-                        for s in entry["sequence"])
-            regions.append(CertifiedRegion(poly, seq, entry["status"],
-                                           entry["iterations"]))
-        return CertificationResult(regions=regions,
-                                   problem_digest=doc["problem_digest"],
-                                   settings=doc["settings"],
-                                   stats=doc["stats"])
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"bad partition document: {exc}") from exc
+    return {"config": cfg.echo(), **result.to_document()}
 
 
 def dump_document(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(text_csv: str, json_doc: dict, out: Optional[str]) -> None:
-    """Write CSV or a JSON mirror, chosen by the output extension."""
+def _emit(text_csv: Optional[str], json_doc: dict, out: Optional[str]) -> None:
+    """Write CSV or its JSON mirror, chosen by the output extension; JSON
+    only when there is no CSV form."""
+    text = text_csv
+    if text is None or (out is not None and pathlib.Path(out).suffix == ".json"):
+        text = dump_document(json_doc)
     if out is None:
-        sys.stdout.write(text_csv)
-        return
-    path = pathlib.Path(out)
-    if path.suffix == ".json":
-        path.write_text(dump_document(json_doc))
+        sys.stdout.write(text)
     else:
-        path.write_text(text_csv)
+        pathlib.Path(out).write_text(text)
 
 
 def _require(cfg: RunConfig, field_name: str, flag: str):
@@ -239,19 +180,14 @@ def _require(cfg: RunConfig, field_name: str, flag: str):
 def cmd_certify(cfg: RunConfig) -> int:
     prob = _load_mpqp(_require(cfg, "problem_path", "--problem"))
     result = certify(prob, cfg.tolerances(), build_model(cfg))
-    text = dump_document(result_to_document(result, cfg))
-    if cfg.out is None:
-        sys.stdout.write(text)
-    else:
-        pathlib.Path(cfg.out).write_text(text)
+    _emit(None, result_to_document(result, cfg), cfg.out)
     log.info("certified %d regions (%s)", len(result.regions), result.stats)
     return 0
 
 
 def cmd_validate(cfg: RunConfig) -> int:
     prob = _load_mpqp(_require(cfg, "problem_path", "--problem"))
-    doc = _load_json(_require(cfg, "partition_path", "--partition"))
-    result = partition_to_result(doc)
+    result = _load_partition(_require(cfg, "partition_path", "--partition"))
     override = build_model(cfg)
     try:
         report = validate_conformance(prob, result, n_samples=cfg.samples,
@@ -259,19 +195,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     if cfg.out is not None:
-        out_doc = {
-            "config": cfg.echo(),
-            "samples_total": report.samples_total,
-            "samples_outside": report.samples_outside,
-            "samples_skipped_boundary": report.samples_skipped_boundary,
-            "mismatches": [{"theta": list(theta),
-                            "sequence": [{"working_set": list(s.working_set),
-                                          "mode": s.mode} for s in seq],
-                            "containing_regions": ids}
-                           for theta, seq, ids in report.mismatches],
-            "coverage_gaps": [list(t) for t in report.coverage_gaps],
-        }
-        pathlib.Path(cfg.out).write_text(dump_document(out_doc))
+        _emit(None, {"config": cfg.echo(), **report.to_document()}, cfg.out)
     print(report.summary())
     return 0 if report.passed else 1
 
@@ -283,9 +207,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
     tol_base = Tolerances(eps_primal=eps_list[0], eps_dual=cfg.dual_tol,
                           iter_limit=cfg.iter_limit)
     table = sweep(prob, eps_list, bar_list, tol_base)
-    json_doc = sweep_to_json(table)
-    json_doc["config"] = cfg.echo()
-    _emit(sweep_to_csv(table), json_doc, cfg.out)
+    _emit(sweep_to_csv(table), {"config": cfg.echo(), **sweep_to_json(table)},
+          cfg.out)
     return 0
 
 
@@ -294,12 +217,10 @@ def cmd_report(cfg: RunConfig) -> int:
     if metric == "sweep":
         return cmd_sweep(cfg)
     if metric == "cdf":
-        doc = _load_json(_require(cfg, "partition_path", "--partition"))
-        result = partition_to_result(doc)
+        result = _load_partition(_require(cfg, "partition_path", "--partition"))
         cdf = iteration_cdf(result)
-        json_doc = cdf_to_json(cdf)
-        json_doc["config"] = cfg.echo()
-        _emit(cdf_to_csv(cdf), json_doc, cfg.out)
+        _emit(cdf_to_csv(cdf), {"config": cfg.echo(), **cdf_to_json(cdf)},
+              cfg.out)
         return 0
     # metric == "slack": the per-depth trace is not part of any document,
     # so recertify with trace recording on.
@@ -307,9 +228,8 @@ def cmd_report(cfg: RunConfig) -> int:
     result = certify(prob, cfg.tolerances(), build_model(cfg),
                      record_trace=True)
     profile = slack_profile(prob, result)
-    json_doc = profile_to_json(profile)
-    json_doc["config"] = cfg.echo()
-    _emit(profile_to_csv(profile), json_doc, cfg.out)
+    _emit(profile_to_csv(profile),
+          {"config": cfg.echo(), **profile_to_json(profile)}, cfg.out)
     return 0
 
 

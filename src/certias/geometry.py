@@ -146,6 +146,14 @@ class Polyhedron:
     def nrows(self) -> int:
         return self.A.shape[0]
 
+    def to_document(self) -> dict:
+        """{"A": rows, "b": right-hand sides} as plain lists."""
+        return {"A": self.A.tolist(), "b": self.b.tolist()}
+
+    @classmethod
+    def from_document(cls, doc: dict) -> "Polyhedron":
+        return cls(doc["A"], doc["b"])
+
     @classmethod
     def box(cls, lo, hi) -> "Polyhedron":
         """Axis-aligned box {x : lo <= x <= hi}."""

@@ -28,7 +28,9 @@ KIND_NONE = "none"
 KIND_HYPERCUBE = "hypercube"
 KIND_POLYHEDRAL = "polyhedral"
 KIND_RELATIVE = "relative"
-_KINDS = (KIND_NONE, KIND_HYPERCUBE, KIND_POLYHEDRAL, KIND_RELATIVE)
+# Every kind, with the one document key that carries its size.
+_KINDS = {KIND_NONE: None, KIND_HYPERCUBE: "bound", KIND_POLYHEDRAL: "set",
+          KIND_RELATIVE: "rel_bound"}
 
 
 @dataclass(frozen=True)
@@ -43,7 +45,8 @@ class ErrorModel:
 
     schedule, when given, overrides the model per automaton step: entry k
     applies at step k, and steps past the end fall back to this model.
-    perturb_dual extends the error to multiplier checks (the same set).
+    perturb_dual extends the error to multiplier checks (the same set) at
+    every step; schedule entries cannot set it.
     """
 
     kind: str = KIND_NONE
@@ -70,6 +73,9 @@ class ErrorModel:
                     raise TypeError("schedule entries must be ErrorModel instances")
                 if entry.schedule is not None:
                     raise ValueError("schedule entries cannot nest schedules")
+                if entry.perturb_dual:
+                    raise ValueError("perturb_dual applies to every step; set it "
+                                     "on the base model, not a schedule entry")
 
     @property
     def is_zero(self) -> bool:
@@ -81,20 +87,16 @@ class ErrorModel:
         return all(e.is_zero for e in self.schedule) if self.schedule else True
 
     def at(self, k: int) -> "ErrorModel":
-        """Model in effect at automaton step k."""
+        """Model in effect at automaton step k: schedule entry k, or this
+        model itself where the schedule has no entry. perturb_dual is this
+        model's."""
         if self.schedule is not None and 0 <= k < len(self.schedule):
-            entry = self.schedule[k]
-            if entry.perturb_dual != self.perturb_dual:
-                entry = ErrorModel(kind=entry.kind, bound=entry.bound, set=entry.set,
-                                   rel_bound=entry.rel_bound, perturb_dual=self.perturb_dual)
-            return entry
-        if self.schedule is None:
-            return self
-        return ErrorModel(kind=self.kind, bound=self.bound, set=self.set,
-                          rel_bound=self.rel_bound, perturb_dual=self.perturb_dual)
+            return self.schedule[k]
+        return self
 
-    def describe(self) -> dict:
-        """JSON-friendly summary used in result documents."""
+    def to_document(self) -> dict:
+        """JSON form for result documents. A polyhedral set is written only
+        as its row and dimension counts, which from_document refuses."""
         out = {"kind": self.kind}
         if self.kind == KIND_HYPERCUBE:
             out["bound"] = self.bound
@@ -106,8 +108,44 @@ class ErrorModel:
         if self.perturb_dual:
             out["perturb_dual"] = True
         if self.schedule is not None:
-            out["schedule"] = [e.describe() for e in self.schedule]
+            out["schedule"] = [e.to_document() for e in self.schedule]
         return out
+
+    @classmethod
+    def from_document(cls, doc: dict) -> "ErrorModel":
+        """Model from its JSON form: to_document's output, or an error-model
+        file whose polyhedral set is given in full as {"A": ..., "b": ...}.
+
+        The hypercube bound may be spelled eps_bar. Raises ValueError on a
+        key the kind does not take, on a missing bound or set, and on a
+        polyhedral set given only as its summary.
+        """
+        if not isinstance(doc, dict):
+            raise ValueError("an error model must be a JSON object")
+        doc = dict(doc)
+        if "eps_bar" in doc:
+            if "bound" in doc:
+                raise ValueError("give bound or eps_bar, not both")
+            doc["bound"] = doc.pop("eps_bar")
+        kind = doc.pop("kind", KIND_NONE)
+        if kind not in _KINDS:
+            raise ValueError(f"unknown error model kind {kind!r}")
+        if kind == KIND_POLYHEDRAL and "set" not in doc and "set_rows" in doc:
+            raise ValueError("polyhedral error models do not round-trip through "
+                             "settings; pass the model explicitly")
+        param = _KINDS[kind]
+        unknown = sorted(set(doc) - {param, "schedule", "perturb_dual"})
+        if unknown:
+            raise ValueError(f"unknown keys for a {kind} error model: {unknown}")
+        if param is not None and param not in doc:
+            raise ValueError(f"{kind} error model needs {param!r}")
+        schedule = doc.get("schedule")
+        return cls(kind=kind, bound=doc.get("bound", 0.0),
+                   set=Polyhedron.from_document(doc["set"]) if "set" in doc else None,
+                   rel_bound=doc.get("rel_bound", 0.0),
+                   schedule=None if schedule is None
+                   else tuple(cls.from_document(e) for e in schedule),
+                   perturb_dual=doc.get("perturb_dual", False))
 
 
 def _nominal_rows(A_i: np.ndarray, b_i: np.ndarray, zmap: AffineMap

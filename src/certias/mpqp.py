@@ -164,7 +164,7 @@ class MpQP:
             "f_const": self.f_const.tolist(),
             "d_lin": self.d_lin.tolist(),
             "d_const": self.d_const.tolist(),
-            "theta_set": {"A": self.theta_set.A.tolist(), "b": self.theta_set.b.tolist()},
+            "theta_set": self.theta_set.to_document(),
         }
 
     def digest(self) -> str:
@@ -193,7 +193,7 @@ def load_problem(document: dict) -> MpQP:
     if not isinstance(ts, dict) or "A" not in ts or "b" not in ts:
         raise ProblemFormatError("theta_set must carry matrices A and b")
     try:
-        theta_set = Polyhedron(np.asarray(ts["A"], dtype=float), np.asarray(ts["b"], dtype=float))
+        theta_set = Polyhedron.from_document(ts)
     except (ValueError, TypeError) as exc:
         raise ProblemFormatError(f"bad theta_set: {exc}") from None
     try:

@@ -60,6 +60,13 @@ class SolverState:
     def terminal(self) -> bool:
         return self.mode in TERMINAL_MODES
 
+    def to_document(self) -> dict:
+        return {"working_set": list(self.working_set), "mode": self.mode}
+
+    @classmethod
+    def from_document(cls, doc: dict) -> "SolverState":
+        return cls(doc["working_set"], doc["mode"])
+
 
 @dataclass(frozen=True)
 class Tolerances:

@@ -56,7 +56,6 @@ class ValidationReport:
     samples_skipped_boundary: int = 0
     mismatches: list = field(default_factory=list)
     coverage_gaps: list = field(default_factory=list)
-    realization_failures: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -68,30 +67,25 @@ class ValidationReport:
                 f"mismatches={len(self.mismatches)} "
                 f"coverage_gaps={len(self.coverage_gaps)}")
 
+    def to_document(self) -> dict:
+        """Counts, mismatches as {theta, realized sequence, containing_regions},
+        and coverage gaps."""
+        return {
+            "samples_total": self.samples_total,
+            "samples_outside": self.samples_outside,
+            "samples_skipped_boundary": self.samples_skipped_boundary,
+            "mismatches": [{"theta": list(theta),
+                            "sequence": [s.to_document() for s in seq],
+                            "containing_regions": ids}
+                           for theta, seq, ids in self.mismatches],
+            "coverage_gaps": [list(t) for t in self.coverage_gaps],
+        }
+
 
 def _tolerances_from_settings(settings: dict) -> Tolerances:
     return Tolerances(eps_primal=settings["eps_primal"],
                       eps_dual=settings["eps_dual"],
                       iter_limit=settings["iter_limit"])
-
-
-def model_from_description(desc: dict) -> ErrorModel:
-    """Rebuild an ErrorModel from its describe() dictionary.
-
-    Only the kinds that round-trip through plain numbers are supported here;
-    a polyhedral set does not survive the summary form.
-    """
-    kind = desc.get("kind", KIND_NONE)
-    if kind == "polyhedral":
-        raise ValueError("polyhedral error models do not round-trip through "
-                         "settings; pass the model explicitly")
-    schedule = desc.get("schedule")
-    if schedule is not None:
-        schedule = tuple(model_from_description(e) for e in schedule)
-    return ErrorModel(kind=kind, bound=desc.get("bound", 0.0),
-                      rel_bound=desc.get("rel_bound", 0.0),
-                      schedule=schedule,
-                      perturb_dual=desc.get("perturb_dual", False))
 
 
 class _RegionStack:
@@ -177,7 +171,7 @@ def validate_conformance(prob: MpQP, result: CertificationResult,
     if result.problem_digest != prob.digest():
         raise ValueError("certification result belongs to a different problem")
     if model is None:
-        model = model_from_description(result.settings["error_model"])
+        model = ErrorModel.from_document(result.settings["error_model"])
     tol = _tolerances_from_settings(result.settings)
     rng = np.random.default_rng(seed)
     lo, hi = bounding_box(prob.theta_set)

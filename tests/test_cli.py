@@ -8,18 +8,10 @@ import numpy as np
 import pytest
 
 from certias import geometry
-from certias.certifier import certify
-from certias.cli import (
-    build_parser,
-    dump_document,
-    main,
-    model_from_document,
-    model_to_document,
-    partition_to_result,
-    result_to_document,
-)
+from certias.certifier import CertificationResult, certify
+from certias.lpp import ErrorModel
+from certias.cli import RunConfig, build_model, build_parser, dump_document, main
 from certias.examples import write_problem_files
-from certias.lpp import KIND_HYPERCUBE, KIND_POLYHEDRAL, KIND_RELATIVE, ErrorModel
 
 
 @pytest.fixture(scope="module")
@@ -196,17 +188,38 @@ class TestDeterminism:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == self.PINNED_SHA256[(name, eps_bar)]
 
+    # sha256 of the `validate --out` report of the exact toy partition under
+    # --eps-bar 0.1 --samples 800 --seed 3 (134 mismatches), recorded with
+    # the relative paths problems/toy.json and part.json. Same platform
+    # caveat as PINNED_SHA256.
+    PINNED_REPORT_SHA256 = \
+        "343d0c30ad9a5ba7a81fa8f06364d7aa1d945369920ea530ad96a5162879b0ee"
+
+    def test_validate_report_matches_pinned_bytes(self, tmp_path, monkeypatch):
+        # The report echoes --problem and --partition, so both are relative
+        # to a directory laid out like the repository root.
+        root = pathlib.Path(__file__).resolve().parent.parent
+        (tmp_path / "problems").mkdir()
+        (tmp_path / "problems" / "toy.json").write_bytes(
+            (root / "problems" / "toy.json").read_bytes())
+        monkeypatch.chdir(tmp_path)
+        assert main(["certify", "--problem", "problems/toy.json",
+                     "--out", "part.json"]) == 0
+        assert main(["validate", "--problem", "problems/toy.json",
+                     "--partition", "part.json", "--eps-bar", "0.1",
+                     "--samples", "800", "--seed", "3",
+                     "--out", "report.json"]) == 1
+        report = pathlib.Path("report.json").read_bytes()
+        assert len(json.loads(report)["mismatches"]) == 134
+        assert hashlib.sha256(report).hexdigest() == self.PINNED_REPORT_SHA256
+
     def test_round_trip_bit_for_bit(self, toy_partition):
         doc = json.loads(toy_partition.read_text())
-        result = partition_to_result(doc)
+        result = CertificationResult.from_document(doc)
         for entry, region in zip(doc["regions"], result.regions):
             assert np.array_equal(np.asarray(entry["A"]), region.region.A)
             assert np.array_equal(np.asarray(entry["b"]), region.region.b)
-        rebuilt = {"config": doc["config"],
-                   "problem_digest": result.problem_digest,
-                   "settings": result.settings,
-                   "regions": doc["regions"],
-                   "stats": result.stats}
+        rebuilt = {"config": doc["config"], **result.to_document()}
         assert dump_document(rebuilt) == toy_partition.read_text()
 
 
@@ -368,35 +381,82 @@ class TestLogging:
 
 
 class TestModelDocuments:
-    def test_round_trip(self):
-        from certias.geometry import Polyhedron
+    def _certify(self, toy_path, tmp_path, *flags):
+        out = tmp_path / "part.json"
+        assert main(["certify", "--problem", toy_path, *flags,
+                     "--out", str(out)]) == 0
+        return json.loads(out.read_text())
 
+    def _model_file(self, tmp_path, doc, name="model.json"):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_round_trip(self, tmp_path):
+        # A model file holding a model's document loads back as that model.
+        box = geometry.Polyhedron.box([-0.1, -0.2], [0.1, 0.2])
         models = [
             ErrorModel(),
-            ErrorModel(kind=KIND_HYPERCUBE, bound=1e-4),
-            ErrorModel(kind=KIND_RELATIVE, rel_bound=0.01),
-            ErrorModel(kind=KIND_POLYHEDRAL,
-                       set=Polyhedron.box([-0.1, -0.2], [0.1, 0.2])),
-            ErrorModel(kind=KIND_HYPERCUBE, bound=0.5, perturb_dual=True,
-                       schedule=(ErrorModel(kind=KIND_HYPERCUBE, bound=0.1),
+            ErrorModel(kind="hypercube", bound=1e-4),
+            ErrorModel(kind="relative", rel_bound=0.01),
+            ErrorModel(kind="hypercube", bound=0.5, perturb_dual=True,
+                       schedule=(ErrorModel(kind="hypercube", bound=0.1),
                                  ErrorModel())),
         ]
         for model in models:
-            back = model_from_document(model_to_document(model))
-            if model.kind == KIND_POLYHEDRAL:
-                assert back.kind == KIND_POLYHEDRAL
-                assert np.array_equal(back.set.A, model.set.A)
-                assert np.array_equal(back.set.b, model.set.b)
-            else:
-                assert back == model
+            path = self._model_file(tmp_path, model.to_document())
+            cfg = RunConfig(command="certify", error_model_path=path)
+            assert build_model(cfg) == model
+        # A polyhedral set is written in full only in model files.
+        path = self._model_file(tmp_path, {"kind": "polyhedral",
+                                           "set": box.to_document()})
+        back = build_model(RunConfig(command="certify", error_model_path=path))
+        assert back.kind == "polyhedral"
+        assert np.array_equal(back.set.A, box.A)
+        assert np.array_equal(back.set.b, box.b)
 
     def test_polyhedral_model_certifies(self, toy_path, tmp_path):
-        model_path = tmp_path / "model.json"
-        model_path.write_text(json.dumps(
-            {"kind": "polyhedral",
-             "set": {"A": [[1.0], [-1.0]], "b": [0.05, 0.05]}}))
-        out = tmp_path / "part.json"
-        code = main(["certify", "--problem", toy_path,
-                     "--error-model", str(model_path), "--out", str(out)])
-        assert code == 0
-        assert len(json.loads(out.read_text())["regions"]) > 2
+        model_path = self._model_file(tmp_path, {
+            "kind": "polyhedral",
+            "set": {"A": [[1.0], [-1.0]], "b": [0.05, 0.05]}})
+        doc = self._certify(toy_path, tmp_path, "--error-model", model_path)
+        assert len(doc["regions"]) > 2
+
+    def test_bound_key_is_read(self, toy_path, tmp_path):
+        # The spelling settings.error_model uses; it once certified exact
+        # arithmetic (2 regions) without a word.
+        model_path = self._model_file(tmp_path,
+                                      {"kind": "hypercube", "bound": 0.1})
+        doc = self._certify(toy_path, tmp_path, "--error-model", model_path)
+        assert len(doc["regions"]) == 45
+        assert doc["settings"]["error_model"] == {"kind": "hypercube",
+                                                  "bound": 0.1}
+
+    @pytest.mark.parametrize("model", [
+        {"kind": "hypercube", "epsbar": 0.1},
+        {"kind": "hypercube"},
+    ], ids=["misspelled-key", "no-bound"])
+    def test_bad_model_file_exits_2(self, toy_path, tmp_path, capsys, model):
+        model_path = self._model_file(tmp_path, model)
+        assert main(["certify", "--problem", toy_path,
+                     "--error-model", model_path]) == 2
+        assert "bad error-model document" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ("--eps-bar", "1e-4"),
+        ("--rel-bound", "1e-3"),
+        ("--error-model", {"kind": "hypercube", "eps_bar": 0.01,
+                           "perturb_dual": True,
+                           "schedule": [{"kind": "hypercube", "eps_bar": 0.05},
+                                        {"kind": "none"}]}),
+    ], ids=["eps-bar", "rel-bound", "scheduled-perturb-dual"])
+    def test_settings_model_round_trips(self, toy_path, tmp_path, flags):
+        flag, value = flags
+        if isinstance(value, dict):
+            value = self._model_file(tmp_path, value, "given.json")
+        first = self._certify(toy_path, tmp_path, flag, value)
+        model_path = self._model_file(tmp_path,
+                                      first["settings"]["error_model"])
+        again = self._certify(toy_path, tmp_path, "--error-model", model_path)
+        for key in ("regions", "settings", "stats"):
+            assert again[key] == first[key]

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from certias.certifier import _effective_model
 from certias.geometry import (
     GeometryError,
     Polyhedron,
@@ -11,6 +14,7 @@ from certias.geometry import (
 )
 from certias.lpp import ErrorModel, hypercube_inflate, lift_partition_project, rel_to_abs
 from certias.mpqp import AffineMap
+from certias.solver import DUAL_CHECK, SolverState
 
 from oracles import poly_contains_poly, poly_equal
 
@@ -54,27 +58,87 @@ class TestErrorModel:
         burst = ErrorModel(kind="hypercube", bound=0.5)
         base = ErrorModel(kind="hypercube", bound=0.01,
                           schedule=(burst, ErrorModel()))
-        assert base.at(0).bound == 0.5
+        assert base.at(0) is burst
         assert base.at(1).kind == "none"
-        late = base.at(2)
-        assert late.kind == "hypercube" and late.bound == 0.01
-        assert late.schedule is None
+        # Past the schedule's end the base model itself applies, unchanged.
+        assert base.at(2) is base and base.at(-1) is base
 
     def test_schedule_cannot_nest(self):
         inner = ErrorModel(kind="none", schedule=(ErrorModel(),))
         with pytest.raises(ValueError, match="nest"):
             ErrorModel(schedule=(inner,))
+        # Only the base model's perturb_dual is read; an entry's would be
+        # recorded in settings and ignored.
+        with pytest.raises(ValueError, match="base model"):
+            ErrorModel(schedule=(ErrorModel(perturb_dual=True),))
 
     def test_schedule_inherits_dual_flag(self):
+        # at() hands back the entry as it is; the base model's perturb_dual
+        # governs every step, so a dual check at step 0 sees the entry.
+        entry = ErrorModel(kind="hypercube", bound=0.2)
         base = ErrorModel(kind="hypercube", bound=0.1, perturb_dual=True,
-                          schedule=(ErrorModel(kind="hypercube", bound=0.2),))
-        assert base.at(0).perturb_dual
+                          schedule=(entry,))
+        assert base.at(0) is entry and not entry.perturb_dual
+        dual = SolverState((0,), DUAL_CHECK)
+        assert _effective_model(base, 0, dual, None, None) is entry
+        exact = replace(base, perturb_dual=False)
+        assert _effective_model(exact, 0, dual, None, None).kind == "none"
 
     def test_describe(self):
-        d = ErrorModel(kind="hypercube", bound=0.25).describe()
+        # The written form: settings.error_model in every partition.
+        assert ErrorModel().to_document() == {"kind": "none"}
+        d = ErrorModel(kind="hypercube", bound=0.25).to_document()
         assert d == {"kind": "hypercube", "bound": 0.25}
-        d = ErrorModel(kind="relative", rel_bound=0.01, perturb_dual=True).describe()
-        assert d["rel_bound"] == 0.01 and d["perturb_dual"] is True
+        d = ErrorModel(kind="relative", rel_bound=0.01, perturb_dual=True).to_document()
+        assert d == {"kind": "relative", "rel_bound": 0.01, "perturb_dual": True}
+
+    def test_document_round_trip(self):
+        models = [
+            ErrorModel(),
+            ErrorModel(kind="hypercube", bound=0.25),
+            ErrorModel(kind="hypercube", bound=1e-4, perturb_dual=True),
+            ErrorModel(kind="relative", rel_bound=0.01, perturb_dual=True),
+            ErrorModel(kind="hypercube", bound=0.5, perturb_dual=True,
+                       schedule=(ErrorModel(kind="hypercube", bound=0.1),
+                                 ErrorModel(kind="relative", rel_bound=0.2),
+                                 ErrorModel())),
+        ]
+        for m in models:
+            assert ErrorModel.from_document(m.to_document()) == m
+        # Model files may spell the hypercube bound eps_bar.
+        doc = {"kind": "hypercube", "eps_bar": 0.5, "perturb_dual": True,
+               "schedule": [{"kind": "hypercube", "eps_bar": 0.1},
+                            {"kind": "relative", "rel_bound": 0.2}, {}]}
+        assert ErrorModel.from_document(doc) == models[4]
+
+    def test_polyhedral_document(self):
+        box = Polyhedron.box([-0.1, -0.2], [0.1, 0.2])
+        model = ErrorModel.from_document({"kind": "polyhedral",
+                                          "set": box.to_document()})
+        assert np.array_equal(model.set.A, box.A)
+        assert np.array_equal(model.set.b, box.b)
+        # Result documents keep only a summary, which does not read back.
+        summary = model.to_document()
+        assert summary == {"kind": "polyhedral", "set_rows": 4, "set_dim": 2}
+        with pytest.raises(ValueError, match="pass the model explicitly"):
+            ErrorModel.from_document(summary)
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"kind": "hypercube", "bound": 0.1, "eps_bar": 0.1}, "not both"),
+        ({"kind": "hypercube", "epsbar": 0.1}, "unknown keys"),
+        ({"kind": "relative", "bound": 0.1}, "unknown keys"),
+        ({"bound": 0.1}, "unknown keys"),
+        ({"kind": "hypercube"}, "needs 'bound'"),
+        ({"kind": "relative"}, "needs 'rel_bound'"),
+        ({"kind": "polyhedral"}, "needs 'set'"),
+        ({"kind": "gaussian"}, "unknown error model kind"),
+        ({"kind": "hypercube", "bound": 0.1, "schedule": [{"kind": "none", "bond": 0}]},
+         "unknown keys"),
+        ([0.1], "JSON object"),
+    ])
+    def test_bad_documents(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            ErrorModel.from_document(doc)
 
 
 class TestLiftPartitionProject:

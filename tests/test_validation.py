@@ -21,7 +21,6 @@ from certias.validation import (
     _step_bounds,
     _tolerances_from_settings,
     brute_force_solve,
-    model_from_description,
     search_realization,
     validate_conformance,
 )
@@ -55,24 +54,23 @@ def mpc_inflated(mpc):
 
 
 class TestModelFromDescription:
-    def test_round_trip_plain(self):
+    """validate_conformance reads the model back from the partition's
+    settings when none is passed; what certify writes must read back."""
+
+    def test_round_trip_plain(self, toy):
         for m in (ErrorModel(),
                   ErrorModel(kind=KIND_HYPERCUBE, bound=0.25),
                   ErrorModel(kind=KIND_HYPERCUBE, bound=1e-4, perturb_dual=True)):
-            assert model_from_description(m.describe()) == m
+            settings = certify(toy, model=m).settings
+            assert ErrorModel.from_document(settings["error_model"]) == m
 
-    def test_round_trip_schedule(self):
+    def test_round_trip_schedule(self, toy):
         m = ErrorModel(kind=KIND_HYPERCUBE, bound=0.5, schedule=(
             ErrorModel(kind=KIND_HYPERCUBE, bound=0.1),
             ErrorModel(),
         ))
-        assert model_from_description(m.describe()) == m
-
-    def test_polyhedral_rejected(self):
-        box = Polyhedron.box([-0.1], [0.1])
-        m = ErrorModel(kind=KIND_POLYHEDRAL, set=box)
-        with pytest.raises(ValueError):
-            model_from_description(m.describe())
+        settings = certify(toy, model=m).settings
+        assert ErrorModel.from_document(settings["error_model"]) == m
 
 
 class TestValidateConformance:
@@ -165,7 +163,7 @@ def _validate_one_by_one(prob, result, n_samples, seed, model=None):
     """validate_conformance with per-region point location and per-step
     draws: the reference the stacked version must reproduce exactly."""
     if model is None:
-        model = model_from_description(result.settings["error_model"])
+        model = ErrorModel.from_document(result.settings["error_model"])
     tol = _tolerances_from_settings(result.settings)
     rng = np.random.default_rng(seed)
     lo, hi = bounding_box(prob.theta_set)
@@ -177,8 +175,7 @@ def _validate_one_by_one(prob, result, n_samples, seed, model=None):
     A, b = A / norms[:, None], b / norms
     n_steps = 2 * tol.iter_limit + 2
     out = dict(samples_total=n_samples, samples_outside=0,
-               samples_skipped_boundary=0, mismatches=[], coverage_gaps=[],
-               realization_failures=[])
+               samples_skipped_boundary=0, mismatches=[], coverage_gaps=[])
     for _ in range(n_samples):
         theta = rng.uniform(lo, hi)
         if not contains(prob.theta_set, theta, slack=1e-9):
