@@ -52,7 +52,6 @@ __all__ = [
     "BudgetExceededError",
     "CertificationResult",
     "CertifiedRegion",
-    "RegionNode",
     "TraceRecord",
     "certify",
     "halfplane_family",
@@ -88,26 +87,6 @@ def sequence_key(sequence) -> tuple:
 
 def _slack_count(sequence) -> int:
     return sum(1 for s in sequence if s.mode == SLACK_CHECK)
-
-
-@dataclass
-class RegionNode:
-    """One frontier entry: a region, the state about to execute there, and
-    the states already executed on the way down."""
-
-    region: Polyhedron
-    state: SolverState
-    sequence: tuple[SolverState, ...]
-
-    @property
-    def depth(self) -> int:
-        """Automaton step index k."""
-        return len(self.sequence)
-
-    @property
-    def slack_depth(self) -> int:
-        """Iterations executed so far (slack checks in the sequence)."""
-        return _slack_count(self.sequence)
 
 
 @dataclass
@@ -166,6 +145,7 @@ class CertificationResult:
     def from_document(cls, doc: dict) -> "CertificationResult":
         """Result from a partition document; every matrix reads back bit for
         bit. Raises KeyError, ValueError or TypeError on a malformed one."""
+        Tolerances.from_document(doc["settings"])  # malformed tolerances fail here
         return cls(regions=[CertifiedRegion.from_document(r) for r in doc["regions"]],
                    problem_digest=doc["problem_digest"], settings=doc["settings"],
                    stats=doc["stats"])
@@ -217,11 +197,11 @@ def halfplane_family(state: SolverState, m: int, tol: Tolerances
 
 
 def _coordinate_slice(err_set: Polyhedron, coords: tuple[int, ...]) -> Polyhedron:
-    """Projection of the error set onto the given coordinates, in order."""
+    """Projection of the error set onto the given coordinates, in order.
+    When they are all of its coordinates, nothing is projected away."""
     rest = [c for c in range(err_set.dim) if c not in coords]
-    perm = list(coords) + rest
-    shuffled = Polyhedron(err_set.A[:, perm], err_set.b)
-    return project_fm(shuffled, len(coords))
+    shuffled = Polyhedron(err_set.A[:, list(coords) + rest], err_set.b)
+    return project_fm(shuffled, len(coords)) if rest else shuffled
 
 
 _EXACT = ErrorModel()
@@ -275,53 +255,22 @@ def partition_step(region: Polyhedron, state: SolverState, prob: MpQP,
     return out
 
 
-def _expand(node: RegionNode, prob: MpQP, tol: Tolerances, model: ErrorModel,
-            record_trace: bool):
-    """Process one popped node. Pure: no shared mutable state.
-
-    Returns (children, finals, trace_record, pruned_count). Mirrors the
-    pointwise loop exactly: iteration-cap check first, then the singular
-    check, then the decision split.
-    """
-    state = node.state
-    if state.mode == SLACK_CHECK and node.slack_depth == tol.iter_limit:
-        seq = node.sequence + (SolverState(state.working_set, TERMINATED_ITER_LIMIT),)
-        leaf = CertifiedRegion(node.region, seq, "iter_limit", _slack_count(seq))
-        return [], [leaf], None, 0
-    maps = subproblem_maps(prob, state.working_set)
-    if maps.singular:
-        seq = node.sequence + (state, SolverState(state.working_set, DEGENERATE))
-        leaf = CertifiedRegion(node.region, seq, "degenerate", _slack_count(seq))
-        return [], [leaf], None, 0
-    kids = partition_step(node.region, state, prob, tol, model, node.depth)
-    n_branches = len(halfplane_family(state, prob.m, tol))
-    seqx = node.sequence + (state,)
-    children, finals = [], []
-    for idx, kid_region in kids:
-        child_state = transition(state, idx)
-        if child_state.terminal:
-            seq = seqx + (child_state,)
-            finals.append(CertifiedRegion(kid_region, seq,
-                                          _STATUS_BY_MODE[child_state.mode],
-                                          _slack_count(seq)))
-        else:
-            children.append(RegionNode(kid_region, child_state, seqx))
-    rec = None
-    if record_trace:
-        rec = TraceRecord(node.region, state, node.depth, node.slack_depth, kids)
-    return children, finals, rec, n_branches - len(kids)
-
-
 def certify(prob: MpQP, tol: Optional[Tolerances] = None,
             model: Optional[ErrorModel] = None, *, workers: int = 1,
             max_live: int = 20000, record_trace: bool = False
             ) -> CertificationResult:
     """Explore the whole parameter set and certify every leaf.
 
-    workers is accepted for compatibility; certification runs on the
-    calling thread. The result is canonically sorted by sequence, so it does
-    not depend on exploration order. max_live caps the frontier size to
-    guard against error-model-induced blowup (BudgetExceededError).
+    The frontier is a stack of (region, state about to run there, states
+    run so far). Each popped entry is handled in the pointwise solver's
+    order: the iteration cap, then a singular subproblem, then the decision
+    split. The result is canonically sorted by sequence, so it does not
+    depend on exploration order. max_live caps the frontier size to guard
+    against error-model-induced blowup (BudgetExceededError).
+
+    certify runs on the calling thread, and workers is accepted for
+    compatibility only. Calls on several threads at once are safe: each
+    one's stats["lp_calls"] counts the LPs of that call alone.
 
     record_trace keeps every expansion (parent region, state, children) for
     post-hoc analysis; leave it off for large problems.
@@ -329,8 +278,7 @@ def certify(prob: MpQP, tol: Optional[Tolerances] = None,
     tol = tol or Tolerances()
     model = model or ErrorModel()
     lp_before = lp_call_count()
-    root = RegionNode(remove_redundant(prob.theta_set), SolverState((), SLACK_CHECK), ())
-    stack = [root]
+    stack = [(remove_redundant(prob.theta_set), SolverState((), SLACK_CHECK), ())]
     finals: list[CertifiedRegion] = []
     trace: Optional[list[TraceRecord]] = [] if record_trace else None
     explored = 0
@@ -339,22 +287,34 @@ def certify(prob: MpQP, tol: Optional[Tolerances] = None,
         if len(stack) > max_live:
             raise BudgetExceededError(
                 f"live regions ({len(stack)}) exceed max_live={max_live}")
-        children, leaf_list, rec, n_pruned = _expand(stack.pop(), prob, tol,
-                                                     model, record_trace)
+        region, state, seq = stack.pop()
         explored += 1
-        pruned += n_pruned
-        finals.extend(leaf_list)
-        stack.extend(children)
-        if rec is not None:
-            trace.append(rec)
+        k, slack_depth = len(seq), _slack_count(seq)
+        if state.mode == SLACK_CHECK and slack_depth == tol.iter_limit:
+            leaf = seq + (SolverState(state.working_set, TERMINATED_ITER_LIMIT),)
+            finals.append(CertifiedRegion(region, leaf, "iter_limit", slack_depth))
+            continue
+        seq += (state,)
+        if subproblem_maps(prob, state.working_set).singular:
+            leaf = seq + (SolverState(state.working_set, DEGENERATE),)
+            finals.append(CertifiedRegion(region, leaf, "degenerate",
+                                          _slack_count(leaf)))
+            continue
+        kids = partition_step(region, state, prob, tol, model, k)
+        pruned += len(halfplane_family(state, prob.m, tol)) - len(kids)
+        for idx, kid in kids:
+            child = transition(state, idx)
+            if child.terminal:
+                leaf = seq + (child,)
+                finals.append(CertifiedRegion(kid, leaf, _STATUS_BY_MODE[child.mode],
+                                              _slack_count(leaf)))
+            else:
+                stack.append((kid, child, seq))
+        if record_trace:
+            trace.append(TraceRecord(region, state, k, slack_depth, kids))
 
     finals.sort(key=lambda r: sequence_key(r.sequence))
-    settings = {
-        "eps_primal": tol.eps_primal,
-        "eps_dual": tol.dual,
-        "iter_limit": tol.iter_limit,
-        "error_model": model.to_document(),
-    }
+    settings = {**tol.to_document(), "error_model": model.to_document()}
     stats = {
         "regions": len(finals),
         "explored": explored,

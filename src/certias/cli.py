@@ -85,8 +85,11 @@ class RunConfig:
         return {k: getattr(self, k) for k in keep}
 
     def tolerances(self) -> Tolerances:
-        return Tolerances(eps_primal=self.primal_tol, eps_dual=self.dual_tol,
-                          iter_limit=self.iter_limit)
+        try:
+            return Tolerances(eps_primal=self.primal_tol, eps_dual=self.dual_tol,
+                              iter_limit=self.iter_limit)
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
 
 
 class InputError(Exception):
@@ -142,6 +145,10 @@ def build_model(cfg: RunConfig) -> Optional[ErrorModel]:
         except (KeyError, ValueError, TypeError) as exc:
             raise InputError(f"bad error-model document "
                              f"{cfg.error_model_path}: {exc}") from exc
+    if cfg.rel_bound is not None and cfg.rel_bound < 0:
+        raise InputError("--rel-bound must be nonnegative")
+    if cfg.eps_bar is not None and cfg.eps_bar < 0:
+        raise InputError("--eps-bar must be nonnegative")
     if cfg.rel_bound is not None:
         return ErrorModel(kind=KIND_RELATIVE, rel_bound=cfg.rel_bound)
     if cfg.eps_bar is not None:
@@ -189,6 +196,8 @@ def cmd_validate(cfg: RunConfig) -> int:
     prob = _load_mpqp(_require(cfg, "problem_path", "--problem"))
     result = _load_partition(_require(cfg, "partition_path", "--partition"))
     override = build_model(cfg)
+    if cfg.samples < 1:
+        raise InputError("--samples must be at least 1")
     try:
         report = validate_conformance(prob, result, n_samples=cfg.samples,
                                       seed=cfg.seed, model=override)
@@ -204,9 +213,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
     prob = _load_mpqp(_require(cfg, "problem_path", "--problem"))
     eps_list = _require(cfg, "primal_tols", "--primal-tols")
     bar_list = _require(cfg, "eps_bars", "--eps-bars")
-    tol_base = Tolerances(eps_primal=eps_list[0], eps_dual=cfg.dual_tol,
-                          iter_limit=cfg.iter_limit)
-    table = sweep(prob, eps_list, bar_list, tol_base)
+    try:
+        table = sweep(prob, eps_list, bar_list, cfg.tolerances())
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     _emit(sweep_to_csv(table), {"config": cfg.echo(), **sweep_to_json(table)},
           cfg.out)
     return 0

@@ -62,32 +62,29 @@ class EmptyPolyhedronError(GeometryError):
     """An operation that needs a nonempty set was handed an empty one."""
 
 
-class _Counter:
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._n = 0
+class _Work(threading.local):
+    """LPs and pivots solved so far on the current thread."""
 
-    def bump(self, k: int = 1) -> None:
-        with self._lock:
-            self._n += k
-
-    def value(self) -> int:
-        with self._lock:
-            return self._n
+    lps = 0
+    pivots = 0
 
 
-_LP_CALLS = _Counter()
-_PIVOTS = _Counter()
+_WORK = _Work()
 
 
 def lp_call_count() -> int:
-    """Process-wide number of simplex solves, for certification stats."""
-    return _LP_CALLS.value()
+    """Number of simplex solves made so far on the calling thread.
+
+    Per thread, so a delta taken around a call counts that call's LPs even
+    while other threads solve LPs of their own.
+    """
+    return _WORK.lps
 
 
 def pivot_count() -> int:
-    """Process-wide number of simplex pivots taken by completed solves."""
-    return _PIVOTS.value()
+    """Number of simplex pivots taken by completed solves on the calling
+    thread."""
+    return _WORK.pivots
 
 
 class Polyhedron:
@@ -337,10 +334,10 @@ def _simplex(A, b, c, budget, tol):
 
 def _solve(P: Polyhedron, c, tol):
     """(status, x, phase1_measure) of min c^T x over P, counted and budgeted."""
-    _LP_CALLS.bump()
+    _WORK.lps += 1
     budget = PIVOT_CAP_FACTOR * (P.nrows + P.dim)
     status, x, measure, pivots = _simplex(P.A, P.b, c, budget, tol)
-    _PIVOTS.bump(pivots)
+    _WORK.pivots += pivots
     return status, x, measure
 
 

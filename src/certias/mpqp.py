@@ -78,7 +78,11 @@ class SubproblemMaps:
 
 
 class MpQP:
-    """Validated problem data plus a per-working-set map cache."""
+    """Validated problem data plus a per-working-set map cache.
+
+    One problem may be shared by certify calls on several threads: the
+    cache is filled under a lock and holds immutable maps.
+    """
 
     def __init__(self, H, C, f_lin, f_const, d_lin, d_const, theta_set: Polyhedron):
         H = np.atleast_2d(np.asarray(H, dtype=float))
@@ -226,7 +230,8 @@ def subproblem_maps(prob: MpQP, working_set: Sequence[int]) -> SubproblemMaps:
     a Schur complement over the working rows. Results are cached per working
     set on the problem object under its lock, and the returned maps are
     immutable, so sharing them is safe across threads: callers may run
-    certify on several threads against one problem.
+    certify on several threads against one problem, and each call still
+    counts only its own LPs.
     """
     W = tuple(int(i) for i in working_set)
     for i in W:

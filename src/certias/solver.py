@@ -88,6 +88,16 @@ class Tolerances:
     def dual(self) -> float:
         return self.eps_primal if self.eps_dual is None else self.eps_dual
 
+    def to_document(self) -> dict:
+        """The partition document's tolerance settings; eps_dual is resolved."""
+        return {"eps_primal": self.eps_primal, "eps_dual": self.dual,
+                "iter_limit": self.iter_limit}
+
+    @classmethod
+    def from_document(cls, doc: dict) -> "Tolerances":
+        return cls(eps_primal=doc["eps_primal"], eps_dual=doc["eps_dual"],
+                   iter_limit=doc["iter_limit"])
+
 
 @dataclass
 class ErrorInjector:

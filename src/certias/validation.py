@@ -82,12 +82,6 @@ class ValidationReport:
         }
 
 
-def _tolerances_from_settings(settings: dict) -> Tolerances:
-    return Tolerances(eps_primal=settings["eps_primal"],
-                      eps_dual=settings["eps_dual"],
-                      iter_limit=settings["iter_limit"])
-
-
 class _RegionStack:
     """Every region's rows stacked once, so locating a point is one product.
 
@@ -172,7 +166,7 @@ def validate_conformance(prob: MpQP, result: CertificationResult,
         raise ValueError("certification result belongs to a different problem")
     if model is None:
         model = ErrorModel.from_document(result.settings["error_model"])
-    tol = _tolerances_from_settings(result.settings)
+    tol = Tolerances.from_document(result.settings)
     rng = np.random.default_rng(seed)
     lo, hi = bounding_box(prob.theta_set)
     stack = _RegionStack(result)

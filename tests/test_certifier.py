@@ -15,6 +15,7 @@ from certias.certifier import (
     sequence_key,
 )
 from certias.certifier import transition as certifier_transition
+from certias.cli import dump_document
 from certias.examples import double_integrator_problem, toy_problem
 from certias.geometry import Polyhedron, bounding_box, contains, interior_point, is_empty
 from certias.lpp import ErrorModel
@@ -297,6 +298,17 @@ class TestCertifyToyInflated:
                 workers=4)
         assert threads == {threading.get_ident()}
 
+    def test_polyhedral_dual_perturbation_matches_hypercube(self):
+        # The toy has one constraint, so a dual check's working set covers
+        # every error coordinate and the set is used without projecting.
+        box = ErrorModel(kind="hypercube", bound=0.01, perturb_dual=True)
+        poly = ErrorModel(kind="polyhedral", set=interval(-0.01, 0.01),
+                          perturb_dual=True)
+        want = [r.sequence for r in certify(toy_problem(), model=box).regions]
+        got = [r.sequence for r in certify(toy_problem(), model=poly).regions]
+        assert len(want) == 45
+        assert got == want
+
     def test_budget_cap(self):
         with pytest.raises(BudgetExceededError):
             certify(toy_problem(), model=ErrorModel(kind="hypercube", bound=0.1),
@@ -372,16 +384,43 @@ class TestCanonicalOrder:
         assert keys == sorted(keys)
 
 
+def shipped_double_integrator():
+    path = pathlib.Path(__file__).resolve().parent.parent / "problems" / "double_integrator.json"
+    return load_problem(json.loads(path.read_text()))
+
+
 def test_work_counters_of_shipped_double_integrator():
     # Regression counters for problems/double_integrator.json at hypercube
     # 1e-4. LP calls are fixed by the exploration; pivots by the kernel and
     # by how each LP is posed. Pivots were 12604 while every redundancy LP
     # still ran its own phase 1; they fell when those LPs started at the
     # emptiness test's point.
-    path = pathlib.Path(__file__).resolve().parent.parent / "problems" / "double_integrator.json"
-    prob = load_problem(json.loads(path.read_text()))
+    prob = shipped_double_integrator()
     lps, pivots = geo.lp_call_count(), geo.pivot_count()
     res = certify(prob, model=ErrorModel(kind="hypercube", bound=1e-4))
     assert geo.lp_call_count() - lps == res.stats["lp_calls"] == 4149
     assert geo.pivot_count() - pivots == 7870
     assert len(res.regions) == 223
+
+
+def test_concurrent_certify_matches_serial():
+    # LPs are counted per thread, so two certifications running at once
+    # each report their own LPs and write the serial document byte for byte.
+    prob = shipped_double_integrator()
+    model = ErrorModel(kind="hypercube", bound=1e-4)
+    serial = dump_document(certify(prob, model=model).to_document())
+    assert json.loads(serial)["stats"]["lp_calls"] == 4149
+    start = threading.Barrier(2)
+    docs = [None, None]
+
+    def work(i):
+        start.wait()
+        docs[i] = dump_document(certify(prob, model=model).to_document())
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=300)
+        assert not t.is_alive()
+    assert docs == [serial, serial]

@@ -140,6 +140,23 @@ class TestCertify:
         assert main(["certify", "--problem", toy_path,
                      "--iter-limit", "abc"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--problem", "{toy}", "--iter-limit", "0"],
+        ["certify", "--problem", "{toy}", "--primal-tol=-1"],
+        ["certify", "--problem", "{toy}", "--eps-bar=-1"],
+        ["certify", "--problem", "{toy}", "--rel-bound=-1"],
+        ["sweep", "--problem", "{toy}", "--primal-tols=-1e-6", "--eps-bars", "0"],
+        ["sweep", "--problem", "{toy}", "--primal-tols", "", "--eps-bars", "0"],
+        ["validate", "--problem", "{toy}", "--partition", "{part}",
+         "--samples", "-5"],
+    ], ids=["iter-limit-0", "negative-primal-tol", "negative-eps-bar",
+            "negative-rel-bound", "negative-primal-tols", "empty-primal-tols",
+            "negative-samples"])
+    def test_bad_flag_value_exits_2(self, toy_path, toy_partition, capsys, argv):
+        argv = [a.format(toy=toy_path, part=toy_partition) for a in argv]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestDeterminism:
     def test_byte_identical_across_workers(self, toy_path, mpc_path, tmp_path):
@@ -248,6 +265,16 @@ class TestValidate:
                      "--eps-bar", "0.1"])
         assert code == 1
         assert "mismatches=0" not in capsys.readouterr().out
+
+    def test_partition_without_tolerances_exits_2(self, toy_path, toy_partition,
+                                                  tmp_path, capsys):
+        doc = json.loads(toy_partition.read_text())
+        del doc["settings"]["eps_primal"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(dump_document(doc))
+        assert main(["validate", "--problem", toy_path, "--partition", str(bad),
+                     "--samples", "10"]) == 2
+        assert "bad partition document" in capsys.readouterr().err
 
     def test_wrong_problem_for_partition(self, mpc_path, toy_partition,
                                          capsys):

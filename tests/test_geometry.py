@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -783,6 +785,23 @@ class TestKernel:
         assert geo.pivot_count() - before == pivots
         geo.phase1_measure(P)
         assert geo.pivot_count() - before > pivots
+
+    def test_counts_are_per_thread(self):
+        # A fresh thread counts from zero, and its LPs leave this thread's
+        # counts where they were.
+        lps, pivots = geo.lp_call_count(), geo.pivot_count()
+        seen = []
+
+        def work():
+            _pivot_batch()
+            seen.append((geo.lp_call_count(), geo.pivot_count()))
+
+        worker = threading.Thread(target=work)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert seen == [(182, 683)]
+        assert (geo.lp_call_count(), geo.pivot_count()) == (lps, pivots)
 
     @pytest.mark.parametrize("A, b, c, point", [
         ([[1.0], [-1.0], [-1.0], [2.0], [-2.0]], [1.0, -1.0, -1.0, 2.0, -2.0],

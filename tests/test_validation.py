@@ -12,14 +12,13 @@ from certias.examples import double_integrator_problem, toy_problem
 from certias.geometry import Polyhedron, bounding_box, contains, interior_point
 from certias.lpp import KIND_HYPERCUBE, KIND_NONE, KIND_POLYHEDRAL, KIND_RELATIVE, ErrorModel
 from certias.mpqp import MpQP
-from certias.solver import ErrorInjector, run
+from certias.solver import ErrorInjector, Tolerances, run
 from certias.validation import (
     DELTA_MARGIN,
     InfeasibleProblemError,
     _draw_injector,
     _RegionStack,
     _step_bounds,
-    _tolerances_from_settings,
     brute_force_solve,
     search_realization,
     validate_conformance,
@@ -164,7 +163,7 @@ def _validate_one_by_one(prob, result, n_samples, seed, model=None):
     draws: the reference the stacked version must reproduce exactly."""
     if model is None:
         model = ErrorModel.from_document(result.settings["error_model"])
-    tol = _tolerances_from_settings(result.settings)
+    tol = Tolerances.from_document(result.settings)
     rng = np.random.default_rng(seed)
     lo, hi = bounding_box(prob.theta_set)
     rows = [r.region for r in result.regions if r.region.nrows]
