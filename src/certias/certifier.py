@@ -231,13 +231,18 @@ def _effective_model(model: ErrorModel, k: int, state: SolverState,
 
 
 def partition_step(region: Polyhedron, state: SolverState, prob: MpQP,
-                   tol: Tolerances, model: ErrorModel, k: int
-                   ) -> list[tuple[int, Polyhedron]]:
+                   tol: Tolerances, model: ErrorModel, k: int,
+                   point: Optional[np.ndarray] = None
+                   ) -> list[tuple[int, Polyhedron, np.ndarray]]:
     """Split a region by the decisions the state can take inside it.
 
-    Returns (index, subregion) pairs for every branch whose subregion is
-    nonempty; subregions come back in reduced form. With a zero model the
-    pairs tile the region exactly; with errors they cover it and overlap.
+    Returns (index, subregion, point) triples for every branch whose
+    subregion is nonempty; subregions come back in reduced form, and point
+    is the point of the subregion its emptiness test found. `point`, a point
+    of the region such as the one its own test found, starts each branch's
+    emptiness test (feasible_point's `start`). With a zero model the
+    subregions tile the region exactly; with errors they cover it and
+    overlap.
     """
     maps = subproblem_maps(prob, state.working_set)
     if maps.singular:
@@ -248,10 +253,10 @@ def partition_step(region: Polyhedron, state: SolverState, prob: MpQP,
     kids = lift_partition_project(region, [(A, b) for A, b, _ in fams], zmap, eff)
     out = []
     for (A, b, idx), kid in zip(fams, kids):
-        x0 = feasible_point(kid)
+        x0 = feasible_point(kid, start=point)
         if x0 is None:
             continue
-        out.append((idx, remove_redundant(kid, point=x0)))
+        out.append((idx, remove_redundant(kid, point=x0), x0))
     return out
 
 
@@ -262,7 +267,8 @@ def certify(prob: MpQP, tol: Optional[Tolerances] = None,
     """Explore the whole parameter set and certify every leaf.
 
     The frontier is a stack of (region, state about to run there, states
-    run so far). Each popped entry is handled in the pointwise solver's
+    run so far, the point that proved the region nonempty, None at the
+    root). Each popped entry is handled in the pointwise solver's
     order: the iteration cap, then a singular subproblem, then the decision
     split. The result is canonically sorted by sequence, so it does not
     depend on exploration order. max_live caps the frontier size to guard
@@ -278,7 +284,7 @@ def certify(prob: MpQP, tol: Optional[Tolerances] = None,
     tol = tol or Tolerances()
     model = model or ErrorModel()
     lp_before = lp_call_count()
-    stack = [(remove_redundant(prob.theta_set), SolverState((), SLACK_CHECK), ())]
+    stack = [(remove_redundant(prob.theta_set), SolverState((), SLACK_CHECK), (), None)]
     finals: list[CertifiedRegion] = []
     trace: Optional[list[TraceRecord]] = [] if record_trace else None
     explored = 0
@@ -287,7 +293,7 @@ def certify(prob: MpQP, tol: Optional[Tolerances] = None,
         if len(stack) > max_live:
             raise BudgetExceededError(
                 f"live regions ({len(stack)}) exceed max_live={max_live}")
-        region, state, seq = stack.pop()
+        region, state, seq, point = stack.pop()
         explored += 1
         k, slack_depth = len(seq), _slack_count(seq)
         if state.mode == SLACK_CHECK and slack_depth == tol.iter_limit:
@@ -300,18 +306,19 @@ def certify(prob: MpQP, tol: Optional[Tolerances] = None,
             finals.append(CertifiedRegion(region, leaf, "degenerate",
                                           _slack_count(leaf)))
             continue
-        kids = partition_step(region, state, prob, tol, model, k)
+        kids = partition_step(region, state, prob, tol, model, k, point)
         pruned += len(halfplane_family(state, prob.m, tol)) - len(kids)
-        for idx, kid in kids:
+        for idx, kid, x0 in kids:
             child = transition(state, idx)
             if child.terminal:
                 leaf = seq + (child,)
                 finals.append(CertifiedRegion(kid, leaf, _STATUS_BY_MODE[child.mode],
                                               _slack_count(leaf)))
             else:
-                stack.append((kid, child, seq))
+                stack.append((kid, child, seq, x0))
         if record_trace:
-            trace.append(TraceRecord(region, state, k, slack_depth, kids))
+            trace.append(TraceRecord(region, state, k, slack_depth,
+                                     [(idx, kid) for idx, kid, _ in kids]))
 
     finals.sort(key=lambda r: sequence_key(r.sequence))
     settings = {**tol.to_document(), "error_model": model.to_document()}

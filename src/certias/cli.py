@@ -258,19 +258,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "solver over a parameter set.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, model_flags=True):
+    def common(p, *, model_flags=True, tol_flags=True):
         p.add_argument("--problem", dest="problem_path", metavar="PATH",
                        help="problem document (JSON)")
         p.add_argument("--out", metavar="PATH", help="output file; stdout "
                        "when omitted (.json selects the JSON mirror for "
                        "report/sweep)")
-        p.add_argument("--primal-tol", dest="primal_tol", type=float,
-                       default=1e-6, help="slack tolerance (default 1e-6)")
-        p.add_argument("--dual-tol", dest="dual_tol", type=float,
-                       default=None,
-                       help="multiplier tolerance (default: --primal-tol)")
-        p.add_argument("--iter-limit", dest="iter_limit", type=int,
-                       default=15, help="iteration cap (default 15)")
+        if tol_flags:
+            p.add_argument("--primal-tol", dest="primal_tol", type=float,
+                           default=1e-6, help="slack tolerance (default 1e-6)")
+            p.add_argument("--dual-tol", dest="dual_tol", type=float,
+                           default=None,
+                           help="multiplier tolerance (default: --primal-tol)")
+            p.add_argument("--iter-limit", dest="iter_limit", type=int,
+                           default=15, help="iteration cap (default 15)")
         p.add_argument("--workers", type=int, default=1,
                        help="accepted for compatibility; certification runs "
                        "on the calling thread")
@@ -287,9 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert = sub.add_parser("certify", help="partition the parameter set")
     common(p_cert)
 
+    # validate runs with the partition's own tolerances, so it takes none.
     p_val = sub.add_parser("validate",
                            help="sample the solver against a partition")
-    common(p_val)
+    common(p_val, tol_flags=False)
     p_val.add_argument("--partition", dest="partition_path", metavar="PATH",
                        help="partition document from certify")
     p_val.add_argument("--samples", type=int, default=10000)

@@ -18,6 +18,12 @@ LP count and partition document, are bit for bit those of a row-at-a-time
 elimination with a separate right-hand side and objective. The objective
 rows of both phases are built by sequential subtraction in row order for
 the same reason: a summed reduction rounds differently.
+
+One tiny-rhs rule is shared by the kernel and the shifted systems it is
+handed: a right-hand side in (-_TINY_RHS, 0) is rounding noise and is set
+to 0. The kernel applies it after every pivot; remove_redundant and
+feasible_point apply it to b - A point when they shift a system to a known
+point, so such a system starts feasible and needs no phase 1.
 """
 
 from __future__ import annotations
@@ -44,6 +50,8 @@ FM_ROW_CAP = 10_000
 
 _PIVOT_EPS = 1e-11
 _BLAND_AFTER = 12
+# Right-hand sides in (-_TINY_RHS, 0) are rounding noise and are set to 0.
+_TINY_RHS = 1e-11
 
 
 class GeometryError(RuntimeError):
@@ -122,8 +130,9 @@ class Polyhedron:
     def _from_rows(cls, A, b, dim: int) -> "Polyhedron":
         """{x : A x <= b} from rows the constructor has already validated.
 
-        A and b must be fresh float arrays, of shapes (k, dim) and (k,), with
-        no trivial rows; they are frozen in place rather than copied.
+        A and b must be float arrays, of shapes (k, dim) and (k,), with no
+        trivial rows, that nothing writes to later: they are frozen in place
+        rather than copied, so another Polyhedron's frozen A will do.
         """
         self = object.__new__(cls)
         self._freeze(A, b, dim)
@@ -180,10 +189,12 @@ class Polyhedron:
 class LpResult:
     """Outcome of one linear program.
 
-    status is one of "optimal", "infeasible", "unbounded". value is the
-    optimal objective when optimal, +/-inf when unbounded (sign matching the
-    sense) and nan when infeasible. point is the optimizer, None unless
-    optimal.
+    status is one of "optimal", "infeasible", "unbounded", "target". value
+    is the optimal objective when optimal, +/-inf when unbounded (sign
+    matching the sense) and nan when infeasible. "target" means the solve
+    stopped early, at a basic point already beyond the target solve_lp was
+    given; value and point are that point's. point is None unless optimal or
+    "target".
     """
 
     status: str
@@ -203,12 +214,14 @@ def _eliminate(M, row, col):
     np.subtract(M, f * M[row], out=M, where=f != 0.0)
 
 
-def _optimize(M, basis, nprice, pivots, budget, tol):
+def _optimize(M, basis, nprice, pivots, budget, tol, target=np.inf):
     """Pivot the tableau M until its objective row prices out.
 
     M is [T rhs; obj .] with m = len(basis) constraint rows; only the first
     `nprice` columns may enter. Returns (status, pivots), status "optimal"
-    or "unbounded", pivots the running total the budget is checked against.
+    or "unbounded", or "target" at the first basic point short of optimal
+    whose running value M[m, -1] (minus the objective) exceeds `target`;
+    pivots is the running total the budget is checked against.
     """
     m = basis.size
     obj = M[m, :nprice]
@@ -221,6 +234,8 @@ def _optimize(M, basis, nprice, pivots, budget, tol):
         col = obj.argmin()
         if not obj[col] < -tol:
             return "optimal", pivots
+        if M[m, -1] > target:
+            return "target", pivots
         if bland:
             col = (obj < -tol).argmax()
         if pivots >= budget:
@@ -237,8 +252,7 @@ def _optimize(M, basis, nprice, pivots, budget, tol):
         _eliminate(M, leave, col)
         basis[leave] = col
         if rhs[rhs.argmin()] < 0.0:
-            tiny = (rhs < 0.0) & (rhs > -1e-11)
-            rhs[tiny] = 0.0
+            rhs[(rhs < 0.0) & (rhs > -_TINY_RHS)] = 0.0
         pivots += 1
         if rhs[leave] <= 1e-13:
             streak += 1
@@ -247,13 +261,16 @@ def _optimize(M, basis, nprice, pivots, budget, tol):
             streak = 0
 
 
-def _simplex(A, b, c, budget, tol):
+def _simplex(A, b, c, budget, tol, target=np.inf):
     """min c^T x over {A x <= b}, x free.
 
     Returns (status, x, phase1_measure, pivots). status: "optimal" |
-    "infeasible" | "unbounded". x is None unless optimal. phase1_measure is
-    the minimal total constraint violation (0 when feasible). pivots counts
-    every tableau pivot, the drive-out of leftover artificials included.
+    "infeasible" | "unbounded" | "target". "target" stops phase 2 at the
+    first basic point short of optimal where -c^T x exceeds `target`; phase
+    2 never lowers -c^T x, so the optimum lies beyond `target` too. x is None
+    unless optimal or "target". phase1_measure is the minimal total
+    constraint violation (0 when feasible). pivots counts every tableau
+    pivot, the drive-out of leftover artificials included.
     """
     m, n = A.shape
     if m == 0:
@@ -322,32 +339,39 @@ def _simplex(A, b, c, budget, tol):
     cb = c2[basis]
     for i in cb.nonzero()[0]:
         M[m] -= cb[i] * M[i]
-    status, pivots = _optimize(M, basis, nreal, pivots, budget, tol)
+    status, pivots = _optimize(M, basis, nreal, pivots, budget, tol, target)
     pivots += drive_outs
     if status == "unbounded":
         return "unbounded", None, measure, pivots
     x_full = np.zeros(ncols)
     x_full[basis] = rhs
     x = x_full[:n] - x_full[n:2 * n]
-    return "optimal", x, measure, pivots
+    return status, x, measure, pivots
 
 
-def _solve(P: Polyhedron, c, tol):
+def _solve(P: Polyhedron, c, tol, target=np.inf):
     """(status, x, phase1_measure) of min c^T x over P, counted and budgeted."""
     _WORK.lps += 1
     budget = PIVOT_CAP_FACTOR * (P.nrows + P.dim)
-    status, x, measure, pivots = _simplex(P.A, P.b, c, budget, tol)
+    status, x, measure, pivots = _simplex(P.A, P.b, c, budget, tol, target)
     _WORK.pivots += pivots
     return status, x, measure
 
 
-def solve_lp(c, P: Polyhedron, sense: str = "min", *, tol: float = OPT_TOL) -> LpResult:
+def solve_lp(c, P: Polyhedron, sense: str = "min", *, tol: float = OPT_TOL,
+             target: Optional[float] = None) -> LpResult:
     """Optimize the linear objective c over P.
 
     Args:
         c: objective coefficients, length P.dim.
         P: feasible set.
         sense: "min" or "max".
+        target: when given, the solve stops with status "target" at the
+            first basic point short of optimal whose objective is beyond
+            `target` (above it for "max", below for "min"). The simplex only
+            improves the objective, so the optimum is beyond `target` too.
+            A solve that never gets there returns exactly what it returns
+            without a target, in as many pivots.
 
     Returns:
         LpResult. The pivot budget is PIVOT_CAP_FACTOR*(rows+dim); running
@@ -358,13 +382,14 @@ def solve_lp(c, P: Polyhedron, sense: str = "min", *, tol: float = OPT_TOL) -> L
         raise ValueError(f"objective has {c.size} entries, polyhedron dim is {P.dim}")
     if sense not in ("min", "max"):
         raise ValueError(f"unknown sense {sense!r}")
-    status, x, _ = _solve(P, c if sense == "min" else -c, tol)
+    # The tableau tracks -(c^T x) for "min" and c^T x for "max".
+    bound = np.inf if target is None else (target if sense == "max" else -target)
+    status, x, _ = _solve(P, c if sense == "min" else -c, tol, bound)
     if status == "infeasible":
         return LpResult("infeasible", float("nan"), None)
     if status == "unbounded":
         return LpResult("unbounded", float("-inf") if sense == "min" else float("inf"), None)
-    value = float(c @ x)
-    return LpResult("optimal", value, x)
+    return LpResult(status, float(c @ x), x)
 
 
 def phase1_measure(P: Polyhedron, *, tol: float = OPT_TOL
@@ -379,7 +404,18 @@ def phase1_measure(P: Polyhedron, *, tol: float = OPT_TOL
     return measure, x
 
 
-def feasible_point(P: Polyhedron) -> Optional[np.ndarray]:
+def _shifted_rhs(P: Polyhedron, point) -> Optional[np.ndarray]:
+    """b - A point with rounding negatives set to 0, or None when `point`
+    violates a row of P by more than FEAS_TOL."""
+    rhs = P.b - P.A @ point
+    if rhs.min() < -FEAS_TOL:
+        return None
+    rhs[(rhs < 0.0) & (rhs > -_TINY_RHS)] = 0.0
+    return rhs
+
+
+def feasible_point(P: Polyhedron, start: Optional[np.ndarray] = None
+                   ) -> Optional[np.ndarray]:
     """A point of P from one phase-1 LP, or None when P is empty.
 
     P is empty when its phase-1 violation exceeds FEAS_TOL. The point is the
@@ -387,13 +423,26 @@ def feasible_point(P: Polyhedron) -> Optional[np.ndarray]:
     error, and on badly conditioned rows by more; remove_redundant checks it
     before use. A set that is nonempty but has no interior (a single point, a
     facet) is nonempty: the test measures infeasibility, not thinness.
+
+    `start`, a point believed to lie in P, poses the phase-1 LP in
+    y = x - start instead. When start satisfies every row to within
+    FEAS_TOL, the right-hand side b - A start is nonnegative up to rounding
+    noise (cleared by the tiny-rhs rule) or tiny violations, so phase 1 has
+    little or nothing to do, and start + y is returned. A start that violates
+    a row by more is ignored: the LP is posed as without it.
     """
     zero = ~P.A.any(axis=1)
     if (zero & (P.b < 0.0)).any():
         return None
     if P.nrows == 0:
         return np.zeros(P.dim)
-    measure, x = phase1_measure(P)
+    rhs = None if start is None else _shifted_rhs(P, start)
+    if rhs is None:
+        measure, x = phase1_measure(P)
+    else:
+        # P has no zero rows here, so the shifted rows are all nontrivial.
+        measure, y = phase1_measure(Polyhedron._from_rows(P.A, rhs, P.dim))
+        x = None if y is None else start + y
     return None if x is None or measure > FEAS_TOL else x
 
 
@@ -424,18 +473,20 @@ def remove_redundant(P: Polyhedron, tol: float = REDUNDANCY_TOL,
 
     `point`, a point of P such as feasible_point(P) returns, lets every test
     LP skip phase 1: the LPs are solved in y = x - point, where the right-hand
-    side b - A point is nonnegative, and row i is kept when a_i y can exceed
+    side b - A point is nonnegative once rounding negatives in (-_TINY_RHS, 0)
+    are set to 0, and row i is kept when a_i y can exceed
     (b_i - a_i point) + tol. In exact arithmetic these are the same LPs. A
     point that violates some row by more than FEAS_TOL is ignored.
+
+    Each test LP stops as soon as its objective passes the row's bound by
+    2*tol: the simplex only raises it, so the full LP would keep the row as
+    well, and the extra tol absorbs rounding.
     """
     r = P.nrows
     if r <= 1:
         return P
-    rhs = P.b
-    if point is not None:
-        shifted = P.b - P.A @ point
-        if shifted.min() >= -FEAS_TOL:
-            rhs = shifted
+    shifted = None if point is None else _shifted_rhs(P, point)
+    rhs = P.b if shifted is None else shifted
     An, bn = normalize_rows(P.A, P.b)
     keep = []
     for i in range(r):
@@ -463,7 +514,7 @@ def remove_redundant(P: Polyhedron, tol: float = REDUNDANCY_TOL,
         else:
             guard = Polyhedron._from_rows(P.A[rows], guard_b, P.dim)
         try:
-            res = solve_lp(P.A[i], guard, "max")
+            res = solve_lp(P.A[i], guard, "max", target=rhs[i] + 2.0 * tol)
         except LpPivotLimitError:
             log.debug("redundancy LP hit the pivot cap, retaining row %d", i)
             continue
@@ -520,11 +571,14 @@ def project_fm(P: Polyhedron, keep: int, *, row_cap: int = FM_ROW_CAP) -> Polyhe
     constructor, an empty intermediate short-circuits to the canonical empty
     set, and remove_redundant keeps the row count from snowballing. When an
     intermediate system would exceed row_cap rows, RowExplosionError is
-    raised rather than grinding on.
+    raised rather than grinding on. Each stage's emptiness test starts at
+    the previous stage's point with its last coordinate dropped, which lies
+    in the projection.
     """
     if not 0 < keep < P.dim:
         raise ValueError(f"keep must lie strictly between 0 and {P.dim}")
     cur = P
+    x0 = None
     while cur.dim > keep:
         A, b = cur.A, cur.b
         scale = np.maximum(np.abs(A).max(axis=1, initial=0.0), np.abs(b))
@@ -551,7 +605,7 @@ def project_fm(P: Polyhedron, keep: int, *, row_cap: int = FM_ROW_CAP) -> Polyhe
             parts_A.append(comb_A.reshape(-1, A.shape[1] - 1))
             parts_b.append(comb_b.reshape(-1))
         cur = Polyhedron(np.vstack(parts_A), np.concatenate(parts_b), cur.dim - 1)
-        x0 = feasible_point(cur)
+        x0 = feasible_point(cur, start=None if x0 is None else x0[:-1])
         if x0 is None:
             return Polyhedron.empty(keep)
         cur = remove_redundant(cur, point=x0)

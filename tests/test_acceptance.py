@@ -144,7 +144,7 @@ def test_criterion_04_split_cover_and_overlap(toy):
             assert any(contains(c, pt, slack=1e-9) for c in children)
         nominal = partition_step(rec.region, rec.state, toy, tol,
                                  ErrorModel(), rec.step_k)
-        for idx, nom in nominal:
+        for idx, nom, _ in nominal:
             assert idx in inflated
             assert poly_contains_poly(nom, inflated[idx], tol=1e-8)
     assert len(traced.trace) > 0

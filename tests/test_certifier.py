@@ -89,7 +89,7 @@ class TestPartitionStep:
         prob = toy_problem()
         out = partition_step(prob.theta_set, SolverState((), SLACK_CHECK), prob,
                              Tolerances(), ErrorModel(), 0)
-        by_index = {idx: reg for idx, reg in out}
+        by_index = {idx: reg for idx, reg, _ in out}
         assert set(by_index) == {PASS_INDEX, 0}
         assert poly_equal(by_index[PASS_INDEX], interval(-1.0 - EPS_P, 3.0))
         assert poly_equal(by_index[0], interval(-3.0, -1.0 - EPS_P))
@@ -99,7 +99,7 @@ class TestPartitionStep:
         model = ErrorModel(kind="hypercube", bound=0.1)
         out = partition_step(prob.theta_set, SolverState((), SLACK_CHECK), prob,
                              Tolerances(), model, 0)
-        by_index = {idx: reg for idx, reg in out}
+        by_index = {idx: reg for idx, reg, _ in out}
         assert poly_equal(by_index[PASS_INDEX], interval(-1.1 - EPS_P, 3.0))
         assert poly_equal(by_index[0], interval(-3.0, -0.9 - EPS_P))
         lo1, hi1 = spans(by_index[PASS_INDEX])
@@ -118,7 +118,7 @@ class TestPartitionStep:
         state = SolverState((0,), DUAL_CHECK)
         model = ErrorModel(kind="hypercube", bound=0.1, perturb_dual=True)
         out = partition_step(prob.theta_set, state, prob, Tolerances(), model, 1)
-        by_index = {idx: reg for idx, reg in out}
+        by_index = {idx: reg for idx, reg, _ in out}
         # multiplier map is -1-theta; pass needs it >= -eps_d (minus spread)
         assert poly_equal(by_index[PASS_INDEX], interval(-3.0, -0.9 + EPS_P))
         assert poly_equal(by_index[0], interval(-1.1 + EPS_P, 3.0))
@@ -128,7 +128,7 @@ class TestPartitionStep:
         state = SolverState((0,), DUAL_CHECK)
         model = ErrorModel(kind="hypercube", bound=0.1)  # slack errors only
         out = partition_step(prob.theta_set, state, prob, Tolerances(), model, 1)
-        by_index = {idx: reg for idx, reg in out}
+        by_index = {idx: reg for idx, reg, _ in out}
         assert poly_equal(by_index[PASS_INDEX], interval(-3.0, -1.0 + EPS_P))
         assert poly_equal(by_index[0], interval(-1.0 + EPS_P, 3.0))
 
@@ -138,7 +138,7 @@ class TestPartitionStep:
         out = partition_step(prob.theta_set, SolverState((), SLACK_CHECK), prob,
                              Tolerances(), model, 0)
         # max |1+theta| over [-3,3] is 4, so the bound converts to 0.4.
-        by_index = {idx: reg for idx, reg in out}
+        by_index = {idx: reg for idx, reg, _ in out}
         assert poly_equal(by_index[PASS_INDEX], interval(-1.4 - EPS_P, 3.0))
 
     def test_singular_state_rejected(self):
@@ -393,13 +393,15 @@ def test_work_counters_of_shipped_double_integrator():
     # Regression counters for problems/double_integrator.json at hypercube
     # 1e-4. LP calls are fixed by the exploration; pivots by the kernel and
     # by how each LP is posed. Pivots were 12604 while every redundancy LP
-    # still ran its own phase 1; they fell when those LPs started at the
-    # emptiness test's point.
+    # still ran its own phase 1; they fell to 7870 when those LPs started at
+    # the emptiness test's point, and to 6284 when rounding negatives stopped
+    # forcing phase 1, redundancy LPs stopped once a row was proved kept, and
+    # emptiness tests started at the parent region's point.
     prob = shipped_double_integrator()
     lps, pivots = geo.lp_call_count(), geo.pivot_count()
     res = certify(prob, model=ErrorModel(kind="hypercube", bound=1e-4))
     assert geo.lp_call_count() - lps == res.stats["lp_calls"] == 4149
-    assert geo.pivot_count() - pivots == 7870
+    assert geo.pivot_count() - pivots == 6284
     assert len(res.regions) == 223
 
 

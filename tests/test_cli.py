@@ -301,6 +301,14 @@ class TestValidate:
         assert code == 2
         assert "cannot sample" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--primal-tol", "0.5"), ("--dual-tol", "0.5"), ("--iter-limit", "0")])
+    def test_tolerance_flags_exit_2(self, toy_path, toy_partition, capsys, flag, value):
+        # Validation runs with the partition's own tolerances; a flag it
+        # would ignore is refused rather than echoed into the report.
+        assert self._validate(toy_path, toy_partition, flag, value) == 2
+        assert flag in capsys.readouterr().err
+
     def test_rel_bound_exits_2(self, toy_path, toy_partition, capsys):
         assert self._validate(toy_path, toy_partition, "--rel-bound", "0.5") == 2
         assert "cannot sample" in capsys.readouterr().err

@@ -397,6 +397,239 @@ class TestShiftedRedundancy:
         assert total > 30
 
 
+def _ref_remove_redundant(P, tol=geo.REDUNDANCY_TOL, point=None):
+    """remove_redundant as it read before rounding negatives were cleared
+    from the shifted right-hand side and guard LPs stopped early: every
+    guard LP runs to its optimum."""
+    if P.nrows <= 1:
+        return P
+    rhs = P.b
+    if point is not None:
+        shifted = P.b - P.A @ point
+        if shifted.min() >= -geo.FEAS_TOL:
+            rhs = shifted
+    An, bn = geo.normalize_rows(P.A, P.b)
+    keep = []
+    for i in range(P.nrows):
+        if not any(abs(bn[i] - bn[j]) <= 1e-12 and np.max(np.abs(An[i] - An[j])) <= 1e-12
+                   for j in keep):
+            keep.append(i)
+    survivors = list(keep)
+    for i in list(survivors):
+        others = [j for j in survivors if j != i]
+        if not others:
+            break
+        guard = Polyhedron(P.A[others + [i]],
+                           np.concatenate([rhs[others], [rhs[i] + 1.0]]), P.dim)
+        try:
+            res = solve_lp(P.A[i], guard, "max")
+        except LpPivotLimitError:
+            continue
+        if res.status == "optimal" and res.value <= rhs[i] + tol:
+            survivors.remove(i)
+    return Polyhedron(P.A[survivors], P.b[survivors], P.dim)
+
+
+def _pivot_batch_sets(monkeypatch):
+    """The polytopes _pivot_batch hands to remove_redundant."""
+    seen = []
+    remove = remove_redundant
+
+    def spy(P, *args, **kwargs):
+        seen.append(P)
+        return remove(P, *args, **kwargs)
+
+    monkeypatch.setitem(globals(), "remove_redundant", spy)
+    _pivot_batch()
+    monkeypatch.setitem(globals(), "remove_redundant", remove)
+    return seen
+
+
+def _step_out(P, x, k, violation):
+    """x moved across row k of P until the row is violated by `violation`
+    (a negative violation leaves it that far inside)."""
+    a = P.A[k]
+    return x + a * ((P.b[k] - a @ x + violation) / (a @ a))
+
+
+class TestEarlyStopAndClamp:
+    """Guard LPs that stop once their row is proved kept, rounding negatives
+    cleared from shifted right-hand sides, and emptiness tests started at a
+    known point, each against the code as it read before."""
+
+    def _check_same_rows(self, P, point):
+        lps = geo.lp_call_count()
+        R = remove_redundant(P, point=point)
+        lps = geo.lp_call_count() - lps
+        before = geo.lp_call_count()
+        R0 = _ref_remove_redundant(P, point=point)
+        assert lps == geo.lp_call_count() - before
+        assert _same_bits(R.A, R0.A) and _same_bits(R.b, R0.b)
+        return P.nrows, R.nrows
+
+    def test_redundancy_batches_match_reference(self):
+        rows_in = rows_out = 0
+        for seed in (43, 47):
+            for kind, P in _redundancy_batch(seed):
+                x0 = geo.feasible_point(P)
+                for point in (None, x0, interior_point(P)[0]):
+                    got = self._check_same_rows(P, point)
+                    rows_in, rows_out = rows_in + got[0], rows_out + got[1]
+        assert 0.3 * rows_in < rows_out < 0.9 * rows_in
+
+    def test_pivot_batch_matches_reference(self, monkeypatch):
+        sets = _pivot_batch_sets(monkeypatch)
+        assert len(sets) >= 5
+        for P in sets:
+            for point in (None, geo.feasible_point(P)):
+                self._check_same_rows(P, point)
+
+    def test_scaled_rows_match_reference(self):
+        rng = np.random.default_rng(53)
+        count = 0
+        for kind, P in _redundancy_batch(59):
+            s = 10.0 ** rng.choice([-4.0, 0.0, 4.0], size=P.nrows)
+            P = Polyhedron(P.A * s[:, None], P.b * s, P.dim)
+            x0 = geo.feasible_point(P)
+            if x0 is None:
+                continue
+            for point in (None, x0):
+                self._check_same_rows(P, point)
+            count += 1
+        assert count > 60
+
+    @pytest.mark.parametrize("violation", [2e-11, 2e-10, 9e-10, 3 * geo.FEAS_TOL, 1.0])
+    def test_violating_points_match_reference(self, violation):
+        total = 0
+        for kind, P in _redundancy_batch(47)[:40]:
+            if P.nrows < 2:
+                continue
+            x0 = geo.feasible_point(P)
+            k = int(np.argmin(P.b - P.A @ x0))
+            self._check_same_rows(P, _step_out(P, x0, k, violation))
+            total += 1
+        assert total > 30
+
+    @pytest.mark.parametrize("violation", [2e-11, 2e-10, 9e-10])
+    def test_violation_beyond_rounding_is_not_cleared(self, violation):
+        # x + y <= 1 - cut trims the box's corner (3, -2) by cut =
+        # REDUNDANCY_TOL + violation / 2, so the row is kept. Seen from a
+        # point that violates it by `violation`, within FEAS_TOL but beyond
+        # the tiny-rhs rule, the LP must not relax the row to pass the point.
+        cut = geo.REDUNDANCY_TOL + violation / 2
+        Q = Polyhedron.box([2.0, -3.0], [3.0, -2.0]).intersect([1.0, 1.0], [1.0 - cut])
+        point = _step_out(Q, np.array([2.5, -2.5]), 4, violation)
+        assert np.all(Q.A[:4] @ point <= Q.b[:4])
+        assert remove_redundant(Q, point=point).nrows == 5
+        assert _ref_remove_redundant(Q, point=point).nrows == 5
+
+    def test_target_stops_only_beyond_the_optimum(self):
+        stopped = full = 0
+        for kind, P, c in _kernel_lps(61, 600):
+            for sense in ("max", "min"):
+                lps, pivots = geo.lp_call_count(), geo.pivot_count()
+                want = solve_lp(c, P, sense)
+                want_pivots = geo.pivot_count() - pivots
+                sign = 1.0 if sense == "max" else -1.0
+                value = want.value if want.status == "optimal" else 0.0
+                for gap in (-1.0, -1e-3, 0.0, 1e-3, 1.0):
+                    t = value - sign * gap
+                    pivots = geo.pivot_count()
+                    res = solve_lp(c, P, sense, target=t)
+                    used = geo.pivot_count() - pivots
+                    if res.status == "target":
+                        # With t at the optimum, the running value may pass t
+                        # by rounding at a vertex that ties the optimum;
+                        # remove_redundant's extra tol covers this.
+                        slack = 1e-12 * max(1.0, abs(t)) if gap == 0.0 else 0.0
+                        assert want.status in ("optimal", "unbounded"), kind
+                        if want.status == "optimal":
+                            assert sign * (want.value - t) > -slack, kind
+                        assert sign * (res.value - t) > -slack, kind
+                        assert contains(P, res.point, 1e-9), kind
+                        # An unbounded LP may stop on the pivot it would
+                        # have found unbounded; an optimal one saves a pivot.
+                        assert used <= want_pivots - (want.status == "optimal"), kind
+                        stopped += 1
+                        continue
+                    assert res.status == want.status, kind
+                    assert _same_bits(np.float64(res.value), np.float64(want.value)), kind
+                    assert (res.point is None) == (want.point is None), kind
+                    if want.point is not None:
+                        assert _same_bits(res.point, want.point), kind
+                    assert used == want_pivots, kind
+                    full += 1
+        assert stopped > 100 and full > 100
+
+    def test_guard_lps_stop_early(self, monkeypatch):
+        sets = _pivot_batch_sets(monkeypatch)
+        pivots = {}
+        for key, remove in (("new", remove_redundant), ("ref", _ref_remove_redundant)):
+            before = geo.pivot_count()
+            for P in sets:
+                remove(P, point=geo.feasible_point(P))
+            pivots[key] = geo.pivot_count() - before
+        assert pivots["new"] < 0.9 * pivots["ref"]
+
+    def _starts(self, P, rng):
+        """(where, start) pairs: inside P, on its boundary, outside it."""
+        x0 = geo.feasible_point(P)
+        if x0 is None:
+            yield "outside", rng.uniform(-2.0, 2.0, size=P.dim)
+            yield "outside", np.zeros(P.dim)
+            return
+        yield "boundary", x0
+        inner = x0
+        try:
+            centre, radius = interior_point(P)
+            if radius > 0.0:
+                inner = centre
+                yield "inside", centre
+        except GeometryError:
+            pass
+        k = int(rng.integers(max(P.nrows, 1)))
+        if P.nrows and np.any(P.A[k]):
+            yield "boundary", _step_out(P, inner, k, 0.0)
+            yield "outside", _step_out(P, inner, k, 1e-6)
+            yield "outside", _step_out(P, inner, k, 1.0)
+
+    def test_start_changes_no_emptiness_verdict(self):
+        rng = np.random.default_rng(67)
+        seen = set()
+        for P in TestFeasiblePoint()._cases():
+            want = geo.feasible_point(P)
+            zero_neg = (~P.A.any(axis=1) & (P.b < 0.0)).any()
+            for where, start in self._starts(P, rng):
+                lps = geo.lp_call_count()
+                x = geo.feasible_point(P, start=start)
+                assert geo.lp_call_count() - lps == (0 if zero_neg or P.nrows == 0 else 1)
+                assert (x is None) == (want is None), where
+                if x is not None:
+                    assert np.all(P.A @ x <= P.b + geo.FEAS_TOL), where
+                if np.min(P.b - P.A @ start, initial=0.0) < -geo.FEAS_TOL:
+                    # A start outside P is ignored: today's LP, bit for bit.
+                    pivots = geo.pivot_count()
+                    again = geo.feasible_point(P, start=start)
+                    used = geo.pivot_count() - pivots
+                    pivots = geo.pivot_count()
+                    geo.feasible_point(P)
+                    assert used == geo.pivot_count() - pivots, where
+                    assert (again is None) == (want is None), where
+                    if want is not None:
+                        assert _same_bits(again, want), where
+                seen.add((where, want is None))
+        assert seen >= {("inside", False), ("boundary", False), ("outside", False),
+                        ("outside", True)}
+
+    def test_start_inside_needs_no_pivots(self):
+        P = Polyhedron.box([2.0, -3.0], [3.0, -2.0])
+        for start in ([2.5, -2.5], [3.0, -2.0], [3.0 + 1e-12, -2.0]):
+            pivots = geo.pivot_count()
+            x = geo.feasible_point(P, start=np.array(start))
+            assert geo.pivot_count() == pivots
+            assert _same_bits(x, np.array(start) + 0.0)
+
+
 class TestInteriorPoint:
     def test_right_triangle_incircle(self):
         # x >= 0, y >= 0, x + y <= 1. Inscribed circle radius (2 - sqrt(2)) / 2.
@@ -769,11 +1002,13 @@ class TestKernel:
         assert drive_outs
 
     def test_pivot_total_of_seeded_batch(self):
-        # Counts recorded with the row-at-a-time kernel; they must not move.
+        # Counts recorded with the row-at-a-time kernel. Pivots were 683
+        # until redundancy LPs stopped once their row was proved kept; the
+        # LP count must not move.
         lps, pivots = geo.lp_call_count(), geo.pivot_count()
         _pivot_batch()
         assert geo.lp_call_count() - lps == 182
-        assert geo.pivot_count() - pivots == 683
+        assert geo.pivot_count() - pivots == 659
 
     def test_pivot_count_follows_each_solve(self):
         P = Polyhedron([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [-0.5, -0.5, 3.0])
@@ -800,7 +1035,7 @@ class TestKernel:
         worker.start()
         worker.join(timeout=60)
         assert not worker.is_alive()
-        assert seen == [(182, 683)]
+        assert seen == [(182, 659)]
         assert (geo.lp_call_count(), geo.pivot_count()) == (lps, pivots)
 
     @pytest.mark.parametrize("A, b, c, point", [
