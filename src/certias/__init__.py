@@ -1,6 +1,7 @@
 """Worst-case certification of a dual active-set QP solver over parameter sets."""
 
 from certias.analysis import (
+    IterationCdf,
     SlackProfile,
     SweepTable,
     iteration_cdf,
@@ -61,6 +62,7 @@ __all__ = [
     "ErrorModel",
     "GeometryError",
     "InfeasibleProblemError",
+    "IterationCdf",
     "LpResult",
     "MpQP",
     "Polyhedron",

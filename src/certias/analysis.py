@@ -2,8 +2,9 @@
 
 Everything here is derived from certification output by linear programming
 over the stored regions, so each number is reproducible from a saved
-partition document. CSV emitters use fixed headers so downstream plotting
-scripts can rely on them.
+partition document. Each table writes its own JSON document, and its CSV is
+that document's rows under the table's fixed column header, so downstream
+plotting scripts can rely on both.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional
 
 from certias.certifier import CertificationResult, certify
 from certias.geometry import solve_lp
-from certias.lpp import KIND_HYPERCUBE, ErrorModel
+from certias.lpp import ErrorModel
 from certias.mpqp import MpQP, subproblem_maps
 from certias.solver import SLACK_CHECK, Tolerances
 
@@ -24,8 +25,23 @@ log = logging.getLogger("certias.analysis")
 INF = math.inf
 
 
+class _Table:
+    """A table whose document lists its rows under the key ROWS, each row a
+    dict over the column names COLUMNS in order."""
+
+    def _rows(self, values) -> list:
+        return [dict(zip(self.COLUMNS, v)) for v in values]
+
+    def to_csv(self) -> str:
+        """The header COLUMNS, then one line per row of the document."""
+        lines = [",".join(self.COLUMNS)]
+        lines += [",".join(str(v) for v in row.values())
+                  for row in self.to_document()[self.ROWS]]
+        return "\n".join(lines) + "\n"
+
+
 @dataclass
-class SlackProfile:
+class SlackProfile(_Table):
     """Worst-case primal constraint violation after k executed iterations.
 
     per_iteration[k] = (k, worst_slack) where worst_slack maximizes
@@ -40,23 +56,56 @@ class SlackProfile:
     skipped_singular: int = 0
     lp_failures: int = 0
 
+    COLUMNS = ("k", "worst_slack")
+    ROWS = "per_iteration"
+
     def values(self) -> list:
         return [v for _, v in self.per_iteration]
 
+    def to_document(self) -> dict:
+        return {self.ROWS: self._rows((k, float(v)) for k, v in self.per_iteration),
+                "skipped_singular": self.skipped_singular,
+                "lp_failures": self.lp_failures}
+
 
 @dataclass
-class SweepTable:
+class IterationCdf(_Table):
+    """points: (k, fraction of regions done within k iterations) for
+    k = 1..max, as iteration_cdf computes them."""
+
+    points: list
+
+    COLUMNS = ("k", "fraction")
+    ROWS = "cdf"
+
+    def to_document(self) -> dict:
+        return {self.ROWS: self._rows((k, float(v)) for k, v in self.points)}
+
+
+@dataclass
+class SweepTable(_Table):
     """Grid of certified worst-case iteration counts.
 
     rows: (eps_primal, eps_bar, worst_iterations, region_count) sorted by
     (eps_primal, eps_bar) ascending. worst_iterations is math.inf exactly
-    when the cell's partition contains an iteration-limit region; emitters
-    render it as the string INF. Cells whose certification failed appear in
-    annotations instead of rows.
+    when the cell's partition contains an iteration-limit region; the
+    document writes it as the string INF. Cells whose certification failed
+    appear in annotations instead of rows.
     """
 
     rows: list = field(default_factory=list)
     annotations: list = field(default_factory=list)
+
+    COLUMNS = ("eps_primal", "eps_bar", "worst_iterations", "region_count")
+    ROWS = "rows"
+
+    def to_document(self) -> dict:
+        rows = self._rows((float(ep), float(eb),
+                           "INF" if math.isinf(worst) else int(worst), count)
+                          for ep, eb, worst, count in self.rows)
+        notes = [{"eps_primal": float(ep), "eps_bar": float(eb), "message": msg}
+                 for ep, eb, msg in self.annotations]
+        return {self.ROWS: rows, "annotations": notes}
 
 
 def _region_worst(prob: MpQP, region, working_set) -> Optional[float]:
@@ -120,7 +169,7 @@ def slack_profile(prob: MpQP, result: CertificationResult) -> SlackProfile:
                         lp_failures=failures)
 
 
-def iteration_cdf(result: CertificationResult) -> list:
+def iteration_cdf(result: CertificationResult) -> IterationCdf:
     """(k, fraction of regions done within k iterations) for k = 1..max.
 
     Fractions weigh regions by count, not volume. Regions that hit the
@@ -136,7 +185,7 @@ def iteration_cdf(result: CertificationResult) -> list:
         done = sum(1 for r in result.regions
                    if r.status != "iter_limit" and r.iterations <= k)
         out.append((k, done / total))
-    return out
+    return IterationCdf(out)
 
 
 def sweep(prob: MpQP, eps_primal_list, eps_bar_list,
@@ -160,10 +209,8 @@ def sweep(prob: MpQP, eps_primal_list, eps_bar_list,
         for eb in sorted(eps_bar_list):
             tol = Tolerances(eps_primal=ep, eps_dual=tol_base.eps_dual,
                              iter_limit=tol_base.iter_limit)
-            model = (ErrorModel() if eb == 0.0
-                     else ErrorModel(kind=KIND_HYPERCUBE, bound=eb))
             try:
-                result = certify(prob, tol, model)
+                result = certify(prob, tol, ErrorModel.from_eps_bar(eb))
             except Exception as exc:
                 log.warning("sweep cell (%g, %g) failed: %s", ep, eb, exc)
                 table.annotations.append((ep, eb, f"{type(exc).__name__}: {exc}"))
@@ -172,47 +219,3 @@ def sweep(prob: MpQP, eps_primal_list, eps_bar_list,
             worst = INF if capped else max(r.iterations for r in result.regions)
             table.rows.append((ep, eb, worst, len(result.regions)))
     return table
-
-
-def profile_to_csv(profile: SlackProfile) -> str:
-    lines = ["k,worst_slack"]
-    lines += [f"{k},{float(v)!r}" for k, v in profile.per_iteration]
-    return "\n".join(lines) + "\n"
-
-
-def cdf_to_csv(cdf) -> str:
-    lines = ["k,fraction"]
-    lines += [f"{k},{float(v)!r}" for k, v in cdf]
-    return "\n".join(lines) + "\n"
-
-
-def sweep_to_csv(table: SweepTable) -> str:
-    lines = ["eps_primal,eps_bar,worst_iterations,region_count"]
-    for ep, eb, worst, count in table.rows:
-        cell = "INF" if math.isinf(worst) else str(int(worst))
-        lines.append(f"{float(ep)!r},{float(eb)!r},{cell},{count}")
-    return "\n".join(lines) + "\n"
-
-
-def profile_to_json(profile: SlackProfile) -> dict:
-    return {
-        "per_iteration": [{"k": k, "worst_slack": float(v)}
-                          for k, v in profile.per_iteration],
-        "skipped_singular": profile.skipped_singular,
-        "lp_failures": profile.lp_failures,
-    }
-
-
-def cdf_to_json(cdf) -> dict:
-    return {"cdf": [{"k": k, "fraction": float(v)} for k, v in cdf]}
-
-
-def sweep_to_json(table: SweepTable) -> dict:
-    rows = []
-    for ep, eb, worst, count in table.rows:
-        rows.append({"eps_primal": float(ep), "eps_bar": float(eb),
-                     "worst_iterations": "INF" if math.isinf(worst) else int(worst),
-                     "region_count": count})
-    notes = [{"eps_primal": float(ep), "eps_bar": float(eb), "message": msg}
-             for ep, eb, msg in table.annotations]
-    return {"rows": rows, "annotations": notes}

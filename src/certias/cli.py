@@ -1,12 +1,14 @@
 """Command-line front end: certify, validate, sweep, and report.
 
-Each output document is its type's to_document() plus the echoed run
-configuration. All are JSON with matrices as row-major nested arrays; floats
-are written in their shortest round-tripping decimal form, so reading a
-document back reproduces every matrix bit for bit. Keys are sorted and
-indentation is fixed, which makes output documents byte-stable: the same
-problem, flags, and seed give identical bytes on every run. --workers is
-accepted for compatibility; certification runs on the calling thread.
+Every command writes through _emit: the result's to_document() plus the
+echoed run configuration, or for the analysis tables of sweep and report,
+to_csv() unless --out ends in .json. Documents are JSON with matrices as
+row-major nested arrays; floats are written in their shortest round-tripping
+decimal form, so reading a document back reproduces every matrix bit for
+bit. Keys are sorted and indentation is fixed, which makes output documents
+byte-stable: the same problem, flags, and seed give identical bytes on
+every run. --workers is accepted for compatibility; certification runs on
+the calling thread.
 
 Exit codes: 0 success, 1 validation found mismatches or coverage gaps,
 2 input problems (missing or malformed files, bad flag values), 3 anything
@@ -22,23 +24,13 @@ import logging
 import os
 import pathlib
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
-from certias.analysis import (
-    cdf_to_csv,
-    cdf_to_json,
-    iteration_cdf,
-    profile_to_csv,
-    profile_to_json,
-    slack_profile,
-    sweep,
-    sweep_to_csv,
-    sweep_to_json,
-)
+from certias.analysis import iteration_cdf, slack_profile, sweep
 from certias.certifier import CertificationResult, certify
 from certias.geometry import GeometryError
-from certias.lpp import KIND_HYPERCUBE, KIND_RELATIVE, ErrorModel
+from certias.lpp import KIND_RELATIVE, ErrorModel
 from certias.mpqp import MpQP, load_problem
 from certias.solver import Tolerances
 from certias.validation import validate_conformance
@@ -78,11 +70,8 @@ class RunConfig:
     eps_bars: Optional[list] = None
 
     def echo(self) -> dict:
-        keep = ("command", "problem_path", "partition_path", "primal_tol",
-                "dual_tol", "iter_limit", "eps_bar", "error_model_path",
-                "rel_bound", "samples", "seed", "metric", "primal_tols",
-                "eps_bars")
-        return {k: getattr(self, k) for k in keep}
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("out", "workers")}
 
     def tolerances(self) -> Tolerances:
         try:
@@ -152,12 +141,12 @@ def build_model(cfg: RunConfig) -> Optional[ErrorModel]:
     if cfg.rel_bound is not None:
         return ErrorModel(kind=KIND_RELATIVE, rel_bound=cfg.rel_bound)
     if cfg.eps_bar is not None:
-        return (ErrorModel() if cfg.eps_bar == 0.0
-                else ErrorModel(kind=KIND_HYPERCUBE, bound=cfg.eps_bar))
+        return ErrorModel.from_eps_bar(cfg.eps_bar)
     return None
 
 
-def result_to_document(result: CertificationResult, cfg: RunConfig) -> dict:
+def result_to_document(result, cfg: RunConfig) -> dict:
+    """result's to_document() with the echoed run configuration."""
     return {"config": cfg.echo(), **result.to_document()}
 
 
@@ -165,16 +154,17 @@ def dump_document(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(text_csv: Optional[str], json_doc: dict, out: Optional[str]) -> None:
-    """Write CSV or its JSON mirror, chosen by the output extension; JSON
-    only when there is no CSV form."""
-    text = text_csv
-    if text is None or (out is not None and pathlib.Path(out).suffix == ".json"):
-        text = dump_document(json_doc)
-    if out is None:
+def _emit(obj, cfg: RunConfig) -> None:
+    """Write obj to --out, or to stdout without one: as CSV when obj is an
+    analysis table and --out does not end in .json, else as its document."""
+    if hasattr(obj, "to_csv") and not (cfg.out or "").endswith(".json"):
+        text = obj.to_csv()
+    else:
+        text = dump_document(result_to_document(obj, cfg))
+    if cfg.out is None:
         sys.stdout.write(text)
     else:
-        pathlib.Path(out).write_text(text)
+        pathlib.Path(cfg.out).write_text(text)
 
 
 def _require(cfg: RunConfig, field_name: str, flag: str):
@@ -187,7 +177,7 @@ def _require(cfg: RunConfig, field_name: str, flag: str):
 def cmd_certify(cfg: RunConfig) -> int:
     prob = _load_mpqp(_require(cfg, "problem_path", "--problem"))
     result = certify(prob, cfg.tolerances(), build_model(cfg))
-    _emit(None, result_to_document(result, cfg), cfg.out)
+    _emit(result, cfg)
     log.info("certified %d regions (%s)", len(result.regions), result.stats)
     return 0
 
@@ -204,7 +194,10 @@ def cmd_validate(cfg: RunConfig) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     if cfg.out is not None:
-        _emit(None, {"config": cfg.echo(), **report.to_document()}, cfg.out)
+        # Validation runs with the partition's tolerances; echo those.
+        tol = Tolerances.from_document(result.settings)
+        _emit(report, replace(cfg, primal_tol=tol.eps_primal,
+                              dual_tol=tol.eps_dual, iter_limit=tol.iter_limit))
     print(report.summary())
     return 0 if report.passed else 1
 
@@ -217,8 +210,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         table = sweep(prob, eps_list, bar_list, cfg.tolerances())
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    _emit(sweep_to_csv(table), {"config": cfg.echo(), **sweep_to_json(table)},
-          cfg.out)
+    _emit(table, cfg)
     return 0
 
 
@@ -228,18 +220,14 @@ def cmd_report(cfg: RunConfig) -> int:
         return cmd_sweep(cfg)
     if metric == "cdf":
         result = _load_partition(_require(cfg, "partition_path", "--partition"))
-        cdf = iteration_cdf(result)
-        _emit(cdf_to_csv(cdf), {"config": cfg.echo(), **cdf_to_json(cdf)},
-              cfg.out)
+        _emit(iteration_cdf(result), cfg)
         return 0
     # metric == "slack": the per-depth trace is not part of any document,
     # so recertify with trace recording on.
     prob = _load_mpqp(_require(cfg, "problem_path", "--problem"))
     result = certify(prob, cfg.tolerances(), build_model(cfg),
                      record_trace=True)
-    profile = slack_profile(prob, result)
-    _emit(profile_to_csv(profile),
-          {"config": cfg.echo(), **profile_to_json(profile)}, cfg.out)
+    _emit(slack_profile(prob, result), cfg)
     return 0
 
 
@@ -262,17 +250,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--problem", dest="problem_path", metavar="PATH",
                        help="problem document (JSON)")
         p.add_argument("--out", metavar="PATH", help="output file; stdout "
-                       "when omitted (.json selects the JSON mirror for "
-                       "report/sweep)")
+                       "when omitted (sweep and report write CSV unless it "
+                       "ends in .json)")
         if tol_flags:
             p.add_argument("--primal-tol", dest="primal_tol", type=float,
-                           default=1e-6, help="slack tolerance (default 1e-6)")
+                           default=RunConfig.primal_tol,
+                           help="slack tolerance (default %(default)s)")
             p.add_argument("--dual-tol", dest="dual_tol", type=float,
                            default=None,
                            help="multiplier tolerance (default: --primal-tol)")
             p.add_argument("--iter-limit", dest="iter_limit", type=int,
-                           default=15, help="iteration cap (default 15)")
-        p.add_argument("--workers", type=int, default=1,
+                           default=RunConfig.iter_limit,
+                           help="iteration cap (default %(default)s)")
+        p.add_argument("--workers", type=int, default=RunConfig.workers,
                        help="accepted for compatibility; certification runs "
                        "on the calling thread")
         if model_flags:
@@ -294,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_val, tol_flags=False)
     p_val.add_argument("--partition", dest="partition_path", metavar="PATH",
                        help="partition document from certify")
-    p_val.add_argument("--samples", type=int, default=10000)
-    p_val.add_argument("--seed", type=int, default=0)
+    p_val.add_argument("--samples", type=int, default=RunConfig.samples)
+    p_val.add_argument("--seed", type=int, default=RunConfig.seed)
 
     p_sweep = sub.add_parser("sweep", help="grid of certifications")
     common(p_sweep, model_flags=False)

@@ -358,7 +358,7 @@ def _solve(P: Polyhedron, c, tol, target=np.inf):
     return status, x, measure
 
 
-def solve_lp(c, P: Polyhedron, sense: str = "min", *, tol: float = OPT_TOL,
+def solve_lp(c, P: Polyhedron, sense: str = "min", *,
              target: Optional[float] = None) -> LpResult:
     """Optimize the linear objective c over P.
 
@@ -384,7 +384,7 @@ def solve_lp(c, P: Polyhedron, sense: str = "min", *, tol: float = OPT_TOL,
         raise ValueError(f"unknown sense {sense!r}")
     # The tableau tracks -(c^T x) for "min" and c^T x for "max".
     bound = np.inf if target is None else (target if sense == "max" else -target)
-    status, x, _ = _solve(P, c if sense == "min" else -c, tol, bound)
+    status, x, _ = _solve(P, c if sense == "min" else -c, OPT_TOL, bound)
     if status == "infeasible":
         return LpResult("infeasible", float("nan"), None)
     if status == "unbounded":
@@ -392,15 +392,14 @@ def solve_lp(c, P: Polyhedron, sense: str = "min", *, tol: float = OPT_TOL,
     return LpResult(status, float(c @ x), x)
 
 
-def phase1_measure(P: Polyhedron, *, tol: float = OPT_TOL
-                   ) -> tuple[float, Optional[np.ndarray]]:
+def phase1_measure(P: Polyhedron) -> tuple[float, Optional[np.ndarray]]:
     """(measure, x) of P's phase-1 LP.
 
     measure is the minimal total violation of P's rows (0 means feasible); x
     is the basic point phase 1 ends on, None when the kernel finds P
     infeasible.
     """
-    _, x, measure = _solve(P, np.zeros(P.dim), tol)
+    _, x, measure = _solve(P, np.zeros(P.dim), OPT_TOL)
     return measure, x
 
 
@@ -461,26 +460,26 @@ def contains(P: Polyhedron, point, slack: float = 0.0) -> bool:
     return bool(np.all(P.A @ point <= P.b + slack))
 
 
-def remove_redundant(P: Polyhedron, tol: float = REDUNDANCY_TOL,
-                     point: Optional[np.ndarray] = None) -> Polyhedron:
+def remove_redundant(P: Polyhedron, point: Optional[np.ndarray] = None) -> Polyhedron:
     """Minimal sub-representation of a nonempty P with the same point set.
 
     Exact duplicate rows (up to positive scaling) are dropped first, then
     each remaining row is kept only if maximizing its left-hand side subject
-    to the other rows can exceed b_i + tol. A row whose test LP fails
-    numerically is retained: keeping a redundant row is harmless, dropping a
-    needed one is not.
+    to the other rows can exceed b_i + REDUNDANCY_TOL. A row whose test LP
+    fails numerically is retained: keeping a redundant row is harmless,
+    dropping a needed one is not.
 
     `point`, a point of P such as feasible_point(P) returns, lets every test
     LP skip phase 1: the LPs are solved in y = x - point, where the right-hand
     side b - A point is nonnegative once rounding negatives in (-_TINY_RHS, 0)
     are set to 0, and row i is kept when a_i y can exceed
-    (b_i - a_i point) + tol. In exact arithmetic these are the same LPs. A
-    point that violates some row by more than FEAS_TOL is ignored.
+    (b_i - a_i point) + REDUNDANCY_TOL. In exact arithmetic these are the
+    same LPs. A point that violates some row by more than FEAS_TOL is
+    ignored.
 
     Each test LP stops as soon as its objective passes the row's bound by
-    2*tol: the simplex only raises it, so the full LP would keep the row as
-    well, and the extra tol absorbs rounding.
+    2*REDUNDANCY_TOL: the simplex only raises it, so the full LP would keep
+    the row as well, and the extra REDUNDANCY_TOL absorbs rounding.
     """
     r = P.nrows
     if r <= 1:
@@ -514,11 +513,11 @@ def remove_redundant(P: Polyhedron, tol: float = REDUNDANCY_TOL,
         else:
             guard = Polyhedron._from_rows(P.A[rows], guard_b, P.dim)
         try:
-            res = solve_lp(P.A[i], guard, "max", target=rhs[i] + 2.0 * tol)
+            res = solve_lp(P.A[i], guard, "max", target=rhs[i] + 2.0 * REDUNDANCY_TOL)
         except LpPivotLimitError:
             log.debug("redundancy LP hit the pivot cap, retaining row %d", i)
             continue
-        if res.status == "optimal" and res.value <= rhs[i] + tol:
+        if res.status == "optimal" and res.value <= rhs[i] + REDUNDANCY_TOL:
             survivors.remove(i)
     return Polyhedron(P.A[survivors], P.b[survivors], P.dim)
 
@@ -563,14 +562,14 @@ def bounding_box(P: Polyhedron) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def project_fm(P: Polyhedron, keep: int, *, row_cap: int = FM_ROW_CAP) -> Polyhedron:
+def project_fm(P: Polyhedron, keep: int) -> Polyhedron:
     """Orthogonal projection of P onto its first `keep` coordinates.
 
     Coordinates are eliminated one at a time from the back. After each
     elimination the result is pruned: trivial rows vanish in the Polyhedron
     constructor, an empty intermediate short-circuits to the canonical empty
     set, and remove_redundant keeps the row count from snowballing. When an
-    intermediate system would exceed row_cap rows, RowExplosionError is
+    intermediate system would exceed FM_ROW_CAP rows, RowExplosionError is
     raised rather than grinding on. Each stage's emptiness test starts at
     the previous stage's point with its last coordinate dropped, which lies
     in the projection.
@@ -590,9 +589,9 @@ def project_fm(P: Polyhedron, keep: int, *, row_cap: int = FM_ROW_CAP) -> Polyhe
         pos = np.nonzero(col > 1e-12)[0]
         neg = np.nonzero(col < -1e-12)[0]
         n_new = int(zero.sum()) + pos.size * neg.size
-        if n_new > row_cap:
+        if n_new > FM_ROW_CAP:
             raise RowExplosionError(
-                f"projection needs {n_new} rows, cap is {row_cap}")
+                f"projection needs {n_new} rows, cap is {FM_ROW_CAP}")
         parts_A = [A[zero][:, :-1]]
         parts_b = [b[zero]]
         if pos.size and neg.size:

@@ -112,6 +112,11 @@ class ErrorModel:
         return out
 
     @classmethod
+    def from_eps_bar(cls, eps_bar: float) -> "ErrorModel":
+        """Exact arithmetic (kind none) at 0, else the hypercube of that bound."""
+        return cls() if eps_bar == 0.0 else cls(kind=KIND_HYPERCUBE, bound=eps_bar)
+
+    @classmethod
     def from_document(cls, doc: dict) -> "ErrorModel":
         """Model from its JSON form: to_document's output, or an error-model
         file whose polyhedral set is given in full as {"A": ..., "b": ...}.

@@ -14,17 +14,12 @@ import pytest
 
 from certias.analysis import (
     INF,
+    IterationCdf,
     SlackProfile,
     SweepTable,
-    cdf_to_csv,
-    cdf_to_json,
     iteration_cdf,
-    profile_to_csv,
-    profile_to_json,
     slack_profile,
     sweep,
-    sweep_to_csv,
-    sweep_to_json,
 )
 from certias.certifier import CertificationResult, CertifiedRegion, certify
 from certias.examples import double_integrator_problem, toy_problem
@@ -134,21 +129,21 @@ class TestSlackProfile:
 
 class TestIterationCdf:
     def test_toy_exact(self, toy_traced):
-        assert iteration_cdf(toy_traced) == [(1, 0.5), (2, 1.0)]
+        assert iteration_cdf(toy_traced).points == [(1, 0.5), (2, 1.0)]
 
     def test_single_region(self):
         result = _fake_result([_leaf("optimal", 3)])
-        assert iteration_cdf(result) == [(1, 0.0), (2, 0.0), (3, 1.0)]
+        assert iteration_cdf(result).points == [(1, 0.0), (2, 0.0), (3, 1.0)]
 
     def test_capped_regions_never_terminate(self):
         result = _fake_result([_leaf("iter_limit", 15),
                                _leaf("iter_limit", 15)])
-        cdf = iteration_cdf(result)
+        cdf = iteration_cdf(result).points
         assert len(cdf) == 15
         assert all(frac == 0.0 for _, frac in cdf)
 
     def test_toy_inflated_shape(self, toy_inflated_traced):
-        cdf = iteration_cdf(toy_inflated_traced)
+        cdf = iteration_cdf(toy_inflated_traced).points
         fractions = [f for _, f in cdf]
         assert fractions == sorted(fractions)
         capped = sum(1 for r in toy_inflated_traced.regions
@@ -223,31 +218,61 @@ class TestSweep:
 class TestEmitters:
     def test_profile_csv(self):
         profile = SlackProfile(per_iteration=[(0, 2.0), (1, 1e-6)])
-        assert profile_to_csv(profile) == "k,worst_slack\n0,2.0\n1,1e-06\n"
+        assert profile.to_csv() == "k,worst_slack\n0,2.0\n1,1e-06\n"
 
     def test_cdf_csv(self):
-        assert cdf_to_csv([(1, 0.5), (2, 1.0)]) == "k,fraction\n1,0.5\n2,1.0\n"
+        cdf = IterationCdf([(1, 0.5), (2, 1.0)])
+        assert cdf.to_csv() == "k,fraction\n1,0.5\n2,1.0\n"
 
     def test_sweep_csv_renders_inf(self):
         table = SweepTable(rows=[(1e-6, 0.0, 2, 2), (1e-6, 0.1, INF, 45)])
-        lines = sweep_to_csv(table).splitlines()
+        lines = table.to_csv().splitlines()
         assert lines[0] == "eps_primal,eps_bar,worst_iterations,region_count"
         assert lines[1] == "1e-06,0.0,2,2"
         assert lines[2] == "1e-06,0.1,INF,45"
 
     def test_json_mirrors(self):
         profile = SlackProfile(per_iteration=[(0, 2.0)], skipped_singular=1)
-        doc = profile_to_json(profile)
+        doc = profile.to_document()
         assert doc["per_iteration"] == [{"k": 0, "worst_slack": 2.0}]
         assert doc["skipped_singular"] == 1
 
-        assert cdf_to_json([(1, 0.5)]) == {"cdf": [{"k": 1, "fraction": 0.5}]}
+        assert IterationCdf([(1, 0.5)]).to_document() == {
+            "cdf": [{"k": 1, "fraction": 0.5}]}
 
         table = SweepTable(rows=[(1e-6, 0.1, INF, 45)],
                            annotations=[(1e-6, 0.2, "RuntimeError: boom")])
-        doc = sweep_to_json(table)
+        doc = table.to_document()
         assert doc["rows"][0]["worst_iterations"] == "INF"
         assert doc["annotations"][0]["message"] == "RuntimeError: boom"
-        # every float in the mirror survives a JSON round trip bit for bit
+        # every float in the document survives a JSON round trip bit for bit
         again = json.loads(json.dumps(doc))
         assert again == doc
+
+    def test_all_annotated_sweep(self):
+        table = SweepTable(annotations=[(1e-6, 0.1, "RuntimeError: boom")])
+        assert table.to_csv() == "eps_primal,eps_bar,worst_iterations,region_count\n"
+        assert table.to_document() == {"rows": [], "annotations": [
+            {"eps_primal": 1e-6, "eps_bar": 0.1, "message": "RuntimeError: boom"}]}
+
+    def test_negative_infinite_slack(self):
+        # A depth with no region to measure keeps the starting value -inf.
+        profile = SlackProfile(per_iteration=[(0, -INF), (1, 0.5)])
+        assert profile.to_csv() == "k,worst_slack\n0,-inf\n1,0.5\n"
+        assert profile.to_document()["per_iteration"][0] == {"k": 0,
+                                                             "worst_slack": -INF}
+
+    @pytest.mark.parametrize("table", [
+        SlackProfile(per_iteration=[(0, 2.0), (1, -INF), (2, 1e-6)]),
+        IterationCdf([(1, 0.25), (2, 1.0)]),
+        SweepTable(rows=[(1e-6, 0.0, 2, 2), (1e-4, 1e-3, INF, 45)]),
+        SweepTable(annotations=[(1e-6, 0.1, "RuntimeError: boom")]),
+    ], ids=["slack", "cdf", "sweep", "empty-sweep"])
+    def test_csv_lists_the_document_rows(self, table):
+        lines = table.to_csv().splitlines()
+        rows = table.to_document()[table.ROWS]
+        assert len(lines) == len(rows) + 1
+        assert lines[0].split(",") == list(table.COLUMNS)
+        for line, row in zip(lines[1:], rows):
+            assert list(row) == list(table.COLUMNS)
+            assert line.split(",") == [str(v) for v in row.values()]

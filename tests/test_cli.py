@@ -136,6 +136,17 @@ class TestCertify:
         assert main(["certify", "--problem", toy_path]) == 4
         assert "numerical failure: RowExplosionError" in capsys.readouterr().err
 
+    def test_fm_row_cap_is_exit_4(self, toy_path, tmp_path, capsys, monkeypatch):
+        # A polyhedral error set is projected by Fourier-Motzkin elimination,
+        # which reads the cap when it runs.
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({
+            "kind": "polyhedral", "set": {"A": [[1.0], [-1.0]], "b": [0.05, 0.05]}}))
+        monkeypatch.setattr(geometry, "FM_ROW_CAP", 1)
+        assert main(["certify", "--problem", toy_path,
+                     "--error-model", str(model_path)]) == 4
+        assert "numerical failure: RowExplosionError" in capsys.readouterr().err
+
     def test_bad_flag_exits_2(self, toy_path, capsys):
         assert main(["certify", "--problem", toy_path,
                      "--iter-limit", "abc"]) == 2
@@ -207,10 +218,11 @@ class TestDeterminism:
 
     # sha256 of the `validate --out` report of the exact toy partition under
     # --eps-bar 0.1 --samples 800 --seed 3 (134 mismatches), recorded with
-    # the relative paths problems/toy.json and part.json. Same platform
+    # the relative paths problems/toy.json and part.json. Its config echoes
+    # the partition's tolerances, dual_tol resolved (1e-06). Same platform
     # caveat as PINNED_SHA256.
     PINNED_REPORT_SHA256 = \
-        "343d0c30ad9a5ba7a81fa8f06364d7aa1d945369920ea530ad96a5162879b0ee"
+        "87276a5a239fcb619784d1a51d480210765ec6410a252ba43a422dbec13d4f05"
 
     def test_validate_report_matches_pinned_bytes(self, tmp_path, monkeypatch):
         # The report echoes --problem and --partition, so both are relative
@@ -257,6 +269,16 @@ class TestValidate:
         doc = json.loads(out.read_text())
         assert doc["samples_total"] == 300
         assert doc["mismatches"] == [] and doc["coverage_gaps"] == []
+
+    def test_report_echoes_partition_tolerances(self, toy_path, tmp_path):
+        part, out = tmp_path / "part.json", tmp_path / "report.json"
+        assert main(["certify", "--problem", toy_path, "--primal-tol", "1e-4",
+                     "--out", str(part)]) == 0
+        assert main(["validate", "--problem", toy_path, "--partition", str(part),
+                     "--samples", "50", "--out", str(out)]) == 0
+        config = json.loads(out.read_text())["config"]
+        assert (config["primal_tol"], config["dual_tol"]) == (1e-4, 1e-4)
+        assert config["iter_limit"] == 15
 
     def test_unmodeled_errors_exit_1(self, toy_path, toy_partition, capsys):
         code = main(["validate", "--problem", toy_path,

@@ -708,11 +708,12 @@ class TestProjectFm:
                         P.A[:, keep:], P.b - P.A[:, :keep] @ q, P.dim - keep)
                     assert not is_empty(fiber)
 
-    def test_row_cap(self):
+    def test_row_cap(self, monkeypatch):
         rng = np.random.default_rng(2)
         P = random_bounded(rng, 3, 6)
-        with pytest.raises(RowExplosionError):
-            project_fm(P, 1, row_cap=2)
+        monkeypatch.setattr(geo, "FM_ROW_CAP", 2)
+        with pytest.raises(RowExplosionError, match="cap is 2"):
+            project_fm(P, 1)
 
     def test_keep_bounds_checked(self):
         P = Polyhedron.box([0.0, 0.0], [1.0, 1.0])
