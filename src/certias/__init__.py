@@ -29,12 +29,7 @@ from certias.geometry import (
     remove_redundant,
     solve_lp,
 )
-from certias.lpp import (
-    ErrorModel,
-    hypercube_inflate,
-    lift_partition_project,
-    rel_to_abs,
-)
+from certias.lpp import ErrorModel, lift_partition_project, rel_to_abs
 from certias.mpqp import AffineMap, MpQP, load_problem, subproblem_maps
 from certias.solver import (
     ErrorInjector,
@@ -79,7 +74,6 @@ __all__ = [
     "contains",
     "double_integrator_problem",
     "feasible_point",
-    "hypercube_inflate",
     "interior_point",
     "is_empty",
     "iteration_cdf",

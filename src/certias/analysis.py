@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from certias.certifier import CertificationResult, certify
-from certias.geometry import solve_lp
+from certias.certifier import BudgetExceededError, CertificationResult, certify
+from certias.geometry import GeometryError, solve_lp
 from certias.lpp import ErrorModel
 from certias.mpqp import MpQP, subproblem_maps
 from certias.solver import SLACK_CHECK, Tolerances
@@ -193,8 +193,10 @@ def sweep(prob: MpQP, eps_primal_list, eps_bar_list,
     """Certify the cross product of tolerances and error bounds.
 
     Rows come out sorted by (eps_primal, eps_bar) ascending regardless of
-    input order. A cell whose certification raises is recorded as an
-    annotation and the sweep moves on.
+    input order. A cell whose certification fails numerically
+    (GeometryError) or outgrows its budget (BudgetExceededError) is
+    recorded as an annotation and the sweep moves on; any other exception
+    propagates.
     """
     if not eps_primal_list or not eps_bar_list:
         raise ValueError("tolerance and error-bound lists must be nonempty")
@@ -211,8 +213,7 @@ def sweep(prob: MpQP, eps_primal_list, eps_bar_list,
                              iter_limit=tol_base.iter_limit)
             try:
                 result = certify(prob, tol, ErrorModel.from_eps_bar(eb))
-            except Exception as exc:
-                log.warning("sweep cell (%g, %g) failed: %s", ep, eb, exc)
+            except (GeometryError, BudgetExceededError) as exc:
                 table.annotations.append((ep, eb, f"{type(exc).__name__}: {exc}"))
                 continue
             capped = any(r.status == "iter_limit" for r in result.regions)

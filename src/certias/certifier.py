@@ -8,9 +8,12 @@ state sequence the solver will execute and hence its iteration count, before
 the solver ever runs.
 
 With a nonzero error model the per-branch subsets are inflated by the lpp
-module instead of sliced exactly. They may then overlap; each leaf still
-certifies that its sequence is realizable only within its region, so a
-parameter covered by several leaves gets the worst case over all of them.
+module instead of sliced exactly: the certifier asks the model for the one a
+check at step k sees (ErrorModel.at) and hands it to lift_partition_project,
+which owns every rule about error kinds. The subsets may then overlap; each
+leaf still certifies that its sequence is realizable only within its region,
+so a parameter covered by several leaves gets the worst case over all of
+them.
 """
 
 from __future__ import annotations
@@ -20,21 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from certias.geometry import (
-    Polyhedron,
-    feasible_point,
-    lp_call_count,
-    project_fm,
-    remove_redundant,
-)
-from certias.lpp import (
-    KIND_HYPERCUBE,
-    KIND_POLYHEDRAL,
-    KIND_RELATIVE,
-    ErrorModel,
-    lift_partition_project,
-    rel_to_abs,
-)
+from certias.geometry import Polyhedron, feasible_point, lp_call_count, remove_redundant
+from certias.lpp import ErrorModel, lift_partition_project
 from certias.mpqp import MpQP, subproblem_maps
 from certias.solver import (
     DEGENERATE,
@@ -196,40 +186,6 @@ def halfplane_family(state: SolverState, m: int, tol: Tolerances
     return fams
 
 
-def _coordinate_slice(err_set: Polyhedron, coords: tuple[int, ...]) -> Polyhedron:
-    """Projection of the error set onto the given coordinates, in order.
-    When they are all of its coordinates, nothing is projected away."""
-    rest = [c for c in range(err_set.dim) if c not in coords]
-    shuffled = Polyhedron(err_set.A[:, list(coords) + rest], err_set.b)
-    return project_fm(shuffled, len(coords)) if rest else shuffled
-
-
-_EXACT = ErrorModel()
-
-
-def _effective_model(model: ErrorModel, k: int, state: SolverState,
-                     zmap, region: Polyhedron) -> ErrorModel:
-    """Error model actually applied at this node.
-
-    Relative bounds are converted against the node's own region and decision
-    map, which is as tight as the formulation allows. Dual checks see no
-    error unless the model opts in, in which case the working-set slice of
-    the error set applies. Only the slice and the relative conversion build
-    a model; otherwise this is model.at(k) itself.
-    """
-    mk = model.at(k)
-    if state.mode == DUAL_CHECK:
-        if not model.perturb_dual:
-            return _EXACT
-        if mk.kind == KIND_POLYHEDRAL:
-            return ErrorModel(kind=KIND_POLYHEDRAL,
-                              set=_coordinate_slice(mk.set, state.working_set))
-    if mk.kind == KIND_RELATIVE:
-        return ErrorModel(kind=KIND_HYPERCUBE,
-                          bound=rel_to_abs(zmap, region, mk.rel_bound))
-    return mk
-
-
 def partition_step(region: Polyhedron, state: SolverState, prob: MpQP,
                    tol: Tolerances, model: ErrorModel, k: int,
                    point: Optional[np.ndarray] = None
@@ -249,8 +205,9 @@ def partition_step(region: Polyhedron, state: SolverState, prob: MpQP,
         raise ValueError("cannot partition on a singular subproblem")
     zmap = maps.mu_map if state.mode == SLACK_CHECK else maps.lambda_map
     fams = halfplane_family(state, prob.m, tol)
-    eff = _effective_model(model, k, state, zmap, region)
-    kids = lift_partition_project(region, [(A, b) for A, b, _ in fams], zmap, eff)
+    rows = state.working_set if state.mode == DUAL_CHECK else None
+    kids = lift_partition_project(region, [(A, b) for A, b, _ in fams], zmap,
+                                  model.at(k, rows))
     out = []
     for (A, b, idx), kid in zip(fams, kids):
         x0 = feasible_point(kid, start=point)
@@ -272,7 +229,9 @@ def certify(prob: MpQP, tol: Optional[Tolerances] = None,
     order: the iteration cap, then a singular subproblem, then the decision
     split. The result is canonically sorted by sequence, so it does not
     depend on exploration order. max_live caps the frontier size to guard
-    against error-model-induced blowup (BudgetExceededError).
+    against error-model-induced blowup (BudgetExceededError). A polyhedral
+    set of the wrong dimension, in the model or in any schedule entry,
+    raises ValueError before anything is explored.
 
     certify runs on the calling thread, and workers is accepted for
     compatibility only. Calls on several threads at once are safe: each
@@ -283,6 +242,7 @@ def certify(prob: MpQP, tol: Optional[Tolerances] = None,
     """
     tol = tol or Tolerances()
     model = model or ErrorModel()
+    model.check_dimension(prob.m)
     lp_before = lp_call_count()
     stack = [(remove_redundant(prob.theta_set), SolverState((), SLACK_CHECK), (), None)]
     finals: list[CertifiedRegion] = []

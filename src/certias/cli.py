@@ -11,9 +11,12 @@ every run. --workers is accepted for compatibility; certification runs on
 the calling thread.
 
 Exit codes: 0 success, 1 validation found mismatches or coverage gaps,
-2 input problems (missing or malformed files, bad flag values), 3 anything
+2 input problems (missing or malformed files, bad flag values, an error set
+whose dimension is not the problem's constraint count), 3 anything
 unexpected, 4 a numerical failure in the geometry kernel (GeometryError: the
-simplex pivot cap or the Fourier-Motzkin row cap).
+simplex pivot cap or the Fourier-Motzkin row cap), or a sweep cell that
+failed that way or outgrew its budget; sweep still writes the finished
+cells and names each failed one on stderr.
 """
 
 from __future__ import annotations
@@ -145,6 +148,19 @@ def build_model(cfg: RunConfig) -> Optional[ErrorModel]:
     return None
 
 
+def _model_for(cfg: RunConfig, prob: MpQP) -> Optional[ErrorModel]:
+    """build_model's model, refused when one of its polyhedral sets does not
+    match the problem's constraint count."""
+    model = build_model(cfg)
+    if model is not None:
+        try:
+            model.check_dimension(prob.m)
+        except ValueError as exc:
+            raise InputError(f"bad error-model document "
+                             f"{cfg.error_model_path}: {exc}") from exc
+    return model
+
+
 def result_to_document(result, cfg: RunConfig) -> dict:
     """result's to_document() with the echoed run configuration."""
     return {"config": cfg.echo(), **result.to_document()}
@@ -176,7 +192,7 @@ def _require(cfg: RunConfig, field_name: str, flag: str):
 
 def cmd_certify(cfg: RunConfig) -> int:
     prob = _load_mpqp(_require(cfg, "problem_path", "--problem"))
-    result = certify(prob, cfg.tolerances(), build_model(cfg))
+    result = certify(prob, cfg.tolerances(), _model_for(cfg, prob))
     _emit(result, cfg)
     log.info("certified %d regions (%s)", len(result.regions), result.stats)
     return 0
@@ -211,7 +227,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     _emit(table, cfg)
-    return 0
+    for ep, eb, message in table.annotations:
+        print(f"sweep cell failed (eps_primal {ep:g}, eps_bar {eb:g}): {message}",
+              file=sys.stderr)
+    return 4 if table.annotations else 0
 
 
 def cmd_report(cfg: RunConfig) -> int:
@@ -225,7 +244,7 @@ def cmd_report(cfg: RunConfig) -> int:
     # metric == "slack": the per-depth trace is not part of any document,
     # so recertify with trace recording on.
     prob = _load_mpqp(_require(cfg, "problem_path", "--problem"))
-    result = certify(prob, cfg.tolerances(), build_model(cfg),
+    result = certify(prob, cfg.tolerances(), _model_for(cfg, prob),
                      record_trace=True)
     _emit(slack_profile(prob, result), cfg)
     return 0

@@ -1,4 +1,4 @@
-"""Error-aware region splitting.
+"""Error-aware region splitting, and every rule of the error model.
 
 A partition step asks, for each candidate decision i, where in parameter
 space the decision vector z(theta) lands inside the half-plane set
@@ -7,11 +7,14 @@ set, the honest answer is the projection of the lifted set
 
     {(theta, eps) : A_i (z(theta) + eps) <= b_i, eps in E}
 
-onto theta. This module provides that projection three ways: exactly for the
-error-free case, in closed form when E is a sup-norm ball, and by
-Fourier-Motzkin elimination for a general polyhedral E. A relative error
-bound is converted to a sup-norm ball by bounding |z| over the region with
-a pair of linear programs per component.
+onto theta. ErrorModel.at decides which set E a check sees: the schedule's
+entry for the step, and for a multiplier check either no error or the
+set's slice on the working set. lift_partition_project then inflates each
+family by that set, in one loop over the four kinds: nothing for exact
+arithmetic, a closed-form right-hand-side relaxation for a sup-norm ball,
+and Fourier-Motzkin elimination for a general polyhedral E. A relative
+bound is first converted, per region, to a sup-norm ball by bounding |z|
+over the region with a pair of linear programs per component (rel_to_abs).
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ class ErrorModel:
     hypercube  componentwise |eps_j| <= bound
     polyhedral eps ranges over `set`, a polyhedron containing the origin
     relative   componentwise |eps_j| <= rel_bound * max |z| over the region,
-               converted to a hypercube bound step by step
+               converted to a hypercube bound region by region
 
     schedule, when given, overrides the model per automaton step: entry k
     applies at step k, and steps past the end fall back to this model.
@@ -77,22 +80,35 @@ class ErrorModel:
                     raise ValueError("perturb_dual applies to every step; set it "
                                      "on the base model, not a schedule entry")
 
-    @property
-    def is_zero(self) -> bool:
-        """True when the model admits no error at any step."""
-        base = self.kind == KIND_NONE or (self.kind == KIND_HYPERCUBE and self.bound == 0.0) \
-            or (self.kind == KIND_RELATIVE and self.rel_bound == 0.0)
-        if not base:
-            return False
-        return all(e.is_zero for e in self.schedule) if self.schedule else True
+    def at(self, k: int, rows: Optional[tuple[int, ...]] = None) -> "ErrorModel":
+        """Model a check at automaton step k sees: schedule entry k, or this
+        model itself where the schedule has no entry.
 
-    def at(self, k: int) -> "ErrorModel":
-        """Model in effect at automaton step k: schedule entry k, or this
-        model itself where the schedule has no entry. perturb_dual is this
-        model's."""
+        A slack check leaves rows None. A multiplier check passes its working
+        set as rows: it sees exact arithmetic unless this model sets
+        perturb_dual, and then a polyhedral set projected onto those rows'
+        coordinates, in order.
+        """
+        mk = self
         if self.schedule is not None and 0 <= k < len(self.schedule):
-            return self.schedule[k]
-        return self
+            mk = self.schedule[k]
+        if rows is None:
+            return mk
+        if not self.perturb_dual:
+            return _EXACT
+        if mk.kind == KIND_POLYHEDRAL:
+            return ErrorModel(kind=KIND_POLYHEDRAL, set=_coordinate_slice(mk.set, rows))
+        return mk
+
+    def check_dimension(self, m: int) -> None:
+        """Raise ValueError unless every polyhedral set of this model, the
+        base one and each schedule entry's, has dimension m, the constraint
+        count of the problem it is applied to."""
+        for where, mk in [("", self), *((f"schedule entry {i}: ", e)
+                                        for i, e in enumerate(self.schedule or ()))]:
+            if mk.kind == KIND_POLYHEDRAL and mk.set.dim != m:
+                raise ValueError(f"{where}error set dimension {mk.set.dim} "
+                                 f"!= z dimension {m}")
 
     def to_document(self) -> dict:
         """JSON form for result documents. A polyhedral set is written only
@@ -153,27 +169,15 @@ class ErrorModel:
                    perturb_dual=doc.get("perturb_dual", False))
 
 
-def _nominal_rows(A_i: np.ndarray, b_i: np.ndarray, zmap: AffineMap
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of A_i z(theta) <= b_i written over theta."""
-    return A_i @ zmap.F, b_i - A_i @ zmap.g
+_EXACT = ErrorModel()
 
 
-def hypercube_inflate(region: Polyhedron, A_i, b_i, zmap: AffineMap,
-                      eps_bar: float) -> Polyhedron:
-    """Region where A_i(z(theta)+eps) <= b_i holds for some |eps|_inf <= eps_bar.
-
-    Closed form: relax each row's right-hand side by its 1-norm times
-    eps_bar, since sup over the ball of a linear form is the 1-norm. With
-    eps_bar = 0 this is exactly the nominal intersection.
-    """
-    if eps_bar < 0:
-        raise ValueError("eps_bar must be nonnegative")
-    A_i = np.atleast_2d(np.asarray(A_i, dtype=float))
-    b_i = np.asarray(b_i, dtype=float).ravel()
-    A_t, b_t = _nominal_rows(A_i, b_i, zmap)
-    b_t = b_t + np.abs(A_i).sum(axis=1) * eps_bar
-    return region.intersect(A_t, b_t)
+def _coordinate_slice(err_set: Polyhedron, coords: tuple[int, ...]) -> Polyhedron:
+    """Projection of the error set onto the given coordinates, in order.
+    When they are all of its coordinates, nothing is projected away."""
+    rest = [c for c in range(err_set.dim) if c not in coords]
+    shuffled = Polyhedron(err_set.A[:, list(coords) + rest], err_set.b)
+    return project_fm(shuffled, len(coords)) if rest else shuffled
 
 
 def lift_partition_project(region: Polyhedron, halfplanes: Sequence[tuple],
@@ -185,41 +189,46 @@ def lift_partition_project(region: Polyhedron, halfplanes: Sequence[tuple],
     admissible error puts z(theta)+eps inside A_i z <= b_i. Empty entries
     are kept so indices stay aligned with the input; callers prune.
 
-    The relative kind must be converted (rel_to_abs) before calling here.
+    model is the one the check sees (ErrorModel.at); a schedule on it is
+    not read. A relative model is converted against `region` once, before
+    any family is lifted. A hypercube relaxes each row's right-hand side by
+    its 1-norm times the bound, since the sup over the ball of a linear
+    form is the 1-norm.
     """
     if zmap.F.shape[0] and zmap.F.shape[1] != region.dim:
         raise ValueError("zmap and region dimensions disagree")
+    if model.kind == KIND_RELATIVE:
+        model = ErrorModel(kind=KIND_HYPERCUBE,
+                           bound=rel_to_abs(zmap, region, model.rel_bound))
+    elif model.kind == KIND_POLYHEDRAL:
+        model.check_dimension(zmap.rows)
     out = []
     for A_i, b_i in halfplanes:
         A_i = np.atleast_2d(np.asarray(A_i, dtype=float))
         b_i = np.asarray(b_i, dtype=float).ravel()
-        if model.kind == KIND_NONE:
-            A_t, b_t = _nominal_rows(A_i, b_i, zmap)
-            out.append(region.intersect(A_t, b_t))
-        elif model.kind == KIND_HYPERCUBE:
-            out.append(hypercube_inflate(region, A_i, b_i, zmap, model.bound))
-        elif model.kind == KIND_POLYHEDRAL:
-            out.append(_project_polyhedral(region, A_i, b_i, zmap, model.set))
+        if model.kind == KIND_POLYHEDRAL:
+            A_t, b_t = _polyhedral_shadow(A_i, b_i, zmap, model.set)
         else:
-            raise ValueError("convert a relative model with rel_to_abs first")
+            A_t, b_t = A_i @ zmap.F, b_i - A_i @ zmap.g
+            if model.kind == KIND_HYPERCUBE:
+                b_t = b_t + np.abs(A_i).sum(axis=1) * model.bound
+        out.append(region.intersect(A_t, b_t))
     return out
 
 
-def _project_polyhedral(region: Polyhedron, A_i: np.ndarray, b_i: np.ndarray,
-                        zmap: AffineMap, err_set: Polyhedron) -> Polyhedron:
-    """Fourier-Motzkin route: lift to (theta, eps), project eps back out."""
-    n_t = region.dim
-    n_z = zmap.rows
-    if err_set.dim != n_z:
-        raise ValueError(f"error set dimension {err_set.dim} != z dimension {n_z}")
+def _polyhedral_shadow(A_i: np.ndarray, b_i: np.ndarray, zmap: AffineMap,
+                       err_set: Polyhedron) -> tuple[np.ndarray, np.ndarray]:
+    """Rows over theta of {theta : A_i(z(theta)+eps) <= b_i for some eps in
+    the set}: lift to (theta, eps), project eps back out by Fourier-Motzkin."""
+    n_t = zmap.F.shape[1]
     # [A_i F | A_i] [theta; eps] <= b_i - A_i g, plus eps in the error set.
     top = np.hstack([A_i @ zmap.F, A_i])
     bot = np.hstack([np.zeros((err_set.nrows, n_t)), err_set.A])
     lifted = Polyhedron(np.vstack([top, bot]),
                         np.concatenate([b_i - A_i @ zmap.g, err_set.b]),
-                        n_t + n_z)
+                        n_t + zmap.rows)
     shadow = project_fm(lifted, n_t)
-    return region.intersect(shadow.A, shadow.b)
+    return shadow.A, shadow.b
 
 
 def rel_to_abs(zmap: AffineMap, region: Polyhedron, rel_bound: float) -> float:

@@ -30,7 +30,6 @@ from certias.lpp import (
     KIND_HYPERCUBE,
     KIND_POLYHEDRAL,
     ErrorModel,
-    hypercube_inflate,
     lift_partition_project,
 )
 from certias.mpqp import AffineMap, MpQP
@@ -177,7 +176,8 @@ def test_criterion_05_zero_bound_equals_error_free():
         b = rng.uniform(-1.0, 1.0, rows)
         via_none = lift_partition_project(region, [(A, b)], zmap,
                                           ErrorModel())[0]
-        via_zero = hypercube_inflate(region, A, b, zmap, 0.0)
+        via_zero = lift_partition_project(
+            region, [(A, b)], zmap, ErrorModel(kind=KIND_HYPERCUBE, bound=0.0))[0]
         An, bn = normalize_rows(via_none.A, via_none.b)
         Az, bz = normalize_rows(via_zero.A, via_zero.b)
         assert np.allclose(An, Az, atol=1e-12)

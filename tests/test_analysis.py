@@ -21,9 +21,14 @@ from certias.analysis import (
     slack_profile,
     sweep,
 )
-from certias.certifier import CertificationResult, CertifiedRegion, certify
+from certias.certifier import (
+    BudgetExceededError,
+    CertificationResult,
+    CertifiedRegion,
+    certify,
+)
 from certias.examples import double_integrator_problem, toy_problem
-from certias.geometry import Polyhedron
+from certias.geometry import LpPivotLimitError, Polyhedron
 from certias.lpp import KIND_HYPERCUBE, ErrorModel
 from certias.mpqp import MpQP, subproblem_maps
 from certias.solver import SLACK_CHECK, run
@@ -173,18 +178,33 @@ class TestSweep:
         keys = [(ep, eb) for ep, eb, _, _ in table.rows]
         assert keys == [(1e-6, 0.0), (1e-6, 0.1), (1e-4, 0.0), (1e-4, 0.1)]
 
-    def test_cell_failure_becomes_annotation(self, toy, monkeypatch):
+    @staticmethod
+    def _fail_hypercube_cells(monkeypatch, exc):
         real = certify
 
         def flaky(prob, tol=None, model=None, **kw):
-            if model is not None and not model.is_zero:
-                raise RuntimeError("boom")
+            if model is not None and model.kind != "none":
+                raise exc
             return real(prob, tol, model, **kw)
 
         monkeypatch.setattr("certias.analysis.certify", flaky)
+
+    def test_cell_failure_becomes_annotation(self, toy, monkeypatch):
+        self._fail_hypercube_cells(monkeypatch, LpPivotLimitError("boom"))
         table = sweep(toy, [1e-6], [0.0, 0.1])
         assert len(table.rows) == 1 and table.rows[0][1] == 0.0
-        assert table.annotations == [(1e-6, 0.1, "RuntimeError: boom")]
+        assert table.annotations == [(1e-6, 0.1, "LpPivotLimitError: boom")]
+
+    def test_budget_failure_becomes_annotation(self, toy, monkeypatch):
+        self._fail_hypercube_cells(monkeypatch, BudgetExceededError("frontier"))
+        table = sweep(toy, [1e-6], [0.0, 0.1])
+        assert table.annotations == [(1e-6, 0.1, "BudgetExceededError: frontier")]
+
+    def test_programming_error_propagates(self, toy, monkeypatch):
+        # Only numerical and budget failures become annotations.
+        self._fail_hypercube_cells(monkeypatch, TypeError("bad operand"))
+        with pytest.raises(TypeError, match="bad operand"):
+            sweep(toy, [1e-6], [0.0, 0.1])
 
     def test_input_validation(self, toy):
         with pytest.raises(ValueError):

@@ -309,6 +309,16 @@ class TestCertifyToyInflated:
         assert len(want) == 45
         assert got == want
 
+    def test_wrong_dimension_set_fails_before_exploring(self, monkeypatch):
+        # The 1-D set sits at step 2, which a toy run reaches; it is refused
+        # before the first region is split.
+        monkeypatch.setattr(certias.certifier, "partition_step", None)
+        model = ErrorModel(kind="hypercube", bound=0.1, schedule=(
+            ErrorModel(), ErrorModel(),
+            ErrorModel(kind="polyhedral", set=Polyhedron.box([-0.1] * 2, [0.1] * 2))))
+        with pytest.raises(ValueError, match="schedule entry 2: error set dimension 2"):
+            certify(toy_problem(), model=model)
+
     def test_budget_cap(self):
         with pytest.raises(BudgetExceededError):
             certify(toy_problem(), model=ErrorModel(kind="hypercube", bound=0.1),

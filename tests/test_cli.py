@@ -216,6 +216,50 @@ class TestDeterminism:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == self.PINNED_SHA256[(name, eps_bar)]
 
+    # sha256 of certify documents under the relative, polyhedral and scheduled
+    # error models, recorded before the per-check error rules moved into
+    # lpp. Each case runs in a directory laid out like the repository root,
+    # with any model written to model.json there. The DI schedule is the one
+    # case whose dual checks project a 6-D set. Same platform caveat as
+    # PINNED_SHA256.
+    _SET6 = {"A": np.vstack([np.eye(6), -np.eye(6), np.ones((1, 6)),
+                             -np.ones((1, 6))]).tolist(),
+             "b": [1e-4] * 14}
+    PINNED_KIND_SHA256 = {
+        "toy-relative": (
+            "toy.json", ["--rel-bound", "0.01"],
+            "b6d6f9d6eca15e0d85fb76a3b582c811469e258a68c5c1b014980cae557ddfc3"),
+        "toy-polyhedral-perturb-dual": (
+            "toy.json",
+            {"kind": "polyhedral", "perturb_dual": True,
+             "set": {"A": [[1.0], [-1.0]], "b": [0.05, 0.05]}},
+            "544f811f7bd554390b431695857e22d27edcce4ba645108e5cdfefd6c056ae3b"),
+        "di-schedule": (
+            "double_integrator.json",
+            {"kind": "hypercube", "bound": 1e-4, "perturb_dual": True,
+             "schedule": [{"kind": "relative", "rel_bound": 1e-3},
+                          {"kind": "polyhedral", "set": _SET6}, {},
+                          {"kind": "hypercube", "bound": 1e-3}]},
+            "02e47d8cbfb0ca9a14c8222b578c7bc43f231a111799fc195be222e091997e7c"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED_KIND_SHA256))
+    def test_error_kind_documents_match_pinned_bytes(self, case, tmp_path,
+                                                     monkeypatch):
+        name, flags, sha = self.PINNED_KIND_SHA256[case]
+        root = pathlib.Path(__file__).resolve().parent.parent
+        (tmp_path / "problems").mkdir()
+        (tmp_path / "problems" / name).write_bytes(
+            (root / "problems" / name).read_bytes())
+        monkeypatch.chdir(tmp_path)
+        if isinstance(flags, dict):
+            pathlib.Path("model.json").write_text(json.dumps(flags))
+            flags = ["--error-model", "model.json"]
+        assert main(["certify", "--problem", f"problems/{name}", *flags,
+                     "--out", "part.json"]) == 0
+        digest = hashlib.sha256(pathlib.Path("part.json").read_bytes()).hexdigest()
+        assert digest == sha
+
     # sha256 of the `validate --out` report of the exact toy partition under
     # --eps-bar 0.1 --samples 800 --seed 3 (134 mismatches), recorded with
     # the relative paths problems/toy.json and part.json. Its config echoes
@@ -385,6 +429,37 @@ class TestSweep:
         assert doc["rows"][0]["worst_iterations"] == 2
         assert doc["config"]["eps_bars"] == [0.0]
 
+    def _fail_hypercube_cells(self, monkeypatch, exc):
+        real = certify
+
+        def flaky(prob, tol=None, model=None, **kw):
+            if model is not None and model.kind != "none":
+                raise exc
+            return real(prob, tol, model, **kw)
+
+        monkeypatch.setattr("certias.analysis.certify", flaky)
+
+    def test_failed_cell_exits_4(self, toy_path, tmp_path, capsys, monkeypatch):
+        # The finished cells are still written; each failed one gets a line.
+        self._fail_hypercube_cells(monkeypatch,
+                                   geometry.LpPivotLimitError("pivot cap"))
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--problem", toy_path, "--primal-tols", "1e-6",
+                     "--eps-bars", "0,0.1", "--out", str(out)])
+        assert code == 4
+        assert out.read_text().splitlines()[1:] == ["1e-06,0.0,2,2"]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "eps_bar 0.1" in err[0] and "LpPivotLimitError: pivot cap" in err[0]
+
+    def test_programming_error_in_cell_exits_3(self, toy_path, capsys,
+                                               monkeypatch):
+        self._fail_hypercube_cells(monkeypatch, TypeError("bad operand"))
+        code = main(["sweep", "--problem", toy_path, "--primal-tols", "1e-6",
+                     "--eps-bars", "0,0.1"])
+        assert code == 3
+        assert "internal error: TypeError" in capsys.readouterr().err
+
     def test_missing_lists(self, toy_path, capsys):
         assert main(["sweep", "--problem", toy_path,
                      "--primal-tols", "1e-6"]) == 2
@@ -498,6 +573,23 @@ class TestModelDocuments:
         assert main(["certify", "--problem", toy_path,
                      "--error-model", model_path]) == 2
         assert "bad error-model document" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", [
+        {"kind": "polyhedral",
+         "set": {"A": [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                 "b": [1e-4] * 4}},
+        {"kind": "hypercube", "bound": 1e-4,
+         "schedule": [{}, {}, {"kind": "polyhedral",
+                               "set": {"A": [[1.0], [-1.0]], "b": [1e-4] * 2}}]},
+    ], ids=["base-set", "schedule-entry"])
+    def test_wrong_dimension_set_exits_2(self, mpc_path, tmp_path, capsys, model):
+        # The double integrator has 6 constraints, so every set must be 6-D.
+        model_path = self._model_file(tmp_path, model)
+        assert main(["certify", "--problem", mpc_path,
+                     "--error-model", model_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad error-model document")
+        assert "dimension" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("flags", [
         ("--eps-bar", "1e-4"),

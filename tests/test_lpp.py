@@ -3,7 +3,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from certias.certifier import _effective_model
 from certias.geometry import (
     GeometryError,
     Polyhedron,
@@ -12,9 +11,8 @@ from certias.geometry import (
     is_empty,
     normalize_rows,
 )
-from certias.lpp import ErrorModel, hypercube_inflate, lift_partition_project, rel_to_abs
+from certias.lpp import ErrorModel, lift_partition_project, rel_to_abs
 from certias.mpqp import AffineMap
-from certias.solver import DUAL_CHECK, SolverState
 
 from oracles import poly_contains_poly, poly_equal
 
@@ -31,6 +29,12 @@ def interval(lo, hi):
     return Polyhedron.box([lo], [hi])
 
 
+def hypercube(region, A, b, zmap, bound):
+    """The one family (A, b) inflated by the hypercube of that bound."""
+    return lift_partition_project(region, [(A, b)], zmap,
+                                  ErrorModel(kind="hypercube", bound=bound))[0]
+
+
 class TestErrorModel:
     def test_kind_validation(self):
         with pytest.raises(ValueError):
@@ -45,14 +49,6 @@ class TestErrorModel:
         with pytest.raises(ValueError, match="origin"):
             ErrorModel(kind="polyhedral", set=shifted)
         ErrorModel(kind="polyhedral", set=Polyhedron.box([-1.0], [0.0]))
-
-    def test_is_zero(self):
-        assert ErrorModel().is_zero
-        assert ErrorModel(kind="hypercube", bound=0.0).is_zero
-        assert not ErrorModel(kind="hypercube", bound=0.1).is_zero
-        assert ErrorModel(kind="relative", rel_bound=0.0).is_zero
-        assert not ErrorModel(kind="polyhedral",
-                              set=Polyhedron.box([-0.1], [0.1])).is_zero
 
     def test_schedule_lookup(self):
         burst = ErrorModel(kind="hypercube", bound=0.5)
@@ -79,10 +75,31 @@ class TestErrorModel:
         base = ErrorModel(kind="hypercube", bound=0.1, perturb_dual=True,
                           schedule=(entry,))
         assert base.at(0) is entry and not entry.perturb_dual
-        dual = SolverState((0,), DUAL_CHECK)
-        assert _effective_model(base, 0, dual, None, None) is entry
+        assert base.at(0, rows=(0,)) is entry
         exact = replace(base, perturb_dual=False)
-        assert _effective_model(exact, 0, dual, None, None).kind == "none"
+        assert exact.at(0, rows=(0,)).kind == "none"
+
+    def test_dual_check_sees_the_working_set_slice(self):
+        box = Polyhedron.box([-0.1, -0.2, -0.3], [0.1, 0.2, 0.3])
+        model = ErrorModel(kind="polyhedral", set=box, perturb_dual=True)
+        assert model.at(0) is model
+        assert poly_equal(model.at(0, rows=(2, 0)).set,
+                          Polyhedron.box([-0.3, -0.1], [0.3, 0.1]))
+        # All coordinates in order: the set's own rows, nothing projected.
+        whole = model.at(0, rows=(0, 1, 2)).set
+        assert np.array_equal(whole.A, box.A) and np.array_equal(whole.b, box.b)
+        assert replace(model, perturb_dual=False).at(0, rows=(0,)).kind == "none"
+
+    def test_check_dimension(self):
+        box2 = Polyhedron.box([-0.1, -0.1], [0.1, 0.1])
+        ErrorModel(kind="polyhedral", set=box2).check_dimension(2)
+        with pytest.raises(ValueError, match="error set dimension 2 != z dimension 6"):
+            ErrorModel(kind="polyhedral", set=box2).check_dimension(6)
+        scheduled = ErrorModel(kind="hypercube", bound=0.1, schedule=(
+            ErrorModel(), ErrorModel(kind="polyhedral", set=box2)))
+        with pytest.raises(ValueError, match="schedule entry 1: error set dimension"):
+            scheduled.check_dimension(3)
+        ErrorModel(kind="hypercube", bound=0.1).check_dimension(3)
 
     def test_describe(self):
         # The written form: settings.error_model in every partition.
@@ -158,10 +175,14 @@ class TestLiftPartitionProject:
         out = lift_partition_project(TOY_REGION, [TOY_TERMINATE], TOY_ZMAP, model)
         assert poly_equal(out[0], interval(-1.0 - EPS_P - 0.1, 3.0))
 
-    def test_relative_kind_rejected_here(self):
-        with pytest.raises(ValueError, match="rel_to_abs"):
-            lift_partition_project(TOY_REGION, [TOY_TERMINATE], TOY_ZMAP,
-                                   ErrorModel(kind="relative", rel_bound=0.1))
+    def test_relative_is_hypercube_at_rel_to_abs(self):
+        # The relative bound is converted against the region it is given.
+        for region in (TOY_REGION, interval(0.0, 1.0)):
+            bound = rel_to_abs(TOY_ZMAP, region, 0.1)
+            rel = lift_partition_project(region, [TOY_TERMINATE], TOY_ZMAP,
+                                         ErrorModel(kind="relative", rel_bound=0.1))[0]
+            cube = hypercube(region, *TOY_TERMINATE, TOY_ZMAP, bound)
+            assert np.array_equal(rel.A, cube.A) and np.array_equal(rel.b, cube.b)
 
     def test_empty_outputs_keep_their_slot(self):
         impossible = (np.array([[1.0], [-1.0]]), np.array([-5.0, -5.0]))
@@ -175,6 +196,9 @@ class TestLiftPartitionProject:
         zmap = AffineMap(F=np.ones((1, 2)), g=np.zeros(1))
         with pytest.raises(ValueError, match="dimension"):
             lift_partition_project(TOY_REGION, [TOY_TERMINATE], zmap, ErrorModel())
+        flat = ErrorModel(kind="polyhedral", set=Polyhedron.box([-0.1] * 2, [0.1] * 2))
+        with pytest.raises(ValueError, match="error set dimension 2 != z dimension 1"):
+            lift_partition_project(TOY_REGION, [TOY_TERMINATE], TOY_ZMAP, flat)
 
     def test_row_explosion_propagates(self, monkeypatch):
         def boom(P, keep, **kw):
@@ -222,26 +246,22 @@ class TestHypercubeInflate:
     def test_single_row_two_dim(self):
         region = Polyhedron.box([-5.0, -5.0], [5.0, 5.0])
         zmap = AffineMap(F=np.eye(2), g=np.zeros(2))
-        out = hypercube_inflate(region, [[1.0, 1.0]], [1.0], zmap, 0.5)
+        out = hypercube(region, [[1.0, 1.0]], [1.0], zmap, 0.5)
         assert out.A[-1] == pytest.approx([1.0, 1.0])
         assert out.b[-1] == pytest.approx(2.0)
 
     def test_unit_rows(self):
         region = Polyhedron.box([-5.0, -5.0], [5.0, 5.0])
         zmap = AffineMap(F=np.eye(2), g=np.zeros(2))
-        out = hypercube_inflate(region, [[1.0, 0.0], [-1.0, 0.0]], [1.0, 1.0],
-                                zmap, 0.25)
+        out = hypercube(region, [[1.0, 0.0], [-1.0, 0.0]], [1.0, 1.0],
+                        zmap, 0.25)
         assert out.b[-2:] == pytest.approx([1.25, 1.25])
 
     def test_zero_bound_is_nominal(self):
-        out = hypercube_inflate(TOY_REGION, *TOY_TERMINATE, TOY_ZMAP, 0.0)
+        out = hypercube(TOY_REGION, *TOY_TERMINATE, TOY_ZMAP, 0.0)
         ref = lift_partition_project(TOY_REGION, [TOY_TERMINATE], TOY_ZMAP,
                                      ErrorModel())[0]
         assert np.array_equal(out.A, ref.A) and np.array_equal(out.b, ref.b)
-
-    def test_negative_bound_rejected(self):
-        with pytest.raises(ValueError):
-            hypercube_inflate(TOY_REGION, *TOY_TERMINATE, TOY_ZMAP, -1.0)
 
     def test_monotone_in_bound(self):
         rng = np.random.default_rng(3)
@@ -253,8 +273,8 @@ class TestHypercubeInflate:
             A = rng.standard_normal((3, n_z))
             b = rng.uniform(-0.5, 1.0, 3)
             e1, e2 = sorted(rng.uniform(0.0, 0.5, 2))
-            small = hypercube_inflate(region, A, b, zmap, e1)
-            big = hypercube_inflate(region, A, b, zmap, e2)
+            small = hypercube(region, A, b, zmap, e1)
+            big = hypercube(region, A, b, zmap, e2)
             assert np.array_equal(small.A, big.A)
             assert np.all(small.b <= big.b + 1e-15)
 
@@ -272,7 +292,7 @@ class TestHypercubeInflate:
             b = rng.uniform(-1.0, 1.0, rows)
             via_none = lift_partition_project(region, [(A, b)], zmap,
                                               ErrorModel())[0]
-            via_zero = hypercube_inflate(region, A, b, zmap, 0.0)
+            via_zero = hypercube(region, A, b, zmap, 0.0)
             An, bn = normalize_rows(via_none.A, via_none.b)
             Az, bz = normalize_rows(via_zero.A, via_zero.b)
             assert np.allclose(An, Az, atol=1e-12)
