@@ -267,7 +267,9 @@ def certify(prob: MpQP, tol: Optional[Tolerances] = None,
                                           _slack_count(leaf)))
             continue
         kids = partition_step(region, state, prob, tol, model, k, point)
-        pruned += len(halfplane_family(state, prob.m, tol)) - len(kids)
+        # halfplane_family has a pass branch plus one per decision component.
+        family = len(state.working_set) if state.mode == DUAL_CHECK else prob.m
+        pruned += family + 1 - len(kids)
         for idx, kid, x0 in kids:
             child = transition(state, idx)
             if child.terminal:

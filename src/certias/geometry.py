@@ -17,7 +17,14 @@ multiplied by zero, so the signs of zeros, and with them every pivot choice,
 LP count and partition document, are bit for bit those of a row-at-a-time
 elimination with a separate right-hand side and objective. The objective
 rows of both phases are built by sequential subtraction in row order for
-the same reason: a summed reduction rounds differently.
+the same reason: a summed reduction rounds differently. The phase-2
+objective is written over the objective row in place. It is priced out
+against the basis only when phase 1 ran; otherwise the basis is all
+slacks, whose costs are zero, and the row is c, -c and zeros as written.
+
+The right-hand side enters the tableau as |b|, on flipped and unflipped
+rows alike, so a -0.0 in b becomes +0.0. Copying b as it stands would keep
+the -0.0, and a ratio test on that row would carry its sign into x.
 
 One tiny-rhs rule is shared by the kernel and the shifted systems it is
 handed: a right-hand side in (-_TINY_RHS, 0) is rounding noise and is set
@@ -119,12 +126,18 @@ class Polyhedron:
             raise ValueError(f"shape mismatch: A is {A.shape}, b has {b.size} rows, dim={dim}")
         if dim < 1:
             raise ValueError("dimension must be at least 1")
+        A, b = self._nontrivial(A, b)
+        self._freeze(A.copy(), b.copy(), dim)
+
+    @staticmethod
+    def _nontrivial(A, b):
+        """Finite rows A, b with the trivial ones (zero row, b >= 0) dropped."""
         if not (np.isfinite(A).all() and np.isfinite(b).all()):
             raise ValueError("polyhedron data must be finite")
         trivial = ~A.any(axis=1) & (b >= 0.0)
         if trivial.any():
             A, b = A[~trivial], b[~trivial]
-        self._freeze(A.copy(), b.copy(), dim)
+        return A, b
 
     @classmethod
     def _from_rows(cls, A, b, dim: int) -> "Polyhedron":
@@ -176,16 +189,27 @@ class Polyhedron:
         return cls(np.zeros((1, dim)), np.array([-1.0]), dim)
 
     def intersect(self, A, b) -> "Polyhedron":
-        """This set with additional rows A x <= b stacked on."""
-        A = np.asarray(A, dtype=float).reshape(-1, self.dim)
+        """This set with additional rows A x <= b stacked on.
+
+        Only the appended rows are checked and cleared of trivial rows, as
+        the constructor would: this set's own rows passed it already.
+        """
+        A = np.asarray(A, dtype=float)
+        if A.ndim < 2:
+            A = A.reshape(-1, self.dim)
         b = np.asarray(b, dtype=float).ravel()
-        return Polyhedron(np.vstack([self.A, A]), np.concatenate([self.b, b]), self.dim)
+        if A.shape != (b.size, self.dim):
+            raise ValueError(f"shape mismatch: A is {A.shape}, b has {b.size} rows, "
+                             f"dim={self.dim}")
+        A, b = self._nontrivial(A, b)
+        return Polyhedron._from_rows(np.vstack([self.A, A]), np.concatenate([self.b, b]),
+                                     self.dim)
 
     def __repr__(self) -> str:
         return f"Polyhedron(rows={self.nrows}, dim={self.dim})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LpResult:
     """Outcome of one linear program.
 
@@ -285,25 +309,26 @@ def _simplex(A, b, c, budget, tol, target=np.inf):
     # Columns: x+, x-, slacks, artificials; then the right-hand side. The
     # last row is the objective, eliminated along with the constraint rows.
     M = np.zeros((m + 1, ncols + 1))
-    Aw = M[:m, :n]
-    Aw[:] = A
-    Aw[flipped] *= -1.0
-    np.negative(Aw, out=M[:m, n:2 * n])
-    slack = M[:m, 2 * n:nreal]
-    np.fill_diagonal(slack, 1.0)
-    slack[flipped, flipped] = -1.0
-    art_cols = nreal + np.arange(nart)
-    M[flipped, art_cols] = 1.0
+    M[:m, :n] = A
+    np.negative(A, out=M[:m, n:2 * n])
+    # The slack diagonal M[i, 2n + i], one strided write over the flat array.
+    M.reshape(-1)[2 * n:2 * n + m * (ncols + 2):ncols + 2] = 1.0
     rhs = M[:m, -1]
     np.abs(b, out=rhs)
     basis = np.arange(2 * n, nreal)
-    basis[flipped] = art_cols
 
     # Phase 1: minimize the total artificial content.
     pivots = 0
     drive_outs = 0
     if nart > 0:
-        M[m, art_cols] = 1.0
+        # Negating a flipped row's x+ and x- entries flips sign bits only, so
+        # they are bitwise -A and A.
+        M[flipped, :2 * n] *= -1.0
+        M[flipped, 2 * n + flipped] = -1.0
+        art_cols = np.arange(nreal, ncols)
+        M[flipped, art_cols] = 1.0
+        basis[flipped] = art_cols
+        M[m, nreal:ncols] = 1.0
         for i in flipped:
             M[m] -= M[i]
         _, pivots = _optimize(M, basis, ncols, pivots, budget, tol)
@@ -327,18 +352,21 @@ def _simplex(A, b, c, budget, tol, target=np.inf):
             _eliminate(M, i, j)
             basis[i] = j
             drive_outs += 1
+        M[m] = 0.0
     else:
         measure = 0.0
 
     # Phase 2 on the real objective. The artificial columns are last, so
     # pricing only the first 2n+m columns bars them from entering.
-    c2 = np.zeros(ncols + 1)
-    c2[:n] = c
-    c2[n:2 * n] = -c
-    M[m] = c2
-    cb = c2[basis]
-    for i in cb.nonzero()[0]:
-        M[m] -= cb[i] * M[i]
+    obj = M[m]
+    obj[:n] = c
+    np.negative(c, out=obj[n:2 * n])
+    if nart > 0:
+        # Price out the basic columns. An all-slack basis, the only one
+        # without phase 1, has zero costs and needs nothing.
+        cb = obj[basis]
+        for i in cb.nonzero()[0]:
+            obj -= cb[i] * M[i]
     status, pivots = _optimize(M, basis, nreal, pivots, budget, tol, target)
     pivots += drive_outs
     if status == "unbounded":
@@ -486,40 +514,42 @@ def remove_redundant(P: Polyhedron, point: Optional[np.ndarray] = None) -> Polyh
         return P
     shifted = None if point is None else _shifted_rhs(P, point)
     rhs = P.b if shifted is None else shifted
+    # Python floats compare with the same IEEE results as numpy scalars, at a
+    # fraction of the cost per pair.
     An, bn = normalize_rows(P.A, P.b)
+    An, bn = An.tolist(), bn.tolist()
     keep = []
     for i in range(r):
-        dup = False
-        for j in keep:
-            if abs(bn[i] - bn[j]) <= 1e-12 and np.max(np.abs(An[i] - An[j])) <= 1e-12:
-                dup = True
-                break
-        if not dup:
+        if not any(abs(bn[i] - bn[j]) <= 1e-12
+                   and max(abs(x - y) for x, y in zip(An[i], An[j])) <= 1e-12
+                   for j in keep):
             keep.append(i)
 
     # Guard rows are rows of P, so only a zero row of P, whose raised bound
     # b_i + 1 may make it trivial, needs the constructor's checks.
-    zero = ~P.A.any(axis=1)
+    zero = (~P.A.any(axis=1)).tolist()
+    bounds = rhs.tolist()
     survivors = list(keep)
-    for i in list(survivors):
-        others = [j for j in survivors if j != i]
-        if not others:
+    for i in keep:
+        if len(survivors) == 1:
             break
-        rows = others + [i]
+        rows = np.array([j for j in survivors if j != i] + [i])
         guard_b = rhs[rows]
-        guard_b[-1] += 1.0
+        guard_b[-1] = bounds[i] + 1.0
         if zero[i]:
             guard = Polyhedron(P.A[rows], guard_b, P.dim)
         else:
             guard = Polyhedron._from_rows(P.A[rows], guard_b, P.dim)
         try:
-            res = solve_lp(P.A[i], guard, "max", target=rhs[i] + 2.0 * REDUNDANCY_TOL)
+            res = solve_lp(P.A[i], guard, "max", target=bounds[i] + 2.0 * REDUNDANCY_TOL)
         except LpPivotLimitError:
             log.debug("redundancy LP hit the pivot cap, retaining row %d", i)
             continue
-        if res.status == "optimal" and res.value <= rhs[i] + REDUNDANCY_TOL:
+        if res.status == "optimal" and res.value <= bounds[i] + REDUNDANCY_TOL:
             survivors.remove(i)
-    return Polyhedron(P.A[survivors], P.b[survivors], P.dim)
+    if len(survivors) == r:
+        return P
+    return Polyhedron._from_rows(P.A[survivors], P.b[survivors], P.dim)
 
 
 def interior_point(P: Polyhedron) -> tuple[np.ndarray, float]:

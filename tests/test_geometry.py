@@ -1,3 +1,5 @@
+import json
+import pathlib
 import threading
 
 import numpy as np
@@ -6,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import certias.geometry as geo
+from certias.certifier import certify
+from certias.cli import dump_document
 from certias.geometry import (
     EmptyPolyhedronError,
     GeometryError,
@@ -20,8 +24,11 @@ from certias.geometry import (
     remove_redundant,
     solve_lp,
 )
+from certias.lpp import ErrorModel
+from certias.mpqp import load_problem
 
 from oracles import enumerate_vertices, lp_by_vertices
+from test_mpqp import random_problem
 
 
 def random_bounded(rng, dim, extra_rows, spread=2.0):
@@ -63,6 +70,73 @@ class TestPolyhedronConstruction:
             P.dim = 4
         with pytest.raises(ValueError):
             P.A[0, 0] = 5.0
+
+
+class TestIntersect:
+    """intersect checks only the rows it appends; the result must be the
+    public constructor's on the stacked rows, bit for bit."""
+
+    @staticmethod
+    def _stacked(P, A, b):
+        A = np.asarray(A, dtype=float).reshape(-1, P.dim)
+        return Polyhedron(np.vstack([P.A, A]), np.concatenate([P.b, np.ravel(b)]), P.dim)
+
+    def _check(self, P, A, b):
+        got, want = P.intersect(A, b), self._stacked(P, A, b)
+        assert got.dim == want.dim
+        assert _same_bits(got.A, want.A) and _same_bits(got.b, want.b)
+        assert not (got.A.flags.writeable or got.b.flags.writeable)
+        return got
+
+    def test_seeded_cases_match_constructor(self):
+        rng = np.random.default_rng(71)
+        dropped = kept_zero = 0
+        for trial in range(300):
+            dim = int(rng.integers(1, 4))
+            P = (Polyhedron(np.zeros((0, dim)), [], dim) if trial % 7 == 0
+                 else random_bounded(rng, dim, int(rng.integers(0, 3))))
+            k = int(rng.integers(0, 5))
+            A = rng.standard_normal((k, dim))
+            A[rng.random(A.shape) < 0.3] = 0.0
+            A[rng.random(k) < 0.3] = 0.0
+            b = rng.uniform(-1.0, 1.0, size=k)
+            b[rng.random(k) < 0.2] = 0.0
+            b[rng.random(k) < 0.2] = -0.0
+            zero = ~A.any(axis=1)
+            dropped += int((zero & (b >= 0.0)).sum())
+            kept_zero += int((zero & (b < 0.0)).sum())
+            self._check(P, A, b)
+            if k == 1:
+                self._check(P, A[0], b)
+        assert dropped > 20 and kept_zero > 10
+
+    def test_trivial_rows_are_dropped(self):
+        P = Polyhedron.box([0.0, 0.0], [1.0, 1.0])
+        Q = self._check(P, [[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]], [2.0, 1.5, -0.0])
+        assert Q.nrows == 5
+
+    def test_zero_row_with_negative_rhs_is_kept(self):
+        P = Polyhedron.box([0.0, 0.0], [1.0, 1.0])
+        Q = self._check(P, [[0.0, 0.0]], [-1e-3])
+        assert Q.nrows == 5
+        assert geo.feasible_point(Q) is None
+
+    @pytest.mark.parametrize("A, b", [([[np.nan, 0.0]], [1.0]), ([[1.0, 0.0]], [np.inf]),
+                                      ([[1.0, -np.inf]], [0.0])])
+    def test_non_finite_row_raises(self, A, b):
+        with pytest.raises(ValueError, match="finite"):
+            Polyhedron.box([0.0, 0.0], [1.0, 1.0]).intersect(A, b)
+
+    @pytest.mark.parametrize("A, b", [([[1.0, 0.0, 0.0]], [1.0]),
+                                      ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [1.0, 1.0]),
+                                      # Six numbers: two rows of width 3,
+                                      # not three rows of width 2.
+                                      ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [1.0, 1.0, 1.0]),
+                                      ([[1.0, 0.0]], [1.0, 2.0]),
+                                      ([1.0, 0.0, 0.0], [1.0])])
+    def test_wrong_shape_raises(self, A, b):
+        with pytest.raises(ValueError):
+            Polyhedron.box([0.0, 0.0], [1.0, 1.0]).intersect(A, b)
 
 
 class TestSolveLp:
@@ -768,7 +842,7 @@ def _ref_eliminate(T, rhs, row, col):
     rhs[nz] -= f[nz] * rhs[row]
 
 
-def _ref_pivot_once(T, rhs, obj, basis, col, tol_piv):
+def _ref_pivot_once(T, rhs, obj, value, basis, col, tol_piv):
     d = T[:, col]
     rows = (d > tol_piv).nonzero()[0]
     if rows.size == 0:
@@ -781,6 +855,7 @@ def _ref_pivot_once(T, rhs, obj, basis, col, tol_piv):
     f = obj[col]
     if f != 0.0:
         obj -= f * T[leave]
+        value[0] -= f * rhs[leave]
     basis[leave] = col
     tiny = (rhs < 0.0) & (rhs > -1e-11)
     if tiny.any():
@@ -788,7 +863,10 @@ def _ref_pivot_once(T, rhs, obj, basis, col, tol_piv):
     return leave
 
 
-def _ref_simplex(A, b, c, budget, tol):
+def _ref_simplex(A, b, c, budget, tol, target=np.inf):
+    """The kernel's contract (see geometry._simplex), with its own tableau
+    layout: T, rhs, the objective row and its running value `value`, which
+    is -(c^T x) in phase 2, are separate arrays."""
     m, n = A.shape
     if m == 0:
         if np.allclose(c, 0.0):
@@ -814,7 +892,7 @@ def _ref_simplex(A, b, c, budget, tol):
 
     pivots_used = 0
 
-    def run(obj, allowed):
+    def run(obj, value, allowed, target=np.inf):
         nonlocal pivots_used
         streak = 0
         bland = False
@@ -823,10 +901,12 @@ def _ref_simplex(A, b, c, budget, tol):
             cand = (reduced < -tol).nonzero()[0]
             if cand.size == 0:
                 return "optimal"
+            if value[0] > target:
+                return "target"
             col = cand[0] if bland else cand[reduced[cand].argmin()]
             if pivots_used >= budget:
                 raise LpPivotLimitError(f"simplex exceeded {budget} pivots")
-            leave = _ref_pivot_once(T, rhs, obj, basis, col, geo._PIVOT_EPS)
+            leave = _ref_pivot_once(T, rhs, obj, value, basis, col, geo._PIVOT_EPS)
             if leave is None:
                 return "unbounded"
             pivots_used += 1
@@ -839,9 +919,11 @@ def _ref_simplex(A, b, c, budget, tol):
     drive_outs = 0
     if nart > 0:
         obj1 = is_art.astype(float)
+        value1 = np.zeros(1)
         for i in flipped:
             obj1 -= T[i]
-        run(obj1, np.ones(ncols, dtype=bool))
+            value1 -= rhs[i]
+        run(obj1, value1, np.ones(ncols, dtype=bool))
         measure = float(rhs[is_art[basis]].sum())
         if measure > tol:
             return "infeasible", None, measure, pivots_used
@@ -861,17 +943,19 @@ def _ref_simplex(A, b, c, budget, tol):
     c2[:n] = c
     c2[n:2 * n] = -c
     obj2 = c2.copy()
+    value2 = np.zeros(1)
     cb = c2[basis]
     for i in cb.nonzero()[0]:
         obj2 -= cb[i] * T[i]
-    status = run(obj2, ~is_art)
+        value2 -= cb[i] * rhs[i]
+    status = run(obj2, value2, ~is_art, target)
     pivots = pivots_used + drive_outs
     if status == "unbounded":
         return "unbounded", None, measure, pivots
     x_full = np.zeros(ncols)
     x_full[basis] = rhs
     x = x_full[:n] - x_full[n:2 * n]
-    return "optimal", x, measure, pivots
+    return status, x, measure, pivots
 
 
 _KERNEL_KINDS = ("random", "degenerate", "equality", "scaled", "infeasible", "unbounded")
@@ -920,8 +1004,66 @@ def _kernel_lps(seed, count):
         yield kind, Polyhedron(A, b), c
 
 
+_SHIFTED_KINDS = ("signed zeros", "no flip", "all flipped")
+
+
+def _shifted_lps(seed, count):
+    """(kind, P, c) for the paths the kernel builds without phase 1 or with
+    every row flipped.
+
+    "signed zeros" is the system remove_redundant and feasible_point pose
+    after shifting to a vertex: b >= 0, with the rows through the vertex at
+    exact zeros of either sign. "no flip" is shifted to an interior point,
+    so b > 0. In "all flipped" every b is negative: a set around a point far
+    from the origin, or (every other time) a contradictory pair added.
+    """
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        kind = _SHIFTED_KINDS[trial % len(_SHIFTED_KINDS)]
+        dim = int(rng.integers(1, 5))
+        c = rng.standard_normal(dim)
+        if kind == "all flipped":
+            v = rng.choice([-1.0, 1.0], size=dim) * rng.uniform(2.0, 3.0, size=dim)
+            A = rng.standard_normal((int(rng.integers(1, 7)), dim))
+            A *= -np.sign(A @ v)[:, None]
+            b = (A @ v) * rng.uniform(0.2, 0.9, size=A.shape[0])
+            if trial % 2:
+                e = rng.standard_normal(dim)
+                A, b = np.vstack([A, e, -e]), np.concatenate([b, [-0.5, -0.5]])
+            yield kind, Polyhedron(A, b), c
+            continue
+        P = random_bounded(rng, dim, int(rng.integers(0, 5)))
+        if kind == "no flip":
+            point = interior_point(P)[0]
+            yield kind, Polyhedron(P.A, P.b - P.A @ point), c
+            continue
+        d = rng.standard_normal(dim)
+        point = solve_lp(d, P, "max").point
+        b = np.maximum(P.b - P.A @ point, 0.0)
+        tight = b < 1e-12
+        b[tight] = rng.choice([0.0, -0.0], size=int(tight.sum()))
+        # Half the time the vertex itself is optimal: min -d^T y at y = 0,
+        # reached by degenerate pivots on the zero rows.
+        yield kind, Polyhedron(P.A, b), (-d if trial % 2 else c)
+
+
 def _same_bits(x, y):
     return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+def _same_as_reference(P, c, target=np.inf):
+    """Status of the kernel's solve, after checking that it is the reference
+    kernel's to the bit: status, x, phase-1 measure and pivots."""
+    budget = geo.PIVOT_CAP_FACTOR * (P.nrows + P.dim)
+    want = _ref_simplex(P.A, P.b, c, budget, geo.OPT_TOL, target)
+    got = geo._simplex(P.A, P.b, c, budget, geo.OPT_TOL, target)
+    assert got[0] == want[0]
+    assert (got[1] is None) == (want[1] is None)
+    if want[1] is not None:
+        assert _same_bits(got[1], want[1])
+    assert _same_bits(np.float64(got[2]), np.float64(want[2]))
+    assert got[3] == want[3]
+    return want
 
 
 def _pivot_batch():
@@ -987,20 +1129,39 @@ class TestKernel:
         drive_outs = _spy_drive_outs(monkeypatch)
         seen = {}
         for kind, P, c in _kernel_lps(31, 2400):
-            budget = geo.PIVOT_CAP_FACTOR * (P.nrows + P.dim)
-            want = _ref_simplex(P.A, P.b, c, budget, geo.OPT_TOL)
-            got = geo._simplex(P.A, P.b, c, budget, geo.OPT_TOL)
-            assert got[0] == want[0], kind
-            assert (got[1] is None) == (want[1] is None), kind
-            if want[1] is not None:
-                assert _same_bits(got[1], want[1]), kind
-            assert _same_bits(np.float64(got[2]), np.float64(want[2])), kind
-            assert got[3] == want[3], kind
+            want = _same_as_reference(P, c)
             seen.setdefault(kind, set()).add(want[0])
         assert set(seen) == set(_KERNEL_KINDS)
         assert set().union(*seen.values()) == {"optimal", "infeasible", "unbounded"}
         assert "infeasible" in seen["infeasible"] and "unbounded" in seen["unbounded"]
         assert drive_outs
+
+    def test_shifted_systems_match_reference_bitwise(self):
+        # Each LP is solved without a target, then with targets short of,
+        # at and past its optimum, where the "target" stop reads the running
+        # objective value.
+        seen = set()
+        zero_x = 0
+        for kind, P, c in _shifted_lps(37, 900):
+            flipped = int((P.b < 0.0).sum())
+            assert flipped == (P.nrows if kind == "all flipped" else 0)
+            want = _same_as_reference(P, c)
+            seen.add((kind, want[0]))
+            if kind == "signed zeros" and want[1] is not None:
+                zero_x += bool((want[1] == 0.0).any())
+            if want[0] != "optimal":
+                continue
+            value = -(c @ want[1])
+            for gap in (1.0, 1e-3, 0.0, -1e-3):
+                got = _same_as_reference(P, c, value - gap)
+                seen.add((kind, got[0]))
+        assert {("signed zeros", "optimal"), ("signed zeros", "target"),
+                ("no flip", "optimal"), ("no flip", "target"),
+                ("all flipped", "optimal"), ("all flipped", "infeasible"),
+                ("all flipped", "unbounded"), ("all flipped", "target")} <= seen
+        # A zero in x came through the ratio test on a zero row, where a
+        # -0.0 right-hand side would have left its sign.
+        assert zero_x > 10
 
     def test_pivot_total_of_seeded_batch(self):
         # Counts recorded with the row-at-a-time kernel. Pivots were 683
@@ -1056,6 +1217,37 @@ class TestKernel:
         assert np.allclose(x, point)
         n, m = P.dim, P.nrows
         assert drive_outs and all(2 * n <= j < 2 * n + m for j in drive_outs)
+
+
+def _certify_cases():
+    """(problem, model, LPs) of the certify-level kernel comparison."""
+    root = pathlib.Path(__file__).resolve().parent.parent / "problems"
+    di = load_problem(json.loads((root / "double_integrator.json").read_text()))
+    toy = load_problem(json.loads((root / "toy.json").read_text()))
+    band = ErrorModel(kind="polyhedral", perturb_dual=True,
+                      set=Polyhedron([[1.0], [-1.0]], [0.05, 0.05]))
+    rand = random_problem(np.random.default_rng(7), 4, 8, 2)
+    return [
+        pytest.param(di, ErrorModel(kind="hypercube", bound=1e-4), 4149,
+                     id="double-integrator-hypercube"),
+        pytest.param(toy, band, 358, id="toy-polyhedral-perturb-dual"),
+        pytest.param(rand, ErrorModel(), 1468, id="random-4x8x2-exact"),
+    ]
+
+
+@pytest.mark.parametrize("prob, model, lps", _certify_cases())
+def test_certify_with_reference_kernel(monkeypatch, prob, model, lps):
+    # Every LP a certification solves, through the reference kernel instead
+    # of geometry._simplex: the same document to the byte, in as many LPs
+    # and pivots.
+    runs = []
+    for kernel in (geo._simplex, _ref_simplex):
+        monkeypatch.setattr(geo, "_simplex", kernel)
+        before = geo.lp_call_count(), geo.pivot_count()
+        doc = dump_document(certify(prob, model=model).to_document())
+        runs.append((doc, geo.lp_call_count() - before[0], geo.pivot_count() - before[1]))
+    assert runs[0] == runs[1]
+    assert runs[0][1] == lps
 
 
 def _hard_instances(seed, count=60):
