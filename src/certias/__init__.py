@@ -32,16 +32,13 @@ from certias.geometry import (
 from certias.lpp import ErrorModel, lift_partition_project, rel_to_abs
 from certias.mpqp import AffineMap, MpQP, load_problem, subproblem_maps
 from certias.solver import (
-    ErrorInjector,
     RunResult,
     SolverState,
     Tolerances,
     run,
 )
 from certias.validation import (
-    InfeasibleProblemError,
     ValidationReport,
-    brute_force_solve,
     search_realization,
     validate_conformance,
 )
@@ -53,10 +50,8 @@ __all__ = [
     "BudgetExceededError",
     "CertificationResult",
     "CertifiedRegion",
-    "ErrorInjector",
     "ErrorModel",
     "GeometryError",
-    "InfeasibleProblemError",
     "IterationCdf",
     "LpResult",
     "MpQP",
@@ -69,7 +64,6 @@ __all__ = [
     "Tolerances",
     "ValidationReport",
     "bounding_box",
-    "brute_force_solve",
     "certify",
     "contains",
     "double_integrator_problem",

@@ -5,7 +5,7 @@ kernel is a plain dense tableau simplex: Dantzig pricing with a Bland
 fallback once pivots stop making progress. That is slow compared to a real
 LP library, but the systems this package solves are desk-scale (tens of
 rows, dimension below ten or so) and a hand-rolled kernel keeps results
-bit-reproducible across platforms and worker counts.
+bit-reproducible across platforms.
 
 Each LP lives in one augmented array M = [T rhs; obj .]: the constraint
 rows with their right-hand side in the last column, and the objective row

@@ -15,10 +15,13 @@ arithmetic, a closed-form right-hand-side relaxation for a sup-norm ball,
 and Fourier-Motzkin elimination for a general polyhedral E. A relative
 bound is first converted, per region, to a sup-norm ball by bounding |z|
 over the region with a pair of linear programs per component (rel_to_abs).
+ErrorModel.step_bounds gives the per-step hypercube bounds that pointwise
+runs draw their error rows from.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -100,6 +103,20 @@ class ErrorModel:
             return ErrorModel(kind=KIND_POLYHEDRAL, set=_coordinate_slice(mk.set, rows))
         return mk
 
+    def step_bounds(self, n_steps: int) -> np.ndarray:
+        """Componentwise sampling bound of each of the first n_steps
+        automaton steps: the hypercube bound the step's slack check sees, 0
+        where it sees no error. Raises ValueError when some step is
+        polyhedral or relative: those cannot be sampled."""
+        bounds = np.zeros(n_steps)
+        for k in range(n_steps):
+            mk = self.at(k)
+            if mk.kind == KIND_HYPERCUBE:
+                bounds[k] = mk.bound
+            elif mk.kind != KIND_NONE:
+                raise ValueError(f"cannot sample from error model kind {mk.kind!r}")
+        return bounds
+
     def check_dimension(self, m: int) -> None:
         """Raise ValueError unless every polyhedral set of this model, the
         base one and each schedule entry's, has dimension m, the constraint
@@ -138,12 +155,20 @@ class ErrorModel:
         file whose polyhedral set is given in full as {"A": ..., "b": ...}.
 
         The hypercube bound may be spelled eps_bar. Raises ValueError on a
-        key the kind does not take, on a missing bound or set, and on a
-        polyhedral set given only as its summary.
+        key the kind does not take, on a missing bound or set, on a bound
+        that is not a number (a bool is not), on a perturb_dual that is not
+        a bool, and on a polyhedral set given only as its summary.
         """
         if not isinstance(doc, dict):
             raise ValueError("an error model must be a JSON object")
         doc = dict(doc)
+        for key in ("bound", "eps_bar", "rel_bound"):
+            if key in doc and (isinstance(doc[key], bool)
+                               or not isinstance(doc[key], numbers.Real)):
+                raise ValueError(f"{key} must be a number, not {doc[key]!r}")
+        if not isinstance(doc.get("perturb_dual", False), bool):
+            raise ValueError(f"perturb_dual must be true or false, "
+                             f"not {doc['perturb_dual']!r}")
         if "eps_bar" in doc:
             if "bound" in doc:
                 raise ValueError("give bound or eps_bar, not both")

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from certias.geometry import LpPivotLimitError, Polyhedron, bounding_box, is_empty
+from certias.geometry import GeometryError, LpPivotLimitError, Polyhedron, bounding_box, is_empty
 
 # A Schur-complement Cholesky pivot below this marks the working set as
 # rank deficient rather than letting the solve produce garbage.
@@ -123,7 +123,7 @@ class MpQP:
             bounding_box(theta_set)
         except LpPivotLimitError:
             raise
-        except Exception:
+        except GeometryError:
             raise ProblemFormatError("the parameter set is unbounded") from None
 
         self.H = H

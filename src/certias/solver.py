@@ -8,15 +8,17 @@ current working set: a sufficiently negative multiplier sends its row back
 out. The same transition function drives the region certifier, so the two
 must never be edited apart.
 
-Perturbations model inexact slack evaluation: an injected vector is added to
-the slack before it is compared against the tolerance. Multipliers are
-checked exactly unless the injector opts in to perturbing them as well.
+Perturbations model inexact slack evaluation: run takes a K x m array of
+error rows, and step k adds row k (zero once the rows run out) to the slack
+before it is compared against the tolerance. Multipliers are checked
+exactly unless perturb_dual is set, in which case they see the working-set
+components of the same row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -97,44 +99,6 @@ class Tolerances:
     def from_document(cls, doc: dict) -> "Tolerances":
         return cls(eps_primal=doc["eps_primal"], eps_dual=doc["eps_dual"],
                    iter_limit=doc["iter_limit"])
-
-
-@dataclass
-class ErrorInjector:
-    """Supplies the perturbation vector for automaton step k.
-
-    schedule(k) must return a length-m vector. It is added to the slack at
-    slack-check steps; when perturb_dual is set, working-set components of
-    the same vector are also added to the multipliers at dual-check steps.
-    """
-
-    schedule: Callable[[int], np.ndarray]
-    perturb_dual: bool = False
-
-    @classmethod
-    def zero(cls, m: int) -> "ErrorInjector":
-        vec = np.zeros(m)
-        return cls(schedule=lambda k: vec)
-
-    @classmethod
-    def constant(cls, vec, perturb_dual: bool = False) -> "ErrorInjector":
-        vec = np.asarray(vec, dtype=float).ravel().copy()
-        return cls(schedule=lambda k: vec, perturb_dual=perturb_dual)
-
-    @classmethod
-    def from_sequence(cls, vectors, perturb_dual: bool = False) -> "ErrorInjector":
-        """Replays a finite list of vectors (or the rows of a 2-D array),
-        zeros afterwards. The input is copied once, as a whole."""
-        vecs = np.array(vectors, dtype=float)
-        if not len(vecs):
-            raise ValueError("need at least one vector")
-        vecs = vecs.reshape(len(vecs), -1)
-        zero = np.zeros_like(vecs[0])
-
-        def sched(k: int) -> np.ndarray:
-            return vecs[k] if k < len(vecs) else zero
-
-        return cls(schedule=sched, perturb_dual=perturb_dual)
 
 
 def transition(state: SolverState, index: int) -> SolverState:
@@ -229,17 +193,22 @@ class RunResult:
     snapshots: list[np.ndarray] = field(default_factory=list)
 
 
-def run(prob: MpQP, theta, injector: Optional[ErrorInjector] = None,
-        tol: Optional[Tolerances] = None) -> RunResult:
+def run(prob: MpQP, theta, errors=None, tol: Optional[Tolerances] = None,
+        perturb_dual: bool = False) -> RunResult:
     """Run the solver at one parameter value until it terminates.
 
     theta must lie in the problem's parameter set (within a small slack).
-    The injector perturbs each slack evaluation; by default nothing is
-    injected. Iterations are counted as slack-check steps and capped at
+    errors is a K x m array: automaton step k adds row k to its slack (and,
+    with perturb_dual, the row's working-set components to its multipliers);
+    steps past row K-1 add zero, as does every step when errors is None.
+    Iterations are counted as slack-check steps and capped at
     tol.iter_limit, after which the run ends with TERMINATED_ITER_LIMIT.
     """
     tol = tol or Tolerances()
-    injector = injector or ErrorInjector.zero(prob.m)
+    zero = np.zeros(prob.m)
+    errors = np.empty((0, prob.m)) if errors is None else np.asarray(errors, dtype=float)
+    if errors.ndim != 2 or errors.shape[1] != prob.m:
+        raise ValueError(f"errors must be a 2-D array with {prob.m} columns")
     theta = np.asarray(theta, dtype=float).ravel()
     if not contains(prob.theta_set, theta, slack=1e-9):
         raise ValueError("theta lies outside the parameter set")
@@ -258,8 +227,8 @@ def run(prob: MpQP, theta, injector: Optional[ErrorInjector] = None,
             break
         sequence.append(state)
         was_slack = state.mode == SLACK_CHECK
-        nxt, _, snap = step(prob, state, theta, injector.schedule(k), tol,
-                            injector.perturb_dual)
+        eps = errors[k] if k < len(errors) else zero
+        nxt, _, snap = step(prob, state, theta, eps, tol, perturb_dual)
         snapshots.append(snap)
         if was_slack:
             slack_done += 1

@@ -4,8 +4,7 @@ Certification claims that every parameter's realized state sequence appears
 among the certified ones. This module samples parameters (and, with a
 nonzero error model, error sequences), runs the solver, and compares. It
 also provides a witness search in the opposite direction: given a certified
-region, find an error sequence that actually realizes its sequence, and an
-enumeration-based optimality oracle independent of the solver iteration.
+region, find an error sequence that actually realizes its sequence.
 
 Samples within a small normalized distance of any certified-region boundary
 are skipped rather than judged: tie-breaking on shared boundaries depends on
@@ -14,7 +13,6 @@ the region representation, and the guarantees are interior statements.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -22,23 +20,18 @@ import numpy as np
 
 from certias.certifier import CertificationResult, CertifiedRegion
 from certias.geometry import bounding_box, contains, normalize_rows
-from certias.lpp import KIND_HYPERCUBE, KIND_NONE, ErrorModel
+from certias.lpp import ErrorModel
 from certias.mpqp import MpQP
 from certias.solver import (
     DUAL_CHECK,
     PASS_INDEX,
     SLACK_CHECK,
     TERMINATED_OPTIMAL,
-    ErrorInjector,
     Tolerances,
     run,
 )
 
 DELTA_MARGIN = 1e-7
-
-
-class InfeasibleProblemError(RuntimeError):
-    """The QP at this parameter has no feasible point."""
 
 
 @dataclass
@@ -117,22 +110,9 @@ class _RegionStack:
         return hosts.nonzero()[0].tolist()
 
 
-def _step_bounds(model: ErrorModel, n_steps: int) -> np.ndarray:
-    """Hypercube bound of each automaton step; 0 where the step draws nothing."""
-    bounds = np.zeros(n_steps)
-    for k in range(n_steps):
-        mk = model.at(k)
-        if mk.kind == KIND_HYPERCUBE:
-            bounds[k] = mk.bound
-        elif mk.kind != KIND_NONE:
-            raise ValueError(f"cannot sample from error model kind {mk.kind!r}")
-    return bounds
-
-
-def _draw_injector(bounds: np.ndarray, rng: np.random.Generator, m: int,
-                   perturb_dual: bool = False) -> ErrorInjector:
-    """One admissible error sequence, uniform per step within `bounds`
-    (from _step_bounds), drawn with one generator call.
+def _draw_errors(bounds: np.ndarray, rng: np.random.Generator, m: int) -> np.ndarray:
+    """One admissible error sequence, row k uniform within bounds[k] (from
+    ErrorModel.step_bounds), drawn with one generator call.
 
     The values and the generator's final state equal those of one
     rng.uniform(-b, b, size=m) call per step with a nonzero bound b, in
@@ -143,7 +123,7 @@ def _draw_injector(bounds: np.ndarray, rng: np.random.Generator, m: int,
     drawn = bounds != 0.0
     b = bounds[drawn, None]
     errors[drawn] = rng.uniform(-b, b, size=(b.shape[0], m))
-    return ErrorInjector.from_sequence(errors, perturb_dual=perturb_dual)
+    return errors
 
 
 def validate_conformance(prob: MpQP, result: CertificationResult,
@@ -171,7 +151,7 @@ def validate_conformance(prob: MpQP, result: CertificationResult,
     lo, hi = bounding_box(prob.theta_set)
     stack = _RegionStack(result)
     n_steps = 2 * tol.iter_limit + 2
-    bounds = _step_bounds(model, n_steps)
+    bounds = model.step_bounds(n_steps)
 
     report = ValidationReport(samples_total=n_samples)
     for _ in range(n_samples):
@@ -182,8 +162,8 @@ def validate_conformance(prob: MpQP, result: CertificationResult,
         if stack.near_boundary(theta):
             report.samples_skipped_boundary += 1
             continue
-        injector = _draw_injector(bounds, rng, prob.m, model.perturb_dual)
-        realized = tuple(run(prob, theta, injector=injector, tol=tol).sequence)
+        errors = _draw_errors(bounds, rng, prob.m)
+        realized = tuple(run(prob, theta, errors, tol, model.perturb_dual).sequence)
         host_ids = stack.host_ids(theta)
         if not host_ids:
             report.coverage_gaps.append(tuple(theta))
@@ -253,7 +233,7 @@ def search_realization(prob: MpQP, region: CertifiedRegion, theta,
     Tries the per-step extreme hypercube vertices first (sufficient whenever
     a witness exists at all, by monotonicity of each decision condition in
     the error), then falls back to `budget` random admissible draws. Returns
-    (found, witness), the witness being the per-step error vectors.
+    (found, witness), the witness being the error rows to hand to `run`.
     """
     theta = np.asarray(theta, dtype=float).ravel()
     if not contains(region.region, theta, slack=1e-9):
@@ -262,59 +242,22 @@ def search_realization(prob: MpQP, region: CertifiedRegion, theta,
     target = tuple(region.sequence)
     indices = _step_indices(region.sequence)
 
-    def attempt(vectors) -> bool:
-        injector = ErrorInjector.from_sequence(vectors,
-                                               perturb_dual=model.perturb_dual)
-        got = run(prob, theta, injector=injector, tol=tol)
+    def attempt(errors: np.ndarray) -> bool:
+        got = run(prob, theta, errors, tol, model.perturb_dual)
         return tuple(got.sequence) == target
 
-    bounds = _step_bounds(model, len(indices))
-    zero = [np.zeros(prob.m)]
+    bounds = model.step_bounds(len(indices))
+    zero = np.zeros((1, prob.m))
     if attempt(zero):
         return True, zero
 
-    vertex = [_vertex_for(idx, prob.m, b) for idx, b in zip(indices, bounds)]
+    vertex = np.array([_vertex_for(i, prob.m, b) for i, b in zip(indices, bounds)])
     if attempt(vertex):
         return True, vertex
 
     rng = np.random.default_rng(0)
     for _ in range(budget):
-        draw = [rng.uniform(-b, b, size=prob.m) if b else np.zeros(prob.m)
-                for b in bounds]
+        draw = _draw_errors(bounds, rng, prob.m)
         if attempt(draw):
             return True, draw
     return False, None
-
-
-def brute_force_solve(prob: MpQP, theta) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Optimality oracle by working-set enumeration; independent of the
-    iterative solver.
-
-    Enumerates working sets of size up to n_x with full-row-rank constraint
-    blocks, solves each equality-constrained KKT system, and returns the
-    point that is primal feasible (1e-9) with nonnegative multipliers
-    (-1e-9). Strict convexity makes it unique. Intended for m <= 12.
-    """
-    theta = np.asarray(theta, dtype=float).ravel()
-    if prob.m > 12:
-        raise ValueError("enumeration oracle limited to m <= 12")
-    f = prob.f(theta)
-    d = prob.d(theta)
-    H, C = prob.H, prob.C
-    for size in range(prob.n_x + 1):
-        for combo in itertools.combinations(range(prob.m), size):
-            C_W = C[list(combo)]
-            if size and np.linalg.matrix_rank(C_W, tol=1e-10) < size:
-                continue
-            K = np.block([[H, C_W.T],
-                          [C_W, np.zeros((size, size))]]) if size else H
-            rhs = np.concatenate([-f, d[list(combo)]]) if size else -f
-            try:
-                sol = np.linalg.solve(K, rhs)
-            except np.linalg.LinAlgError:
-                continue
-            x, lam = sol[:prob.n_x], sol[prob.n_x:]
-            if np.all(C @ x <= d + 1e-9) and np.all(lam >= -1e-9):
-                return x, combo
-    raise InfeasibleProblemError("no working set satisfies the optimality "
-                                 "conditions; the QP is likely infeasible")

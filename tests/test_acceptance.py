@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import enumerate_vertices, poly_contains_poly, poly_equal
+from oracles import enumerate_vertices, poly_contains_poly, poly_equal, qp_solve_enumerate
 
 from certias.analysis import slack_profile, sweep
 from certias.certifier import certify, partition_step
@@ -34,7 +34,7 @@ from certias.lpp import (
 )
 from certias.mpqp import AffineMap, MpQP
 from certias.solver import Tolerances, run
-from certias.validation import brute_force_solve, validate_conformance
+from certias.validation import validate_conformance
 
 EPS_P = 1e-6
 
@@ -255,8 +255,8 @@ def test_criterion_08_solver_matches_enumeration():
             assert res.status in ("degenerate", "terminated_iter_limit")
             non_optimal += 1
             continue
-        x_ref, _ = brute_force_solve(prob, theta)
-        assert np.allclose(res.x, x_ref, atol=1e-6)
+        x_ref, _ = qp_solve_enumerate(prob.H, prob.f(theta), prob.C, prob.d(theta))
+        assert x_ref is not None and np.allclose(res.x, x_ref, atol=1e-6)
     assert non_optimal < 10
     print(f"[criterion 8] PASS (non-optimal rate {non_optimal / 10:.1f}%)")
 

@@ -31,6 +31,14 @@ def mpc_path(problem_dir):
     return str(problem_dir / "double_integrator.json")
 
 
+def test_shipped_problem_files_are_current(problem_dir):
+    # The fixtures above generate the problems; CI and the benchmark read
+    # the shipped copies under problems/.
+    shipped = pathlib.Path(__file__).resolve().parent.parent / "problems"
+    for name in ("toy.json", "double_integrator.json"):
+        assert (problem_dir / name).read_bytes() == (shipped / name).read_bytes()
+
+
 @pytest.fixture()
 def toy_partition(toy_path, tmp_path):
     out = tmp_path / "part.json"
@@ -567,7 +575,9 @@ class TestModelDocuments:
     @pytest.mark.parametrize("model", [
         {"kind": "hypercube", "epsbar": 0.1},
         {"kind": "hypercube"},
-    ], ids=["misspelled-key", "no-bound"])
+        {"kind": "hypercube", "bound": 1e-4, "perturb_dual": "false"},
+        {"kind": "hypercube", "bound": True},
+    ], ids=["misspelled-key", "no-bound", "string-perturb-dual", "bool-bound"])
     def test_bad_model_file_exits_2(self, toy_path, tmp_path, capsys, model):
         model_path = self._model_file(tmp_path, model)
         assert main(["certify", "--problem", toy_path,

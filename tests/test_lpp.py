@@ -152,10 +152,23 @@ class TestErrorModel:
         ({"kind": "hypercube", "bound": 0.1, "schedule": [{"kind": "none", "bond": 0}]},
          "unknown keys"),
         ([0.1], "JSON object"),
+        ({"kind": "hypercube", "bound": 1e-4, "perturb_dual": "false"},
+         "perturb_dual must be true or false"),
+        ({"kind": "hypercube", "bound": True}, "bound must be a number"),
+        ({"kind": "hypercube", "eps_bar": "1e-4"}, "eps_bar must be a number"),
+        ({"kind": "relative", "rel_bound": False}, "rel_bound must be a number"),
     ])
     def test_bad_documents(self, doc, message):
         with pytest.raises(ValueError, match=message):
             ErrorModel.from_document(doc)
+
+    def test_integer_bounds_read(self):
+        doc = {"kind": "hypercube", "bound": 1,
+               "schedule": [{"kind": "relative", "rel_bound": 0}, {"eps_bar": 2,
+                                                                   "kind": "hypercube"}]}
+        model = ErrorModel.from_document(doc)
+        assert model.bound == 1 and model.schedule[1].bound == 2
+        assert ErrorModel.from_document(model.to_document()) == model
 
 
 class TestLiftPartitionProject:

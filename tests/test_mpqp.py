@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from certias.examples import double_integrator_problem, toy_problem
 from certias.geometry import Polyhedron
+from certias import mpqp
 from certias.mpqp import AffineMap, MpQP, ProblemFormatError, load_problem, subproblem_maps
 
 from oracles import kkt_solve_fixed
@@ -61,6 +62,16 @@ class TestLoadProblem:
         doc["theta_set"] = {"A": [[1.0]], "b": [3.0]}
         with pytest.raises(ProblemFormatError, match="unbounded"):
             load_problem(doc)
+
+    def test_boundedness_check_bug_propagates(self, monkeypatch):
+        # Only a GeometryError from the bounding box means "unbounded"; a
+        # programming error must not pass for bad input.
+        def broken(P):
+            raise TypeError("broken bounding_box")
+
+        monkeypatch.setattr(mpqp, "bounding_box", broken)
+        with pytest.raises(TypeError, match="broken bounding_box"):
+            load_problem(toy_problem().to_document())
 
     def test_shape_mismatch(self):
         doc = toy_problem().to_document()

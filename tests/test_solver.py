@@ -10,7 +10,6 @@ from certias.solver import (
     SLACK_CHECK,
     TERMINATED_ITER_LIMIT,
     TERMINATED_OPTIMAL,
-    ErrorInjector,
     SolverState,
     Tolerances,
     run,
@@ -24,6 +23,11 @@ from test_mpqp import random_problem
 
 def seq_shape(result):
     return [(s.working_set, s.mode) for s in result.sequence]
+
+
+def constant_rows(vec, n_steps=64):
+    """The same error row at every step of a run of up to n_steps steps."""
+    return np.tile(np.asarray(vec, dtype=float), (n_steps, 1))
 
 
 class TestTransition:
@@ -168,8 +172,7 @@ class TestRunToy:
     def test_iter_limit_reached(self):
         # Persistent negative perturbation re-adds the row forever.
         prob = toy_problem()
-        inj = ErrorInjector.constant([-0.5])
-        result = run(prob, [-0.95], injector=inj, tol=Tolerances(iter_limit=4))
+        result = run(prob, [-0.95], constant_rows([-0.5]), Tolerances(iter_limit=4))
         assert result.status == TERMINATED_ITER_LIMIT
         assert result.iterations == 4
         assert result.sequence[-1].mode == TERMINATED_ITER_LIMIT
@@ -177,8 +180,7 @@ class TestRunToy:
     def test_duplicate_add_runs_degenerate(self):
         prob = toy_problem()
         # theta = -2 activates the row; the injected error then re-adds it.
-        inj = ErrorInjector.constant([-1e-3])
-        result = run(prob, [-2.0], injector=inj)
+        result = run(prob, [-2.0], constant_rows([-1e-3]))
         assert result.status == DEGENERATE
         assert result.sequence[-1].working_set == (0, 0)
         assert result.x is None
@@ -267,33 +269,68 @@ class TestSnapshotMembership:
 
 
 class TestInjector:
+    """Error rows as run takes them: step k adds row k, later steps add zero."""
+
     def test_zero_injector(self):
-        inj = ErrorInjector.zero(3)
-        assert np.array_equal(inj.schedule(0), np.zeros(3))
-        assert np.array_equal(inj.schedule(99), np.zeros(3))
+        # errors=None, no rows and rows of zeros are the same run.
+        prob, theta = double_integrator_problem(), [1.2, -0.9]
+        ref = run(prob, theta)
+        for errors in (np.zeros((0, prob.m)), np.zeros((40, prob.m))):
+            res = run(prob, theta, errors, perturb_dual=True)
+            assert seq_shape(res) == seq_shape(ref)
+            assert len(res.snapshots) == len(ref.snapshots)
+            for a, b in zip(res.snapshots, ref.snapshots):
+                assert a.tobytes() == b.tobytes()
 
     def test_sequence_injector_replays_then_zeros(self):
-        inj = ErrorInjector.from_sequence([[1.0], [2.0]])
-        assert inj.schedule(0) == pytest.approx([1.0])
-        assert inj.schedule(1) == pytest.approx([2.0])
-        assert inj.schedule(2) == pytest.approx([0.0])
+        # At theta = -2 the toy run is add, keep, pass: the slack -1, the
+        # multiplier 1, then the working row's slack 0. Row 0 shifts the
+        # first slack, row 1 the multiplier (perturb_dual), and the third
+        # step, past the rows, sees zero.
+        prob = toy_problem()
+        exact = run(prob, [-2.0])
+        errors = np.array([[-1e-3], [2e-3]])
+        res = run(prob, [-2.0], errors, perturb_dual=True)
+        assert seq_shape(res) == seq_shape(exact)
+        for snap, ref, row in zip(res.snapshots, exact.snapshots,
+                                  [errors[0], errors[1], np.zeros(1)]):
+            assert snap.tobytes() == (ref + row).tobytes()
+        # Without perturb_dual the multiplier is exact; the rows are only read.
+        res = run(prob, [-2.0], errors)
+        assert res.snapshots[1].tobytes() == exact.snapshots[1].tobytes()
+        assert np.array_equal(errors, [[-1e-3], [2e-3]])
 
     def test_dual_perturbation_changes_outcome(self):
-        # Same schedule, opposite fates depending on whether multipliers
+        # Same rows, opposite fates depending on whether multipliers
         # are perturbed too. theta sits just inside the constraint boundary.
         prob = toy_problem()
         theta = [-1.0 + 1e-7]
         # Slack-only: row 0 joins, the exact multiplier -1e-7 passes the dual
         # check, then the perturbed working-row slack re-adds row 0 and the
         # doubled row makes the subproblem singular.
-        res = run(prob, theta, injector=ErrorInjector.constant([-1e-5]))
+        res = run(prob, theta, constant_rows([-1e-5]))
         assert res.status == DEGENERATE
         # With multipliers perturbed as well the dual check now drops row 0,
         # so the run cycles add/drop until the iteration cap.
-        inj = ErrorInjector.constant([-1e-5], perturb_dual=True)
-        res = run(prob, theta, injector=inj, tol=Tolerances(iter_limit=6))
+        res = run(prob, theta, constant_rows([-1e-5]), Tolerances(iter_limit=6),
+                  perturb_dual=True)
         assert res.status == TERMINATED_ITER_LIMIT
         assert res.iterations == 6
+
+    @pytest.mark.parametrize("errors", [
+        np.zeros(1), np.zeros((2, 2)), np.zeros((2, 1, 1)),
+    ], ids=["1-D", "wrong-width", "3-D"])
+    def test_error_shape_rejected(self, errors):
+        with pytest.raises(ValueError, match="2-D array with 1 columns"):
+            run(toy_problem(), [-2.0], errors)
+
+    def test_integer_rows_read_as_float(self):
+        prob = toy_problem()
+        as_int = run(prob, [-0.95], np.array([[-1], [0], [-1]]))
+        as_float = run(prob, [-0.95], np.array([[-1.0], [0.0], [-1.0]]))
+        assert seq_shape(as_int) == seq_shape(as_float)
+        for a, b in zip(as_int.snapshots, as_float.snapshots):
+            assert a.dtype == float and a.tobytes() == b.tobytes()
 
 
 class TestTolerances:

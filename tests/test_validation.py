@@ -1,4 +1,4 @@
-"""Conformance sampling, witness search, and the enumeration oracle.
+"""Conformance sampling and witness search.
 
 The conformance checks here are the small, fast versions; the acceptance
 suite reruns them at full sample counts.
@@ -11,15 +11,11 @@ from certias.certifier import CertificationResult, CertifiedRegion, certify
 from certias.examples import double_integrator_problem, toy_problem
 from certias.geometry import Polyhedron, bounding_box, contains, interior_point
 from certias.lpp import KIND_HYPERCUBE, KIND_NONE, KIND_POLYHEDRAL, KIND_RELATIVE, ErrorModel
-from certias.mpqp import MpQP
-from certias.solver import ErrorInjector, Tolerances, run
+from certias.solver import Tolerances, run
 from certias.validation import (
     DELTA_MARGIN,
-    InfeasibleProblemError,
-    _draw_injector,
+    _draw_errors,
     _RegionStack,
-    _step_bounds,
-    brute_force_solve,
     search_realization,
     validate_conformance,
 )
@@ -144,7 +140,7 @@ def _hosts_one_by_one(result, theta):
             if contains(r.region, theta, slack=1e-9)]
 
 
-def _per_step_injector(model, rng, m, n_steps):
+def _per_step_errors(model, rng, m, n_steps):
     """One rng.uniform call per drawing step, in step order."""
     vecs = []
     for k in range(n_steps):
@@ -155,7 +151,7 @@ def _per_step_injector(model, rng, m, n_steps):
             vecs.append(rng.uniform(-mk.bound, mk.bound, size=m))
         else:
             raise ValueError(f"cannot sample from error model kind {mk.kind!r}")
-    return ErrorInjector.from_sequence(vecs, perturb_dual=model.perturb_dual)
+    return np.array(vecs)
 
 
 def _validate_one_by_one(prob, result, n_samples, seed, model=None):
@@ -183,8 +179,8 @@ def _validate_one_by_one(prob, result, n_samples, seed, model=None):
         if np.min(np.abs(A @ theta - b)) < DELTA_MARGIN:
             out["samples_skipped_boundary"] += 1
             continue
-        injector = _per_step_injector(model, rng, prob.m, n_steps)
-        realized = tuple(run(prob, theta, injector=injector, tol=tol).sequence)
+        errors = _per_step_errors(model, rng, prob.m, n_steps)
+        realized = tuple(run(prob, theta, errors, tol, model.perturb_dual).sequence)
         host_ids = _hosts_one_by_one(result, theta)
         if not host_ids:
             out["coverage_gaps"].append(tuple(theta))
@@ -314,11 +310,10 @@ class TestReportsMatchOneByOne:
 
 def _assert_same_draws(model, m=5, n_steps=32, seed=3):
     rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-    new = _draw_injector(_step_bounds(model, n_steps), rng_new, m, model.perturb_dual)
-    old = _per_step_injector(model, rng_old, m, n_steps)
-    assert new.perturb_dual == old.perturb_dual == model.perturb_dual
-    for k in range(n_steps + 2):
-        assert new.schedule(k).tobytes() == old.schedule(k).tobytes()
+    new = _draw_errors(model.step_bounds(n_steps), rng_new, m)
+    old = _per_step_errors(model, rng_old, m, n_steps)
+    assert new.shape == old.shape == (n_steps, m)
+    assert new.tobytes() == old.tobytes()
     assert rng_new.bit_generator.state == rng_old.bit_generator.state
     # Both generators continue with the same stream.
     assert rng_new.random() == rng_old.random()
@@ -348,9 +343,9 @@ class TestOneCallDraws:
         _assert_same_draws(model)
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
-        injector = _draw_injector(_step_bounds(model, 10), rng, 3)
+        errors = _draw_errors(model.step_bounds(10), rng, 3)
         assert rng.bit_generator.state == before
-        assert all(not injector.schedule(k).any() for k in range(12))
+        assert errors.shape == (10, 3) and not errors.any()
 
     def test_unsupported_kinds_raise(self):
         rng = np.random.default_rng(0)
@@ -359,26 +354,7 @@ class TestOneCallDraws:
                       ErrorModel(kind=KIND_HYPERCUBE, bound=0.1,
                                  schedule=(ErrorModel(kind=KIND_RELATIVE, rel_bound=0.1),))):
             with pytest.raises(ValueError, match="cannot sample"):
-                _step_bounds(model, 4)
-
-
-class TestInjectorFromBlock:
-    def test_rows_replayed_then_zeros(self):
-        block = np.arange(6.0).reshape(3, 2)
-        injector = ErrorInjector.from_sequence(block)
-        for k in range(3):
-            assert np.array_equal(injector.schedule(k), block[k])
-        assert np.array_equal(injector.schedule(3), np.zeros(2))
-
-    def test_block_is_copied(self):
-        block = np.ones((2, 3))
-        injector = ErrorInjector.from_sequence(block)
-        block[:] = 7.0
-        assert np.array_equal(injector.schedule(1), np.ones(3))
-
-    def test_integer_block_becomes_float(self):
-        injector = ErrorInjector.from_sequence(np.array([[1, 2]]))
-        assert injector.schedule(0).dtype == float
+                model.step_bounds(4)
 
 
 class TestSearchRealization:
@@ -395,8 +371,7 @@ class TestSearchRealization:
         for region in (short[0], long[0]):
             found, witness = search_realization(toy, region, theta, model)
             assert found
-            injector = ErrorInjector.from_sequence(witness)
-            replay = run(toy, theta, injector=injector)
+            replay = run(toy, theta, witness)
             assert tuple(replay.sequence) == tuple(region.sequence)
 
     def test_every_inflated_region_is_realizable(self, toy, toy_inflated):
@@ -446,54 +421,3 @@ class TestSearchRealization:
         for region in (followed, missed):
             with pytest.raises(ValueError, match="cannot sample"):
                 search_realization(toy, region, theta, model)
-
-
-def _random_feasible_qp(rng, n_x, m):
-    """Random strictly convex QP that keeps x = 0 strictly feasible."""
-    A = rng.normal(size=(n_x, n_x))
-    H = A @ A.T + n_x * np.eye(n_x)
-    C = rng.normal(size=(m, n_x))
-    d_const = rng.uniform(0.5, 1.5, size=m)
-    theta_set = Polyhedron.box([-1.0], [1.0])
-    return MpQP(H, C, rng.normal(size=(n_x, 1)), rng.normal(size=n_x),
-                np.zeros((m, 1)), d_const, theta_set)
-
-
-class TestBruteForce:
-    def test_toy_points(self, toy):
-        x, ws = brute_force_solve(toy, np.array([0.0]))
-        assert ws == () and abs(x[0]) < 1e-12
-        x, ws = brute_force_solve(toy, np.array([-2.0]))
-        assert ws == (0,) and abs(x[0] - 1.0) < 1e-12
-
-    def test_matches_iterative_solver(self, toy):
-        rng = np.random.default_rng(42)
-        matched = 0
-        for _ in range(50):
-            prob = _random_feasible_qp(rng, n_x=int(rng.integers(1, 4)),
-                                       m=int(rng.integers(1, 6)))
-            theta = rng.uniform(-1.0, 1.0, size=1)
-            res = run(prob, theta)
-            if res.status != "terminated_optimal":
-                continue
-            x_ref, _ = brute_force_solve(prob, theta)
-            assert np.allclose(res.x, x_ref, atol=1e-6)
-            matched += 1
-        assert matched >= 40
-
-    def test_infeasible_raises(self):
-        prob = MpQP(np.eye(1), np.array([[1.0], [-1.0]]),
-                    np.zeros((1, 1)), np.zeros(1),
-                    np.zeros((2, 1)), np.array([-1.0, -1.0]),
-                    Polyhedron.box([-1.0], [1.0]))
-        with pytest.raises(InfeasibleProblemError):
-            brute_force_solve(prob, np.array([0.0]))
-
-    def test_too_many_rows_rejected(self):
-        rng = np.random.default_rng(0)
-        prob = MpQP(np.eye(2), rng.normal(size=(13, 2)),
-                    np.zeros((2, 1)), np.zeros(2),
-                    np.zeros((13, 1)), np.ones(13),
-                    Polyhedron.box([-1.0], [1.0]))
-        with pytest.raises(ValueError, match="m <= 12"):
-            brute_force_solve(prob, np.array([0.0]))
