@@ -137,14 +137,13 @@ def build_model(cfg: RunConfig) -> Optional[ErrorModel]:
         except (KeyError, ValueError, TypeError) as exc:
             raise InputError(f"bad error-model document "
                              f"{cfg.error_model_path}: {exc}") from exc
-    if cfg.rel_bound is not None and cfg.rel_bound < 0:
-        raise InputError("--rel-bound must be nonnegative")
-    if cfg.eps_bar is not None and cfg.eps_bar < 0:
-        raise InputError("--eps-bar must be nonnegative")
-    if cfg.rel_bound is not None:
-        return ErrorModel(kind=KIND_RELATIVE, rel_bound=cfg.rel_bound)
-    if cfg.eps_bar is not None:
-        return ErrorModel.from_eps_bar(cfg.eps_bar)
+    try:
+        if cfg.rel_bound is not None:
+            return ErrorModel(kind=KIND_RELATIVE, rel_bound=cfg.rel_bound)
+        if cfg.eps_bar is not None:
+            return ErrorModel.from_eps_bar(cfg.eps_bar)
+    except ValueError as exc:
+        raise InputError(f"{given[0]}: {exc}") from exc
     return None
 
 

@@ -485,7 +485,7 @@ def contains(P: Polyhedron, point, slack: float = 0.0) -> bool:
         raise ValueError("point dimension mismatch")
     if P.nrows == 0:
         return True
-    return bool(np.all(P.A @ point <= P.b + slack))
+    return bool((P.A @ point <= P.b + slack).all())
 
 
 def remove_redundant(P: Polyhedron, point: Optional[np.ndarray] = None) -> Polyhedron:

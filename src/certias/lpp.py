@@ -21,6 +21,7 @@ runs draw their error rows from.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -65,8 +66,8 @@ class ErrorModel:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown error model kind {self.kind!r}")
-        if self.bound < 0 or self.rel_bound < 0:
-            raise ValueError("error bounds must be nonnegative")
+        if not (0 <= self.bound < math.inf and 0 <= self.rel_bound < math.inf):
+            raise ValueError("error bounds must be finite and nonnegative")
         if self.kind == KIND_POLYHEDRAL:
             if self.set is None:
                 raise ValueError("polyhedral error model needs a set")
@@ -156,8 +157,9 @@ class ErrorModel:
 
         The hypercube bound may be spelled eps_bar. Raises ValueError on a
         key the kind does not take, on a missing bound or set, on a bound
-        that is not a number (a bool is not), on a perturb_dual that is not
-        a bool, and on a polyhedral set given only as its summary.
+        that is not a finite nonnegative number (a bool is not), on a
+        perturb_dual that is not a bool, and on a polyhedral set given only
+        as its summary.
         """
         if not isinstance(doc, dict):
             raise ValueError("an error model must be a JSON object")

@@ -233,6 +233,13 @@ def subproblem_maps(prob: MpQP, working_set: Sequence[int]) -> SubproblemMaps:
     certify on several threads against one problem, and each call still
     counts only its own LPs.
     """
+    # A tuple, as a solver state holds, is looked up as it is: the cache
+    # keys are normalized, and a tuple equal to one is the same working set.
+    if type(working_set) is tuple:
+        with prob._cache_lock:
+            hit = prob._cache.get(working_set)
+        if hit is not None:
+            return hit
     W = tuple(int(i) for i in working_set)
     for i in W:
         if not 0 <= i < prob.m:

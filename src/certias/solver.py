@@ -17,6 +17,7 @@ components of the same row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -79,10 +80,10 @@ class Tolerances:
     iter_limit: int = 15
 
     def __post_init__(self):
-        if self.eps_primal < 0:
-            raise ValueError("eps_primal must be nonnegative")
-        if self.eps_dual is not None and self.eps_dual < 0:
-            raise ValueError("eps_dual must be nonnegative")
+        if not 0 <= self.eps_primal < math.inf:
+            raise ValueError("eps_primal must be finite and nonnegative")
+        if self.eps_dual is not None and not 0 <= self.eps_dual < math.inf:
+            raise ValueError("eps_dual must be finite and nonnegative")
         if self.iter_limit < 1:
             raise ValueError("iter_limit must be at least 1")
 
@@ -127,9 +128,9 @@ def transition(state: SolverState, index: int) -> SolverState:
 
 def _argmin_lowest_index(values: np.ndarray, labels: Sequence[int]) -> int:
     """Label of the smallest value; exact ties resolved by the lowest label."""
-    best = values.min()
-    tied = [labels[i] for i in range(len(labels)) if values[i] == best]
-    return min(tied)
+    values = values.tolist()
+    best = min(values)
+    return min(label for value, label in zip(values, labels) if value == best)
 
 
 def step(prob: MpQP, state: SolverState, theta, epsilon, tol: Tolerances,

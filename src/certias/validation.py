@@ -9,10 +9,18 @@ region, find an error sequence that actually realizes its sequence.
 Samples within a small normalized distance of any certified-region boundary
 are skipped rather than judged: tie-breaking on shared boundaries depends on
 the region representation, and the guarantees are interior statements.
+
+validate_conformance works in two passes. The draw pass takes every sample
+from the generator in the order a one-sample-at-a-time loop would: the
+parameter, then its error rows only if the parameter is judged. The judge
+pass locates the judged parameters LOCATE_BLOCK at a time with one matrix
+product and runs the solver on each. The generator stream, the draws and
+the report are the same as locating and judging each sample on its own.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -32,6 +40,9 @@ from certias.solver import (
 )
 
 DELTA_MARGIN = 1e-7
+# Samples located per matrix product: on the double integrator's 888 region
+# rows a block's product is about 1 MB.
+LOCATE_BLOCK = 128
 
 
 @dataclass
@@ -76,54 +87,104 @@ class ValidationReport:
 
 
 class _RegionStack:
-    """Every region's rows stacked once, so locating a point is one product.
+    """Every region's rows stacked once, so locating points is one product.
 
-    A holds the raw rows region after region, so the per-row test
-    A theta <= b + 1e-9 is the one `contains` makes with that slack. starts marks where each
-    region with rows begins; a region without rows contains every point.
-    unit_A/unit_b are the same rows with unit-norm coefficients, for the
-    boundary-distance test.
+    A holds the raw rows region after region and rhs their right-hand sides
+    plus 1e-9, so the per-row test A theta <= rhs is the one `contains`
+    makes with that slack. starts marks where each region with rows begins,
+    and owner names the region of each row; a region without rows contains
+    every point. unit_A/unit_b are the same rows with unit-norm
+    coefficients, for the boundary-distance test. rounding bounds how far
+    two roundings of a row's product a theta can differ, per unit of
+    max_j |theta_j|: 2 d u |a|_1 for d coordinates and unit roundoff u,
+    with a fourfold margin.
     """
 
     def __init__(self, result: CertificationResult):
-        regions = [r.region for r in result.regions]
-        counts = np.array([P.nrows for P in regions])
-        self.n_regions = len(regions)
-        self.A = np.vstack([P.A for P in regions])
-        self.b = np.concatenate([P.b for P in regions])
+        self.regions = [r.region for r in result.regions]
+        counts = np.array([P.nrows for P in self.regions])
+        self.A = np.vstack([P.A for P in self.regions])
+        b = np.concatenate([P.b for P in self.regions])
+        self.rhs = b + 1e-9
         self.rowful = (counts > 0).nonzero()[0]
         self.starts = (np.cumsum(counts) - counts)[self.rowful]
-        self.unit_A, self.unit_b = normalize_rows(self.A, self.b)
+        self.owner = np.repeat(np.arange(len(self.regions)), counts)
+        self.unit_A, self.unit_b = normalize_rows(self.A, b)
+        self.rounding = np.abs(self.A).sum(axis=1) * (4 * self.A.shape[1]
+                                                      * np.finfo(float).eps)
 
     def near_boundary(self, theta: np.ndarray) -> bool:
         """Whether theta lies within DELTA_MARGIN (normalized) of any region row."""
         if not self.unit_A.size:
             return False
-        return bool(np.min(np.abs(self.unit_A @ theta - self.unit_b)) < DELTA_MARGIN)
+        gaps = self.unit_A @ theta
+        gaps -= self.unit_b
+        return bool(np.abs(gaps, out=gaps).min() < DELTA_MARGIN)
+
+    def locate(self, thetas: np.ndarray) -> list[list[int]]:
+        """Ids of the regions containing each row of thetas (slack 1e-9),
+        ascending: for each point, the regions `contains` accepts.
+
+        The block takes one product, which may round a row's value
+        differently from the region's own product in `contains`. Where a
+        row's value lies within that rounding of its bound, `contains`
+        decides for the row's region.
+        """
+        hosts = np.ones((len(thetas), len(self.regions)), dtype=bool)
+        if self.starts.size:
+            gaps = self.A @ thetas.T
+            gaps -= self.rhs[:, None]
+            hosts[:, self.rowful] = np.logical_and.reduceat(gaps <= 0.0, self.starts).T
+            np.abs(gaps, out=gaps)
+            doubt = gaps <= (self.rounding * np.abs(thetas).max())[:, None]
+            for row, i in zip(*doubt.nonzero()):
+                k = self.owner[row]
+                hosts[i, k] = contains(self.regions[k], thetas[i], slack=1e-9)
+        return [row.nonzero()[0].tolist() for row in hosts]
 
     def host_ids(self, theta: np.ndarray) -> list[int]:
         """Ids of the regions containing theta (slack 1e-9), ascending."""
-        hosts = np.ones(self.n_regions, dtype=bool)
-        if self.starts.size:
-            inside = self.A @ theta <= self.b + 1e-9
-            hosts[self.rowful] = np.logical_and.reduceat(inside, self.starts)
-        return hosts.nonzero()[0].tolist()
+        return self.locate(np.asarray(theta, dtype=float).reshape(1, -1))[0]
 
 
-def _draw_errors(bounds: np.ndarray, rng: np.random.Generator, m: int) -> np.ndarray:
-    """One admissible error sequence, row k uniform within bounds[k] (from
-    ErrorModel.step_bounds), drawn with one generator call.
+class _ErrorDraw:
+    """Draws one sample's error rows, row k uniform within bounds[k] (from
+    ErrorModel.step_bounds).
 
-    The values and the generator's final state equal those of one
-    rng.uniform(-b, b, size=m) call per step with a nonzero bound b, in
-    step order: with a column of bounds, Generator.uniform fills the block
-    in C order, element by element, from the same stream of doubles.
+    Each run of equal nonzero bounds is one Generator.uniform call with
+    scalar bounds; rows of bound 0 stay zero. The values and the
+    generator's final state equal those of one rng.uniform(-b, b, size=m)
+    call per step with a nonzero bound b, in step order: the generator
+    fills a block in C order, element by element, from the same stream of
+    doubles, and scalar bounds skip only the set-up of broadcasting arrays.
     """
-    errors = np.zeros((bounds.size, m))
-    drawn = bounds != 0.0
-    b = bounds[drawn, None]
-    errors[drawn] = rng.uniform(-b, b, size=(b.shape[0], m))
-    return errors
+
+    def __init__(self, bounds: np.ndarray, m: int):
+        self.shape = (len(bounds), m)
+        self.runs = []
+        start = 0
+        for bound, steps in itertools.groupby(bounds.tolist()):
+            stop = start + len(list(steps))
+            if bound != 0.0:
+                self.runs.append((start, stop, bound))
+            start = stop
+
+    def __call__(self, rng: np.random.Generator) -> np.ndarray:
+        errors = np.zeros(self.shape)
+        for start, stop, bound in self.runs:
+            errors[start:stop] = rng.uniform(-bound, bound,
+                                             size=(stop - start, self.shape[1]))
+        return errors
+
+
+def _draw_point(rng: np.random.Generator, box: list[tuple[float, float]]) -> np.ndarray:
+    """A point uniform in box, a list of (lo, hi) per coordinate.
+
+    Each coordinate is one Generator.uniform call with scalar bounds, first
+    coordinate first: the same doubles in the same order as one call with
+    the box's bound arrays.
+    """
+    return np.array([rng.uniform(low, high) for low, high in box])
 
 
 def validate_conformance(prob: MpQP, result: CertificationResult,
@@ -149,27 +210,35 @@ def validate_conformance(prob: MpQP, result: CertificationResult,
     tol = Tolerances.from_document(result.settings)
     rng = np.random.default_rng(seed)
     lo, hi = bounding_box(prob.theta_set)
+    box = list(zip(lo.tolist(), hi.tolist()))
     stack = _RegionStack(result)
-    n_steps = 2 * tol.iter_limit + 2
-    bounds = model.step_bounds(n_steps)
-
+    draw_errors = _ErrorDraw(model.step_bounds(2 * tol.iter_limit + 2), prob.m)
+    sequences = [tuple(r.sequence) for r in result.regions]
     report = ValidationReport(samples_total=n_samples)
-    for _ in range(n_samples):
-        theta = rng.uniform(lo, hi)
-        if not contains(prob.theta_set, theta, slack=1e-9):
-            report.samples_outside += 1
-            continue
-        if stack.near_boundary(theta):
-            report.samples_skipped_boundary += 1
-            continue
-        errors = _draw_errors(bounds, rng, prob.m)
-        realized = tuple(run(prob, theta, errors, tol, model.perturb_dual).sequence)
-        host_ids = stack.host_ids(theta)
-        if not host_ids:
-            report.coverage_gaps.append(tuple(theta))
-            continue
-        if not any(tuple(result.regions[i].sequence) == realized for i in host_ids):
-            report.mismatches.append((tuple(theta), realized, host_ids))
+
+    def judged():
+        """Draw pass: count the samples outside the parameter set or near a
+        region boundary, and yield (theta, error rows) for the others. A
+        sample's error rows are drawn right after its parameter, and only
+        when it is judged."""
+        for _ in range(n_samples):
+            theta = _draw_point(rng, box)
+            if not contains(prob.theta_set, theta, slack=1e-9):
+                report.samples_outside += 1
+            elif stack.near_boundary(theta):
+                report.samples_skipped_boundary += 1
+            else:
+                yield theta, draw_errors(rng)
+
+    draws = judged()
+    while block := list(itertools.islice(draws, LOCATE_BLOCK)):
+        hosts = stack.locate(np.array([theta for theta, _ in block]))
+        for (theta, errors), host_ids in zip(block, hosts):
+            realized = tuple(run(prob, theta, errors, tol, model.perturb_dual).sequence)
+            if not host_ids:
+                report.coverage_gaps.append(tuple(theta))
+            elif realized not in [sequences[i] for i in host_ids]:
+                report.mismatches.append((tuple(theta), realized, host_ids))
 
     report.mismatches.sort(key=lambda entry: entry[0])
     report.coverage_gaps.sort()
@@ -247,6 +316,7 @@ def search_realization(prob: MpQP, region: CertifiedRegion, theta,
         return tuple(got.sequence) == target
 
     bounds = model.step_bounds(len(indices))
+    draw_errors = _ErrorDraw(bounds, prob.m)
     zero = np.zeros((1, prob.m))
     if attempt(zero):
         return True, zero
@@ -257,7 +327,7 @@ def search_realization(prob: MpQP, region: CertifiedRegion, theta,
 
     rng = np.random.default_rng(0)
     for _ in range(budget):
-        draw = _draw_errors(bounds, rng, prob.m)
+        draw = draw_errors(rng)
         if attempt(draw):
             return True, draw
     return False, None

@@ -176,6 +176,30 @@ class TestCertify:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    # Python's JSON reader takes NaN, so a model file can hold one too.
+    @pytest.mark.parametrize("argv,message", [
+        (["certify", "--problem", "{toy}", "--eps-bar", "nan"],
+         "--eps-bar: error bounds must be finite"),
+        (["certify", "--problem", "{toy}", "--rel-bound", "inf"],
+         "--rel-bound: error bounds must be finite"),
+        (["certify", "--problem", "{toy}", "--error-model", "{nan_model}"],
+         "bad error-model document"),
+        (["validate", "--problem", "{toy}", "--partition", "{part}",
+          "--eps-bar", "nan"], "--eps-bar: error bounds must be finite"),
+        (["certify", "--problem", "{toy}", "--primal-tol", "nan"],
+         "eps_primal must be finite"),
+    ], ids=["certify-eps-bar-nan", "certify-rel-bound-inf", "certify-model-nan",
+            "validate-eps-bar-nan", "certify-primal-tol-nan"])
+    def test_non_finite_value_exits_2(self, toy_path, toy_partition, tmp_path,
+                                      capsys, argv, message):
+        nan_model = tmp_path / "model.json"
+        nan_model.write_text('{"kind": "hypercube", "bound": NaN}')
+        argv = [a.format(toy=toy_path, part=toy_partition, nan_model=nan_model)
+                for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
 
 class TestDeterminism:
     def test_byte_identical_across_workers(self, toy_path, mpc_path, tmp_path):
@@ -275,24 +299,43 @@ class TestDeterminism:
     # caveat as PINNED_SHA256.
     PINNED_REPORT_SHA256 = \
         "87276a5a239fcb619784d1a51d480210765ec6410a252ba43a422dbec13d4f05"
+    # The same for the exact double integrator partition under --eps-bar
+    # 1e-4 --samples 2000 --seed 7 (533 mismatches), with the relative
+    # paths problems/double_integrator.json and part.json. Its parameter
+    # is 2-D, so a change to the order of the parameter draws shows here.
+    PINNED_DI_REPORT_SHA256 = \
+        "3dc220f38ba65586d6398c3f7620cf0b57a03472d0535afa59b7162591ac645c"
 
-    def test_validate_report_matches_pinned_bytes(self, tmp_path, monkeypatch):
-        # The report echoes --problem and --partition, so both are relative
-        # to a directory laid out like the repository root.
+    @staticmethod
+    def _validate_report(tmp_path, monkeypatch, name, flags) -> bytes:
+        """`validate --out` report bytes of the exact partition of problem
+        `name`. The report echoes --problem and --partition, so both are
+        relative to a directory laid out like the repository root."""
         root = pathlib.Path(__file__).resolve().parent.parent
         (tmp_path / "problems").mkdir()
-        (tmp_path / "problems" / "toy.json").write_bytes(
-            (root / "problems" / "toy.json").read_bytes())
+        (tmp_path / "problems" / name).write_bytes(
+            (root / "problems" / name).read_bytes())
         monkeypatch.chdir(tmp_path)
-        assert main(["certify", "--problem", "problems/toy.json",
+        assert main(["certify", "--problem", f"problems/{name}",
                      "--out", "part.json"]) == 0
-        assert main(["validate", "--problem", "problems/toy.json",
-                     "--partition", "part.json", "--eps-bar", "0.1",
-                     "--samples", "800", "--seed", "3",
+        assert main(["validate", "--problem", f"problems/{name}",
+                     "--partition", "part.json", *flags,
                      "--out", "report.json"]) == 1
-        report = pathlib.Path("report.json").read_bytes()
+        return pathlib.Path("report.json").read_bytes()
+
+    def test_validate_report_matches_pinned_bytes(self, tmp_path, monkeypatch):
+        report = self._validate_report(
+            tmp_path, monkeypatch, "toy.json",
+            ["--eps-bar", "0.1", "--samples", "800", "--seed", "3"])
         assert len(json.loads(report)["mismatches"]) == 134
         assert hashlib.sha256(report).hexdigest() == self.PINNED_REPORT_SHA256
+
+    def test_2d_validate_report_matches_pinned_bytes(self, tmp_path, monkeypatch):
+        report = self._validate_report(
+            tmp_path, monkeypatch, "double_integrator.json",
+            ["--eps-bar", "1e-4", "--samples", "2000", "--seed", "7"])
+        assert len(json.loads(report)["mismatches"]) == 533
+        assert hashlib.sha256(report).hexdigest() == self.PINNED_DI_REPORT_SHA256
 
     def test_round_trip_bit_for_bit(self, toy_partition):
         doc = json.loads(toy_partition.read_text())

@@ -44,6 +44,15 @@ class TestErrorModel:
         with pytest.raises(ValueError):
             ErrorModel(kind="polyhedral")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_bounds_rejected(self, value):
+        for fields in ({"kind": "hypercube", "bound": value},
+                       {"kind": "relative", "rel_bound": value}):
+            with pytest.raises(ValueError, match="finite"):
+                ErrorModel(**fields)
+            with pytest.raises(ValueError, match="finite"):
+                ErrorModel.from_document(fields)
+
     def test_polyhedral_set_must_hold_origin(self):
         shifted = Polyhedron.box([0.5], [1.0])
         with pytest.raises(ValueError, match="origin"):

@@ -343,3 +343,10 @@ class TestTolerances:
             Tolerances(eps_primal=-1.0)
         with pytest.raises(ValueError):
             Tolerances(iter_limit=0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="eps_primal must be finite"):
+            Tolerances(eps_primal=value)
+        with pytest.raises(ValueError, match="eps_dual must be finite"):
+            Tolerances(eps_dual=value)

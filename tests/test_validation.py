@@ -14,7 +14,9 @@ from certias.lpp import KIND_HYPERCUBE, KIND_NONE, KIND_POLYHEDRAL, KIND_RELATIV
 from certias.solver import Tolerances, run
 from certias.validation import (
     DELTA_MARGIN,
-    _draw_errors,
+    LOCATE_BLOCK,
+    _draw_point,
+    _ErrorDraw,
     _RegionStack,
     search_realization,
     validate_conformance,
@@ -237,19 +239,51 @@ _NEAR_FACET = (-2e-9, -1e-9, -1e-12, 0.0, 1e-12, 5e-10, 9.99e-10, 1e-9,
                1.001e-9, 2e-9)
 
 
+def _assert_blocks_match(result, points):
+    """Block location equals the per-region loop for every point, in blocks
+    of 1, LOCATE_BLOCK - 1, LOCATE_BLOCK and LOCATE_BLOCK + 1 points, on the
+    partition with zero-row regions added at the front and in the middle.
+    Returns how many points have a row product within the block's rounding
+    allowance of its bound, where `contains` decides."""
+    points = np.array(points)
+    result = _with_free_region(_with_free_region(result, len(result.regions) // 2), 0)
+    stack = _RegionStack(result)
+    gaps = np.abs(points @ stack.A.T - stack.rhs)
+    reference = [_hosts_one_by_one(result, theta) for theta in points]
+    for size in (1, LOCATE_BLOCK - 1, LOCATE_BLOCK, LOCATE_BLOCK + 1):
+        located = []
+        for start in range(0, len(points), size):
+            located += stack.locate(points[start:start + size])
+        assert located == reference
+    return int((gaps <= stack.rounding * np.abs(points).max()).any(axis=1).sum())
+
+
 class TestStackedPointLocation:
     def test_double_integrator_leaves(self, mpc, mpc_inflated):
         regions = mpc_inflated.regions
         assert len(regions) == 223
         zero_width = sum(interior_point(r.region)[1] <= 1e-9 for r in regions)
         assert zero_width == 128
-        stack = _RegionStack(mpc_inflated)
         rng = np.random.default_rng(11)
         lo, hi = bounding_box(mpc.theta_set)
         points = [rng.uniform(lo, hi) for _ in range(400)]
         points += _facet_points(mpc_inflated, _NEAR_FACET, cycle=True)
-        for theta in points:
-            assert stack.host_ids(theta) == _hosts_one_by_one(mpc_inflated, theta)
+        assert _assert_blocks_match(mpc_inflated, points) > 0
+
+    def test_points_on_the_slack_bound(self, mpc_inflated):
+        # One point per region row where the row's product meets its bound
+        # b + 1e-9 up to rounding, slid along the facet. A block's product
+        # rounds some of these to the other side of the bound than the
+        # region's own product in `contains`.
+        rng = np.random.default_rng(4)
+        points = []
+        for r in mpc_inflated.regions:
+            center = interior_point(r.region)[0]
+            for a, beta in zip(r.region.A, r.region.b):
+                foot = center + (beta + 1e-9 - a @ center) / (a @ a) * a
+                along = np.array([-a[1], a[0]]) / np.linalg.norm(a)
+                points.append(foot + rng.uniform(-1e-7, 1e-7) * along)
+        assert _assert_blocks_match(mpc_inflated, points) > 0
 
     def test_zero_row_region_contains_everything(self, toy, toy_nominal):
         for where in (0, 1, len(toy_nominal.regions)):
@@ -270,9 +304,8 @@ class TestStackedPointLocation:
     def test_points_near_shared_facets(self, toy_inflated):
         # Toy facets are at theta = -1 +- 0.1 and thereabouts; points within
         # 1e-9 of a shared facet belong to both sides only inside the slack.
-        stack = _RegionStack(toy_inflated)
-        for theta in _facet_points(toy_inflated, _NEAR_FACET):
-            assert stack.host_ids(theta) == _hosts_one_by_one(toy_inflated, theta)
+        assert _assert_blocks_match(toy_inflated,
+                                    _facet_points(toy_inflated, _NEAR_FACET)) > 0
 
     def test_host_ids_are_python_ints(self, toy_nominal):
         hosts = _RegionStack(toy_nominal).host_ids(np.array([0.0]))
@@ -308,15 +341,36 @@ class TestReportsMatchOneByOne:
         _assert_same_report(report, _validate_one_by_one(toy, result, 400, 6, model))
 
 
-def _assert_same_draws(model, m=5, n_steps=32, seed=3):
-    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-    new = _draw_errors(model.step_bounds(n_steps), rng_new, m)
-    old = _per_step_errors(model, rng_old, m, n_steps)
-    assert new.shape == old.shape == (n_steps, m)
-    assert new.tobytes() == old.tobytes()
+def _assert_same_stream(rng_new, rng_old):
     assert rng_new.bit_generator.state == rng_old.bit_generator.state
     # Both generators continue with the same stream.
     assert rng_new.random() == rng_old.random()
+
+
+def _assert_same_draws(model, m=5, n_steps=32, seed=3):
+    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+    draw = _ErrorDraw(model.step_bounds(n_steps), m)
+    new = np.array([draw(rng_new) for _ in range(3)])
+    old = np.array([_per_step_errors(model, rng_old, m, n_steps) for _ in range(3)])
+    assert new.shape == old.shape == (3, n_steps, m)
+    assert new.tobytes() == old.tobytes()
+    _assert_same_stream(rng_new, rng_old)
+
+
+class TestScalarBoundDraws:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_point_equals_array_bound_draw(self, dim):
+        sides = np.random.default_rng(dim).uniform(0.1, 7.0, size=dim)
+        lo = np.linspace(-3.0, 1.0, dim)
+        hi = lo + sides
+        assert len(set(sides)) == dim
+        rng_new, rng_old = np.random.default_rng(5), np.random.default_rng(5)
+        box = list(zip(lo.tolist(), hi.tolist()))
+        for _ in range(50):
+            new = _draw_point(rng_new, box)
+            old = rng_old.uniform(lo, hi)
+            assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
+        _assert_same_stream(rng_new, rng_old)
 
 
 class TestOneCallDraws:
@@ -338,12 +392,29 @@ class TestOneCallDraws:
     def test_perturb_dual(self):
         _assert_same_draws(ErrorModel(kind=KIND_HYPERCUBE, bound=1e-3, perturb_dual=True))
 
+    def test_changing_bounds(self):
+        # Nonzero bounds that change from step to step, some repeated, with
+        # a silent step between two runs of equal bounds.
+        model = ErrorModel(kind=KIND_HYPERCUBE, bound=0.05, schedule=(
+            ErrorModel(kind=KIND_HYPERCUBE, bound=0.1),
+            ErrorModel(kind=KIND_HYPERCUBE, bound=0.2),
+            ErrorModel(kind=KIND_HYPERCUBE, bound=0.2),
+            ErrorModel(),
+            ErrorModel(kind=KIND_HYPERCUBE, bound=0.2),
+            ErrorModel(kind=KIND_HYPERCUBE, bound=0.05),
+            ErrorModel(kind=KIND_HYPERCUBE, bound=1e-3),
+        ))
+        draw = _ErrorDraw(model.step_bounds(32), 5)
+        assert [(start, stop) for start, stop, _ in draw.runs] == [
+            (0, 1), (1, 3), (4, 5), (5, 6), (6, 7), (7, 32)]
+        _assert_same_draws(model)
+
     def test_zero_bound_draws_nothing(self):
         model = ErrorModel(kind=KIND_HYPERCUBE, bound=0.0)
         _assert_same_draws(model)
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
-        errors = _draw_errors(model.step_bounds(10), rng, 3)
+        errors = _ErrorDraw(model.step_bounds(10), 3)(rng)
         assert rng.bit_generator.state == before
         assert errors.shape == (10, 3) and not errors.any()
 
