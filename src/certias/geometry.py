@@ -46,6 +46,9 @@ log = logging.getLogger(__name__)
 
 # Feasibility slack used when deciding whether a region is empty.
 FEAS_TOL = 1e-9
+# Slack of the membership test `contains(P, point, MEMBERSHIP_SLACK)` that
+# decides whether a parameter lies in the parameter set or in a region.
+MEMBERSHIP_SLACK = 1e-9
 # A row is redundant when its LP maximum stays below b_i + REDUNDANCY_TOL.
 REDUNDANCY_TOL = 1e-9
 # Reduced-cost threshold for simplex pricing.

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from certias.geometry import contains
+from certias.geometry import MEMBERSHIP_SLACK, contains
 from certias.mpqp import MpQP, subproblem_maps
 
 SLACK_CHECK = "slack_check"
@@ -198,7 +198,7 @@ def run(prob: MpQP, theta, errors=None, tol: Optional[Tolerances] = None,
         perturb_dual: bool = False) -> RunResult:
     """Run the solver at one parameter value until it terminates.
 
-    theta must lie in the problem's parameter set (within a small slack).
+    theta must lie in the problem's parameter set (within MEMBERSHIP_SLACK).
     errors is a K x m array: automaton step k adds row k to its slack (and,
     with perturb_dual, the row's working-set components to its multipliers);
     steps past row K-1 add zero, as does every step when errors is None.
@@ -211,7 +211,7 @@ def run(prob: MpQP, theta, errors=None, tol: Optional[Tolerances] = None,
     if errors.ndim != 2 or errors.shape[1] != prob.m:
         raise ValueError(f"errors must be a 2-D array with {prob.m} columns")
     theta = np.asarray(theta, dtype=float).ravel()
-    if not contains(prob.theta_set, theta, slack=1e-9):
+    if not contains(prob.theta_set, theta, slack=MEMBERSHIP_SLACK):
         raise ValueError("theta lies outside the parameter set")
 
     state = SolverState((), SLACK_CHECK)

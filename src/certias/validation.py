@@ -4,7 +4,8 @@ Certification claims that every parameter's realized state sequence appears
 among the certified ones. This module samples parameters (and, with a
 nonzero error model, error sequences), runs the solver, and compares. It
 also provides a witness search in the opposite direction: given a certified
-region, find an error sequence that actually realizes its sequence.
+region and a parameter in it, find an error sequence that actually realizes
+the region's sequence there.
 
 Samples within a small normalized distance of any certified-region boundary
 are skipped rather than judged: tie-breaking on shared boundaries depends on
@@ -16,6 +17,12 @@ parameter, then its error rows only if the parameter is judged. The judge
 pass locates the judged parameters LOCATE_BLOCK at a time with one matrix
 product and runs the solver on each. The generator stream, the draws and
 the report are the same as locating and judging each sample on its own.
+
+search_realization is exact for exact, hypercube and scheduled-hypercube
+models. Each step's decision reads only its own error row and is monotone
+in each component of it, so one hypercube vertex per step is the most
+favorable admissible error: found=False proves that no admissible error
+sequence makes the solver follow the region's sequence at that parameter.
 """
 
 from __future__ import annotations
@@ -27,17 +34,10 @@ from typing import Optional
 import numpy as np
 
 from certias.certifier import CertificationResult, CertifiedRegion
-from certias.geometry import bounding_box, contains, normalize_rows
+from certias.geometry import MEMBERSHIP_SLACK, bounding_box, contains, normalize_rows
 from certias.lpp import ErrorModel
 from certias.mpqp import MpQP
-from certias.solver import (
-    DUAL_CHECK,
-    PASS_INDEX,
-    SLACK_CHECK,
-    TERMINATED_OPTIMAL,
-    Tolerances,
-    run,
-)
+from certias.solver import DUAL_CHECK, SLACK_CHECK, Tolerances, run
 
 DELTA_MARGIN = 1e-7
 # Samples located per matrix product: on the double integrator's 888 region
@@ -90,10 +90,10 @@ class _RegionStack:
     """Every region's rows stacked once, so locating points is one product.
 
     A holds the raw rows region after region and rhs their right-hand sides
-    plus 1e-9, so the per-row test A theta <= rhs is the one `contains`
-    makes with that slack. starts marks where each region with rows begins,
-    and owner names the region of each row; a region without rows contains
-    every point. unit_A/unit_b are the same rows with unit-norm
+    plus MEMBERSHIP_SLACK, so the per-row test A theta <= rhs is the one
+    `contains` makes with that slack. starts marks where each region with
+    rows begins, and owner names the region of each row; a region without
+    rows contains every point. unit_A/unit_b are the same rows with unit-norm
     coefficients, for the boundary-distance test. rounding bounds how far
     two roundings of a row's product a theta can differ, per unit of
     max_j |theta_j|: 2 d u |a|_1 for d coordinates and unit roundoff u,
@@ -105,7 +105,7 @@ class _RegionStack:
         counts = np.array([P.nrows for P in self.regions])
         self.A = np.vstack([P.A for P in self.regions])
         b = np.concatenate([P.b for P in self.regions])
-        self.rhs = b + 1e-9
+        self.rhs = b + MEMBERSHIP_SLACK
         self.rowful = (counts > 0).nonzero()[0]
         self.starts = (np.cumsum(counts) - counts)[self.rowful]
         self.owner = np.repeat(np.arange(len(self.regions)), counts)
@@ -122,8 +122,9 @@ class _RegionStack:
         return bool(np.abs(gaps, out=gaps).min() < DELTA_MARGIN)
 
     def locate(self, thetas: np.ndarray) -> list[list[int]]:
-        """Ids of the regions containing each row of thetas (slack 1e-9),
-        ascending: for each point, the regions `contains` accepts.
+        """Ids of the regions containing each row of thetas (slack
+        MEMBERSHIP_SLACK), ascending: for each point, the regions `contains`
+        accepts.
 
         The block takes one product, which may round a row's value
         differently from the region's own product in `contains`. Where a
@@ -139,12 +140,8 @@ class _RegionStack:
             doubt = gaps <= (self.rounding * np.abs(thetas).max())[:, None]
             for row, i in zip(*doubt.nonzero()):
                 k = self.owner[row]
-                hosts[i, k] = contains(self.regions[k], thetas[i], slack=1e-9)
+                hosts[i, k] = contains(self.regions[k], thetas[i], slack=MEMBERSHIP_SLACK)
         return [row.nonzero()[0].tolist() for row in hosts]
-
-    def host_ids(self, theta: np.ndarray) -> list[int]:
-        """Ids of the regions containing theta (slack 1e-9), ascending."""
-        return self.locate(np.asarray(theta, dtype=float).reshape(1, -1))[0]
 
 
 class _ErrorDraw:
@@ -223,7 +220,7 @@ def validate_conformance(prob: MpQP, result: CertificationResult,
         when it is judged."""
         for _ in range(n_samples):
             theta = _draw_point(rng, box)
-            if not contains(prob.theta_set, theta, slack=1e-9):
+            if not contains(prob.theta_set, theta, slack=MEMBERSHIP_SLACK):
                 report.samples_outside += 1
             elif stack.near_boundary(theta):
                 report.samples_skipped_boundary += 1
@@ -245,89 +242,48 @@ def validate_conformance(prob: MpQP, result: CertificationResult,
     return report
 
 
-def _step_indices(sequence) -> list[int]:
-    """Decision index taken at each executed state of a certified sequence.
+def _vertex(sequence, bounds: np.ndarray, m: int) -> np.ndarray:
+    """Error rows most favorable to each step of a certified sequence.
 
-    The final terminal marker consumes no decision itself. A degenerate
-    marker still records the add that exposed the singularity (its working
-    set ends with the chosen row), so that step must be realized like any
-    other add. An iteration-limit marker follows a dual pass.
+    Row k is bounds[k] everywhere except on the row that step k adds or
+    drops, where it is -bounds[k]: a smaller error on the chosen row helps
+    it win, larger errors elsewhere keep the competition out, and a pass,
+    keep or singular step wants every component at the upper bound. Dual
+    errors enter through the working set's constraint rows, which is the
+    labeling the certified sequence uses.
     """
-    out = []
-    for state, nxt in zip(sequence, sequence[1:]):
-        if state.mode == SLACK_CHECK:
-            if nxt.mode == TERMINATED_OPTIMAL:
-                out.append(PASS_INDEX)
-            else:
-                out.append(nxt.working_set[-1])
-        elif state.mode == DUAL_CHECK:
-            if len(nxt.working_set) == len(state.working_set):
-                out.append(PASS_INDEX)
-            else:
-                remaining = list(nxt.working_set)
-                dropped = None
-                for w in state.working_set:
-                    if w in remaining:
-                        remaining.remove(w)
-                    else:
-                        dropped = w
-                out.append(dropped)
-        else:
+    rows = np.repeat(bounds[:, None], m, axis=1)
+    for k, (state, nxt) in enumerate(zip(sequence, sequence[1:])):
+        if state.mode not in (SLACK_CHECK, DUAL_CHECK):
             raise ValueError(f"unexpected mode {state.mode!r} mid-sequence")
-    return out
-
-
-def _vertex_for(index: int, m: int, bound: float) -> np.ndarray:
-    """Hypercube vertex most favorable to the decision `index`.
-
-    Every transition condition is monotone in each error component (smaller
-    error on the chosen row helps it win, larger error elsewhere keeps the
-    competition out), so if any admissible error realizes the decision, this
-    vertex does. PASS decisions want every component at the upper bound.
-    Dual errors enter through the working set's constraint rows, which is
-    exactly the labeling the certified sequence uses.
-    """
-    eps = np.full(m, bound)
-    if index != PASS_INDEX:
-        eps[index] = -bound
-    return eps
+        W, V = state.working_set, nxt.working_set
+        if len(V) > len(W):
+            rows[k, V[-1]] = -bounds[k]
+        elif len(V) < len(W):
+            # The dropped row sits where the two working sets first part.
+            rows[k, next((w for w, v in zip(W, V) if w != v), W[-1])] = -bounds[k]
+    return rows
 
 
 def search_realization(prob: MpQP, region: CertifiedRegion, theta,
-                       model: ErrorModel, budget: int = 50,
-                       tol: Optional[Tolerances] = None):
-    """Look for an error sequence making the solver trace this region's
-    sequence at theta.
+                       model: ErrorModel, tol: Optional[Tolerances] = None):
+    """Decide whether some admissible error sequence makes the solver trace
+    this region's sequence at theta.
 
-    Tries the per-step extreme hypercube vertices first (sufficient whenever
-    a witness exists at all, by monotonicity of each decision condition in
-    the error), then falls back to `budget` random admissible draws. Returns
-    (found, witness), the witness being the error rows to hand to `run`.
+    Tries no error, then the per-step hypercube vertex of `_vertex`. Every
+    decision is monotone in each component of its own step's error row, so
+    if any admissible rows realize the sequence, the vertex does. Returns
+    (found, witness), the witness being the error rows to hand to `run`,
+    or (False, None) when no admissible error realizes the sequence. Raises
+    ValueError when some step of the model is polyhedral or relative.
     """
     theta = np.asarray(theta, dtype=float).ravel()
-    if not contains(region.region, theta, slack=1e-9):
+    if not contains(region.region, theta, slack=MEMBERSHIP_SLACK):
         raise ValueError("theta lies outside the region")
     tol = tol or Tolerances()
     target = tuple(region.sequence)
-    indices = _step_indices(region.sequence)
-
-    def attempt(errors: np.ndarray) -> bool:
-        got = run(prob, theta, errors, tol, model.perturb_dual)
-        return tuple(got.sequence) == target
-
-    bounds = model.step_bounds(len(indices))
-    draw_errors = _ErrorDraw(bounds, prob.m)
-    zero = np.zeros((1, prob.m))
-    if attempt(zero):
-        return True, zero
-
-    vertex = np.array([_vertex_for(i, prob.m, b) for i, b in zip(indices, bounds)])
-    if attempt(vertex):
-        return True, vertex
-
-    rng = np.random.default_rng(0)
-    for _ in range(budget):
-        draw = draw_errors(rng)
-        if attempt(draw):
-            return True, draw
+    vertex = _vertex(target, model.step_bounds(len(target) - 1), prob.m)
+    for errors in (np.zeros((1, prob.m)), vertex):
+        if tuple(run(prob, theta, errors, tol, model.perturb_dual).sequence) == target:
+            return True, errors
     return False, None

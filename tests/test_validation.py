@@ -4,6 +4,8 @@ The conformance checks here are the small, fast versions; the acceptance
 suite reruns them at full sample counts.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,15 @@ from certias.certifier import CertificationResult, CertifiedRegion, certify
 from certias.examples import double_integrator_problem, toy_problem
 from certias.geometry import Polyhedron, bounding_box, contains, interior_point
 from certias.lpp import KIND_HYPERCUBE, KIND_NONE, KIND_POLYHEDRAL, KIND_RELATIVE, ErrorModel
-from certias.solver import Tolerances, run
+from certias.solver import (
+    DUAL_CHECK,
+    PASS_INDEX,
+    SLACK_CHECK,
+    TERMINATED_OPTIMAL,
+    SolverState,
+    Tolerances,
+    run,
+)
 from certias.validation import (
     DELTA_MARGIN,
     LOCATE_BLOCK,
@@ -290,7 +300,7 @@ class TestStackedPointLocation:
             result = _with_free_region(toy_nominal, where)
             stack = _RegionStack(result)
             for theta in np.linspace(-3.0, 3.0, 61)[:, None]:
-                hosts = stack.host_ids(theta)
+                hosts = stack.locate(theta.reshape(1, -1))[0]
                 assert where in hosts
                 assert hosts == _hosts_one_by_one(result, theta)
 
@@ -298,7 +308,7 @@ class TestStackedPointLocation:
         result = _with_free_region(toy_nominal, 0)
         result.regions = result.regions[:1]
         stack = _RegionStack(result)
-        assert stack.host_ids(np.array([0.5])) == [0]
+        assert stack.locate(np.array([[0.5]]))[0] == [0]
         assert not stack.near_boundary(np.array([0.5]))
 
     def test_points_near_shared_facets(self, toy_inflated):
@@ -308,7 +318,7 @@ class TestStackedPointLocation:
                                     _facet_points(toy_inflated, _NEAR_FACET)) > 0
 
     def test_host_ids_are_python_ints(self, toy_nominal):
-        hosts = _RegionStack(toy_nominal).host_ids(np.array([0.0]))
+        hosts = _RegionStack(toy_nominal).locate(np.array([[0.0]]))[0]
         assert hosts and all(type(i) is int for i in hosts)
 
 
@@ -492,3 +502,130 @@ class TestSearchRealization:
         for region in (followed, missed):
             with pytest.raises(ValueError, match="cannot sample"):
                 search_realization(toy, region, theta, model)
+
+
+def _step_indices(sequence):
+    """Decision index of each executed state, found by inverting
+    `transition`: a rule independent of the one `search_realization` builds
+    its vertex with."""
+    out = []
+    for state, nxt in zip(sequence, sequence[1:]):
+        if state.mode == SLACK_CHECK:
+            out.append(PASS_INDEX if nxt.mode == TERMINATED_OPTIMAL
+                       else nxt.working_set[-1])
+        elif state.mode == DUAL_CHECK:
+            if len(nxt.working_set) == len(state.working_set):
+                out.append(PASS_INDEX)
+            else:
+                remaining = list(nxt.working_set)
+                dropped = None
+                for w in state.working_set:
+                    if w in remaining:
+                        remaining.remove(w)
+                    else:
+                        dropped = w
+                out.append(dropped)
+        else:
+            raise ValueError(f"unexpected mode {state.mode!r} mid-sequence")
+    return out
+
+
+def _search_with_draws(prob, region, theta, model, budget=200):
+    """No error, then the per-step hypercube vertex, then `budget` random
+    admissible draws: the reference the exact search must agree with."""
+    indices = _step_indices(region.sequence)
+    bounds = model.step_bounds(len(indices))
+    target = tuple(region.sequence)
+    vertex = np.full((len(indices), prob.m), bounds[:, None])
+    for k, index in enumerate(indices):
+        if index != PASS_INDEX:
+            vertex[k, index] = -bounds[k]
+    draw = _ErrorDraw(bounds, prob.m)
+    rng = np.random.default_rng(0)
+    for errors in itertools.chain([np.zeros((1, prob.m)), vertex],
+                                  (draw(rng) for _ in range(budget))):
+        if tuple(run(prob, theta, errors, Tolerances(), model.perturb_dual).sequence) == target:
+            return True, errors
+    return False, None
+
+
+def _region_points(region, rng):
+    """The region's interior point and, when it has an interior, a point
+    drawn in the inner half of its largest inscribed ball."""
+    center, radius = interior_point(region.region)
+    if radius <= 1e-9:
+        return [center]
+    direction = rng.standard_normal(center.size)
+    direction /= np.linalg.norm(direction)
+    return [center, center + 0.5 * radius * rng.uniform() * direction]
+
+
+# Step 2, the second slack check, sees no error.
+_SCHEDULE_WITH_ZERO_STEP = ErrorModel(kind=KIND_HYPERCUBE, bound=0.1, schedule=(
+    ErrorModel(kind=KIND_HYPERCUBE, bound=0.05),
+    ErrorModel(kind=KIND_HYPERCUBE, bound=0.2),
+    ErrorModel(kind=KIND_HYPERCUBE, bound=0.0),
+))
+
+
+class TestVertexDominance:
+    """The hypercube vertex realizes a sequence whenever random draws do,
+    so the exact search agrees with the search that adds 200 draws."""
+
+    # Whether some sampled point has no witness: the zero-width leaves of
+    # these partitions are certified but not all realizable.
+    @pytest.mark.parametrize("case", [
+        ("toy", ErrorModel(kind=KIND_HYPERCUBE, bound=0.1), True),
+        ("toy", ErrorModel(kind=KIND_HYPERCUBE, bound=0.1, perturb_dual=True), False),
+        ("double_integrator", ErrorModel(kind=KIND_HYPERCUBE, bound=1e-2), True),
+        ("toy", _SCHEDULE_WITH_ZERO_STEP, False),
+    ], ids=["toy", "toy-perturb-dual", "double-integrator", "toy-schedule"])
+    def test_same_verdict_and_witness(self, case):
+        name, model, misses = case
+        prob = toy_problem() if name == "toy" else double_integrator_problem(2)
+        result = certify(prob, model=model)
+        rng = np.random.default_rng(1)
+        verdicts = []
+        for region in result.regions:
+            for theta in _region_points(region, rng):
+                found, witness = search_realization(prob, region, theta, model)
+                want_found, want_witness = _search_with_draws(prob, region, theta, model)
+                assert found == want_found, (region.sequence, theta)
+                if found:
+                    assert witness.tobytes() == want_witness.tobytes()
+                    replay = run(prob, theta, witness, perturb_dual=model.perturb_dual)
+                    assert tuple(replay.sequence) == tuple(region.sequence)
+                else:
+                    assert witness is None
+                verdicts.append(found)
+        assert any(verdicts)
+        assert misses == (not all(verdicts))
+
+    def test_unrealizable_sequence(self, toy, toy_inflated):
+        # At theta = -1.05 the slack at the empty working set is -0.05, so
+        # stopping there at once needs an error of at least 0.05 - 1e-6 on
+        # the first check: a box of 0.04, or no error, cannot realize it.
+        theta = np.array([-1.05])
+        region = next(r for r in toy_inflated.regions
+                      if contains(r.region, theta, slack=1e-12) and len(r.sequence) == 2)
+        assert tuple(run(toy, theta).sequence) != tuple(region.sequence)
+        for model in (ErrorModel(), ErrorModel(kind=KIND_HYPERCUBE, bound=0.04)):
+            assert search_realization(toy, region, theta, model) == (False, None)
+            assert _search_with_draws(toy, region, theta, model) == (False, None)
+        found, witness = search_realization(toy, region, theta,
+                                            ErrorModel(kind=KIND_HYPERCUBE, bound=0.05))
+        assert found and witness.tolist() == [[0.05]]
+
+
+class TestMalformedSequences:
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_terminal_state_mid_sequence(self, toy, toy_inflated, where):
+        region = next(r for r in toy_inflated.regions if len(r.sequence) == 4)
+        stop = SolverState(region.sequence[where].working_set, TERMINATED_OPTIMAL)
+        sequence = region.sequence[:where] + (stop,) + region.sequence[where:]
+        bad = CertifiedRegion(region=region.region, sequence=sequence,
+                              status=region.status, iterations=region.iterations)
+        center, _ = interior_point(region.region)
+        for model in (ErrorModel(), ErrorModel(kind=KIND_HYPERCUBE, bound=0.1)):
+            with pytest.raises(ValueError, match="mid-sequence"):
+                search_realization(toy, bad, center, model)
