@@ -481,9 +481,36 @@ def is_empty(P: Polyhedron) -> bool:
     return feasible_point(P) is None
 
 
-def contains(P: Polyhedron, point, slack: float = 0.0) -> bool:
-    """Componentwise membership check A point <= b + slack."""
-    point = np.asarray(point, dtype=float).ravel()
+def product_rounding(A: np.ndarray) -> np.ndarray:
+    """Per row of A, how far two roundings of its product with a point can
+    differ, per unit of the point's max_j |x_j|: 2 d u |a|_1 for d
+    coordinates and unit roundoff u, with a fourfold margin."""
+    return np.abs(A).sum(axis=1) * (4 * A.shape[1] * np.finfo(float).eps)
+
+
+def contains(P: Polyhedron, point, slack: float = 0.0):
+    """Componentwise membership check A point <= b + slack.
+
+    point is one point, giving a bool, or a 2-D block of points, one per
+    row, giving a bool array with each point's answer alone. The block takes
+    one product, which may round a row's value differently from the point's
+    own; where a value lies within that rounding (product_rounding) of its
+    bound, the point's own product decides.
+    """
+    point = np.asarray(point, dtype=float)
+    if point.ndim == 2:
+        if point.shape[1] != P.dim:
+            raise ValueError("point dimension mismatch")
+        if P.nrows == 0:
+            return np.ones(len(point), dtype=bool)
+        gaps = point @ P.A.T
+        gaps -= P.b + slack
+        inside = (gaps <= 0.0).all(axis=1)
+        doubt = np.abs(gaps) <= product_rounding(P.A) * np.abs(point).max(axis=1)[:, None]
+        for i in doubt.any(axis=1).nonzero()[0]:
+            inside[i] = contains(P, point[i], slack)
+        return inside
+    point = point.ravel()
     if point.size != P.dim:
         raise ValueError("point dimension mismatch")
     if P.nrows == 0:

@@ -37,7 +37,14 @@ class ProblemFormatError(ValueError):
 
 @dataclass(frozen=True)
 class AffineMap:
-    """z(theta) = F theta + g."""
+    """z(theta) = F theta + g.
+
+    A map is evaluated at one parameter or at each row of a block, as the
+    sum over j of theta_j * F[:, j] accumulated elementwise, column 0
+    first, then plus g, with no BLAS call. A parameter's z is therefore the
+    same bits whatever block it is evaluated in, which a BLAS product of
+    the block does not promise.
+    """
 
     F: np.ndarray
     g: np.ndarray
@@ -57,8 +64,18 @@ class AffineMap:
         return self.F.shape[0]
 
     def __call__(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float).ravel()
-        return self.F @ theta + self.g
+        """z at theta, a parameter vector; for an s x n_theta block, the
+        s x rows array of z at each row."""
+        theta = np.asarray(theta, dtype=float)
+        if theta.ndim != 2:
+            theta = theta.ravel()
+        if theta.shape[-1] != self.F.shape[1]:
+            raise ValueError(f"theta must have {self.F.shape[1]} entries")
+        z = theta[..., 0, None] * self.F[:, 0]
+        for j in range(1, self.F.shape[1]):
+            z += theta[..., j, None] * self.F[:, j]
+        z += self.g
+        return z
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,14 @@ error rows, and step k adds row k (zero once the rows run out) to the slack
 before it is compared against the tolerance. Multipliers are checked
 exactly unless perturb_dual is set, in which case they see the working-set
 components of the same row.
+
+run is one lockstep engine over a block of parameters; a single parameter
+and step are the block-of-one case. At step k the live parameters are
+grouped by state. Each group looks its subproblem maps up once, evaluates
+its vectors in one block, decides every member with one vectorized rule
+(_decide) and applies transition once per distinct decision. The maps
+evaluate elementwise in a fixed order (AffineMap), so a parameter's run is
+bit for bit the same in any block.
 """
 
 from __future__ import annotations
@@ -40,6 +48,8 @@ _MODES = frozenset({SLACK_CHECK, DUAL_CHECK}) | TERMINAL_MODES
 PASS_INDEX = -1
 # Index reported when no decision was taken (singular subproblem).
 NO_INDEX = -2
+# Above every constraint row: the label min ignores the columns it fills.
+_NO_LABEL = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -126,16 +136,54 @@ def transition(state: SolverState, index: int) -> SolverState:
     raise ValueError(f"no transitions from terminal mode {state.mode!r}")
 
 
-def _argmin_lowest_index(values: np.ndarray, labels: Sequence[int]) -> int:
-    """Label of the smallest value; exact ties resolved by the lowest label."""
-    values = values.tolist()
-    best = min(values)
-    return min(label for value, label in zip(values, labels) if value == best)
+def _decide(values: np.ndarray, labels: Sequence[int], threshold: float) -> np.ndarray:
+    """The decision of each row of values: among the row's values below
+    -threshold, the label of the smallest, exact ties going to the lowest
+    label; PASS_INDEX when no value is below.
+
+    values has one row per parameter and one column per label. Labels are
+    constraint rows: 0..m-1 for a slack check, the working set in insertion
+    order for a dual check, so a tie goes to the lowest row, not to the
+    first column.
+    """
+    masked = np.where(values < -threshold, values, np.inf)
+    low = masked.min(axis=1, initial=np.inf, keepdims=True)
+    pick = np.where(masked == low, labels, _NO_LABEL).min(axis=1, initial=_NO_LABEL)
+    return np.where(low[:, 0] < np.inf, pick, PASS_INDEX)
+
+
+def _check(prob: MpQP, state: SolverState, thetas: np.ndarray, rows: Optional[np.ndarray],
+           tol: Tolerances, perturb_dual: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Decide the non-terminal `state` at each row of thetas (s x n_theta).
+
+    rows holds each parameter's error row for this step (s x m); an exact
+    dual check does not read it. Returns the s decisions, NO_INDEX on a
+    singular subproblem, and the s x n vectors they were based on.
+    """
+    maps = subproblem_maps(prob, state.working_set)
+    if maps.singular:
+        return np.full(len(thetas), NO_INDEX), np.zeros((len(thetas), 0))
+    if state.mode == SLACK_CHECK:
+        z = maps.mu_map(thetas)
+        z += rows
+        return _decide(z, np.arange(prob.m), tol.eps_primal), z
+    W = state.working_set
+    z = maps.lambda_map(thetas)
+    if perturb_dual:
+        z += rows[:, list(W)]
+    return _decide(z, W, tol.dual), z
+
+
+def _successor(state: SolverState, index: int) -> SolverState:
+    """transition, plus the DEGENERATE end of a check that took no decision."""
+    if index == NO_INDEX:
+        return SolverState(state.working_set, DEGENERATE)
+    return transition(state, index)
 
 
 def step(prob: MpQP, state: SolverState, theta, epsilon, tol: Tolerances,
          perturb_dual: bool = False) -> tuple[SolverState, int, np.ndarray]:
-    """One automaton step at a fixed parameter.
+    """One automaton step at a fixed parameter: run's check on a block of one.
 
     Args:
         prob: problem instance.
@@ -154,28 +202,15 @@ def step(prob: MpQP, state: SolverState, theta, epsilon, tol: Tolerances,
     """
     if state.terminal:
         raise ValueError("cannot step a terminal state")
-    maps = subproblem_maps(prob, state.working_set)
-    if maps.singular:
-        return SolverState(state.working_set, DEGENERATE), NO_INDEX, np.zeros(0)
     theta = np.asarray(theta, dtype=float).ravel()
-    is_slack = state.mode == SLACK_CHECK
-    if is_slack or perturb_dual:
-        epsilon = np.asarray(epsilon, dtype=float).ravel()
-        if epsilon.size != prob.m:
+    rows = None
+    if state.mode == SLACK_CHECK or perturb_dual:
+        rows = np.asarray(epsilon, dtype=float).reshape(1, -1)
+        if rows.size != prob.m:
             raise ValueError(f"epsilon must have {prob.m} entries")
-
-    if is_slack:
-        slack = maps.mu_map(theta) + epsilon
-        violated = np.nonzero(slack < -tol.eps_primal)[0]
-        if violated.size == 0:
-            return transition(state, PASS_INDEX), PASS_INDEX, slack
-        j = _argmin_lowest_index(slack[violated], violated.tolist())
-        return transition(state, j), j, slack
-
-    lam = maps.lambda_map(theta)
-    if perturb_dual:
-        lam = lam + epsilon[list(state.working_set)]
-    return _dual_decision(state, lam, tol)
+    (index,), (snapshot,) = _check(prob, state, theta[None], rows, tol, perturb_dual)
+    index = int(index)
+    return _successor(state, index), index, snapshot
 
 
 @dataclass
@@ -195,61 +230,97 @@ class RunResult:
 
 
 def run(prob: MpQP, theta, errors=None, tol: Optional[Tolerances] = None,
-        perturb_dual: bool = False) -> RunResult:
-    """Run the solver at one parameter value until it terminates.
+        perturb_dual: bool = False) -> RunResult | list[RunResult]:
+    """Run the solver until it terminates, at one parameter or at a block.
 
-    theta must lie in the problem's parameter set (within MEMBERSHIP_SLACK).
-    errors is a K x m array: automaton step k adds row k to its slack (and,
-    with perturb_dual, the row's working-set components to its multipliers);
-    steps past row K-1 add zero, as does every step when errors is None.
-    Iterations are counted as slack-check steps and capped at
-    tol.iter_limit, after which the run ends with TERMINATED_ITER_LIMIT.
+    theta is a parameter vector, giving a RunResult, or an s x n_theta
+    block, giving a list of s RunResults in row order. Every parameter must
+    lie in the problem's parameter set (within MEMBERSHIP_SLACK). errors is
+    a K x m array for one parameter, and an s x K x m array of each row's
+    error rows for a block: automaton step k adds row k to its slack (and,
+    with perturb_dual, the row's working-set components to its
+    multipliers); steps past row K-1 add zero, as does every step when
+    errors is None. Iterations are counted as slack-check steps and capped
+    at tol.iter_limit, after which the run ends with TERMINATED_ITER_LIMIT.
+
+    A block runs in lockstep, and each parameter's result, x and snapshots
+    included, is bit for bit the one it gets when run alone.
     """
     tol = tol or Tolerances()
-    zero = np.zeros(prob.m)
-    errors = np.empty((0, prob.m)) if errors is None else np.asarray(errors, dtype=float)
-    if errors.ndim != 2 or errors.shape[1] != prob.m:
-        raise ValueError(f"errors must be a 2-D array with {prob.m} columns")
-    theta = np.asarray(theta, dtype=float).ravel()
-    if not contains(prob.theta_set, theta, slack=MEMBERSHIP_SLACK):
+    theta = np.asarray(theta, dtype=float)
+    single = theta.ndim != 2
+    thetas = theta.reshape(1, -1) if single else theta
+    if errors is None:
+        errors = np.zeros((len(thetas), 0, prob.m))
+    else:
+        errors = np.asarray(errors, dtype=float)
+        if single:
+            if errors.ndim != 2 or errors.shape[1] != prob.m:
+                raise ValueError(f"errors must be a 2-D array with {prob.m} columns")
+            errors = errors[None]
+        elif errors.ndim != 3 or errors.shape[0] != len(thetas) or errors.shape[2] != prob.m:
+            raise ValueError(f"errors must be a {len(thetas)} x K x {prob.m} array")
+    if not np.all(contains(prob.theta_set, theta.ravel() if single else theta,
+                           slack=MEMBERSHIP_SLACK)):
         raise ValueError("theta lies outside the parameter set")
+    results = _lockstep(prob, thetas, errors, tol, perturb_dual)
+    return results[0] if single else results
 
-    state = SolverState((), SLACK_CHECK)
-    sequence: list[SolverState] = []
-    snapshots: list[np.ndarray] = []
-    slack_done = 0
-    k = 0
-    while True:
-        if state.terminal:
-            sequence.append(state)
+
+def _lockstep(prob: MpQP, thetas: np.ndarray, errors: np.ndarray, tol: Tolerances,
+              perturb_dual: bool) -> list[RunResult]:
+    """run on a block: step k checks each group of live parameters that
+    share a state once, then moves each distinct decision's members on.
+
+    A group is (members, their thetas, their error rows); members index
+    the block. Modes alternate, slack checks at even steps and dual checks
+    at odd ones, so every parameter still live at step 2 * iter_limit has
+    made iter_limit slack checks and hits the cap there, and a sequence of
+    n states (its end included) holds n // 2 slack checks.
+    """
+    sequences: list[list[SolverState]] = [[] for _ in range(len(thetas))]
+    snapshots: list[list[np.ndarray]] = [[] for _ in range(len(thetas))]
+    ends: dict[SolverState, list[tuple]] = {}
+    live = {SolverState((), SLACK_CHECK): (np.arange(len(thetas)), thetas, errors)}
+    for k in range(2 * tol.iter_limit):
+        if not live:
             break
-        if state.mode == SLACK_CHECK and slack_done == tol.iter_limit:
-            sequence.append(SolverState(state.working_set, TERMINATED_ITER_LIMIT))
-            break
-        sequence.append(state)
-        was_slack = state.mode == SLACK_CHECK
-        eps = errors[k] if k < len(errors) else zero
-        nxt, _, snap = step(prob, state, theta, eps, tol, perturb_dual)
-        snapshots.append(snap)
-        if was_slack:
-            slack_done += 1
-        state = nxt
-        k += 1
+        moved: dict[SolverState, list[tuple]] = {}
+        for state, group in live.items():
+            members, T, E = group
+            rows = E[:, k] if k < E.shape[1] else np.zeros((len(T), prob.m))
+            decisions, z = _check(prob, state, T, rows, tol, perturb_dual)
+            for i, snapshot in zip(members.tolist(), z):
+                sequences[i].append(state)
+                snapshots[i].append(snapshot)
+            distinct = set(decisions.tolist())
+            for index in distinct:
+                part = group
+                if len(distinct) > 1:
+                    mask = decisions == index
+                    part = (members[mask], T[mask], E[mask])
+                nxt = _successor(state, index)
+                (ends if nxt.terminal else moved).setdefault(nxt, []).append(part)
+        live = {state: _merge(parts) for state, parts in moved.items()}
+    for state, group in live.items():
+        ends.setdefault(SolverState(state.working_set, TERMINATED_ITER_LIMIT), []).append(group)
 
-    final = sequence[-1]
-    x = None
-    if final.mode != DEGENERATE:
-        maps = subproblem_maps(prob, final.working_set)
-        if not maps.singular:
-            x = maps.x_map(theta)
-    return RunResult(sequence=sequence, status=final.mode,
-                     iterations=slack_done, x=x, snapshots=snapshots)
+    results: list[Optional[RunResult]] = [None] * len(thetas)
+    for end, parts in ends.items():
+        members, T, _ = _merge(parts)
+        xs = [None] * len(T)
+        if end.mode != DEGENERATE:
+            xs = subproblem_maps(prob, end.working_set).x_map(T)
+        for i, x in zip(members.tolist(), xs):
+            sequences[i].append(end)
+            results[i] = RunResult(sequence=sequences[i], status=end.mode,
+                                   iterations=len(sequences[i]) // 2, x=x,
+                                   snapshots=snapshots[i])
+    return results
 
 
-def _dual_decision(state: SolverState, lam: np.ndarray, tol: Tolerances
-                   ) -> tuple[SolverState, int, np.ndarray]:
-    if lam.size and lam.min() < -tol.dual:
-        neg = np.nonzero(lam < -tol.dual)[0]
-        i = _argmin_lowest_index(lam[neg], [state.working_set[p] for p in neg])
-        return transition(state, i), i, lam
-    return transition(state, PASS_INDEX), PASS_INDEX, lam
+def _merge(parts: list[tuple]) -> tuple:
+    """One group from the groups that reach the same state."""
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))

@@ -14,9 +14,11 @@ the region representation, and the guarantees are interior statements.
 validate_conformance works in two passes. The draw pass takes every sample
 from the generator in the order a one-sample-at-a-time loop would: the
 parameter, then its error rows only if the parameter is judged. The judge
-pass locates the judged parameters LOCATE_BLOCK at a time with one matrix
-product and runs the solver on each. The generator stream, the draws and
-the report are the same as locating and judging each sample on its own.
+pass takes the judged parameters LOCATE_BLOCK at a time: it locates a
+block with one matrix product and runs the solver on the whole block in
+lockstep, which tests the block's membership once. The generator stream,
+the draws and the report are the same as locating and judging each sample
+on its own.
 
 search_realization is exact for exact, hypercube and scheduled-hypercube
 models. Each step's decision reads only its own error row and is monotone
@@ -34,14 +36,21 @@ from typing import Optional
 import numpy as np
 
 from certias.certifier import CertificationResult, CertifiedRegion
-from certias.geometry import MEMBERSHIP_SLACK, bounding_box, contains, normalize_rows
+from certias.geometry import (
+    MEMBERSHIP_SLACK,
+    bounding_box,
+    contains,
+    normalize_rows,
+    product_rounding,
+)
 from certias.lpp import ErrorModel
 from certias.mpqp import MpQP
 from certias.solver import DUAL_CHECK, SLACK_CHECK, Tolerances, run
 
 DELTA_MARGIN = 1e-7
-# Samples located per matrix product: on the double integrator's 888 region
-# rows a block's product is about 1 MB.
+# Judged samples per block, located with one matrix product and run in
+# lockstep: on the double integrator's 888 region rows a block's product is
+# about 1 MB.
 LOCATE_BLOCK = 128
 
 
@@ -95,9 +104,8 @@ class _RegionStack:
     rows begins, and owner names the region of each row; a region without
     rows contains every point. unit_A/unit_b are the same rows with unit-norm
     coefficients, for the boundary-distance test. rounding bounds how far
-    two roundings of a row's product a theta can differ, per unit of
-    max_j |theta_j|: 2 d u |a|_1 for d coordinates and unit roundoff u,
-    with a fourfold margin.
+    two roundings of a row's product with a theta can differ, per unit of
+    max_j |theta_j| (geometry.product_rounding).
     """
 
     def __init__(self, result: CertificationResult):
@@ -110,8 +118,7 @@ class _RegionStack:
         self.starts = (np.cumsum(counts) - counts)[self.rowful]
         self.owner = np.repeat(np.arange(len(self.regions)), counts)
         self.unit_A, self.unit_b = normalize_rows(self.A, b)
-        self.rounding = np.abs(self.A).sum(axis=1) * (4 * self.A.shape[1]
-                                                      * np.finfo(float).eps)
+        self.rounding = product_rounding(self.A)
 
     def near_boundary(self, theta: np.ndarray) -> bool:
         """Whether theta lies within DELTA_MARGIN (normalized) of any region row."""
@@ -229,9 +236,12 @@ def validate_conformance(prob: MpQP, result: CertificationResult,
 
     draws = judged()
     while block := list(itertools.islice(draws, LOCATE_BLOCK)):
-        hosts = stack.locate(np.array([theta for theta, _ in block]))
-        for (theta, errors), host_ids in zip(block, hosts):
-            realized = tuple(run(prob, theta, errors, tol, model.perturb_dual).sequence)
+        thetas = np.array([theta for theta, _ in block])
+        hosts = stack.locate(thetas)
+        runs = run(prob, thetas, np.array([errors for _, errors in block]), tol,
+                   model.perturb_dual)
+        for (theta, _), solved, host_ids in zip(block, runs, hosts):
+            realized = tuple(solved.sequence)
             if not host_ids:
                 report.coverage_gaps.append(tuple(theta))
             elif realized not in [sequences[i] for i in host_ids]:

@@ -19,6 +19,7 @@ from certias.geometry import (
     bounding_box,
     contains,
     interior_point,
+    product_rounding,
     is_empty,
     project_fm,
     remove_redundant,
@@ -295,6 +296,34 @@ class TestContains:
         P = Polyhedron.box([0.0, 0.0], [1.0, 1.0])
         want = 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0
         assert contains(P, [x, y]) == want
+
+    def test_block_gives_each_points_own_answer(self):
+        # Points on the slack bound b + 1e-9 of random rows, moved by a few
+        # units of roundoff: the block product rounds some of them within
+        # its allowance of the bound, where each point's own product decides.
+        rng = np.random.default_rng(8)
+        A = rng.standard_normal((6, 3)) * 10.0 ** rng.integers(-3, 3, size=(6, 1))
+        P = Polyhedron(A, rng.uniform(0.5, 2.0, size=6))
+        points = []
+        for a, beta in zip(P.A, P.b):
+            for _ in range(40):
+                foot = rng.standard_normal(3)
+                foot += (beta + 1e-9 - a @ foot) / (a @ a) * a
+                points.append(foot + rng.integers(-4, 5) * 1e-16 * a / np.linalg.norm(a))
+        points = np.array(points)
+        want = [contains(P, p, slack=1e-9) for p in points]
+        assert contains(P, points, slack=1e-9).tolist() == want
+        assert 0 < sum(want) < len(want)
+        gaps = np.abs(points @ P.A.T - (P.b + 1e-9))
+        assert (gaps <= product_rounding(P.A) * np.abs(points).max(axis=1)[:, None]).any()
+
+    def test_block_edge_cases(self):
+        free = Polyhedron(np.zeros((0, 2)), np.zeros(0), 2)
+        assert contains(free, np.zeros((3, 2))).tolist() == [True] * 3
+        box = Polyhedron.box([0.0, 0.0], [1.0, 1.0])
+        assert contains(box, np.zeros((0, 2))).tolist() == []
+        with pytest.raises(ValueError, match="dimension"):
+            contains(box, np.zeros((3, 3)))
 
 
 def _public_guards(P):

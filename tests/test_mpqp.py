@@ -183,3 +183,19 @@ def test_affine_map_calls_and_shapes():
     assert amap([2.0, 3.0]) == pytest.approx([3.0, 5.0])
     with pytest.raises(ValueError):
         AffineMap([[1.0]], [1.0, 2.0])
+
+
+def test_affine_map_block_is_each_row_alone():
+    # A parameter's z has the same bits alone and in any block.
+    prob = double_integrator_problem()
+    thetas = np.random.default_rng(2).uniform(-3.0, 3.0, size=(257, 2))
+    for W in ((), (0,), (4, 2)):
+        maps = subproblem_maps(prob, W)
+        for amap in (maps.x_map, maps.mu_map, maps.lambda_map):
+            block = amap(thetas)
+            assert block.shape == (len(thetas), amap.rows)
+            for theta, z in zip(thetas, block):
+                assert amap(theta).tobytes() == z.tobytes()
+            assert amap(thetas[5:9]).tobytes() == block[5:9].tobytes()
+    with pytest.raises(ValueError, match="2 entries"):
+        maps.mu_map([1.0, 2.0, 3.0])

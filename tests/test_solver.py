@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from certias.examples import double_integrator_problem, toy_problem
+from certias.geometry import Polyhedron, bounding_box, contains
+from certias.lpp import KIND_HYPERCUBE, ErrorModel
+from certias.mpqp import MpQP
 from certias.solver import (
     DEGENERATE,
     DUAL_CHECK,
@@ -12,6 +15,8 @@ from certias.solver import (
     TERMINATED_OPTIMAL,
     SolverState,
     Tolerances,
+    _check,
+    _decide,
     run,
     step,
     transition,
@@ -350,3 +355,152 @@ class TestTolerances:
             Tolerances(eps_primal=value)
         with pytest.raises(ValueError, match="eps_dual must be finite"):
             Tolerances(eps_dual=value)
+
+
+def _same_run(a, b):
+    """Two RunResults agree in every field, x and snapshots byte for byte."""
+    assert a.sequence == b.sequence
+    assert (a.status, a.iterations) == (b.status, b.iterations)
+    assert (a.x is None) == (b.x is None)
+    if a.x is not None:
+        assert (a.x.shape, a.x.tobytes()) == (b.x.shape, b.x.tobytes())
+    assert [(z.shape, z.tobytes()) for z in a.snapshots] == \
+        [(z.shape, z.tobytes()) for z in b.snapshots]
+
+
+_SCHEDULE = ErrorModel(kind=KIND_HYPERCUBE, bound=0.05, schedule=(
+    ErrorModel(), ErrorModel(kind=KIND_HYPERCUBE, bound=0.2),
+    ErrorModel(kind=KIND_HYPERCUBE, bound=0.01)))
+
+
+class TestBlockRun:
+    """A block runs in lockstep, and each parameter gets exactly the result
+    it gets alone: the block it sits in does not matter."""
+
+    @pytest.mark.parametrize("case", [
+        ("toy", ErrorModel()),
+        ("toy", ErrorModel(kind=KIND_HYPERCUBE, bound=0.1)),
+        ("toy", ErrorModel(kind=KIND_HYPERCUBE, bound=0.05, perturb_dual=True)),
+        ("toy", _SCHEDULE),
+        ("double_integrator", ErrorModel()),
+        ("double_integrator", ErrorModel(kind=KIND_HYPERCUBE, bound=1e-4)),
+        ("double_integrator", ErrorModel(kind=KIND_HYPERCUBE, bound=1e-3, perturb_dual=True)),
+        ("double_integrator", ErrorModel(kind=KIND_HYPERCUBE, bound=1e-3, schedule=(
+            ErrorModel(kind=KIND_HYPERCUBE, bound=1e-2), ErrorModel()))),
+    ], ids=["toy-exact", "toy-hypercube", "toy-perturb-dual", "toy-schedule",
+            "di-exact", "di-hypercube", "di-perturb-dual", "di-schedule"])
+    def test_each_parameter_as_alone(self, case):
+        name, model = case
+        prob = toy_problem() if name == "toy" else double_integrator_problem()
+        rng = np.random.default_rng(5)
+        lo, hi = bounding_box(prob.theta_set)
+        thetas = rng.uniform(lo, hi, size=(300, prob.n_theta))
+        thetas = thetas[contains(prob.theta_set, thetas)][:150]
+        bounds = model.step_bounds(24)
+        errors = rng.uniform(-1.0, 1.0, size=(len(thetas), 24, prob.m)) * bounds[:, None]
+        tol = Tolerances(iter_limit=6)
+        block = run(prob, thetas, errors, tol, model.perturb_dual)
+        assert len(block) == len(thetas)
+        for theta, rows, result in zip(thetas, errors, block):
+            _same_run(result, run(prob, theta, rows, tol, model.perturb_dual))
+        # A sub-block in another order gives the same results again.
+        order = rng.permutation(len(thetas))[:37]
+        for i, result in zip(order, run(prob, thetas[order], errors[order], tol,
+                                        model.perturb_dual)):
+            _same_run(result, block[i])
+        if model.kind == "none":
+            for theta, result in zip(thetas, run(prob, thetas, None, tol)):
+                _same_run(result, run(prob, theta, tol=tol))
+
+    def test_cap_and_degenerate_runs_in_one_block(self):
+        # The toy runs of TestRunToy and TestInjector side by side: one that
+        # hits the iteration cap, one that goes degenerate, one that cycles
+        # under perturbed multipliers, and two plain optimal ones.
+        prob = toy_problem()
+        thetas = np.array([[-0.95], [-2.0], [-1.0 + 1e-7], [0.0], [-2.0]])
+        errors = np.stack([constant_rows([-0.5], 16), constant_rows([-1e-3], 16),
+                           constant_rows([-1e-5], 16), constant_rows([0.0], 16),
+                           constant_rows([0.0], 16)])
+        tol = Tolerances(iter_limit=6)
+        for perturb_dual in (False, True):
+            block = run(prob, thetas, errors, tol, perturb_dual)
+            for theta, rows, result in zip(thetas, errors, block):
+                _same_run(result, run(prob, theta, rows, tol, perturb_dual))
+        statuses = [r.status for r in run(prob, thetas, errors, tol)]
+        assert statuses == [TERMINATED_ITER_LIMIT, DEGENERATE, DEGENERATE,
+                            TERMINATED_OPTIMAL, TERMINATED_OPTIMAL]
+        statuses = [r.status for r in run(prob, thetas, errors, tol, True)]
+        assert statuses[2] == TERMINATED_ITER_LIMIT
+
+    def test_block_shapes(self):
+        prob = toy_problem()
+        thetas = np.array([[-2.0], [0.0]])
+        with pytest.raises(ValueError, match="2 x K x 1"):
+            run(prob, thetas, np.zeros((16, 1)))
+        with pytest.raises(ValueError, match="2 x K x 1"):
+            run(prob, thetas, np.zeros((3, 16, 1)))
+        with pytest.raises(ValueError, match="outside"):
+            run(prob, np.array([[-2.0], [4.0]]))
+        assert run(prob, np.zeros((0, 1))) == []
+
+
+def _tie_problem():
+    """Rows 1 and 3 are e2 and e1 with f = (theta, theta) and H = I, so the
+    working set (3, 1) has the bitwise-equal multipliers (-theta, -theta)."""
+    return MpQP(
+        H=np.eye(2),
+        C=np.array([[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 0.0]]),
+        f_lin=np.array([[1.0], [1.0]]),
+        f_const=np.zeros(2),
+        d_lin=np.zeros((4, 1)),
+        d_const=np.array([1.0, 0.0, 1.0, 0.0]),
+        theta_set=Polyhedron.box([-3.0], [3.0]),
+    )
+
+
+def _lowest_label_reference(values, labels, threshold):
+    """The pointwise rule the block decision replaced: among the values
+    below -threshold, the smallest; exact ties go to the lowest label."""
+    out = []
+    for row in values.tolist():
+        below = [(value, label) for value, label in zip(row, labels) if value < -threshold]
+        if not below:
+            out.append(PASS_INDEX)
+            continue
+        best = min(value for value, _ in below)
+        out.append(min(label for value, label in below if value == best))
+    return out
+
+
+class TestDecisionRule:
+    def test_dual_tie_goes_to_lowest_row_not_first_position(self):
+        prob = _tie_problem()
+        state = SolverState((3, 1), DUAL_CHECK)
+        nxt, idx, snap = step(prob, state, [1.0], np.zeros(4), Tolerances())
+        assert snap[0] == snap[1] == -1.0
+        assert idx == 1
+        assert nxt == SolverState((3,), SLACK_CHECK)
+        # The block form: ties at 1 and 2, and a pass at -1.
+        decisions, z = _check(prob, state, np.array([[1.0], [2.0], [-1.0]]), None,
+                              Tolerances(), perturb_dual=False)
+        assert decisions.tolist() == [1, 1, PASS_INDEX]
+        assert z[:, 0].tobytes() == z[:, 1].tobytes()
+        # A perturbation that lowers row 3's multiplier alone decides for row 3.
+        rows = np.zeros((3, 4))
+        rows[:, 3] = -1e-3
+        decisions, _ = _check(prob, state, np.array([[1.0], [2.0], [-1.0]]), rows,
+                              Tolerances(), perturb_dual=True)
+        assert decisions.tolist() == [3, 3, PASS_INDEX]
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 6])
+    def test_matches_pointwise_rule(self, width):
+        rng = np.random.default_rng(width)
+        threshold = 1e-6
+        for _ in range(50):
+            labels = tuple(rng.permutation(12)[:width].tolist())
+            # Few distinct values force ties; the last rows violate nothing.
+            values = rng.choice([-2.0, -1.0, -0.5, -1e-6, -5e-7, 0.0, 3.0], size=(40, width))
+            values[-5:] = np.abs(values[-5:])
+            want = _lowest_label_reference(values, labels, threshold)
+            assert _decide(values, labels, threshold).tolist() == want
+            assert PASS_INDEX in want

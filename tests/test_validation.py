@@ -5,10 +5,12 @@ suite reruns them at full sample counts.
 """
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 
+from certias import validation
 from certias.certifier import CertificationResult, CertifiedRegion, certify
 from certias.examples import double_integrator_problem, toy_problem
 from certias.geometry import Polyhedron, bounding_box, contains, interior_point
@@ -349,6 +351,33 @@ class TestReportsMatchOneByOne:
         report = validate_conformance(toy, result, n_samples=400, seed=6, model=model)
         assert report.mismatches
         _assert_same_report(report, _validate_one_by_one(toy, result, 400, 6, model))
+
+
+class TestJudgeBlockSize:
+    """The judge pass runs each block of judged samples through run in
+    lockstep; the report is the same bytes whatever the block size."""
+
+    @pytest.mark.parametrize("case", ["toy-unmodeled", "toy-perturb-dual",
+                                      "mpc-inflated", "mpc-unmodeled"])
+    def test_same_report_bytes(self, monkeypatch, case, toy, toy_nominal, mpc,
+                               mpc_inflated):
+        hyper = ErrorModel(kind=KIND_HYPERCUBE, bound=0.1)
+        prob, result, model, n = {
+            "toy-unmodeled": (toy, toy_nominal, hyper, 600),
+            "toy-perturb-dual": (toy, certify(toy, model=ErrorModel(
+                kind=KIND_HYPERCUBE, bound=0.05, perturb_dual=True)), None, 600),
+            "mpc-inflated": (mpc, mpc_inflated, None, 300),
+            "mpc-unmodeled": (mpc, certify(mpc), ErrorModel(kind=KIND_HYPERCUBE,
+                                                             bound=1e-4), 300),
+        }[case]
+        documents = []
+        for size in (1, 7, 128):
+            monkeypatch.setattr(validation, "LOCATE_BLOCK", size)
+            report = validate_conformance(prob, result, n_samples=n, seed=9, model=model)
+            documents.append(json.dumps(report.to_document()))
+        assert documents[0] == documents[1] == documents[2]
+        # Errors the partition did not model leave mismatches to compare.
+        assert bool(json.loads(documents[0])["mismatches"]) == case.endswith("unmodeled")
 
 
 def _assert_same_stream(rng_new, rng_old):
