@@ -35,6 +35,7 @@ from certias.solver import (
     TERMINATED_OPTIMAL,
     SolverState,
     Tolerances,
+    iterations,
     transition,
 )
 
@@ -75,10 +76,6 @@ def sequence_key(sequence) -> tuple:
     return tuple((_MODE_RANK[s.mode], s.working_set) for s in sequence)
 
 
-def _slack_count(sequence) -> int:
-    return sum(1 for s in sequence if s.mode == SLACK_CHECK)
-
-
 @dataclass
 class CertifiedRegion:
     """A leaf of the exploration tree.
@@ -106,7 +103,8 @@ class CertifiedRegion:
 
 @dataclass
 class TraceRecord:
-    """One expansion, kept when tracing: parent region and its children."""
+    """One expansion, kept when tracing: parent region and its children.
+    slack_depth counts the slack checks before step_k: (step_k + 1) // 2."""
 
     region: Polyhedron
     state: SolverState
@@ -225,10 +223,11 @@ def certify(prob: MpQP, tol: Optional[Tolerances] = None,
 
     The frontier is a stack of (region, state about to run there, states
     run so far, the point that proved the region nonempty, None at the
-    root). Each popped entry is handled in the pointwise solver's
-    order: the iteration cap, then a singular subproblem, then the decision
-    split. The result is canonically sorted by sequence, so it does not
-    depend on exploration order. max_live caps the frontier size to guard
+    root). Each popped entry is handled in the pointwise solver's order:
+    the iteration cap (at step 2 * iter_limit), then a singular subproblem,
+    then the decision split; leaves count iterations as run does. The
+    result is canonically sorted by sequence, so it does not depend on
+    exploration order. max_live caps the frontier size to guard
     against error-model-induced blowup (BudgetExceededError). A polyhedral
     set of the wrong dimension, in the model or in any schedule entry,
     raises ValueError before anything is explored.
@@ -255,16 +254,15 @@ def certify(prob: MpQP, tol: Optional[Tolerances] = None,
                 f"live regions ({len(stack)}) exceed max_live={max_live}")
         region, state, seq, point = stack.pop()
         explored += 1
-        k, slack_depth = len(seq), _slack_count(seq)
-        if state.mode == SLACK_CHECK and slack_depth == tol.iter_limit:
+        k = len(seq)
+        if k == 2 * tol.iter_limit:
             leaf = seq + (SolverState(state.working_set, TERMINATED_ITER_LIMIT),)
-            finals.append(CertifiedRegion(region, leaf, "iter_limit", slack_depth))
+            finals.append(CertifiedRegion(region, leaf, "iter_limit", iterations(leaf)))
             continue
         seq += (state,)
         if subproblem_maps(prob, state.working_set).singular:
             leaf = seq + (SolverState(state.working_set, DEGENERATE),)
-            finals.append(CertifiedRegion(region, leaf, "degenerate",
-                                          _slack_count(leaf)))
+            finals.append(CertifiedRegion(region, leaf, "degenerate", iterations(leaf)))
             continue
         kids = partition_step(region, state, prob, tol, model, k, point)
         # halfplane_family has a pass branch plus one per decision component.
@@ -275,11 +273,11 @@ def certify(prob: MpQP, tol: Optional[Tolerances] = None,
             if child.terminal:
                 leaf = seq + (child,)
                 finals.append(CertifiedRegion(kid, leaf, _STATUS_BY_MODE[child.mode],
-                                              _slack_count(leaf)))
+                                              iterations(leaf)))
             else:
                 stack.append((kid, child, seq, x0))
         if record_trace:
-            trace.append(TraceRecord(region, state, k, slack_depth,
+            trace.append(TraceRecord(region, state, k, (k + 1) // 2,
                                      [(idx, kid) for idx, kid, _ in kids]))
 
     finals.sort(key=lambda r: sequence_key(r.sequence))

@@ -234,8 +234,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def cmd_report(cfg: RunConfig) -> int:
     metric = _require(cfg, "metric", "--metric")
-    if metric == "sweep":
-        return cmd_sweep(cfg)
     if metric == "cdf":
         result = _load_partition(_require(cfg, "partition_path", "--partition"))
         _emit(iteration_cdf(result), cfg)
@@ -316,13 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("report", help="emit analysis tables")
     common(p_rep)
-    p_rep.add_argument("--metric", choices=("slack", "cdf", "sweep"))
+    p_rep.add_argument("--metric", choices=("slack", "cdf"))
     p_rep.add_argument("--partition", dest="partition_path", metavar="PATH",
                        help="partition document (for --metric cdf)")
-    p_rep.add_argument("--primal-tols", dest="primal_tols", type=_float_list,
-                       metavar="A,B,...")
-    p_rep.add_argument("--eps-bars", dest="eps_bars", type=_float_list,
-                       metavar="A,B,...")
     return parser
 
 

@@ -16,16 +16,19 @@ components of the same row.
 
 run is one lockstep engine over a block of parameters; a single parameter
 and step are the block-of-one case. At step k the live parameters are
-grouped by state. Each group looks its subproblem maps up once, evaluates
-its vectors in one block, decides every member with one vectorized rule
-(_decide) and applies transition once per distinct decision. The maps
-evaluate elementwise in a fixed order (AffineMap), so a parameter's run is
-bit for bit the same in any block.
+grouped by state, each group an array of indices into the block. Each group
+looks its subproblem maps up once, evaluates its vectors in one block,
+decides every member with one vectorized rule (_decide) and applies
+transition once per distinct decision. The maps evaluate elementwise in a
+fixed order (AffineMap), so a parameter's run is bit for bit the same in
+any block. run and the certifier count iterations with one rule
+(iterations).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -78,7 +81,12 @@ class SolverState:
 
     @classmethod
     def from_document(cls, doc: dict) -> "SolverState":
-        return cls(doc["working_set"], doc["mode"])
+        # Entries are checked here, not in __post_init__: that runs on every transition.
+        working_set = doc["working_set"]
+        if not all(isinstance(i, numbers.Integral) and not isinstance(i, bool)
+                   for i in working_set):
+            raise ValueError(f"working-set entries must be integers, got {working_set!r}")
+        return cls(working_set, doc["mode"])
 
 
 @dataclass(frozen=True)
@@ -90,10 +98,14 @@ class Tolerances:
     iter_limit: int = 15
 
     def __post_init__(self):
+        if any(isinstance(v, bool) for v in (self.eps_primal, self.eps_dual, self.iter_limit)):
+            raise ValueError("tolerances must be numbers, not booleans")
         if not 0 <= self.eps_primal < math.inf:
             raise ValueError("eps_primal must be finite and nonnegative")
         if self.eps_dual is not None and not 0 <= self.eps_dual < math.inf:
             raise ValueError("eps_dual must be finite and nonnegative")
+        if not isinstance(self.iter_limit, numbers.Integral):
+            raise ValueError("iter_limit must be an integer")
         if self.iter_limit < 1:
             raise ValueError("iter_limit must be at least 1")
 
@@ -134,6 +146,15 @@ def transition(state: SolverState, index: int) -> SolverState:
         pos = W.index(int(index))
         return SolverState(W[:pos] + W[pos + 1:], SLACK_CHECK)
     raise ValueError(f"no transitions from terminal mode {state.mode!r}")
+
+
+def iterations(sequence: Sequence[SolverState]) -> int:
+    """The slack checks of a sequence of executed states plus its terminal
+    marker. Modes alternate from a slack check, so slack checks sit at the
+    even positions. The marker follows the last state, at j, giving j + 2
+    states and j // 2 + 1 slack checks, or replaces the capped slack check
+    at an even k, giving k + 1 states and k // 2: n states hold n // 2."""
+    return len(sequence) // 2
 
 
 def _decide(values: np.ndarray, labels: Sequence[int], threshold: float) -> np.ndarray:
@@ -218,11 +239,11 @@ class RunResult:
     """Trace of one pointwise solve.
 
     sequence lists every executed state and ends with the terminal marker.
-    status is the terminal mode; iterations counts slack-check states. x is
+    status is the terminal mode; iterations is iterations(sequence). x is
     the final iterate, None when the run ended degenerate.
     """
 
-    sequence: list[SolverState]
+    sequence: tuple[SolverState, ...]
     status: str
     iterations: int
     x: Optional[np.ndarray]
@@ -240,8 +261,8 @@ def run(prob: MpQP, theta, errors=None, tol: Optional[Tolerances] = None,
     error rows for a block: automaton step k adds row k to its slack (and,
     with perturb_dual, the row's working-set components to its
     multipliers); steps past row K-1 add zero, as does every step when
-    errors is None. Iterations are counted as slack-check steps and capped
-    at tol.iter_limit, after which the run ends with TERMINATED_ITER_LIMIT.
+    errors is None. Iterations (slack checks) are capped at tol.iter_limit,
+    after which the run ends with TERMINATED_ITER_LIMIT.
 
     A block runs in lockstep, and each parameter's result, x and snapshots
     included, is bit for bit the one it gets when run alone.
@@ -272,55 +293,43 @@ def _lockstep(prob: MpQP, thetas: np.ndarray, errors: np.ndarray, tol: Tolerance
     """run on a block: step k checks each group of live parameters that
     share a state once, then moves each distinct decision's members on.
 
-    A group is (members, their thetas, their error rows); members index
-    the block. Modes alternate, slack checks at even steps and dual checks
-    at odd ones, so every parameter still live at step 2 * iter_limit has
-    made iter_limit slack checks and hits the cap there, and a sequence of
-    n states (its end included) holds n // 2 slack checks.
+    A group is the array of its members' indices into the block; groups
+    that reach the same state are concatenated. Step k is a slack check
+    when k is even (see iterations), so a parameter still live at step
+    2 * iter_limit has made iter_limit slack checks and hits the cap there.
     """
     sequences: list[list[SolverState]] = [[] for _ in range(len(thetas))]
     snapshots: list[list[np.ndarray]] = [[] for _ in range(len(thetas))]
-    ends: dict[SolverState, list[tuple]] = {}
-    live = {SolverState((), SLACK_CHECK): (np.arange(len(thetas)), thetas, errors)}
+    ends: dict[SolverState, list[np.ndarray]] = {}
+    live = {SolverState((), SLACK_CHECK): np.arange(len(thetas))}
     for k in range(2 * tol.iter_limit):
         if not live:
             break
-        moved: dict[SolverState, list[tuple]] = {}
-        for state, group in live.items():
-            members, T, E = group
-            rows = E[:, k] if k < E.shape[1] else np.zeros((len(T), prob.m))
-            decisions, z = _check(prob, state, T, rows, tol, perturb_dual)
+        moved: dict[SolverState, list[np.ndarray]] = {}
+        for state, members in live.items():
+            rows = errors[members, k] if k < errors.shape[1] else np.zeros((len(members), prob.m))
+            decisions, z = _check(prob, state, thetas[members], rows, tol, perturb_dual)
             for i, snapshot in zip(members.tolist(), z):
                 sequences[i].append(state)
                 snapshots[i].append(snapshot)
             distinct = set(decisions.tolist())
             for index in distinct:
-                part = group
-                if len(distinct) > 1:
-                    mask = decisions == index
-                    part = (members[mask], T[mask], E[mask])
+                part = members if len(distinct) == 1 else members[decisions == index]
                 nxt = _successor(state, index)
                 (ends if nxt.terminal else moved).setdefault(nxt, []).append(part)
-        live = {state: _merge(parts) for state, parts in moved.items()}
-    for state, group in live.items():
-        ends.setdefault(SolverState(state.working_set, TERMINATED_ITER_LIMIT), []).append(group)
+        live = {state: np.concatenate(parts) for state, parts in moved.items()}
+    for state, members in live.items():
+        ends.setdefault(SolverState(state.working_set, TERMINATED_ITER_LIMIT), []).append(members)
 
     results: list[Optional[RunResult]] = [None] * len(thetas)
     for end, parts in ends.items():
-        members, T, _ = _merge(parts)
-        xs = [None] * len(T)
+        members = np.concatenate(parts)
+        xs = [None] * len(members)
         if end.mode != DEGENERATE:
-            xs = subproblem_maps(prob, end.working_set).x_map(T)
+            xs = subproblem_maps(prob, end.working_set).x_map(thetas[members])
         for i, x in zip(members.tolist(), xs):
-            sequences[i].append(end)
-            results[i] = RunResult(sequence=sequences[i], status=end.mode,
-                                   iterations=len(sequences[i]) // 2, x=x,
+            sequence = (*sequences[i], end)
+            results[i] = RunResult(sequence=sequence, status=end.mode,
+                                   iterations=iterations(sequence), x=x,
                                    snapshots=snapshots[i])
     return results
-
-
-def _merge(parts: list[tuple]) -> tuple:
-    """One group from the groups that reach the same state."""
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))

@@ -217,7 +217,6 @@ def validate_conformance(prob: MpQP, result: CertificationResult,
     box = list(zip(lo.tolist(), hi.tolist()))
     stack = _RegionStack(result)
     draw_errors = _ErrorDraw(model.step_bounds(2 * tol.iter_limit + 2), prob.m)
-    sequences = [tuple(r.sequence) for r in result.regions]
     report = ValidationReport(samples_total=n_samples)
 
     def judged():
@@ -241,11 +240,10 @@ def validate_conformance(prob: MpQP, result: CertificationResult,
         runs = run(prob, thetas, np.array([errors for _, errors in block]), tol,
                    model.perturb_dual)
         for (theta, _), solved, host_ids in zip(block, runs, hosts):
-            realized = tuple(solved.sequence)
             if not host_ids:
                 report.coverage_gaps.append(tuple(theta))
-            elif realized not in [sequences[i] for i in host_ids]:
-                report.mismatches.append((tuple(theta), realized, host_ids))
+            elif solved.sequence not in [result.regions[i].sequence for i in host_ids]:
+                report.mismatches.append((tuple(theta), solved.sequence, host_ids))
 
     report.mismatches.sort(key=lambda entry: entry[0])
     report.coverage_gaps.sort()
@@ -291,9 +289,9 @@ def search_realization(prob: MpQP, region: CertifiedRegion, theta,
     if not contains(region.region, theta, slack=MEMBERSHIP_SLACK):
         raise ValueError("theta lies outside the region")
     tol = tol or Tolerances()
-    target = tuple(region.sequence)
+    target = region.sequence
     vertex = _vertex(target, model.step_bounds(len(target) - 1), prob.m)
     for errors in (np.zeros((1, prob.m)), vertex):
-        if tuple(run(prob, theta, errors, tol, model.perturb_dual).sequence) == target:
+        if run(prob, theta, errors, tol, model.perturb_dual).sequence == target:
             return True, errors
     return False, None

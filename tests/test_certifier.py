@@ -28,6 +28,7 @@ from certias.solver import (
     TERMINATED_ITER_LIMIT,
     SolverState,
     Tolerances,
+    iterations,
     run,
 )
 from certias.solver import transition as solver_transition
@@ -378,6 +379,56 @@ class TestCertifyMpc:
         for r in result.regions:
             n_slack = sum(1 for s in r.sequence if s.mode == SLACK_CHECK)
             assert r.iterations == n_slack
+
+
+def _slack_count(sequence):
+    """Reference count: the slack-check states of a sequence, as the
+    certifier counted a leaf's iterations before solver.iterations."""
+    return sum(1 for s in sequence if s.mode == SLACK_CHECK)
+
+
+_ALL_ENDS = {"optimal", "iter_limit", "degenerate"}
+
+
+class TestIterationRule:
+    """solver.iterations, the one count run and certify share, is the
+    number of slack checks on every leaf and on every sampled run."""
+
+    @pytest.mark.parametrize("iter_limit", [3, 15])
+    @pytest.mark.parametrize("case", [
+        ("toy", ErrorModel(), {"optimal"}),
+        ("toy", ErrorModel(kind="hypercube", bound=0.1), _ALL_ENDS),
+        ("toy", ErrorModel(kind="hypercube", bound=0.05, perturb_dual=True), _ALL_ENDS),
+        ("toy", ErrorModel(kind="hypercube", bound=0.05, schedule=(
+            ErrorModel(), ErrorModel(kind="hypercube", bound=0.2),
+            ErrorModel(kind="hypercube", bound=0.01))), {"optimal", "degenerate"}),
+        ("double_integrator", ErrorModel(), {"optimal"}),
+        ("double_integrator", ErrorModel(kind="hypercube", bound=1e-4), _ALL_ENDS),
+        ("double_integrator", ErrorModel(kind="hypercube", bound=1e-3, perturb_dual=True),
+         _ALL_ENDS),
+        ("double_integrator", ErrorModel(kind="hypercube", bound=1e-3, schedule=(
+            ErrorModel(kind="hypercube", bound=1e-2), ErrorModel())), _ALL_ENDS),
+    ], ids=["toy-exact", "toy-hypercube", "toy-perturb-dual", "toy-schedule",
+            "di-exact", "di-hypercube", "di-perturb-dual", "di-schedule"])
+    def test_count_is_slack_checks(self, case, iter_limit):
+        name, model, ends = case
+        prob = toy_problem() if name == "toy" else double_integrator_problem()
+        tol = Tolerances(iter_limit=iter_limit)
+        leaves = certify(prob, tol, model).regions
+        # Cap leaves and degenerate leaves (on toy at 0.1, the zero-width
+        # ones) are among those counted.
+        assert {r.status for r in leaves} == ends
+        rng = np.random.default_rng(11)
+        lo, hi = bounding_box(prob.theta_set)
+        thetas = rng.uniform(lo, hi, size=(200, prob.n_theta))
+        thetas = thetas[contains(prob.theta_set, thetas)]
+        steps = 2 * iter_limit + 2
+        errors = rng.uniform(-1.0, 1.0, size=(len(thetas), steps, prob.m)) \
+            * model.step_bounds(steps)[:, None]
+        runs = run(prob, thetas, errors, tol, model.perturb_dual)
+        for r in [*leaves, *runs]:
+            assert r.iterations == iterations(r.sequence) == _slack_count(r.sequence)
+            assert r.iterations <= iter_limit
 
 
 class TestCanonicalOrder:

@@ -33,8 +33,11 @@ def mpc_path(problem_dir):
 
 def test_shipped_problem_files_are_current(problem_dir):
     # The fixtures above generate the problems; CI and the benchmark read
-    # the shipped copies under problems/.
+    # the shipped copies under problems/, which must hold nothing else.
     shipped = pathlib.Path(__file__).resolve().parent.parent / "problems"
+    assert sorted(p.name for p in shipped.iterdir()) == \
+        sorted(p.name for p in problem_dir.iterdir()) == \
+        ["double_integrator.json", "toy.json"]
     for name in ("toy.json", "double_integrator.json"):
         assert (problem_dir / name).read_bytes() == (shipped / name).read_bytes()
 
@@ -393,6 +396,38 @@ class TestValidate:
                      "--samples", "10"]) == 2
         assert "bad partition document" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("iter_limit", 15.5, "iter_limit must be an integer"),
+        ("iter_limit", True, "not booleans"),
+        ("eps_primal", True, "not booleans"),
+        ("eps_dual", False, "not booleans"),
+    ])
+    def test_malformed_tolerance_exits_2(self, toy_path, toy_partition, tmp_path,
+                                         capsys, key, value, message):
+        # A float cap used to fail inside validation (exit 3), and a boolean
+        # one validated with a cap of 1 (exit 1).
+        doc = json.loads(toy_partition.read_text())
+        doc["settings"][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(dump_document(doc))
+        assert main(["validate", "--problem", toy_path, "--partition", str(bad),
+                     "--samples", "10"]) == 2
+        err = capsys.readouterr().err
+        assert "bad partition document" in err and message in err
+
+    @pytest.mark.parametrize("working_set", [[1.5], [True], ["0"]],
+                             ids=["float", "bool", "string"])
+    def test_non_integer_working_set_exits_2(self, toy_path, toy_partition,
+                                             tmp_path, capsys, working_set):
+        doc = json.loads(toy_partition.read_text())
+        doc["regions"][0]["sequence"][0]["working_set"] = working_set
+        bad = tmp_path / "bad.json"
+        bad.write_text(dump_document(doc))
+        assert main(["validate", "--problem", toy_path, "--partition", str(bad),
+                     "--samples", "10"]) == 2
+        err = capsys.readouterr().err
+        assert "bad partition document" in err and "must be integers" in err
+
     def test_wrong_problem_for_partition(self, mpc_path, toy_partition,
                                          capsys):
         code = main(["validate", "--problem", mpc_path,
@@ -540,11 +575,14 @@ class TestReport:
         doc = json.loads(out.read_text())
         assert doc["per_iteration"][0] == {"k": 0, "worst_slack": 2.0}
 
-    def test_sweep_alias(self, toy_path, capsys):
-        code = main(["report", "--metric", "sweep", "--problem", toy_path,
-                     "--primal-tols", "1e-6", "--eps-bars", "0"])
-        assert code == 0
-        assert capsys.readouterr().out.splitlines()[1] == "1e-06,0.0,2,2"
+    def test_sweep_metric_exits_2(self, toy_path, capsys):
+        # The sweep table comes from the sweep command; report has no such
+        # metric and none of sweep's grid flags.
+        assert main(["report", "--metric", "sweep", "--problem", toy_path]) == 2
+        assert "invalid choice: 'sweep'" in capsys.readouterr().err
+        assert main(["report", "--metric", "slack", "--problem", toy_path,
+                     "--primal-tols", "1e-6", "--eps-bars", "0"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_metric_required(self, toy_path, capsys):
         assert main(["report", "--problem", toy_path]) == 2

@@ -356,6 +356,15 @@ class TestTolerances:
         with pytest.raises(ValueError, match="eps_dual must be finite"):
             Tolerances(eps_dual=value)
 
+    def test_booleans_and_fractional_cap_rejected(self):
+        for kwargs in ({"eps_primal": True}, {"eps_dual": False}, {"iter_limit": True}):
+            with pytest.raises(ValueError, match="not booleans"):
+                Tolerances(**kwargs)
+        for cap in (15.5, 15.0):
+            with pytest.raises(ValueError, match="iter_limit must be an integer"):
+                Tolerances(iter_limit=cap)
+        assert Tolerances(iter_limit=np.int64(4)).iter_limit == 4
+
 
 def _same_run(a, b):
     """Two RunResults agree in every field, x and snapshots byte for byte."""
