@@ -14,7 +14,6 @@ from certias.certifier import (
     CertifiedRegion,
     certify,
 )
-from certias.examples import double_integrator_problem, toy_problem
 from certias.geometry import (
     GeometryError,
     LpResult,
@@ -44,6 +43,17 @@ from certias.validation import (
 )
 
 __version__ = "0.1.0"
+
+# Served on first use, so that importing certias leaves certias.examples
+# unimported and `python -m certias.examples` runs it fresh.
+_EXAMPLES = ("double_integrator_problem", "toy_problem")
+
+
+def __getattr__(name: str):
+    if name in _EXAMPLES:
+        from certias import examples
+        return getattr(examples, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AffineMap",

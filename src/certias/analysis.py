@@ -149,24 +149,27 @@ def slack_profile(prob: MpQP, result: CertificationResult) -> SlackProfile:
         holds.append((reg.iterations, reg.region, reg.sequence[-1].working_set))
     depth = max([*live.keys(), *(h[0] for h in holds)], default=0)
 
+    # Keyed by content: many trace records and leaves share a region's rows
+    # and a working set. A failure counts once per region object and
+    # working set.
     cache: dict = {}
-    failures = 0
+    failed = set()
     per_iteration = []
     for k in range(depth + 1):
         worst = -INF
         candidates = list(live.get(k, []))
         candidates += [(r, w) for start, r, w in holds if start <= k]
         for region, working_set in candidates:
-            key = (id(region), tuple(working_set))
+            key = (region.A.tobytes(), region.b.tobytes(), tuple(working_set))
             if key not in cache:
                 cache[key] = _region_worst(prob, region, working_set)
-                if cache[key] is None:
-                    failures += 1
-            if cache[key] is not None:
+            if cache[key] is None:
+                failed.add((id(region), key[2]))
+            else:
                 worst = max(worst, cache[key])
         per_iteration.append((k, worst))
     return SlackProfile(per_iteration, skipped_singular=skipped,
-                        lp_failures=failures)
+                        lp_failures=len(failed))
 
 
 def iteration_cdf(result: CertificationResult) -> IterationCdf:

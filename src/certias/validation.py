@@ -11,14 +11,21 @@ Samples within a small normalized distance of any certified-region boundary
 are skipped rather than judged: tie-breaking on shared boundaries depends on
 the region representation, and the guarantees are interior statements.
 
-validate_conformance works in two passes. The draw pass takes every sample
-from the generator in the order a one-sample-at-a-time loop would: the
-parameter, then its error rows only if the parameter is judged. The judge
-pass takes the judged parameters LOCATE_BLOCK at a time: it locates a
-block with one matrix product and runs the solver on the whole block in
-lockstep, which tests the block's membership once. The generator stream,
-the draws and the report are the same as locating and judging each sample
-on its own.
+validate_conformance works in two passes. The draw pass reads the
+generator's doubles DRAW_CHUNK at a time, in stream order, and takes every
+sample from them as a one-sample-at-a-time loop of Generator.uniform calls
+would: the parameter, lo + (hi - lo) u per coordinate, then, only if the
+parameter is judged, its error rows, -b + (b - (-b)) u per component of a
+step of nonzero bound b. Those are the doubles, the order and the two
+roundings of the uniform calls, so the draws and the report stay the same
+whatever the chunk size. Membership in the parameter set and the boundary
+test are decided sample by sample, as the stream depends on them; the
+boundary test reads the partition's distinct rows. A judged sample's error
+doubles are copied into its block as they are read. The judge pass takes
+the judged samples LOCATE_BLOCK at a time: it forms the block's error rows
+at once, locates the block with one matrix product over the partition's
+distinct regions, and runs the solver on the whole block in lockstep. The
+report is the same as locating and judging each sample on its own.
 
 search_realization is exact for exact, hypercube and scheduled-hypercube
 models. Each step's decision reads only its own error row and is monotone
@@ -29,7 +36,6 @@ sequence makes the solver follow the region's sequence at that parameter.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -49,9 +55,11 @@ from certias.solver import DUAL_CHECK, SLACK_CHECK, Tolerances, run
 
 DELTA_MARGIN = 1e-7
 # Judged samples per block, located with one matrix product and run in
-# lockstep: on the double integrator's 888 region rows a block's product is
-# about 1 MB.
+# lockstep: on the double integrator's 60 distinct region rows a block's
+# product is about 60 KB.
 LOCATE_BLOCK = 128
+# Doubles the draw pass reads from the generator at a time (32 KB).
+DRAW_CHUNK = 4096
 
 
 @dataclass
@@ -96,47 +104,77 @@ class ValidationReport:
 
 
 class _RegionStack:
-    """Every region's rows stacked once, so locating points is one product.
+    """The partition's distinct regions with their rows stacked once, so
+    locating points is one product.
 
-    A holds the raw rows region after region and rhs their right-hand sides
-    plus MEMBERSHIP_SLACK, so the per-row test A theta <= rhs is the one
-    `contains` makes with that slack. starts marks where each region with
-    rows begins, and owner names the region of each row; a region without
-    rows contains every point. unit_A/unit_b are the same rows with unit-norm
-    coefficients, for the boundary-distance test. rounding bounds how far
-    two roundings of a row's product with a theta can differ, per unit of
-    max_j |theta_j| (geometry.product_rounding).
+    Leaves whose regions have the same A and b bytes share one distinct
+    region, on which `contains` answers alike for them; region_of names each
+    leaf's. A holds the distinct regions' raw rows region after region and
+    rhs their right-hand sides plus MEMBERSHIP_SLACK, so the per-row test A
+    theta <= rhs is the one `contains` makes with that slack. starts marks
+    where each distinct region with rows begins, and owner names the
+    distinct region of each row; a region without rows contains every point.
+    rounding bounds how far two roundings of a row's product with a theta
+    can differ, per unit of max_j |theta_j| (geometry.product_rounding).
+
+    unit_A/unit_b are every leaf's rows, leaf after leaf, with unit-norm
+    coefficients, for the boundary-distance test; near_A/near_b are their
+    distinct rows, which decide it unless rounding could.
     """
 
     def __init__(self, result: CertificationResult):
-        self.regions = [r.region for r in result.regions]
+        leaves = [r.region for r in result.regions]
+        first: dict = {}
+        self.region_of = np.array([first.setdefault((P.A.tobytes(), P.b.tobytes()),
+                                                    len(first)) for P in leaves], dtype=np.intp)
+        self.regions = [leaves[i] for i in np.unique(self.region_of, return_index=True)[1]]
         counts = np.array([P.nrows for P in self.regions])
         self.A = np.vstack([P.A for P in self.regions])
-        b = np.concatenate([P.b for P in self.regions])
-        self.rhs = b + MEMBERSHIP_SLACK
+        self.rhs = np.concatenate([P.b for P in self.regions]) + MEMBERSHIP_SLACK
         self.rowful = (counts > 0).nonzero()[0]
         self.starts = (np.cumsum(counts) - counts)[self.rowful]
         self.owner = np.repeat(np.arange(len(self.regions)), counts)
-        self.unit_A, self.unit_b = normalize_rows(self.A, b)
         self.rounding = product_rounding(self.A)
+        self.unit_A, self.unit_b = normalize_rows(np.vstack([P.A for P in leaves]),
+                                                  np.concatenate([P.b for P in leaves]))
+        rows = np.column_stack([self.unit_A, self.unit_b])
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+        rows = rows[np.unique(keys, return_index=True)[1]]
+        self.near_A, self.near_b = rows[:, :-1].copy(), rows[:, -1].copy()
+        self.near_rounding = product_rounding(self.near_A).max(initial=0.0)
+        # Once two products agree, the subtractions of a gap near
+        # DELTA_MARGIN round each by at most half an ulp of it.
+        self.margin_rounding = 4 * np.finfo(float).eps * DELTA_MARGIN
 
     def near_boundary(self, theta: np.ndarray) -> bool:
-        """Whether theta lies within DELTA_MARGIN (normalized) of any region row."""
-        if not self.unit_A.size:
+        """Whether theta lies within DELTA_MARGIN (normalized) of any region row.
+
+        The distinct rows decide. Their product may round a row's value
+        differently from the product over every leaf's rows; where the
+        nearest distinct row lies within that rounding of DELTA_MARGIN, the
+        product over every leaf's rows decides.
+        """
+        if not self.near_A.size:
             return False
+        gaps = np.dot(self.near_A, theta)
+        gaps -= self.near_b
+        nearest = float(np.abs(gaps, out=gaps).min())
+        doubt = self.near_rounding * max(map(abs, theta.tolist())) + self.margin_rounding
+        if abs(nearest - DELTA_MARGIN) > doubt:
+            return nearest < DELTA_MARGIN
         gaps = self.unit_A @ theta
         gaps -= self.unit_b
         return bool(np.abs(gaps, out=gaps).min() < DELTA_MARGIN)
 
     def locate(self, thetas: np.ndarray) -> list[list[int]]:
-        """Ids of the regions containing each row of thetas (slack
+        """Ids of the leaves containing each row of thetas (slack
         MEMBERSHIP_SLACK), ascending: for each point, the regions `contains`
         accepts.
 
-        The block takes one product, which may round a row's value
-        differently from the region's own product in `contains`. Where a
-        row's value lies within that rounding of its bound, `contains`
-        decides for the row's region.
+        Each distinct region is decided once. The block takes one product,
+        which may round a row's value differently from the region's own
+        product in `contains`. Where a row's value lies within that rounding
+        of its bound, `contains` decides for the row's region.
         """
         hosts = np.ones((len(thetas), len(self.regions)), dtype=bool)
         if self.starts.size:
@@ -148,47 +186,59 @@ class _RegionStack:
             for row, i in zip(*doubt.nonzero()):
                 k = self.owner[row]
                 hosts[i, k] = contains(self.regions[k], thetas[i], slack=MEMBERSHIP_SLACK)
-        return [row.nonzero()[0].tolist() for row in hosts]
+        return [row.nonzero()[0].tolist() for row in hosts[:, self.region_of]]
 
 
-class _ErrorDraw:
-    """Draws one sample's error rows, row k uniform within bounds[k] (from
-    ErrorModel.step_bounds).
+class _Doubles:
+    """The generator's uniform doubles in stream order, read with
+    Generator.random DRAW_CHUNK at a time."""
 
-    Each run of equal nonzero bounds is one Generator.uniform call with
-    scalar bounds; rows of bound 0 stay zero. The values and the
-    generator's final state equal those of one rng.uniform(-b, b, size=m)
-    call per step with a nonzero bound b, in step order: the generator
-    fills a block in C order, element by element, from the same stream of
-    doubles, and scalar bounds skip only the set-up of broadcasting arrays.
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.buf = np.empty(0)
+        self.next = 0      # index in buf of the next unread double
+
+    def take(self, n: int) -> np.ndarray:
+        """The next n doubles, as a view of the buffer."""
+        if self.next + n > len(self.buf):
+            tail = self.buf[self.next:]
+            buf = np.empty(len(tail) + -(-(n - len(tail)) // DRAW_CHUNK) * DRAW_CHUNK)
+            buf[:len(tail)] = tail
+            self.rng.random(out=buf[len(tail):])
+            self.buf, self.next = buf, 0
+        self.next += n
+        return self.buf[self.next - n:self.next]
+
+
+class _ErrorRows:
+    """One sample's error rows from the generator's doubles, row k uniform
+    within bounds[k] (from ErrorModel.step_bounds).
+
+    A sample reads `size` doubles: m per step of nonzero bound, in step
+    order; rows of bound 0 stay zero and read none. Row k is
+    -b + (b - (-b)) u for b = bounds[k]: the doubles and the two roundings
+    of one rng.uniform(-b, b, size=m) call per step of nonzero bound.
     """
 
     def __init__(self, bounds: np.ndarray, m: int):
         self.shape = (len(bounds), m)
-        self.runs = []
-        start = 0
-        for bound, steps in itertools.groupby(bounds.tolist()):
-            stop = start + len(list(steps))
-            if bound != 0.0:
-                self.runs.append((start, stop, bound))
-            start = stop
+        self.steps = (bounds != 0.0).nonzero()[0]
+        high = bounds[self.steps, None]
+        self.low = -high
+        self.span = high - self.low
+        self.size = len(self.steps) * m
 
-    def __call__(self, rng: np.random.Generator) -> np.ndarray:
-        errors = np.zeros(self.shape)
-        for start, stop, bound in self.runs:
-            errors[start:stop] = rng.uniform(-bound, bound,
-                                             size=(stop - start, self.shape[1]))
+    def __call__(self, doubles: np.ndarray) -> np.ndarray:
+        """Error rows of each sample, from its row of `size` doubles, which
+        this overwrites."""
+        u = doubles.reshape(len(doubles), len(self.steps), self.shape[1])
+        u *= self.span
+        u += self.low
+        if len(self.steps) == self.shape[0]:
+            return u
+        errors = np.zeros((len(doubles), *self.shape))
+        errors[:, self.steps] = u
         return errors
-
-
-def _draw_point(rng: np.random.Generator, box: list[tuple[float, float]]) -> np.ndarray:
-    """A point uniform in box, a list of (lo, hi) per coordinate.
-
-    Each coordinate is one Generator.uniform call with scalar bounds, first
-    coordinate first: the same doubles in the same order as one call with
-    the box's bound arrays.
-    """
-    return np.array([rng.uniform(low, high) for low, high in box])
 
 
 def validate_conformance(prob: MpQP, result: CertificationResult,
@@ -212,37 +262,47 @@ def validate_conformance(prob: MpQP, result: CertificationResult,
     if model is None:
         model = ErrorModel.from_document(result.settings["error_model"])
     tol = Tolerances.from_document(result.settings)
-    rng = np.random.default_rng(seed)
     lo, hi = bounding_box(prob.theta_set)
-    box = list(zip(lo.tolist(), hi.tolist()))
+    span, dim = hi - lo, len(lo)
     stack = _RegionStack(result)
-    draw_errors = _ErrorDraw(model.step_bounds(2 * tol.iter_limit + 2), prob.m)
+    error_rows = _ErrorRows(model.step_bounds(2 * tol.iter_limit + 2), prob.m)
+    doubles = _Doubles(np.random.default_rng(seed))
     report = ValidationReport(samples_total=n_samples)
 
-    def judged():
+    def blocks():
         """Draw pass: count the samples outside the parameter set or near a
-        region boundary, and yield (theta, error rows) for the others. A
-        sample's error rows are drawn right after its parameter, and only
-        when it is judged."""
+        region boundary, and yield the others LOCATE_BLOCK at a time as
+        (thetas, their error doubles, one row per sample). A sample's
+        parameter reads lo + (hi - lo) u from the next doubles; its error
+        rows read the doubles right after it, and only when it is judged.
+        The judge pass is done with a block before the next is drawn, so
+        one array holds every block's error doubles."""
+        thetas, block = [], np.empty((LOCATE_BLOCK, error_rows.size))
         for _ in range(n_samples):
-            theta = _draw_point(rng, box)
+            theta = lo + span * doubles.take(dim)
             if not contains(prob.theta_set, theta, slack=MEMBERSHIP_SLACK):
                 report.samples_outside += 1
             elif stack.near_boundary(theta):
                 report.samples_skipped_boundary += 1
             else:
-                yield theta, draw_errors(rng)
+                block[len(thetas)] = doubles.take(error_rows.size)
+                thetas.append(theta)
+                if len(thetas) == LOCATE_BLOCK:
+                    yield thetas, block
+                    thetas = []
+        if thetas:
+            yield thetas, block[:len(thetas)]
 
-    draws = judged()
-    while block := list(itertools.islice(draws, LOCATE_BLOCK)):
-        thetas = np.array([theta for theta, _ in block])
+    sequences = [r.sequence for r in result.regions]
+    for thetas, block in blocks():
+        thetas = np.array(thetas)
+        errors = error_rows(block)
         hosts = stack.locate(thetas)
-        runs = run(prob, thetas, np.array([errors for _, errors in block]), tol,
-                   model.perturb_dual)
-        for (theta, _), solved, host_ids in zip(block, runs, hosts):
+        runs = run(prob, thetas, errors, tol, model.perturb_dual)
+        for theta, solved, host_ids in zip(thetas, runs, hosts):
             if not host_ids:
                 report.coverage_gaps.append(tuple(theta))
-            elif solved.sequence not in [result.regions[i].sequence for i in host_ids]:
+            elif solved.sequence not in [sequences[i] for i in host_ids]:
                 report.mismatches.append((tuple(theta), solved.sequence, host_ids))
 
     report.mismatches.sort(key=lambda entry: entry[0])

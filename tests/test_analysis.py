@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from certias import analysis
 from certias.analysis import (
     INF,
     IterationCdf,
@@ -28,7 +29,7 @@ from certias.certifier import (
     certify,
 )
 from certias.examples import double_integrator_problem, toy_problem
-from certias.geometry import LpPivotLimitError, Polyhedron
+from certias.geometry import LpPivotLimitError, Polyhedron, lp_call_count
 from certias.lpp import KIND_HYPERCUBE, ErrorModel
 from certias.mpqp import MpQP, subproblem_maps
 from certias.solver import SLACK_CHECK, run
@@ -130,6 +131,69 @@ class TestSlackProfile:
         assert crossing == worst - 1
         assert all(v <= EPS_P + NOISE for v in profile[crossing:])
         assert all(v > 10 * EPS_P for v in profile[:crossing])
+
+
+def _profile_by_object(prob, result):
+    """The slack profile with one _region_worst call per region object and
+    working set: (per_iteration, the calls that failed, all calls)."""
+    live = {}
+    for rec in result.trace:
+        if rec.state.mode == SLACK_CHECK:
+            live.setdefault(rec.slack_depth, []).append((rec.region, rec.state.working_set))
+    holds = [(reg.iterations, reg.region, reg.sequence[-1].working_set)
+             for reg in result.regions if reg.status != "degenerate"]
+    depth = max([*live, *(h[0] for h in holds)], default=0)
+    cache, per_iteration = {}, []
+    for k in range(depth + 1):
+        worst = -INF
+        for region, ws in live.get(k, []) + [(r, w) for s, r, w in holds if s <= k]:
+            key = (id(region), tuple(ws))
+            if key not in cache:
+                cache[key] = analysis._region_worst(prob, region, ws)
+            if cache[key] is not None:
+                worst = max(worst, cache[key])
+        per_iteration.append((k, worst))
+    return per_iteration, sum(v is None for v in cache.values()), len(cache)
+
+
+class TestSlackCacheByContent:
+    """slack_profile solves each region's LPs once per distinct rows and
+    working set, however many trace records and leaves share them."""
+
+    @pytest.mark.parametrize("case", ["toy", "toy-0.1", "mpc-1e-4"])
+    def test_same_document_fewer_lps(self, case, toy, mpc):
+        prob, bound = {"toy": (toy, 0.0), "toy-0.1": (toy, 0.1),
+                       "mpc-1e-4": (mpc, 1e-4)}[case]
+        traced = certify(prob, model=ErrorModel(kind=KIND_HYPERCUBE, bound=bound),
+                         record_trace=True)
+        before = lp_call_count()
+        profile = slack_profile(prob, traced)
+        lps = lp_call_count() - before
+        per_iteration, failed, _ = _profile_by_object(prob, traced)
+        reference_lps = lp_call_count() - before - lps
+        reference = SlackProfile(per_iteration, skipped_singular=profile.skipped_singular,
+                                 lp_failures=failed)
+        assert json.dumps(profile.to_document()) == json.dumps(reference.to_document())
+        assert lps <= reference_lps
+        if case == "mpc-1e-4":
+            assert (lps, reference_lps) == (96, 1356)
+
+    def test_failures_count_region_objects(self, monkeypatch, mpc):
+        # Every LP fails: each region object and working set counts once,
+        # while each distinct content is solved once.
+        traced = certify(mpc, model=ErrorModel(kind=KIND_HYPERCUBE, bound=1e-4),
+                         record_trace=True)
+        contents = []
+
+        def failing(prob, region, working_set):
+            contents.append((region.A.tobytes(), region.b.tobytes(), tuple(working_set)))
+
+        monkeypatch.setattr(analysis, "_region_worst", failing)
+        profile = slack_profile(mpc, traced)
+        _, failed, pairs = _profile_by_object(mpc, traced)
+        assert profile.lp_failures == failed == pairs
+        assert len(set(contents[:-pairs])) == len(contents) - pairs < pairs
+        assert all(v == -INF for v in profile.values())
 
 
 class TestIterationCdf:

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -40,6 +43,23 @@ def test_shipped_problem_files_are_current(problem_dir):
         ["double_integrator.json", "toy.json"]
     for name in ("toy.json", "double_integrator.json"):
         assert (problem_dir / name).read_bytes() == (shipped / name).read_bytes()
+
+
+def test_examples_module_runs_without_warning(problem_dir, tmp_path):
+    # `import certias` leaves certias.examples unimported, so running it as
+    # a script raises no RuntimeWarning, even one turned into an error.
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                           "certias.examples", str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0 and done.stderr == ""
+    for name in ("toy.json", "double_integrator.json"):
+        assert (tmp_path / name).read_bytes() == (problem_dir / name).read_bytes()
+    probe = ("import sys, certias; assert 'certias.examples' not in sys.modules; "
+             "from certias import toy_problem; "
+             "assert all(getattr(certias, n) for n in certias.__all__)")
+    subprocess.run([sys.executable, "-c", probe], env=env, check=True)
 
 
 @pytest.fixture()

@@ -9,12 +9,14 @@ import json
 
 import numpy as np
 import pytest
+from test_mpqp import random_problem
 
 from certias import validation
 from certias.certifier import CertificationResult, CertifiedRegion, certify
 from certias.examples import double_integrator_problem, toy_problem
 from certias.geometry import Polyhedron, bounding_box, contains, interior_point
 from certias.lpp import KIND_HYPERCUBE, KIND_NONE, KIND_POLYHEDRAL, KIND_RELATIVE, ErrorModel
+from certias.mpqp import MpQP
 from certias.solver import (
     DUAL_CHECK,
     PASS_INDEX,
@@ -26,9 +28,10 @@ from certias.solver import (
 )
 from certias.validation import (
     DELTA_MARGIN,
+    DRAW_CHUNK,
     LOCATE_BLOCK,
-    _draw_point,
-    _ErrorDraw,
+    _Doubles,
+    _ErrorRows,
     _RegionStack,
     search_realization,
     validate_conformance,
@@ -380,58 +383,87 @@ class TestJudgeBlockSize:
         assert bool(json.loads(documents[0])["mismatches"]) == case.endswith("unmodeled")
 
 
-def _assert_same_stream(rng_new, rng_old):
-    assert rng_new.bit_generator.state == rng_old.bit_generator.state
-    # Both generators continue with the same stream.
-    assert rng_new.random() == rng_old.random()
+# Chunk sizes for the chunked reader: one double, a size that reads
+# straddle, and the default.
+_CHUNKS = (1, 7, DRAW_CHUNK)
 
 
-def _assert_same_draws(model, m=5, n_steps=32, seed=3):
-    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-    draw = _ErrorDraw(model.step_bounds(n_steps), m)
-    new = np.array([draw(rng_new) for _ in range(3)])
-    old = np.array([_per_step_errors(model, rng_old, m, n_steps) for _ in range(3)])
-    assert new.shape == old.shape == (3, n_steps, m)
-    assert new.tobytes() == old.tobytes()
-    _assert_same_stream(rng_new, rng_old)
+def _assert_same_stream(doubles, rng_old):
+    # The reader goes on with the doubles the per-call draws leave next.
+    assert doubles.take(3).tobytes() == rng_old.random(3).tobytes()
+
+
+def _assert_same_draws(monkeypatch, model, m=5, n_steps=32, seed=3):
+    """Three samples' error rows, each read after a 2-D parameter into one
+    block, against per-step rng.uniform calls, for every chunk size in
+    _CHUNKS."""
+    lo, hi = np.array([-1.5, 0.25]), np.array([2.0, 0.5])
+    rows = _ErrorRows(model.step_bounds(n_steps), m)
+    for chunk in _CHUNKS:
+        monkeypatch.setattr(validation, "DRAW_CHUNK", chunk)
+        doubles, rng_old = _Doubles(np.random.default_rng(seed)), np.random.default_rng(seed)
+        block, old = np.empty((3, rows.size)), []
+        for i in range(3):
+            theta = lo + (hi - lo) * doubles.take(2)
+            assert theta.tobytes() == rng_old.uniform(lo, hi).tobytes()
+            block[i] = doubles.take(rows.size)
+            old.append(_per_step_errors(model, rng_old, m, n_steps))
+        new = rows(block)
+        assert new.shape == (3, n_steps, m)
+        assert new.tobytes() == np.array(old).tobytes()
+        _assert_same_stream(doubles, rng_old)
 
 
 class TestScalarBoundDraws:
+    """A parameter reads lo + (hi - lo) u from the chunked reader: the
+    doubles of one rng.uniform call with the box's bound arrays, or of one
+    scalar-bound call per coordinate."""
+
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-    def test_point_equals_array_bound_draw(self, dim):
+    def test_point_equals_array_bound_draw(self, monkeypatch, dim):
         sides = np.random.default_rng(dim).uniform(0.1, 7.0, size=dim)
         lo = np.linspace(-3.0, 1.0, dim)
         hi = lo + sides
         assert len(set(sides)) == dim
-        rng_new, rng_old = np.random.default_rng(5), np.random.default_rng(5)
-        box = list(zip(lo.tolist(), hi.tolist()))
-        for _ in range(50):
-            new = _draw_point(rng_new, box)
-            old = rng_old.uniform(lo, hi)
-            assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
-        _assert_same_stream(rng_new, rng_old)
+        for chunk in _CHUNKS:
+            monkeypatch.setattr(validation, "DRAW_CHUNK", chunk)
+            doubles = _Doubles(np.random.default_rng(5))
+            rng_old, rng_scalar = np.random.default_rng(5), np.random.default_rng(5)
+            for _ in range(50):
+                new = lo + (hi - lo) * doubles.take(dim)
+                old = rng_old.uniform(lo, hi)
+                scalar = np.array([rng_scalar.uniform(a, b) for a, b in zip(lo.tolist(),
+                                                                          hi.tolist())])
+                assert new.dtype == old.dtype
+                assert new.tobytes() == old.tobytes() == scalar.tobytes()
+            _assert_same_stream(doubles, rng_old)
 
 
 class TestOneCallDraws:
-    def test_plain_hypercube(self):
-        _assert_same_draws(ErrorModel(kind=KIND_HYPERCUBE, bound=1e-4))
-        _assert_same_draws(ErrorModel(kind=KIND_HYPERCUBE, bound=0.37), m=1, n_steps=7)
+    """A judged sample's error rows, read from the chunked reader, equal
+    one rng.uniform(-b, b, size=m) call per step of nonzero bound b."""
 
-    def test_schedule_with_silent_steps(self):
+    def test_plain_hypercube(self, monkeypatch):
+        _assert_same_draws(monkeypatch, ErrorModel(kind=KIND_HYPERCUBE, bound=1e-4))
+        _assert_same_draws(monkeypatch, ErrorModel(kind=KIND_HYPERCUBE, bound=0.37),
+                           m=1, n_steps=7)
+
+    def test_schedule_with_silent_steps(self, monkeypatch):
         model = ErrorModel(kind=KIND_HYPERCUBE, bound=0.5, schedule=(
             ErrorModel(kind=KIND_HYPERCUBE, bound=0.1),
             ErrorModel(),
             ErrorModel(kind=KIND_HYPERCUBE, bound=0.0),
             ErrorModel(kind=KIND_HYPERCUBE, bound=3.0),
         ))
-        _assert_same_draws(model)
+        _assert_same_draws(monkeypatch, model)
         tail_silent = ErrorModel(schedule=(ErrorModel(kind=KIND_HYPERCUBE, bound=0.2),))
-        _assert_same_draws(tail_silent)
+        _assert_same_draws(monkeypatch, tail_silent)
 
-    def test_perturb_dual(self):
-        _assert_same_draws(ErrorModel(kind=KIND_HYPERCUBE, bound=1e-3, perturb_dual=True))
+    def test_perturb_dual(self, monkeypatch):
+        _assert_same_draws(monkeypatch, ErrorModel(kind=KIND_HYPERCUBE, bound=1e-3,
+                                                   perturb_dual=True))
 
-    def test_changing_bounds(self):
+    def test_changing_bounds(self, monkeypatch):
         # Nonzero bounds that change from step to step, some repeated, with
         # a silent step between two runs of equal bounds.
         model = ErrorModel(kind=KIND_HYPERCUBE, bound=0.05, schedule=(
@@ -443,28 +475,137 @@ class TestOneCallDraws:
             ErrorModel(kind=KIND_HYPERCUBE, bound=0.05),
             ErrorModel(kind=KIND_HYPERCUBE, bound=1e-3),
         ))
-        draw = _ErrorDraw(model.step_bounds(32), 5)
-        assert [(start, stop) for start, stop, _ in draw.runs] == [
-            (0, 1), (1, 3), (4, 5), (5, 6), (6, 7), (7, 32)]
-        _assert_same_draws(model)
+        rows = _ErrorRows(model.step_bounds(32), 5)
+        assert rows.steps.tolist() == [0, 1, 2, *range(4, 32)]
+        assert rows.size == 31 * 5
+        _assert_same_draws(monkeypatch, model)
 
-    def test_zero_bound_draws_nothing(self):
+    def test_zero_bound_draws_nothing(self, monkeypatch):
         model = ErrorModel(kind=KIND_HYPERCUBE, bound=0.0)
-        _assert_same_draws(model)
+        _assert_same_draws(monkeypatch, model)
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
-        errors = _ErrorDraw(model.step_bounds(10), 3)(rng)
+        doubles, rows = _Doubles(rng), _ErrorRows(model.step_bounds(10), 3)
+        errors = rows(np.array([doubles.take(rows.size) for _ in range(4)]))
         assert rng.bit_generator.state == before
-        assert errors.shape == (10, 3) and not errors.any()
+        assert errors.shape == (4, 10, 3) and not errors.any()
 
     def test_unsupported_kinds_raise(self):
-        rng = np.random.default_rng(0)
         for model in (ErrorModel(kind=KIND_POLYHEDRAL, set=Polyhedron.box([-0.1], [0.1])),
                       ErrorModel(kind=KIND_RELATIVE, rel_bound=0.1),
                       ErrorModel(kind=KIND_HYPERCUBE, bound=0.1,
                                  schedule=(ErrorModel(kind=KIND_RELATIVE, rel_bound=0.1),))):
             with pytest.raises(ValueError, match="cannot sample"):
                 model.step_bounds(4)
+
+
+class TestChunkedReader:
+    @pytest.mark.parametrize("chunk", _CHUNKS)
+    def test_takes_follow_the_stream(self, monkeypatch, chunk):
+        # Takes of random lengths, some longer than a chunk: each hands out
+        # the stream's next doubles, through refills that carry the unread
+        # tail forward, and the buffer stays within a take and a chunk.
+        monkeypatch.setattr(validation, "DRAW_CHUNK", chunk)
+        stream = np.random.default_rng(8).random(60_000)
+        doubles, plan = _Doubles(np.random.default_rng(8)), np.random.default_rng(1)
+        start = 0
+        while start < 50_000:
+            length = int(plan.choice([0, 1, 2, 3, 37, 2 * chunk + 1]))
+            assert doubles.take(length).tobytes() == stream[start:start + length].tobytes()
+            start += length
+            assert len(doubles.buf) < max(37, 2 * chunk + 1) + chunk
+
+
+def _near_all_rows(stack, theta):
+    """The boundary test over every leaf's unit rows."""
+    gaps = stack.unit_A @ theta
+    gaps -= stack.unit_b
+    return bool(np.abs(gaps).min() < DELTA_MARGIN)
+
+
+def _margin_points(result, rng):
+    """Points at normalized distance DELTA_MARGIN from each facet, on both
+    sides, moved by up to 16 ulps of a coordinate."""
+    points = []
+    for r in result.regions:
+        center = interior_point(r.region)[0]
+        for a, beta in zip(r.region.A, r.region.b):
+            unit = a / np.linalg.norm(a)
+            foot = center + (beta - a @ center) / (a @ a) * a
+            for side in (-1.0, 1.0):
+                shift = rng.integers(-16, 17, size=2) * np.spacing(foot)
+                points.append(foot + side * DELTA_MARGIN * unit + shift)
+    return points
+
+
+class TestDistinctRowsAtTheMargin:
+    def test_margin_points(self, mpc_inflated):
+        stack = _RegionStack(mpc_inflated)
+        assert (len(stack.near_A), len(stack.unit_A)) == (22, 888)
+        points = _margin_points(mpc_inflated, np.random.default_rng(2))
+        decisions = [stack.near_boundary(p) for p in points]
+        assert decisions == [_near_all_rows(stack, p) for p in points]
+        assert any(decisions) and not all(decisions)
+        gaps = np.abs(np.array(points) @ stack.near_A.T - stack.near_b).min(axis=1)
+        assert (np.abs(gaps - DELTA_MARGIN) <= 1e-14).sum() > 100
+
+    def test_rows_that_round_otherwise(self, mpc_inflated):
+        # Distinct rows one ulp off in each coefficient: their products
+        # round differently, by less than the rounding allowance, and at
+        # the margin the product over every leaf's rows still decides.
+        stack = _RegionStack(mpc_inflated)
+        points = _margin_points(mpc_inflated, np.random.default_rng(3))
+        want = [_near_all_rows(stack, p) for p in points]
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            toward = rng.choice([-np.inf, np.inf], size=stack.near_A.shape)
+            stack.near_A = np.nextafter(stack.near_A, toward)
+            assert [stack.near_boundary(p) for p in points] == want
+
+    def test_sampled_points(self, mpc, mpc_inflated):
+        stack = _RegionStack(mpc_inflated)
+        lo, hi = bounding_box(mpc.theta_set)
+        rng = np.random.default_rng(5)
+        points = [rng.uniform(lo, hi) for _ in range(500)]
+        points += _facet_points(mpc_inflated, _NEAR_FACET, cycle=True)
+        decisions = [stack.near_boundary(p) for p in points]
+        assert decisions == [_near_all_rows(stack, p) for p in points]
+        assert any(decisions) and not all(decisions)
+
+    def test_distinct_regions(self, mpc_inflated):
+        stack = _RegionStack(mpc_inflated)
+        assert len(stack.regions) == 15 and len(stack.region_of) == 223
+        for leaf, k in zip(mpc_inflated.regions, stack.region_of):
+            assert leaf.region.A.tobytes() == stack.regions[k].A.tobytes()
+            assert leaf.region.b.tobytes() == stack.regions[k].b.tobytes()
+
+
+def _triangle_problem(seed=2):
+    """A random 5 x 9 x 2 problem on the box [-1, 1]^2 cut by
+    theta_1 + theta_2 <= 0.3: about 36% of the box lies outside."""
+    base = random_problem(np.random.default_rng(seed), 5, 9)
+    triangle = Polyhedron(np.vstack([np.eye(2), -np.eye(2), [[1.0, 1.0]]]),
+                          [1.0, 1.0, 1.0, 1.0, 0.3])
+    return MpQP(H=base.H, C=base.C, f_lin=base.f_lin, f_const=base.f_const,
+                d_lin=base.d_lin, d_const=base.d_const, theta_set=triangle)
+
+
+class TestOffTheBoundingBox:
+    """Reports on a parameter set that is not its bounding box, where the
+    draw pass reads error rows for some samples and not for others."""
+
+    @pytest.mark.parametrize("model", [ErrorModel(), ErrorModel(kind=KIND_HYPERCUBE,
+                                                                 bound=5e-7)],
+                             ids=["exact", "hypercube"])
+    def test_triangle(self, model):
+        prob = _triangle_problem()
+        result = certify(prob, model=model)
+        n = 2500
+        report = validate_conformance(prob, result, n_samples=n, seed=3)
+        assert report.samples_outside > 500
+        # More doubles than one chunk: the reader refills mid-run.
+        assert 2 * n > DRAW_CHUNK
+        _assert_same_report(report, _validate_one_by_one(prob, result, n, 3))
 
 
 class TestSearchRealization:
@@ -569,10 +710,9 @@ def _search_with_draws(prob, region, theta, model, budget=200):
     for k, index in enumerate(indices):
         if index != PASS_INDEX:
             vertex[k, index] = -bounds[k]
-    draw = _ErrorDraw(bounds, prob.m)
     rng = np.random.default_rng(0)
-    for errors in itertools.chain([np.zeros((1, prob.m)), vertex],
-                                  (draw(rng) for _ in range(budget))):
+    draws = (_per_step_errors(model, rng, prob.m, len(indices)) for _ in range(budget))
+    for errors in itertools.chain([np.zeros((1, prob.m)), vertex], draws):
         if tuple(run(prob, theta, errors, Tolerances(), model.perturb_dual).sequence) == target:
             return True, errors
     return False, None
