@@ -164,6 +164,11 @@ class Polyhedron:
     def __setattr__(self, name, value):
         raise AttributeError("Polyhedron is immutable")
 
+    def __reduce__(self):
+        # Pickling and copying rebuild through _from_rows, which freezes the
+        # arrays again; restoring the slots would go through __setattr__.
+        return self._from_rows, (self.A, self.b, self.dim)
+
     @property
     def nrows(self) -> int:
         return self.A.shape[0]

@@ -18,14 +18,20 @@ would: the parameter, lo + (hi - lo) u per coordinate, then, only if the
 parameter is judged, its error rows, -b + (b - (-b)) u per component of a
 step of nonzero bound b. Those are the doubles, the order and the two
 roundings of the uniform calls, so the draws and the report stay the same
-whatever the chunk size. Membership in the parameter set and the boundary
-test are decided sample by sample, as the stream depends on them; the
-boundary test reads the partition's distinct rows. A judged sample's error
-doubles are copied into its block as they are read. The judge pass takes
-the judged samples LOCATE_BLOCK at a time: it forms the block's error rows
-at once, locates the block with one matrix product over the partition's
-distinct regions, and runs the solver on the whole block in lockstep. The
-report is the same as locating and judging each sample on its own.
+whatever the chunk size. A sample's offset in the stream depends on how
+many earlier samples were not judged, as those read no error doubles, so
+the pass decides a window of samples at once by speculation: it reads the
+window ahead without consuming the doubles, decides membership in the
+parameter set and the boundary test (over the partition's distinct rows)
+for all of it with one product each, and walks the samples in order,
+consuming only the doubles they used. Each point gets the answers it gets
+alone, so the counts and the judged samples are those of a sample-by-sample
+loop. A judged sample's error doubles are copied into its block. The judge
+pass takes the judged samples LOCATE_BLOCK at a time: it forms the block's
+error rows at once, locates the block with one matrix product over the
+partition's distinct regions, and runs the solver on the whole block in
+lockstep. The report is the same as locating and judging each sample on its
+own.
 
 search_realization is exact for exact, hypercube and scheduled-hypercube
 models. Each step's decision reads only its own error row and is monotone
@@ -36,6 +42,7 @@ sequence makes the solver follow the region's sequence at that parameter.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -146,14 +153,31 @@ class _RegionStack:
         # DELTA_MARGIN round each by at most half an ulp of it.
         self.margin_rounding = 4 * np.finfo(float).eps * DELTA_MARGIN
 
-    def near_boundary(self, theta: np.ndarray) -> bool:
+    def near_boundary(self, theta: np.ndarray):
         """Whether theta lies within DELTA_MARGIN (normalized) of any region row.
+
+        theta is one point, giving a bool, or a 2-D block of points, one per
+        row, giving a bool array with each point's answer alone.
 
         The distinct rows decide. Their product may round a row's value
         differently from the product over every leaf's rows; where the
         nearest distinct row lies within that rounding of DELTA_MARGIN, the
-        product over every leaf's rows decides.
+        product over every leaf's rows decides. A block takes one product,
+        which may round a point's nearest value differently from the point's
+        own product, by at most the point's allowance; where it lies within
+        twice that of DELTA_MARGIN, the point's own test decides.
         """
+        if theta.ndim == 2:
+            if not self.near_A.size:
+                return np.zeros(len(theta), dtype=bool)
+            gaps = theta @ self.near_A.T
+            gaps -= self.near_b
+            nearest = np.abs(gaps, out=gaps).min(axis=1)
+            near = nearest < DELTA_MARGIN
+            doubt = self.near_rounding * np.abs(theta).max(axis=1) + self.margin_rounding
+            for i in (np.abs(nearest - DELTA_MARGIN) <= 2 * doubt).nonzero()[0]:
+                near[i] = self.near_boundary(theta[i])
+            return near
         if not self.near_A.size:
             return False
         gaps = np.dot(self.near_A, theta)
@@ -191,23 +215,32 @@ class _RegionStack:
 
 class _Doubles:
     """The generator's uniform doubles in stream order, read with
-    Generator.random DRAW_CHUNK at a time."""
+    Generator.random DRAW_CHUNK at a time.
+
+    peek hands out the next doubles and leaves them unread, so a caller can
+    look ahead and then consume only as many as it used; take hands them out
+    and consumes them."""
 
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
         self.buf = np.empty(0)
         self.next = 0      # index in buf of the next unread double
 
-    def take(self, n: int) -> np.ndarray:
-        """The next n doubles, as a view of the buffer."""
+    def peek(self, n: int) -> np.ndarray:
+        """The next n doubles, as a view of the buffer, left unread."""
         if self.next + n > len(self.buf):
             tail = self.buf[self.next:]
             buf = np.empty(len(tail) + -(-(n - len(tail)) // DRAW_CHUNK) * DRAW_CHUNK)
             buf[:len(tail)] = tail
             self.rng.random(out=buf[len(tail):])
             self.buf, self.next = buf, 0
+        return self.buf[self.next:self.next + n]
+
+    def take(self, n: int) -> np.ndarray:
+        """The next n doubles, as a view of the buffer, consumed."""
+        doubles = self.peek(n)
         self.next += n
-        return self.buf[self.next - n:self.next]
+        return doubles
 
 
 class _ErrorRows:
@@ -255,8 +288,12 @@ def validate_conformance(prob: MpQP, result: CertificationResult,
     Raises ValueError when some step of the model is polyhedral or
     relative: those cannot be sampled.
 
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed. Raises ValueError unless n_samples is
+    a nonnegative integer.
     """
+    if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral) \
+            or n_samples < 0:
+        raise ValueError(f"n_samples must be a nonnegative integer, not {n_samples!r}")
     if result.problem_digest != prob.digest():
         raise ValueError("certification result belongs to a different problem")
     if model is None:
@@ -267,35 +304,74 @@ def validate_conformance(prob: MpQP, result: CertificationResult,
     stack = _RegionStack(result)
     error_rows = _ErrorRows(model.step_bounds(2 * tol.iter_limit + 2), prob.m)
     doubles = _Doubles(np.random.default_rng(seed))
-    report = ValidationReport(samples_total=n_samples)
+    report = ValidationReport(samples_total=int(n_samples))
 
     def blocks():
         """Draw pass: count the samples outside the parameter set or near a
         region boundary, and yield the others LOCATE_BLOCK at a time as
-        (thetas, their error doubles, one row per sample). A sample's
+        (thetas, their error doubles), one row per sample. A sample's
         parameter reads lo + (hi - lo) u from the next doubles; its error
         rows read the doubles right after it, and only when it is judged.
-        The judge pass is done with a block before the next is drawn, so
-        one array holds every block's error doubles."""
-        thetas, block = [], np.empty((LOCATE_BLOCK, error_rows.size))
-        for _ in range(n_samples):
-            theta = lo + span * doubles.take(dim)
-            if not contains(prob.theta_set, theta, slack=MEMBERSHIP_SLACK):
-                report.samples_outside += 1
-            elif stack.near_boundary(theta):
-                report.samples_skipped_boundary += 1
+
+        A window reads its samples ahead once for each number r < bands of
+        misses before them: after r misses, sample k starts at
+        k * stride - r * esize. It decides all of them at once, then walks
+        the samples in order, each at the start its own misses give, up to
+        the miss that would need one band more. Bands double after such a
+        window and halve after one with fewer than half as many misses; a
+        window holds LOCATE_BLOCK / bands samples. Without error doubles a
+        miss moves no start, and one band serves. The judge pass is done
+        with a block before the next is drawn, so one pair of arrays holds
+        every block."""
+        esize = error_rows.size
+        stride = dim + esize
+        thetas = np.empty((LOCATE_BLOCK, dim))
+        block = np.empty((LOCATE_BLOCK, esize))
+        filled, left, bands = 0, n_samples, 1
+        while left:
+            width = min(LOCATE_BLOCK // bands, left, LOCATE_BLOCK - filled)
+            ahead = doubles.peek(width * stride)
+            starts = (np.arange(width) * stride - np.arange(bands)[:, None] * esize).ravel()
+            # Sample k cannot follow more than k misses; those readings go unused.
+            points = lo + span * ahead[np.maximum(starts, 0)[:, None] + np.arange(dim)]
+            inside = contains(prob.theta_set, points, slack=MEMBERSHIP_SLACK)
+            judged = (inside & ~stack.near_boundary(points)).tolist()
+            kept, first, k, band = [], 0, 0, 0   # runs of judged samples: (first, end, band)
+            while k < width:
+                i = band * width + k
+                k += 1
+                if judged[i]:
+                    continue
+                kept.append((first, k - 1, band))
+                first = k
+                if inside[i]:
+                    report.samples_skipped_boundary += 1
+                else:
+                    report.samples_outside += 1
+                if esize:
+                    band += 1
+                    if band == bands:
+                        break
             else:
-                block[len(thetas)] = doubles.take(error_rows.size)
-                thetas.append(theta)
-                if len(thetas) == LOCATE_BLOCK:
-                    yield thetas, block
-                    thetas = []
-        if thetas:
-            yield thetas, block[:len(thetas)]
+                kept.append((first, k, band))
+            for first, end, r in kept:
+                n = end - first
+                rows = ahead[first * stride - r * esize:end * stride - r * esize]
+                thetas[filled:filled + n] = points[r * width + first:r * width + end]
+                block[filled:filled + n] = rows.reshape(n, stride)[:, dim:]
+                filled += n
+            doubles.take(k * stride - band * esize)
+            left -= k
+            if band == bands:
+                bands = min(2 * bands, LOCATE_BLOCK)
+            elif 2 * band < bands:
+                bands = max(bands // 2, 1)
+            if filled == LOCATE_BLOCK or (filled and not left):
+                yield thetas[:filled], block[:filled]
+                filled = 0
 
     sequences = [r.sequence for r in result.regions]
     for thetas, block in blocks():
-        thetas = np.array(thetas)
         errors = error_rows(block)
         hosts = stack.locate(thetas)
         runs = run(prob, thetas, errors, tol, model.perturb_dual)

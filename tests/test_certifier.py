@@ -1,5 +1,6 @@
 import json
 import pathlib
+import pickle
 import threading
 
 import numpy as np
@@ -379,6 +380,13 @@ class TestCertifyMpc:
         for r in result.regions:
             n_slack = sum(1 for s in r.sequence if s.mode == SLACK_CHECK)
             assert r.iterations == n_slack
+
+    def test_result_pickles(self, result):
+        # Polyhedron rebuilds through _from_rows, so a certified partition
+        # can cross a process boundary with its document unchanged.
+        copy = pickle.loads(pickle.dumps(result))
+        assert dump_document(copy.to_document()) == dump_document(result.to_document())
+        assert not copy.regions[0].region.A.flags.writeable
 
 
 def _slack_count(sequence):

@@ -15,6 +15,7 @@ from certias.certifier import CertificationResult, certify
 from certias.lpp import ErrorModel
 from certias.cli import RunConfig, build_model, build_parser, dump_document, main
 from certias.examples import write_problem_files
+from test_validation import _triangle_problem
 
 
 @pytest.fixture(scope="module")
@@ -329,15 +330,25 @@ class TestDeterminism:
     PINNED_DI_REPORT_SHA256 = \
         "3dc220f38ba65586d6398c3f7620cf0b57a03472d0535afa59b7162591ac645c"
 
+    # The same for the exact partition of the triangle problem of
+    # tests/test_validation.py, written as problems/triangle.json, under
+    # --eps-bar 1e-2 --samples 1500 --seed 7 (572 samples outside the
+    # triangle, 229 mismatches). Its parameter set is not its bounding box,
+    # so the draw pass reads error rows for some samples and not for others.
+    # Same platform caveat as PINNED_SHA256.
+    PINNED_TRIANGLE_REPORT_SHA256 = \
+        "cc303562c56ea315438365e48d4139bc27a6b2204504e03f6fbaa31736fb6ca5"
+
     @staticmethod
-    def _validate_report(tmp_path, monkeypatch, name, flags) -> bytes:
+    def _validate_report(tmp_path, monkeypatch, name, flags, problem=None) -> bytes:
         """`validate --out` report bytes of the exact partition of problem
-        `name`. The report echoes --problem and --partition, so both are
-        relative to a directory laid out like the repository root."""
+        `name`, the shipped file unless `problem` gives its bytes. The report
+        echoes --problem and --partition, so both are relative to a
+        directory laid out like the repository root."""
         root = pathlib.Path(__file__).resolve().parent.parent
         (tmp_path / "problems").mkdir()
         (tmp_path / "problems" / name).write_bytes(
-            (root / "problems" / name).read_bytes())
+            problem or (root / "problems" / name).read_bytes())
         monkeypatch.chdir(tmp_path)
         assert main(["certify", "--problem", f"problems/{name}",
                      "--out", "part.json"]) == 0
@@ -359,6 +370,16 @@ class TestDeterminism:
             ["--eps-bar", "1e-4", "--samples", "2000", "--seed", "7"])
         assert len(json.loads(report)["mismatches"]) == 533
         assert hashlib.sha256(report).hexdigest() == self.PINNED_DI_REPORT_SHA256
+
+    def test_triangle_validate_report_matches_pinned_bytes(self, tmp_path, monkeypatch):
+        problem = json.dumps(_triangle_problem().to_document(), indent=1) + "\n"
+        report = self._validate_report(
+            tmp_path, monkeypatch, "triangle.json",
+            ["--eps-bar", "1e-2", "--samples", "1500", "--seed", "7"],
+            problem=problem.encode())
+        doc = json.loads(report)
+        assert (doc["samples_outside"], len(doc["mismatches"])) == (572, 229)
+        assert hashlib.sha256(report).hexdigest() == self.PINNED_TRIANGLE_REPORT_SHA256
 
     def test_round_trip_bit_for_bit(self, toy_partition):
         doc = json.loads(toy_partition.read_text())

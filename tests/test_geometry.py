@@ -1,5 +1,7 @@
+import copy
 import json
 import pathlib
+import pickle
 import threading
 
 import numpy as np
@@ -71,6 +73,23 @@ class TestPolyhedronConstruction:
             P.dim = 4
         with pytest.raises(ValueError):
             P.A[0, 0] = 5.0
+
+    @pytest.mark.parametrize("how", ["pickle", "copy", "deepcopy"])
+    def test_pickle_and_copy(self, how):
+        # Rebuilt through _from_rows: the same rows and dim, still frozen.
+        P = random_bounded(np.random.default_rng(4), 3, 2)
+        Q = {"pickle": lambda: pickle.loads(pickle.dumps(P)),
+             "copy": lambda: copy.copy(P),
+             "deepcopy": lambda: copy.deepcopy(P)}[how]()
+        assert type(Q) is Polyhedron and Q.dim == P.dim == 3
+        assert (Q.A.tobytes(), Q.b.tobytes()) == (P.A.tobytes(), P.b.tobytes())
+        assert not Q.A.flags.writeable and not Q.b.flags.writeable
+        with pytest.raises(AttributeError):
+            Q.dim = 4
+        with pytest.raises(ValueError):
+            Q.b[0] = 5.0
+        free = pickle.loads(pickle.dumps(Polyhedron(np.zeros((0, 2)), [], dim=2)))
+        assert (free.nrows, free.dim) == (0, 2)
 
 
 class TestIntersect:

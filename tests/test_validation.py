@@ -150,6 +150,19 @@ class TestValidateConformance:
         assert report.passed
         assert report.samples_total == 500
 
+    @pytest.mark.parametrize("n", [-3, -1, 2.5, 10.0, True, False, "10", None])
+    def test_bad_sample_count(self, toy, toy_nominal, n):
+        with pytest.raises(ValueError, match="n_samples"):
+            validate_conformance(toy, toy_nominal, n_samples=n, seed=0)
+
+    def test_zero_and_numpy_sample_counts(self, toy, toy_nominal):
+        empty = validate_conformance(toy, toy_nominal, n_samples=0, seed=0)
+        assert empty.passed and empty.to_document()["samples_total"] == 0
+        report = validate_conformance(toy, toy_nominal, n_samples=np.int64(50), seed=0)
+        assert type(report.samples_total) is int
+        assert vars(report) == vars(validate_conformance(toy, toy_nominal, n_samples=50,
+                                                         seed=0))
+
 
 def _hosts_one_by_one(result, theta):
     """Host ids as a per-region `contains` loop finds them."""
@@ -171,9 +184,10 @@ def _per_step_errors(model, rng, m, n_steps):
     return np.array(vecs)
 
 
-def _validate_one_by_one(prob, result, n_samples, seed, model=None):
-    """validate_conformance with per-region point location and per-step
-    draws: the reference the stacked version must reproduce exactly."""
+def _validate_one_by_one(prob, result, n_samples, seed, model=None, margin=DELTA_MARGIN):
+    """validate_conformance with per-region point location, per-step draws
+    and the boundary test at `margin`, sample by sample: the reference the
+    stacked version must reproduce exactly."""
     if model is None:
         model = ErrorModel.from_document(result.settings["error_model"])
     tol = Tolerances.from_document(result.settings)
@@ -193,7 +207,7 @@ def _validate_one_by_one(prob, result, n_samples, seed, model=None):
         if not contains(prob.theta_set, theta, slack=1e-9):
             out["samples_outside"] += 1
             continue
-        if np.min(np.abs(A @ theta - b)) < DELTA_MARGIN:
+        if np.min(np.abs(A @ theta - b)) < margin:
             out["samples_skipped_boundary"] += 1
             continue
         errors = _per_step_errors(model, rng, prob.m, n_steps)
@@ -315,6 +329,7 @@ class TestStackedPointLocation:
         stack = _RegionStack(result)
         assert stack.locate(np.array([[0.5]]))[0] == [0]
         assert not stack.near_boundary(np.array([0.5]))
+        assert stack.near_boundary(np.array([[0.5], [-2.0]])).tolist() == [False, False]
 
     def test_points_near_shared_facets(self, toy_inflated):
         # Toy facets are at theta = -1 +- 0.1 and thereabouts; points within
@@ -515,6 +530,21 @@ class TestChunkedReader:
             start += length
             assert len(doubles.buf) < max(37, 2 * chunk + 1) + chunk
 
+    @pytest.mark.parametrize("chunk", _CHUNKS)
+    def test_peeks_leave_the_stream(self, monkeypatch, chunk):
+        # A peek hands out the doubles the next take of that length would,
+        # through refills too, and consumes none of them.
+        monkeypatch.setattr(validation, "DRAW_CHUNK", chunk)
+        stream = np.random.default_rng(9).random(30_000)
+        doubles, plan = _Doubles(np.random.default_rng(9)), np.random.default_rng(2)
+        start = 0
+        while start < 20_000:
+            ahead = int(plan.choice([0, 1, 5, 300, 2 * chunk + 3]))
+            assert doubles.peek(ahead).tobytes() == stream[start:start + ahead].tobytes()
+            length = int(plan.integers(0, ahead + 1))
+            assert doubles.take(length).tobytes() == stream[start:start + length].tobytes()
+            start += length
+
 
 def _near_all_rows(stack, theta):
     """The boundary test over every leaf's unit rows."""
@@ -562,6 +592,28 @@ class TestDistinctRowsAtTheMargin:
             stack.near_A = np.nextafter(stack.near_A, toward)
             assert [stack.near_boundary(p) for p in points] == want
 
+    def test_block_equals_points(self, mpc_inflated):
+        # The block test gives each point the answer it gets alone, in
+        # blocks of every size the draw pass uses, also where the distinct
+        # rows round otherwise and the point's own test must decide.
+        stack = _RegionStack(mpc_inflated)
+        points = np.array(_margin_points(mpc_inflated, np.random.default_rng(6)))
+        want = [_near_all_rows(stack, p) for p in points]
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            alone = [stack.near_boundary(p) for p in points]
+            assert alone == want
+            for size in (1, 7, LOCATE_BLOCK):
+                block = np.concatenate([stack.near_boundary(points[i:i + size])
+                                        for i in range(0, len(points), size)])
+                assert block.dtype == bool and block.tolist() == alone
+            toward = rng.choice([-np.inf, np.inf], size=stack.near_A.shape)
+            stack.near_A = np.nextafter(stack.near_A, toward)
+        # Most points lie within the block's allowance of the margin.
+        nearest = np.abs(points @ stack.near_A.T - stack.near_b).min(axis=1)
+        doubt = stack.near_rounding * np.abs(points).max(axis=1) + stack.margin_rounding
+        assert (np.abs(nearest - DELTA_MARGIN) <= 2 * doubt).sum() > 100
+
     def test_sampled_points(self, mpc, mpc_inflated):
         stack = _RegionStack(mpc_inflated)
         lo, hi = bounding_box(mpc.theta_set)
@@ -606,6 +658,50 @@ class TestOffTheBoundingBox:
         # More doubles than one chunk: the reader refills mid-run.
         assert 2 * n > DRAW_CHUNK
         _assert_same_report(report, _validate_one_by_one(prob, result, n, 3))
+
+
+class TestSpeculativeWindows:
+    """The draw pass reads a window of samples ahead, once for each number
+    of misses it allows before a sample, and walks it in order: reports
+    equal the sample-by-sample reference, whatever the window cap, where
+    many samples are outside the parameter set or skipped at a wide
+    boundary margin."""
+
+    @pytest.mark.parametrize("case", ["triangle-exact", "triangle-unmodeled",
+                                      "mpc-wide-margin"])
+    def test_window_caps(self, monkeypatch, case, mpc, mpc_inflated):
+        # Without error doubles a miss moves no later sample; with them,
+        # about a third of the triangle's samples miss, so windows read
+        # ahead for several misses at once.
+        model, margin, n = None, DELTA_MARGIN, 1200
+        if case.startswith("triangle"):
+            prob = _triangle_problem()
+            result = certify(prob)
+            if case == "triangle-unmodeled":
+                model = ErrorModel(kind=KIND_HYPERCUBE, bound=1e-2)
+        else:
+            prob, result, margin, n = mpc, mpc_inflated, 0.02, 600
+        monkeypatch.setattr(validation, "DELTA_MARGIN", margin)
+        reference = _validate_one_by_one(prob, result, n, 11, model, margin=margin)
+        assert reference["samples_outside"] + reference["samples_skipped_boundary"] > n // 50
+        for cap in (1, 7, LOCATE_BLOCK):
+            monkeypatch.setattr(validation, "LOCATE_BLOCK", cap)
+            report = validate_conformance(prob, result, n_samples=n, seed=11, model=model)
+            _assert_same_report(report, reference)
+        assert bool(report.mismatches) == (case == "triangle-unmodeled")
+
+    @pytest.mark.parametrize("case", ["mpc-1e-4", "mpc-1e-3-perturb-dual", "toy-0.1"])
+    def test_wide_margin(self, monkeypatch, case, toy, toy_inflated, mpc, mpc_inflated):
+        prob, result, n = {
+            "mpc-1e-4": (mpc, mpc_inflated, 800),
+            "mpc-1e-3-perturb-dual": (mpc, certify(mpc, model=ErrorModel(
+                kind=KIND_HYPERCUBE, bound=1e-3, perturb_dual=True)), 800),
+            "toy-0.1": (toy, toy_inflated, 1500),
+        }[case]
+        monkeypatch.setattr(validation, "DELTA_MARGIN", 0.02)
+        report = validate_conformance(prob, result, n_samples=n, seed=12)
+        assert report.samples_skipped_boundary > n // 100
+        _assert_same_report(report, _validate_one_by_one(prob, result, n, 12, margin=0.02))
 
 
 class TestSearchRealization:
