@@ -14,6 +14,13 @@ which owns every rule about error kinds. The subsets may then overlap; each
 leaf still certifies that its sequence is realizable only within its region,
 so a parameter covered by several leaves gets the worst case over all of
 them.
+
+Under an exact or hypercube model a family's rows over theta do not depend
+on the region, so one certify call lifts each (working set, mode, model
+seen) once and stacks the rows onto every region that meets it. Relative
+models convert region by region, and polyhedral ones project with LPs:
+keeping those would cut LPs and move the pinned LP counts, which waits for
+the LP-count gate of ROADMAP item 1.
 """
 
 from __future__ import annotations
@@ -24,7 +31,8 @@ from typing import Optional
 import numpy as np
 
 from certias.geometry import Polyhedron, feasible_point, lp_call_count, remove_redundant
-from certias.lpp import ErrorModel, lift_partition_project
+from certias.lpp import (KIND_HYPERCUBE, KIND_NONE, ErrorModel, lift_partition_project,
+                         lift_rows)
 from certias.mpqp import MpQP, subproblem_maps
 from certias.solver import (
     DEGENERATE,
@@ -186,7 +194,8 @@ def halfplane_family(state: SolverState, m: int, tol: Tolerances
 
 def partition_step(region: Polyhedron, state: SolverState, prob: MpQP,
                    tol: Tolerances, model: ErrorModel, k: int,
-                   point: Optional[np.ndarray] = None
+                   point: Optional[np.ndarray] = None,
+                   lifted: Optional[dict] = None
                    ) -> list[tuple[int, Polyhedron, np.ndarray]]:
     """Split a region by the decisions the state can take inside it.
 
@@ -197,17 +206,43 @@ def partition_step(region: Polyhedron, state: SolverState, prob: MpQP,
     emptiness test (feasible_point's `start`). With a zero model the
     subregions tile the region exactly; with errors they cover it and
     overlap.
+
+    lifted, a dict one certify call shares among its steps (a fresh one
+    when None), memoizes the lifted families. For a model of kind none or
+    hypercube, the rows over theta of each family depend only on (working
+    set, mode, the model the check sees), so lift_rows computes them once
+    per key and each region gets them stacked on, the rows
+    region.intersect would give. The model is keyed by identity: models
+    that compare equal may lift to different bits (a bound of -0.0 equals
+    0.0, yet -0.0 + -0.0 is -0.0 where -0.0 + 0.0 is +0.0). A model of
+    those kinds that at() returns is the model itself, a schedule entry or
+    the shared exact model, all alive for the whole call, so no stored id
+    is reused within it.
     """
-    maps = subproblem_maps(prob, state.working_set)
-    if maps.singular:
-        raise ValueError("cannot partition on a singular subproblem")
-    zmap = maps.mu_map if state.mode == SLACK_CHECK else maps.lambda_map
-    fams = halfplane_family(state, prob.m, tol)
-    rows = state.working_set if state.mode == DUAL_CHECK else None
-    kids = lift_partition_project(region, [(A, b) for A, b, _ in fams], zmap,
-                                  model.at(k, rows))
+    mk = model.at(k, state.working_set if state.mode == DUAL_CHECK else None)
+    key = (state.working_set, state.mode, id(mk))
+    lifted = {} if lifted is None else lifted
+    fams = lifted.get(key)
+    if fams is None:
+        maps = subproblem_maps(prob, state.working_set)
+        if maps.singular:
+            raise ValueError("cannot partition on a singular subproblem")
+        zmap = maps.mu_map if state.mode == SLACK_CHECK else maps.lambda_map
+        family = halfplane_family(state, prob.m, tol)
+        halfplanes = [(A, b) for A, b, _ in family]
+        labels = [idx for _, _, idx in family]
+        # A relative model converts against each region. A polyhedral one
+        # solves LPs to project each family: memoizing it would cut LPs, and
+        # so move the pinned lp_calls, which waits for the LP-count gate
+        # (ROADMAP item 1).
+        if mk.kind not in (KIND_NONE, KIND_HYPERCUBE):
+            kids = zip(labels, lift_partition_project(region, halfplanes, zmap, mk))
+        else:
+            fams = lifted[key] = list(zip(labels, lift_rows(halfplanes, zmap, mk)))
+    if fams is not None:
+        kids = [(idx, region._stacked(A_t, b_t)) for idx, (A_t, b_t) in fams]
     out = []
-    for (A, b, idx), kid in zip(fams, kids):
+    for idx, kid in kids:
         x0 = feasible_point(kid, start=point)
         if x0 is None:
             continue
@@ -226,11 +261,13 @@ def certify(prob: MpQP, tol: Optional[Tolerances] = None,
     root). Each popped entry is handled in the pointwise solver's order:
     the iteration cap (at step 2 * iter_limit), then a singular subproblem,
     then the decision split; leaves count iterations as run does. The
-    result is canonically sorted by sequence, so it does not depend on
-    exploration order. max_live caps the frontier size to guard
-    against error-model-induced blowup (BudgetExceededError). A polyhedral
-    set of the wrong dimension, in the model or in any schedule entry,
-    raises ValueError before anything is explored.
+    splits share one memo of lifted families (partition_step's `lifted`),
+    freed when certify returns. The result is canonically sorted by
+    sequence, so it does not depend on exploration order. max_live caps the
+    frontier size to guard against error-model-induced blowup
+    (BudgetExceededError). A polyhedral set of the wrong dimension, in the
+    model or in any schedule entry, raises ValueError before anything is
+    explored.
 
     certify runs on the calling thread, and workers is accepted for
     compatibility only. Calls on several threads at once are safe: each
@@ -246,6 +283,7 @@ def certify(prob: MpQP, tol: Optional[Tolerances] = None,
     stack = [(remove_redundant(prob.theta_set), SolverState((), SLACK_CHECK), (), None)]
     finals: list[CertifiedRegion] = []
     trace: Optional[list[TraceRecord]] = [] if record_trace else None
+    lifted: dict = {}
     explored = 0
     pruned = 0
     while stack:
@@ -264,7 +302,7 @@ def certify(prob: MpQP, tol: Optional[Tolerances] = None,
             leaf = seq + (SolverState(state.working_set, DEGENERATE),)
             finals.append(CertifiedRegion(region, leaf, "degenerate", iterations(leaf)))
             continue
-        kids = partition_step(region, state, prob, tol, model, k, point)
+        kids = partition_step(region, state, prob, tol, model, k, point, lifted)
         # halfplane_family has a pass branch plus one per decision component.
         family = len(state.working_set) if state.mode == DUAL_CHECK else prob.m
         pruned += family + 1 - len(kids)

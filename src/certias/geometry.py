@@ -209,7 +209,11 @@ class Polyhedron:
         if A.shape != (b.size, self.dim):
             raise ValueError(f"shape mismatch: A is {A.shape}, b has {b.size} rows, "
                              f"dim={self.dim}")
-        A, b = self._nontrivial(A, b)
+        return self._stacked(*self._nontrivial(A, b))
+
+    def _stacked(self, A, b) -> "Polyhedron":
+        """This set with rows A x <= b stacked on, rows that _nontrivial has
+        already returned, of shapes (k, dim) and (k,)."""
         return Polyhedron._from_rows(np.vstack([self.A, A]), np.concatenate([self.b, b]),
                                      self.dim)
 
@@ -564,27 +568,34 @@ def remove_redundant(P: Polyhedron, point: Optional[np.ndarray] = None) -> Polyh
     # b_i + 1 may make it trivial, needs the constructor's checks.
     zero = (~P.A.any(axis=1)).tolist()
     bounds = rhs.tolist()
+    # The survivors as a list, for positions, and as an index array, for
+    # take. Row i's guard is every survivor but i, in order, then i; when i
+    # goes, the survivors left are that guard's rows without its last.
     survivors = list(keep)
+    alive = np.array(keep)
     for i in keep:
         if len(survivors) == 1:
             break
-        rows = np.array([j for j in survivors if j != i] + [i])
-        guard_b = rhs[rows]
+        p = survivors.index(i)
+        rows = np.concatenate((alive[:p], alive[p + 1:], alive[p:p + 1]))
+        guard_A = P.A.take(rows, axis=0)
+        guard_b = rhs.take(rows)
         guard_b[-1] = bounds[i] + 1.0
         if zero[i]:
-            guard = Polyhedron(P.A[rows], guard_b, P.dim)
+            guard = Polyhedron(guard_A, guard_b, P.dim)
         else:
-            guard = Polyhedron._from_rows(P.A[rows], guard_b, P.dim)
+            guard = Polyhedron._from_rows(guard_A, guard_b, P.dim)
         try:
             res = solve_lp(P.A[i], guard, "max", target=bounds[i] + 2.0 * REDUNDANCY_TOL)
         except LpPivotLimitError:
             log.debug("redundancy LP hit the pivot cap, retaining row %d", i)
             continue
         if res.status == "optimal" and res.value <= bounds[i] + REDUNDANCY_TOL:
-            survivors.remove(i)
+            del survivors[p]
+            alive = rows[:-1]
     if len(survivors) == r:
         return P
-    return Polyhedron._from_rows(P.A[survivors], P.b[survivors], P.dim)
+    return Polyhedron._from_rows(P.A.take(alive, axis=0), P.b.take(alive), P.dim)
 
 
 def interior_point(P: Polyhedron) -> tuple[np.ndarray, float]:

@@ -15,6 +15,11 @@ arithmetic, a closed-form right-hand-side relaxation for a sup-norm ball,
 and Fourier-Motzkin elimination for a general polyhedral E. A relative
 bound is first converted, per region, to a sup-norm ball by bounding |z|
 over the region with a pair of linear programs per component (rel_to_abs).
+The lift itself, lift_rows, takes no region: its rows are stacked onto
+the region afterwards. certify keeps the exact and hypercube lifts, which
+solve no LP, for its whole call, one per (working set, mode, model seen);
+keeping polyhedral ones too would cut LPs and so move the pinned LP
+counts, which waits for the LP-count gate of ROADMAP item 1.
 ErrorModel.step_bounds gives the per-step hypercube bounds that pointwise
 runs draw their error rows from.
 """
@@ -218,16 +223,33 @@ def lift_partition_project(region: Polyhedron, halfplanes: Sequence[tuple],
 
     model is the one the check sees (ErrorModel.at); a schedule on it is
     not read. A relative model is converted against `region` once, before
-    any family is lifted. A hypercube relaxes each row's right-hand side by
-    its 1-norm times the bound, since the sup over the ball of a linear
-    form is the 1-norm.
+    the families are lifted by lift_rows; each entry is `region` with its
+    family's rows stacked on, as region.intersect would give it.
     """
     if zmap.F.shape[0] and zmap.F.shape[1] != region.dim:
         raise ValueError("zmap and region dimensions disagree")
     if model.kind == KIND_RELATIVE:
         model = ErrorModel(kind=KIND_HYPERCUBE,
                            bound=rel_to_abs(zmap, region, model.rel_bound))
-    elif model.kind == KIND_POLYHEDRAL:
+    return [region._stacked(A_t, b_t) for A_t, b_t in lift_rows(halfplanes, zmap, model)]
+
+
+def lift_rows(halfplanes: Sequence[tuple], zmap: AffineMap, model: ErrorModel
+              ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Rows (A_t, b_t) over theta of each half-plane set, inflated by a model
+    that needs no region: none, hypercube or polyhedral, not relative.
+
+    The rows are checked as region.intersect checks appended rows: finite,
+    trivial ones dropped, and they are frozen, so one lift may be stacked on
+    any number of regions. Exact arithmetic maps A_i z <= b_i through zmap.
+    A hypercube relaxes each row's right-hand side by its 1-norm times the
+    bound, since the sup over the ball of a linear form is the 1-norm;
+    neither solves an LP. A polyhedral set projects each lifted family with
+    Fourier-Motzkin elimination, which solves LPs.
+    """
+    if model.kind == KIND_RELATIVE:
+        raise ValueError("a relative model is converted against a region first")
+    if model.kind == KIND_POLYHEDRAL:
         model.check_dimension(zmap.rows)
     out = []
     for A_i, b_i in halfplanes:
@@ -239,7 +261,10 @@ def lift_partition_project(region: Polyhedron, halfplanes: Sequence[tuple],
             A_t, b_t = A_i @ zmap.F, b_i - A_i @ zmap.g
             if model.kind == KIND_HYPERCUBE:
                 b_t = b_t + np.abs(A_i).sum(axis=1) * model.bound
-        out.append(region.intersect(A_t, b_t))
+        A_t, b_t = Polyhedron._nontrivial(A_t, b_t)
+        A_t.setflags(write=False)
+        b_t.setflags(write=False)
+        out.append((A_t, b_t))
     return out
 
 

@@ -98,7 +98,9 @@ class MpQP:
     """Validated problem data plus a per-working-set map cache.
 
     One problem may be shared by certify calls on several threads: the
-    cache is filled under a lock and holds immutable maps.
+    cache is filled under a lock and holds immutable maps. A problem
+    pickles without its lock and its cache: a copy starts with an empty
+    cache and a new lock, and computes the same maps bit for bit.
     """
 
     def __init__(self, H, C, f_lin, f_const, d_lin, d_const, theta_set: Polyhedron):
@@ -152,6 +154,16 @@ class MpQP:
         self.theta_set = theta_set
         self._chol = chol
         self._cache: dict[tuple[int, ...], SubproblemMaps] = {}
+        self._cache_lock = threading.Lock()
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_cache_lock"]
+        state["_cache"] = {}
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
         self._cache_lock = threading.Lock()
 
     @property

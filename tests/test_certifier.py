@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import pickle
@@ -495,3 +496,99 @@ def test_concurrent_certify_matches_serial():
         t.join(timeout=300)
         assert not t.is_alive()
     assert docs == [serial, serial]
+
+
+def _cube(bound, **kw):
+    return ErrorModel(kind="hypercube", bound=bound, **kw)
+
+
+def _repeating_schedule():
+    """One hypercube model repeated by value as distinct objects, with 0.0
+    and -0.0 entries among them; multiplier checks see the schedule too."""
+    return _cube(1e-4, perturb_dual=True, schedule=(
+        _cube(1e-4), _cube(1e-4), _cube(0.0), _cube(1e-4), _cube(-0.0),
+        _cube(1e-4), _cube(0.0), _cube(-0.0), _cube(1e-4)))
+
+
+class TestLiftedFamilies:
+    # LP calls and pivots of one certify call, recorded before certify kept
+    # each lifted family for the whole call: lifting once per key changes
+    # no LP and no pivot.
+    PINNED_WORK = {
+        "toy-exact": (toy_problem, ErrorModel, 18, 15),
+        "toy-hypercube-1e-4": (toy_problem, lambda: _cube(1e-4), 298, 255),
+        "di-exact": (double_integrator_problem, ErrorModel, 151, 247),
+        "di-hypercube-1e-4": (double_integrator_problem, lambda: _cube(1e-4), 4149, 6284),
+        "di-hypercube-1e-3-perturb-dual": (
+            double_integrator_problem, lambda: _cube(1e-3, perturb_dual=True), 4149, 6306),
+        "di-repeating-schedule": (double_integrator_problem, _repeating_schedule, 765, 1247),
+    }
+    # sha256 of the di-repeating-schedule document (dump_document), recorded
+    # with its counts. The document passes through BLAS products outside the
+    # LP kernel, so, like the tests/test_cli.py pins, it holds on the
+    # platform it was recorded on (x86-64 Linux, numpy 2.4).
+    SCHEDULE_SHA256 = "cdd5f574b134598db4a3560d5fc2f6c602590f736338efc63a253ec3dbd85f30"
+
+    @pytest.mark.parametrize("case", sorted(PINNED_WORK))
+    def test_same_lps_and_pivots(self, case):
+        problem, model, lps, pivots = self.PINNED_WORK[case]
+        prob, model = problem(), model()
+        lp0, pivot0 = geo.lp_call_count(), geo.pivot_count()
+        res = certify(prob, model=model)
+        assert (geo.lp_call_count() - lp0, geo.pivot_count() - pivot0) == (lps, pivots)
+        assert res.stats["lp_calls"] == lps
+
+    def test_schedule_document_matches_pinned_bytes(self):
+        doc = dump_document(certify(double_integrator_problem(),
+                                    model=_repeating_schedule()).to_document())
+        assert hashlib.sha256(doc.encode()).hexdigest() == self.SCHEDULE_SHA256
+
+    def test_memo_lives_for_one_call(self):
+        # Lifts kept by one call must not reach the next one on the problem.
+        prob = double_integrator_problem()
+
+        def doc(p, bound):
+            return dump_document(certify(p, model=_cube(bound)).to_document())
+
+        first, wider, again = doc(prob, 1e-4), doc(prob, 1e-3), doc(prob, 1e-4)
+        assert again == first
+        assert wider == doc(pickle.loads(pickle.dumps(prob)), 1e-3)
+        assert wider != first
+
+    def test_each_key_lifted_once(self, monkeypatch):
+        # The key is (working set, mode, model seen): zmap stands for the
+        # first two, as the problem's map cache hands out one map object per
+        # working set and mode. Equal models are distinct keys.
+        lifts, steps = [], []
+        real_lift, real_step = certias.certifier.lift_rows, certias.certifier.partition_step
+
+        def lift(halfplanes, zmap, model):
+            lifts.append((id(zmap), id(model)))
+            return real_lift(halfplanes, zmap, model)
+
+        def step(*args, **kwargs):
+            steps.append(args[1])
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(certias.certifier, "lift_rows", lift)
+        monkeypatch.setattr(certias.certifier, "partition_step", step)
+        model = _repeating_schedule()
+        certify(double_integrator_problem(), model=model)
+        assert len(lifts) == len(set(lifts))
+        assert 0 < len(lifts) < len(steps)
+        seen = {m for _, m in lifts}
+        assert {id(model.schedule[k]) for k in (0, 1, 2, 4)} <= seen
+
+    @pytest.mark.parametrize("model", [
+        ErrorModel(kind="relative", rel_bound=1e-3, perturb_dual=True),
+        ErrorModel(kind="polyhedral", set=interval(-0.01, 0.01), perturb_dual=True),
+    ], ids=["relative", "polyhedral"])
+    def test_region_or_lp_dependent_lifts_not_kept(self, model, monkeypatch):
+        # Relative lifts depend on the region, polyhedral ones solve LPs:
+        # with perturb_dual every check sees the model, and every step goes
+        # through lift_partition_project.
+        def lift(*args):
+            raise AssertionError("kept a lift that depends on the region or LPs")
+
+        monkeypatch.setattr(certias.certifier, "lift_rows", lift)
+        assert certify(toy_problem(), model=model).regions

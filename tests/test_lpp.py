@@ -11,7 +11,7 @@ from certias.geometry import (
     is_empty,
     normalize_rows,
 )
-from certias.lpp import ErrorModel, lift_partition_project, rel_to_abs
+from certias.lpp import ErrorModel, lift_partition_project, lift_rows, rel_to_abs
 from certias.mpqp import AffineMap
 
 from oracles import poly_contains_poly, poly_equal
@@ -262,6 +262,40 @@ class TestLiftPartitionProject:
             pts = rng.uniform(-2.0, 2.0, size=(1000, 2))
             for p in pts:
                 assert any(contains(part, p, slack=1e-9) for part in parts)
+
+
+class TestLiftRows:
+    FAMILIES = [TOY_TERMINATE, (np.array([[1.0], [0.0]]), np.array([-EPS_P, 2.0]))]
+
+    @pytest.mark.parametrize("model", [
+        ErrorModel(), ErrorModel(kind="hypercube", bound=0.1),
+        ErrorModel(kind="polyhedral", set=Polyhedron.box([-0.1], [0.1]))],
+        ids=["none", "hypercube", "polyhedral"])
+    def test_stacked_rows_are_intersect(self, model):
+        # One lift serves every region: stacked on one, its rows are the
+        # rows region.intersect gives, bit for bit, trivial rows dropped.
+        rows = lift_rows(self.FAMILIES, TOY_ZMAP, model)
+        assert rows[1][0].shape == (1, 1)
+        for region in (TOY_REGION, interval(0.0, 1.0)):
+            for (A_t, b_t), kid in zip(rows, lift_partition_project(
+                    region, self.FAMILIES, TOY_ZMAP, model)):
+                want = region.intersect(A_t, b_t)
+                assert np.array_equal(kid.A, want.A) and np.array_equal(kid.b, want.b)
+                assert not (A_t.flags.writeable or b_t.flags.writeable)
+
+    def test_relative_needs_a_region(self):
+        with pytest.raises(ValueError, match="against a region"):
+            lift_rows([TOY_TERMINATE], TOY_ZMAP, ErrorModel(kind="relative", rel_bound=0.1))
+
+    def test_signed_zero_bounds_lift_to_different_bits(self):
+        # Equal models, different rows: why lifts are kept per model object.
+        A, b = np.array([[1.0]]), np.array([-0.0])
+        zmap = AffineMap(F=np.array([[1.0]]), g=np.array([0.0]))
+        lo, hi = (ErrorModel(kind="hypercube", bound=z) for z in (-0.0, 0.0))
+        assert lo == hi
+        (_, b_lo), = lift_rows([(A, b)], zmap, lo)
+        (_, b_hi), = lift_rows([(A, b)], zmap, hi)
+        assert np.signbit(b_lo[0]) and not np.signbit(b_hi[0])
 
 
 class TestHypercubeInflate:

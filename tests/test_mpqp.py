@@ -1,10 +1,15 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from certias.certifier import certify
+from certias.cli import dump_document
 from certias.examples import double_integrator_problem, toy_problem
 from certias.geometry import Polyhedron
+from certias.lpp import ErrorModel
 from certias import mpqp
 from certias.mpqp import AffineMap, MpQP, ProblemFormatError, load_problem, subproblem_maps
 
@@ -199,3 +204,26 @@ def test_affine_map_block_is_each_row_alone():
             assert amap(thetas[5:9]).tobytes() == block[5:9].tobytes()
     with pytest.raises(ValueError, match="2 entries"):
         maps.mu_map([1.0, 2.0, 3.0])
+
+
+class TestPickle:
+    def test_round_trip(self):
+        prob = double_integrator_problem()
+        subproblem_maps(prob, (0,))
+        again = pickle.loads(pickle.dumps(prob))
+        assert again.digest() == prob.digest()
+        for name in ("H", "C", "f_lin", "f_const", "d_lin", "d_const", "_chol"):
+            assert getattr(again, name).tobytes() == getattr(prob, name).tobytes()
+        # The copy has a lock of its own and starts with an empty cache.
+        assert again._cache_lock is not prob._cache_lock and again._cache == {}
+        want, got = subproblem_maps(prob, (0,)), subproblem_maps(again, (0,))
+        for a, b in zip((want.x_map, want.mu_map, want.lambda_map),
+                        (got.x_map, got.mu_map, got.lambda_map)):
+            assert a.F.tobytes() == b.F.tobytes() and a.g.tobytes() == b.g.tobytes()
+
+    def test_unpickled_problem_certifies_same_bytes(self):
+        prob = double_integrator_problem()
+        model = ErrorModel(kind="hypercube", bound=1e-4)
+        want = dump_document(certify(prob, model=model).to_document())
+        again = pickle.loads(pickle.dumps(prob))
+        assert dump_document(certify(again, model=model).to_document()) == want
