@@ -18,7 +18,7 @@ from certias.certifier import BudgetExceededError, CertificationResult, certify
 from certias.geometry import GeometryError, solve_lp
 from certias.lpp import ErrorModel
 from certias.mpqp import MpQP, subproblem_maps
-from certias.solver import SLACK_CHECK, Tolerances
+from certias.solver import Tolerances
 
 log = logging.getLogger("certias.analysis")
 
@@ -127,30 +127,35 @@ def _region_worst(prob: MpQP, region, working_set) -> Optional[float]:
 
 
 def slack_profile(prob: MpQP, result: CertificationResult) -> SlackProfile:
-    """Per-depth worst primal slack from a trace-carrying certification.
+    """Per-depth worst primal slack over the certified leaves, of a result
+    certify returned or one read back from its document. Raises ValueError
+    when the result belongs to another problem.
 
-    Live regions at depth k are the recorded pre-split regions about to run
-    their (k+1)-th iteration; their slack map is the one of the working set
-    they arrived with. Ended regions join from their final depth onward.
+    A split's children lie inside their parent and cover it, so the regions
+    live at depth k, about to run their (k+1)-th iteration, are together the
+    leaves whose sequence split at the slack check in position 2k; its
+    working set gives the slack map. A degenerate leaf's last executed state
+    was found singular and never split. Ended regions join from their final
+    depth onward.
     """
-    if result.trace is None:
-        raise ValueError("slack_profile needs certify(..., record_trace=True)")
+    if result.problem_digest != prob.digest():
+        raise ValueError("certification result belongs to a different problem")
     live: dict[int, list] = {}
-    for rec in result.trace:
-        if rec.state.mode == SLACK_CHECK:
-            live.setdefault(rec.slack_depth, []).append(
-                (rec.region, rec.state.working_set))
     holds = []
     skipped = 0
-    for reg in result.regions:
+    for i, reg in enumerate(result.regions):
+        executed = len(reg.sequence) - 1
         if reg.status == "degenerate":
+            executed -= 1
             skipped += 1
-            continue
-        holds.append((reg.iterations, reg.region, reg.sequence[-1].working_set))
+        else:
+            holds.append((reg.iterations, i, reg.sequence[-1].working_set))
+        for j in range(0, executed, 2):
+            live.setdefault(j // 2, []).append((i, reg.sequence[j].working_set))
     depth = max([*live.keys(), *(h[0] for h in holds)], default=0)
 
-    # Keyed by content: many trace records and leaves share a region's rows
-    # and a working set. A failure counts once per region object and
+    # Keyed by content: many leaves share a region's rows, and a leaf meets
+    # one working set at several depths. A failure counts once per leaf and
     # working set.
     cache: dict = {}
     failed = set()
@@ -158,13 +163,14 @@ def slack_profile(prob: MpQP, result: CertificationResult) -> SlackProfile:
     for k in range(depth + 1):
         worst = -INF
         candidates = list(live.get(k, []))
-        candidates += [(r, w) for start, r, w in holds if start <= k]
-        for region, working_set in candidates:
+        candidates += [(i, w) for start, i, w in holds if start <= k]
+        for i, working_set in candidates:
+            region = result.regions[i].region
             key = (region.A.tobytes(), region.b.tobytes(), tuple(working_set))
             if key not in cache:
                 cache[key] = _region_worst(prob, region, working_set)
             if cache[key] is None:
-                failed.add((id(region), key[2]))
+                failed.add((i, key[2]))
             else:
                 worst = max(worst, cache[key])
         per_iteration.append((k, worst))

@@ -25,7 +25,7 @@ the LP-count gate of ROADMAP item 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -51,7 +51,6 @@ __all__ = [
     "BudgetExceededError",
     "CertificationResult",
     "CertifiedRegion",
-    "TraceRecord",
     "certify",
     "halfplane_family",
     "partition_step",
@@ -110,27 +109,15 @@ class CertifiedRegion:
 
 
 @dataclass
-class TraceRecord:
-    """One expansion, kept when tracing: parent region and its children.
-    slack_depth counts the slack checks before step_k: (step_k + 1) // 2."""
-
-    region: Polyhedron
-    state: SolverState
-    step_k: int
-    slack_depth: int
-    children: list[tuple[int, Polyhedron]]
-
-
-@dataclass
 class CertificationResult:
     """Certified leaves; settings holds the tolerances and the error model's
-    document, stats the counters. The trace is never written."""
+    document, stats the counters. The document holds all of it, so a result
+    read back with from_document is the result certify returned."""
 
     regions: list[CertifiedRegion]
     problem_digest: str
     settings: dict
     stats: dict
-    trace: Optional[list[TraceRecord]] = field(default=None, repr=False)
 
     def to_document(self) -> dict:
         return {"problem_digest": self.problem_digest, "settings": self.settings,
@@ -140,8 +127,12 @@ class CertificationResult:
     @classmethod
     def from_document(cls, doc: dict) -> "CertificationResult":
         """Result from a partition document; every matrix reads back bit for
-        bit. Raises KeyError, ValueError or TypeError on a malformed one."""
+        bit. Raises KeyError, ValueError or TypeError on a malformed one,
+        and ValueError on one without regions: certify always returns at
+        least one leaf."""
         Tolerances.from_document(doc["settings"])  # malformed tolerances fail here
+        if not doc["regions"]:
+            raise ValueError("partition has no regions")
         return cls(regions=[CertifiedRegion.from_document(r) for r in doc["regions"]],
                    problem_digest=doc["problem_digest"], settings=doc["settings"],
                    stats=doc["stats"])
@@ -252,8 +243,7 @@ def partition_step(region: Polyhedron, state: SolverState, prob: MpQP,
 
 def certify(prob: MpQP, tol: Optional[Tolerances] = None,
             model: Optional[ErrorModel] = None, *, workers: int = 1,
-            max_live: int = 20000, record_trace: bool = False
-            ) -> CertificationResult:
+            max_live: int = 20000) -> CertificationResult:
     """Explore the whole parameter set and certify every leaf.
 
     The frontier is a stack of (region, state about to run there, states
@@ -272,9 +262,6 @@ def certify(prob: MpQP, tol: Optional[Tolerances] = None,
     certify runs on the calling thread, and workers is accepted for
     compatibility only. Calls on several threads at once are safe: each
     one's stats["lp_calls"] counts the LPs of that call alone.
-
-    record_trace keeps every expansion (parent region, state, children) for
-    post-hoc analysis; leave it off for large problems.
     """
     tol = tol or Tolerances()
     model = model or ErrorModel()
@@ -282,7 +269,6 @@ def certify(prob: MpQP, tol: Optional[Tolerances] = None,
     lp_before = lp_call_count()
     stack = [(remove_redundant(prob.theta_set), SolverState((), SLACK_CHECK), (), None)]
     finals: list[CertifiedRegion] = []
-    trace: Optional[list[TraceRecord]] = [] if record_trace else None
     lifted: dict = {}
     explored = 0
     pruned = 0
@@ -314,9 +300,6 @@ def certify(prob: MpQP, tol: Optional[Tolerances] = None,
                                               iterations(leaf)))
             else:
                 stack.append((kid, child, seq, x0))
-        if record_trace:
-            trace.append(TraceRecord(region, state, k, (k + 1) // 2,
-                                     [(idx, kid) for idx, kid, _ in kids]))
 
     finals.sort(key=lambda r: sequence_key(r.sequence))
     settings = {**tol.to_document(), "error_model": model.to_document()}
@@ -327,4 +310,4 @@ def certify(prob: MpQP, tol: Optional[Tolerances] = None,
         "lp_calls": lp_call_count() - lp_before,
     }
     return CertificationResult(regions=finals, problem_digest=prob.digest(),
-                               settings=settings, stats=stats, trace=trace)
+                               settings=settings, stats=stats)

@@ -234,16 +234,20 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def cmd_report(cfg: RunConfig) -> int:
     metric = _require(cfg, "metric", "--metric")
-    if metric == "cdf":
-        result = _load_partition(_require(cfg, "partition_path", "--partition"))
-        _emit(iteration_cdf(result), cfg)
-        return 0
-    # metric == "slack": the per-depth trace is not part of any document,
-    # so recertify with trace recording on.
-    prob = _load_mpqp(_require(cfg, "problem_path", "--problem"))
-    result = certify(prob, cfg.tolerances(), _model_for(cfg, prob),
-                     record_trace=True)
-    _emit(slack_profile(prob, result), cfg)
+    # slack reads the subproblem maps of --problem.
+    if metric == "slack":
+        _require(cfg, "problem_path", "--problem")
+    elif cfg.problem_path is None and cfg.partition_path is None:
+        raise InputError("report needs --problem or --partition")
+    prob = None if cfg.problem_path is None else _load_mpqp(cfg.problem_path)
+    if cfg.partition_path is None:
+        result = certify(prob, cfg.tolerances(), _model_for(cfg, prob))
+    else:
+        result = _load_partition(cfg.partition_path)
+        if prob is not None and result.problem_digest != prob.digest():
+            raise InputError("the partition belongs to a different problem")
+    table = iteration_cdf(result) if metric == "cdf" else slack_profile(prob, result)
+    _emit(table, cfg)
     return 0
 
 
@@ -316,7 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_rep)
     p_rep.add_argument("--metric", choices=("slack", "cdf"))
     p_rep.add_argument("--partition", dest="partition_path", metavar="PATH",
-                       help="partition document (for --metric cdf)")
+                       help="partition document from certify; without "
+                       "it, report certifies --problem under the tolerance "
+                       "and model flags")
     return parser
 
 

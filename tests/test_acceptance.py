@@ -25,6 +25,7 @@ from certias.geometry import (
     contains,
     interior_point,
     normalize_rows,
+    remove_redundant,
 )
 from certias.lpp import (
     KIND_HYPERCUBE,
@@ -32,8 +33,8 @@ from certias.lpp import (
     ErrorModel,
     lift_partition_project,
 )
-from certias.mpqp import AffineMap, MpQP
-from certias.solver import Tolerances, run
+from certias.mpqp import AffineMap, MpQP, subproblem_maps
+from certias.solver import SLACK_CHECK, SolverState, Tolerances, run, transition
 from certias.validation import validate_conformance
 
 EPS_P = 1e-6
@@ -126,27 +127,39 @@ def test_criterion_03_closed_form_matches_projection():
 
 
 def test_criterion_04_split_cover_and_overlap(toy):
-    """Each recorded split keeps the error-free pieces inside the inflated
-    ones and loses no parent point; inflation creates a genuine overlap."""
+    """Each split, replayed from the root as certify makes it, keeps its
+    children inside the parent and the error-free pieces inside the
+    inflated ones, and loses no parent point; inflation creates a genuine
+    overlap."""
     model = ErrorModel(kind=KIND_HYPERCUBE, bound=1e-3)
-    traced = certify(toy, model=model, record_trace=True)
     rng = np.random.default_rng(404)
     tol = Tolerances()
-    for rec in traced.trace:
-        children = [region for _, region in rec.children]
-        inflated = dict(rec.children)
-        lo, hi = bounding_box(rec.region)
+    stack = [(remove_redundant(toy.theta_set), SolverState((), SLACK_CHECK), 0, None)]
+    splits = 0
+    while stack:
+        region, state, k, point = stack.pop()
+        if k == 2 * tol.iter_limit or subproblem_maps(toy, state.working_set).singular:
+            continue
+        kids = partition_step(region, state, toy, tol, model, k, point)
+        splits += 1
+        children = [kid for _, kid, _ in kids]
+        inflated = {idx: kid for idx, kid, _ in kids}
+        assert all(poly_contains_poly(kid, region) for kid in children)
+        lo, hi = bounding_box(region)
         pts = rng.uniform(lo, hi, size=(1000, lo.size))
         for pt in pts:
-            if not contains(rec.region, pt, slack=1e-9):
+            if not contains(region, pt, slack=1e-9):
                 continue
             assert any(contains(c, pt, slack=1e-9) for c in children)
-        nominal = partition_step(rec.region, rec.state, toy, tol,
-                                 ErrorModel(), rec.step_k)
+        nominal = partition_step(region, state, toy, tol, ErrorModel(), k)
         for idx, nom, _ in nominal:
             assert idx in inflated
             assert poly_contains_poly(nom, inflated[idx], tol=1e-8)
-    assert len(traced.trace) > 0
+        for idx, kid, x0 in kids:
+            child = transition(state, idx)
+            if not child.terminal:
+                stack.append((kid, child, k + 1, x0))
+    assert splits > 0
 
     overlaps = 0
     wide = certify(toy, model=ErrorModel(kind=KIND_HYPERCUBE, bound=0.1))
@@ -157,7 +170,7 @@ def test_criterion_04_split_cover_and_overlap(toy):
             overlaps += 1
             break
     assert overlaps > 0
-    print(f"[criterion 4] PASS ({len(traced.trace)} splits checked, "
+    print(f"[criterion 4] PASS ({splits} splits checked, "
           f"overlapping pair found)")
 
 
@@ -214,7 +227,7 @@ def test_criterion_07_slack_profile_trend(mpc):
     """The error-free slack profile settles at the tolerance exactly when
     the worst-case run makes its final check, and larger error bounds give
     pointwise larger profiles."""
-    nominal = certify(mpc, record_trace=True)
+    nominal = certify(mpc)
     worst = max(r.iterations for r in nominal.regions)
     prof0 = slack_profile(mpc, nominal).values()
     crossing = min(k for k, v in enumerate(prof0) if v <= EPS_P + 1e-12)
@@ -222,8 +235,7 @@ def test_criterion_07_slack_profile_trend(mpc):
     assert all(v <= EPS_P + 1e-12 for v in prof0[crossing:])
     assert all(v > 10 * EPS_P for v in prof0[:crossing])
 
-    inflated = certify(mpc, model=ErrorModel(kind=KIND_HYPERCUBE, bound=1e-3),
-                       record_trace=True)
+    inflated = certify(mpc, model=ErrorModel(kind=KIND_HYPERCUBE, bound=1e-3))
     prof1 = slack_profile(mpc, inflated).values()
     assert len(prof1) >= len(prof0)
     for v0, v1 in zip(prof0, prof1):

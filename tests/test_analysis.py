@@ -6,6 +6,7 @@ worst case of w iterations means the profile settles at the tolerance from
 entry w-1 on.
 """
 
+import hashlib
 import json
 import math
 
@@ -44,14 +45,13 @@ def toy():
 
 
 @pytest.fixture(scope="module")
-def toy_traced(toy):
-    return certify(toy, record_trace=True)
+def toy_result(toy):
+    return certify(toy)
 
 
 @pytest.fixture(scope="module")
-def toy_inflated_traced(toy):
-    return certify(toy, model=ErrorModel(kind=KIND_HYPERCUBE, bound=0.1),
-                   record_trace=True)
+def toy_inflated(toy):
+    return certify(toy, model=ErrorModel(kind=KIND_HYPERCUBE, bound=0.1))
 
 
 @pytest.fixture(scope="module")
@@ -60,8 +60,8 @@ def mpc():
 
 
 @pytest.fixture(scope="module")
-def mpc_traced(mpc):
-    return certify(mpc, record_trace=True)
+def mpc_result(mpc):
+    return certify(mpc)
 
 
 def _fake_result(leaves):
@@ -76,13 +76,8 @@ def _leaf(status, iterations):
 
 
 class TestSlackProfile:
-    def test_requires_trace(self, toy):
-        bare = certify(toy)
-        with pytest.raises(ValueError, match="record_trace"):
-            slack_profile(toy, bare)
-
-    def test_toy_depths(self, toy, toy_traced):
-        profile = slack_profile(toy, toy_traced)
+    def test_toy_depths(self, toy, toy_result):
+        profile = slack_profile(toy, toy_result)
         ks = [k for k, _ in profile.per_iteration]
         vs = profile.values()
         assert ks == [0, 1, 2]
@@ -96,8 +91,7 @@ class TestSlackProfile:
         theta = np.array([-2.0])
         point = MpQP(toy.H, toy.C, toy.f_lin, toy.f_const, toy.d_lin,
                      toy.d_const, Polyhedron.box(theta, theta))
-        traced = certify(point, record_trace=True)
-        profile = slack_profile(point, traced)
+        profile = slack_profile(point, certify(point))
 
         res = run(point, theta)
         expected = [float(np.max(-snap))
@@ -107,26 +101,25 @@ class TestSlackProfile:
         expected.append(float(np.max(-final_mu)))
         assert profile.values() == pytest.approx(expected, abs=1e-10)
 
-    def test_inflated_dominates_nominal(self, toy, toy_traced,
-                                        toy_inflated_traced):
-        nominal = slack_profile(toy, toy_traced).values()
-        inflated = slack_profile(toy, toy_inflated_traced).values()
+    def test_inflated_dominates_nominal(self, toy, toy_result, toy_inflated):
+        nominal = slack_profile(toy, toy_result).values()
+        inflated = slack_profile(toy, toy_inflated).values()
         assert len(inflated) == 16  # live up to the iteration cap
         for vn, vi in zip(nominal, inflated):
             assert vi >= vn - NOISE
         # the overlap band keeps slack of order eps_bar alive past depth 1
         assert inflated[1] > 0.09
 
-    def test_skips_singular_leaves(self, toy, toy_inflated_traced):
-        profile = slack_profile(toy, toy_inflated_traced)
-        degenerate = sum(1 for r in toy_inflated_traced.regions
+    def test_skips_singular_leaves(self, toy, toy_inflated):
+        profile = slack_profile(toy, toy_inflated)
+        degenerate = sum(1 for r in toy_inflated.regions
                          if r.status == "degenerate")
         assert degenerate > 0
         assert profile.skipped_singular == degenerate
 
-    def test_mpc_settles_at_worst_iteration(self, mpc, mpc_traced):
-        profile = slack_profile(mpc, mpc_traced).values()
-        worst = max(r.iterations for r in mpc_traced.regions)
+    def test_mpc_settles_at_worst_iteration(self, mpc, mpc_result):
+        profile = slack_profile(mpc, mpc_result).values()
+        worst = max(r.iterations for r in mpc_result.regions)
         crossing = min(k for k, v in enumerate(profile) if v <= EPS_P + NOISE)
         assert crossing == worst - 1
         assert all(v <= EPS_P + NOISE for v in profile[crossing:])
@@ -134,22 +127,27 @@ class TestSlackProfile:
 
 
 def _profile_by_object(prob, result):
-    """The slack profile with one _region_worst call per region object and
-    working set: (per_iteration, the calls that failed, all calls)."""
-    live = {}
-    for rec in result.trace:
-        if rec.state.mode == SLACK_CHECK:
-            live.setdefault(rec.slack_depth, []).append((rec.region, rec.state.working_set))
-    holds = [(reg.iterations, reg.region, reg.sequence[-1].working_set)
-             for reg in result.regions if reg.status != "degenerate"]
+    """The slack profile with one _region_worst call per leaf and working
+    set: (per_iteration, the calls that failed, all calls). A leaf is live
+    at depth j // 2 for every slack check at an even position j of its
+    sequence, except a degenerate leaf's last executed state; a leaf that
+    did not end singular holds its final working set from its iteration
+    count on."""
+    live, holds = {}, []
+    for i, reg in enumerate(result.regions):
+        last = len(reg.sequence) - (2 if reg.status == "degenerate" else 1)
+        for j in range(0, last, 2):
+            live.setdefault(j // 2, []).append((i, reg.sequence[j].working_set))
+        if reg.status != "degenerate":
+            holds.append((reg.iterations, i, reg.sequence[-1].working_set))
     depth = max([*live, *(h[0] for h in holds)], default=0)
     cache, per_iteration = {}, []
     for k in range(depth + 1):
         worst = -INF
-        for region, ws in live.get(k, []) + [(r, w) for s, r, w in holds if s <= k]:
-            key = (id(region), tuple(ws))
+        for i, ws in live.get(k, []) + [(i, w) for s, i, w in holds if s <= k]:
+            key = (i, tuple(ws))
             if key not in cache:
-                cache[key] = analysis._region_worst(prob, region, ws)
+                cache[key] = analysis._region_worst(prob, result.regions[i].region, ws)
             if cache[key] is not None:
                 worst = max(worst, cache[key])
         per_iteration.append((k, worst))
@@ -158,47 +156,73 @@ def _profile_by_object(prob, result):
 
 class TestSlackCacheByContent:
     """slack_profile solves each region's LPs once per distinct rows and
-    working set, however many trace records and leaves share them."""
+    working set, however many leaves and depths share them."""
 
     @pytest.mark.parametrize("case", ["toy", "toy-0.1", "mpc-1e-4"])
     def test_same_document_fewer_lps(self, case, toy, mpc):
         prob, bound = {"toy": (toy, 0.0), "toy-0.1": (toy, 0.1),
                        "mpc-1e-4": (mpc, 1e-4)}[case]
-        traced = certify(prob, model=ErrorModel(kind=KIND_HYPERCUBE, bound=bound),
-                         record_trace=True)
+        result = certify(prob, model=ErrorModel(kind=KIND_HYPERCUBE, bound=bound))
         before = lp_call_count()
-        profile = slack_profile(prob, traced)
+        profile = slack_profile(prob, result)
         lps = lp_call_count() - before
-        per_iteration, failed, _ = _profile_by_object(prob, traced)
+        per_iteration, failed, _ = _profile_by_object(prob, result)
         reference_lps = lp_call_count() - before - lps
         reference = SlackProfile(per_iteration, skipped_singular=profile.skipped_singular,
                                  lp_failures=failed)
         assert json.dumps(profile.to_document()) == json.dumps(reference.to_document())
         assert lps <= reference_lps
         if case == "mpc-1e-4":
-            assert (lps, reference_lps) == (96, 1356)
+            assert (lps, reference_lps) == (186, 2970)
 
-    def test_failures_count_region_objects(self, monkeypatch, mpc):
-        # Every LP fails: each region object and working set counts once,
-        # while each distinct content is solved once.
-        traced = certify(mpc, model=ErrorModel(kind=KIND_HYPERCUBE, bound=1e-4),
-                         record_trace=True)
+    def test_failures_count_leaves(self, monkeypatch, mpc):
+        # Every LP fails: each leaf and working set counts once, while each
+        # distinct content is solved once.
+        result = certify(mpc, model=ErrorModel(kind=KIND_HYPERCUBE, bound=1e-4))
         contents = []
 
         def failing(prob, region, working_set):
             contents.append((region.A.tobytes(), region.b.tobytes(), tuple(working_set)))
 
         monkeypatch.setattr(analysis, "_region_worst", failing)
-        profile = slack_profile(mpc, traced)
-        _, failed, pairs = _profile_by_object(mpc, traced)
+        profile = slack_profile(mpc, result)
+        _, failed, pairs = _profile_by_object(mpc, result)
         assert profile.lp_failures == failed == pairs
         assert len(set(contents[:-pairs])) == len(contents) - pairs < pairs
         assert all(v == -INF for v in profile.values())
 
 
+class TestSlackFromLeaves:
+    # sha256 of json.dumps(slack_profile(...).to_document(), sort_keys=True)
+    # as the profile read certify's recorded splits before it was derived
+    # from the leaves: the values did not move.
+    PINNED_SHA256 = {
+        "toy": "d2e70800136f430bd95c184f9c97fd8b1b9f0fb72072eef4de9e40eb5b8e7b31",
+        "toy-0.1": "adf8f9ec00c81f0948c16d155c0abcf22d8cb1d8422d0098d063b4abfdcaff1a",
+        "mpc-1e-4": "610fbc1b6f19a6cd2dc3bca4e2206fadc20ece3a87accf3d96c67d70462b9b5f",
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED_SHA256))
+    def test_pinned_documents(self, case, toy, mpc):
+        prob, bound = {"toy": (toy, 0.0), "toy-0.1": (toy, 0.1),
+                       "mpc-1e-4": (mpc, 1e-4)}[case]
+        result = certify(prob, model=ErrorModel(kind=KIND_HYPERCUBE, bound=bound))
+        text = json.dumps(slack_profile(prob, result).to_document(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PINNED_SHA256[case]
+
+    def test_read_back_document(self, toy, toy_inflated):
+        back = CertificationResult.from_document(
+            json.loads(json.dumps(toy_inflated.to_document())))
+        assert slack_profile(toy, back) == slack_profile(toy, toy_inflated)
+
+    def test_other_problem_refused(self, mpc, toy_result):
+        with pytest.raises(ValueError, match="different problem"):
+            slack_profile(mpc, toy_result)
+
+
 class TestIterationCdf:
-    def test_toy_exact(self, toy_traced):
-        assert iteration_cdf(toy_traced).points == [(1, 0.5), (2, 1.0)]
+    def test_toy_exact(self, toy_result):
+        assert iteration_cdf(toy_result).points == [(1, 0.5), (2, 1.0)]
 
     def test_single_region(self):
         result = _fake_result([_leaf("optimal", 3)])
@@ -211,13 +235,13 @@ class TestIterationCdf:
         assert len(cdf) == 15
         assert all(frac == 0.0 for _, frac in cdf)
 
-    def test_toy_inflated_shape(self, toy_inflated_traced):
-        cdf = iteration_cdf(toy_inflated_traced).points
+    def test_toy_inflated_shape(self, toy_inflated):
+        cdf = iteration_cdf(toy_inflated).points
         fractions = [f for _, f in cdf]
         assert fractions == sorted(fractions)
-        capped = sum(1 for r in toy_inflated_traced.regions
+        capped = sum(1 for r in toy_inflated.regions
                      if r.status == "iter_limit")
-        total = len(toy_inflated_traced.regions)
+        total = len(toy_inflated.regions)
         assert capped > 0
         assert fractions[-1] == pytest.approx((total - capped) / total)
 

@@ -203,17 +203,6 @@ class TestCertifyToyExact:
         assert res.stats["regions"] == len(res.regions)
         assert res.stats["lp_calls"] > 0
 
-    def test_trace_recording(self):
-        prob = toy_problem()
-        res = certify(prob, record_trace=True)
-        assert res.trace is not None and len(res.trace) >= 3
-        for rec in res.trace:
-            for _, kid in rec.children:
-                assert poly_contains_poly(kid, rec.region)
-        root = [t for t in res.trace if t.step_k == 0]
-        assert len(root) == 1 and root[0].slack_depth == 0
-        assert certify(prob).trace is None
-
 
 @pytest.fixture(scope="module")
 def inflated_result():

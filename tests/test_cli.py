@@ -437,6 +437,19 @@ class TestValidate:
                      "--samples", "10"]) == 2
         assert "bad partition document" in capsys.readouterr().err
 
+    def test_empty_partition_exits_2(self, toy_path, toy_partition, tmp_path,
+                                     capsys):
+        # It used to exit 2 with numpy's "need at least one array to
+        # concatenate"; certify never writes a partition without leaves.
+        doc = json.loads(toy_partition.read_text())
+        doc["regions"] = []
+        bad = tmp_path / "empty.json"
+        bad.write_text(dump_document(doc))
+        assert main(["validate", "--problem", toy_path, "--partition", str(bad),
+                     "--samples", "10"]) == 2
+        err = capsys.readouterr().err
+        assert "bad partition document" in err and "no regions" in err
+
     @pytest.mark.parametrize("key, value, message", [
         ("iter_limit", 15.5, "iter_limit must be an integer"),
         ("iter_limit", True, "not booleans"),
@@ -628,6 +641,59 @@ class TestReport:
     def test_metric_required(self, toy_path, capsys):
         assert main(["report", "--problem", toy_path]) == 2
         assert "--metric" in capsys.readouterr().err
+
+    def test_slack_from_partition(self, mpc_path, tmp_path):
+        # Certifying at report time and reading the saved partition give
+        # the same table byte for byte.
+        part = tmp_path / "part.json"
+        assert main(["certify", "--problem", mpc_path, "--eps-bar", "1e-4",
+                     "--out", str(part)]) == 0
+        outs = [tmp_path / "direct.csv", tmp_path / "saved.csv"]
+        assert main(["report", "--metric", "slack", "--problem", mpc_path,
+                     "--eps-bar", "1e-4", "--out", str(outs[0])]) == 0
+        assert main(["report", "--metric", "slack", "--problem", mpc_path,
+                     "--partition", str(part), "--out", str(outs[1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert outs[0].read_text().startswith("k,worst_slack\n")
+
+    def test_cdf_from_problem(self, toy_path, toy_partition, capsys):
+        assert main(["report", "--metric", "cdf", "--problem", toy_path]) == 0
+        direct = capsys.readouterr().out
+        assert main(["report", "--metric", "cdf",
+                     "--partition", str(toy_partition)]) == 0
+        assert capsys.readouterr().out == direct == "k,fraction\n1,0.5\n2,1.0\n"
+
+    def test_slack_needs_problem(self, toy_partition, capsys):
+        assert main(["report", "--metric", "slack",
+                     "--partition", str(toy_partition)]) == 2
+        assert "report needs --problem" in capsys.readouterr().err
+
+    def test_cdf_needs_a_partition_source(self, capsys):
+        assert main(["report", "--metric", "cdf"]) == 2
+        assert "--problem or --partition" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("metric", ["slack", "cdf"])
+    def test_other_problem_partition_exits_2(self, mpc_path, toy_partition,
+                                             capsys, metric):
+        # slack once ignored --partition and certified --problem instead.
+        assert main(["report", "--metric", metric, "--problem", mpc_path,
+                     "--partition", str(toy_partition)]) == 2
+        captured = capsys.readouterr()
+        assert "different problem" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("metric", ["slack", "cdf"])
+    def test_empty_partition_exits_2(self, toy_path, toy_partition, tmp_path,
+                                     capsys, metric):
+        # cdf used to fail inside iteration_cdf: exit 3, internal error.
+        doc = json.loads(toy_partition.read_text())
+        doc["regions"] = []
+        bad = tmp_path / "empty.json"
+        bad.write_text(dump_document(doc))
+        problem = ["--problem", toy_path] if metric == "slack" else []
+        assert main(["report", "--metric", metric, *problem,
+                     "--partition", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "bad partition document" in err and "no regions" in err
 
 
 class TestLogging:
