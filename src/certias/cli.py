@@ -197,6 +197,14 @@ def cmd_certify(cfg: RunConfig) -> int:
     return 0
 
 
+def _partition_config(cfg: RunConfig, result: CertificationResult) -> RunConfig:
+    """cfg with the partition's tolerances, the ones a command reading a
+    saved partition works with, to echo in place of the flags'."""
+    tol = Tolerances.from_document(result.settings)
+    return replace(cfg, primal_tol=tol.eps_primal, dual_tol=tol.eps_dual,
+                   iter_limit=tol.iter_limit)
+
+
 def cmd_validate(cfg: RunConfig) -> int:
     prob = _load_mpqp(_require(cfg, "problem_path", "--problem"))
     result = _load_partition(_require(cfg, "partition_path", "--partition"))
@@ -209,10 +217,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     if cfg.out is not None:
-        # Validation runs with the partition's tolerances; echo those.
-        tol = Tolerances.from_document(result.settings)
-        _emit(report, replace(cfg, primal_tol=tol.eps_primal,
-                              dual_tol=tol.eps_dual, iter_limit=tol.iter_limit))
+        _emit(report, _partition_config(cfg, result))
     print(report.summary())
     return 0 if report.passed else 1
 
@@ -246,6 +251,7 @@ def cmd_report(cfg: RunConfig) -> int:
         result = _load_partition(cfg.partition_path)
         if prob is not None and result.problem_digest != prob.digest():
             raise InputError("the partition belongs to a different problem")
+        cfg = _partition_config(cfg, result)
     table = iteration_cdf(result) if metric == "cdf" else slack_profile(prob, result)
     _emit(table, cfg)
     return 0

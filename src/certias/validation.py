@@ -11,27 +11,20 @@ Samples within a small normalized distance of any certified-region boundary
 are skipped rather than judged: tie-breaking on shared boundaries depends on
 the region representation, and the guarantees are interior statements.
 
-validate_conformance works in two passes. The draw pass reads the
-generator's doubles DRAW_CHUNK at a time, in stream order, and takes every
-sample from them as a one-sample-at-a-time loop of Generator.uniform calls
-would: the parameter, lo + (hi - lo) u per coordinate, then, only if the
-parameter is judged, its error rows, -b + (b - (-b)) u per component of a
-step of nonzero bound b. Those are the doubles, the order and the two
-roundings of the uniform calls, so the draws and the report stay the same
-whatever the chunk size. A sample's offset in the stream depends on how
-many earlier samples were not judged, as those read no error doubles, so
-the pass decides a window of samples at once by speculation: it reads the
-window ahead without consuming the doubles, decides membership in the
-parameter set and the boundary test (over the partition's distinct rows)
-for all of it with one product each, and walks the samples in order,
-consuming only the doubles they used. Each point gets the answers it gets
-alone, so the counts and the judged samples are those of a sample-by-sample
-loop. A judged sample's error doubles are copied into its block. The judge
-pass takes the judged samples LOCATE_BLOCK at a time: it forms the block's
-error rows at once, locates the block with one matrix product over the
-partition's distinct regions, and runs the solver on the whole block in
-lockstep. The report is the same as locating and judging each sample on its
-own.
+validate_conformance draws every sample at one fixed stride: its parameter,
+lo + (hi - lo) u per coordinate, then its error rows, -b + (b - (-b)) u per
+component of a step of nonzero bound b, whether the sample is judged or
+not. Those are the doubles, the order and the two roundings of one
+Generator.uniform call per coordinate and one per step, so the draws are
+the ones a sample-by-sample loop of uniform calls makes. The samples are
+taken LOCATE_BLOCK at a time: one Generator.random call fills the block's
+doubles, membership in the parameter set and the boundary test (over the
+partition's distinct rows) are decided for the whole block with one
+product each, and the judged samples form their error rows at once, are
+located with one matrix product over the partition's distinct regions, and
+run through the solver in lockstep. Each point gets the answers it gets
+alone, so the report is the same as drawing, locating and judging each
+sample on its own.
 
 search_realization is exact for exact, hypercube and scheduled-hypercube
 models. Each step's decision reads only its own error row and is monotone
@@ -61,12 +54,11 @@ from certias.mpqp import MpQP
 from certias.solver import DUAL_CHECK, SLACK_CHECK, Tolerances, run
 
 DELTA_MARGIN = 1e-7
-# Judged samples per block, located with one matrix product and run in
-# lockstep: on the double integrator's 60 distinct region rows a block's
-# product is about 60 KB.
+# Samples drawn at once; their judged ones are located with one matrix
+# product and run in lockstep. On the double integrator under hypercube
+# errors a sample takes 194 doubles, so a block's draws take about 200 KB,
+# and its product over the 60 distinct region rows about 60 KB.
 LOCATE_BLOCK = 128
-# Doubles the draw pass reads from the generator at a time (32 KB).
-DRAW_CHUNK = 4096
 
 
 @dataclass
@@ -213,36 +205,6 @@ class _RegionStack:
         return [row.nonzero()[0].tolist() for row in hosts[:, self.region_of]]
 
 
-class _Doubles:
-    """The generator's uniform doubles in stream order, read with
-    Generator.random DRAW_CHUNK at a time.
-
-    peek hands out the next doubles and leaves them unread, so a caller can
-    look ahead and then consume only as many as it used; take hands them out
-    and consumes them."""
-
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-        self.buf = np.empty(0)
-        self.next = 0      # index in buf of the next unread double
-
-    def peek(self, n: int) -> np.ndarray:
-        """The next n doubles, as a view of the buffer, left unread."""
-        if self.next + n > len(self.buf):
-            tail = self.buf[self.next:]
-            buf = np.empty(len(tail) + -(-(n - len(tail)) // DRAW_CHUNK) * DRAW_CHUNK)
-            buf[:len(tail)] = tail
-            self.rng.random(out=buf[len(tail):])
-            self.buf, self.next = buf, 0
-        return self.buf[self.next:self.next + n]
-
-    def take(self, n: int) -> np.ndarray:
-        """The next n doubles, as a view of the buffer, consumed."""
-        doubles = self.peek(n)
-        self.next += n
-        return doubles
-
-
 class _ErrorRows:
     """One sample's error rows from the generator's doubles, row k uniform
     within bounds[k] (from ErrorModel.step_bounds).
@@ -303,76 +265,24 @@ def validate_conformance(prob: MpQP, result: CertificationResult,
     span, dim = hi - lo, len(lo)
     stack = _RegionStack(result)
     error_rows = _ErrorRows(model.step_bounds(2 * tol.iter_limit + 2), prob.m)
-    doubles = _Doubles(np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
     report = ValidationReport(samples_total=int(n_samples))
-
-    def blocks():
-        """Draw pass: count the samples outside the parameter set or near a
-        region boundary, and yield the others LOCATE_BLOCK at a time as
-        (thetas, their error doubles), one row per sample. A sample's
-        parameter reads lo + (hi - lo) u from the next doubles; its error
-        rows read the doubles right after it, and only when it is judged.
-
-        A window reads its samples ahead once for each number r < bands of
-        misses before them: after r misses, sample k starts at
-        k * stride - r * esize. It decides all of them at once, then walks
-        the samples in order, each at the start its own misses give, up to
-        the miss that would need one band more. Bands double after such a
-        window and halve after one with fewer than half as many misses; a
-        window holds LOCATE_BLOCK / bands samples. Without error doubles a
-        miss moves no start, and one band serves. The judge pass is done
-        with a block before the next is drawn, so one pair of arrays holds
-        every block."""
-        esize = error_rows.size
-        stride = dim + esize
-        thetas = np.empty((LOCATE_BLOCK, dim))
-        block = np.empty((LOCATE_BLOCK, esize))
-        filled, left, bands = 0, n_samples, 1
-        while left:
-            width = min(LOCATE_BLOCK // bands, left, LOCATE_BLOCK - filled)
-            ahead = doubles.peek(width * stride)
-            starts = (np.arange(width) * stride - np.arange(bands)[:, None] * esize).ravel()
-            # Sample k cannot follow more than k misses; those readings go unused.
-            points = lo + span * ahead[np.maximum(starts, 0)[:, None] + np.arange(dim)]
-            inside = contains(prob.theta_set, points, slack=MEMBERSHIP_SLACK)
-            judged = (inside & ~stack.near_boundary(points)).tolist()
-            kept, first, k, band = [], 0, 0, 0   # runs of judged samples: (first, end, band)
-            while k < width:
-                i = band * width + k
-                k += 1
-                if judged[i]:
-                    continue
-                kept.append((first, k - 1, band))
-                first = k
-                if inside[i]:
-                    report.samples_skipped_boundary += 1
-                else:
-                    report.samples_outside += 1
-                if esize:
-                    band += 1
-                    if band == bands:
-                        break
-            else:
-                kept.append((first, k, band))
-            for first, end, r in kept:
-                n = end - first
-                rows = ahead[first * stride - r * esize:end * stride - r * esize]
-                thetas[filled:filled + n] = points[r * width + first:r * width + end]
-                block[filled:filled + n] = rows.reshape(n, stride)[:, dim:]
-                filled += n
-            doubles.take(k * stride - band * esize)
-            left -= k
-            if band == bands:
-                bands = min(2 * bands, LOCATE_BLOCK)
-            elif 2 * band < bands:
-                bands = max(bands // 2, 1)
-            if filled == LOCATE_BLOCK or (filled and not left):
-                yield thetas[:filled], block[:filled]
-                filled = 0
-
     sequences = [r.sequence for r in result.regions]
-    for thetas, block in blocks():
-        errors = error_rows(block)
+    draws = np.empty((LOCATE_BLOCK, dim + error_rows.size))
+    for start in range(0, n_samples, LOCATE_BLOCK):
+        block = draws[:min(LOCATE_BLOCK, n_samples - start)]
+        rng.random(out=block)
+        thetas = lo + span * block[:, :dim]
+        inside = contains(prob.theta_set, thetas, slack=MEMBERSHIP_SLACK)
+        judged = inside & ~stack.near_boundary(thetas)
+        n_inside, n_judged = int(inside.sum()), int(judged.sum())
+        report.samples_outside += len(block) - n_inside
+        report.samples_skipped_boundary += n_inside - n_judged
+        if not n_judged:
+            continue
+        if n_judged < len(block):
+            thetas, block = thetas[judged], block[judged]
+        errors = error_rows(block[:, dim:])
         hosts = stack.locate(thetas)
         runs = run(prob, thetas, errors, tol, model.perturb_dual)
         for theta, solved, host_ids in zip(thetas, runs, hosts):

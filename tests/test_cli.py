@@ -332,12 +332,13 @@ class TestDeterminism:
 
     # The same for the exact partition of the triangle problem of
     # tests/test_validation.py, written as problems/triangle.json, under
-    # --eps-bar 1e-2 --samples 1500 --seed 7 (572 samples outside the
-    # triangle, 229 mismatches). Its parameter set is not its bounding box,
-    # so the draw pass reads error rows for some samples and not for others.
-    # Same platform caveat as PINNED_SHA256.
+    # --eps-bar 1e-2 --samples 1500 --seed 7 (537 samples outside the
+    # triangle, 233 mismatches). Its parameter set is not its bounding box,
+    # so many samples draw error rows and are not judged; every sample's
+    # error rows follow its parameter in the stream. Same platform caveat
+    # as PINNED_SHA256.
     PINNED_TRIANGLE_REPORT_SHA256 = \
-        "cc303562c56ea315438365e48d4139bc27a6b2204504e03f6fbaa31736fb6ca5"
+        "68d2dc18606b74e4631753f91f3dd42d5ebdd3663674974a80041eb048a17821"
 
     @staticmethod
     def _validate_report(tmp_path, monkeypatch, name, flags, problem=None) -> bytes:
@@ -378,7 +379,7 @@ class TestDeterminism:
             ["--eps-bar", "1e-2", "--samples", "1500", "--seed", "7"],
             problem=problem.encode())
         doc = json.loads(report)
-        assert (doc["samples_outside"], len(doc["mismatches"])) == (572, 229)
+        assert (doc["samples_outside"], len(doc["mismatches"])) == (537, 233)
         assert hashlib.sha256(report).hexdigest() == self.PINNED_TRIANGLE_REPORT_SHA256
 
     def test_round_trip_bit_for_bit(self, toy_partition):
@@ -655,6 +656,21 @@ class TestReport:
                      "--partition", str(part), "--out", str(outs[1])]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
         assert outs[0].read_text().startswith("k,worst_slack\n")
+
+    @pytest.mark.parametrize("metric", ["cdf", "slack"])
+    def test_json_echoes_partition_tolerances(self, toy_path, tmp_path, metric):
+        # The table comes from the partition, so its config echoes the
+        # partition's tolerances, not the flags'.
+        part, out = tmp_path / "part.json", tmp_path / "report.json"
+        assert main(["certify", "--problem", toy_path, "--primal-tol", "1e-4",
+                     "--out", str(part)]) == 0
+        problem = ["--problem", toy_path] if metric == "slack" else []
+        assert main(["report", "--metric", metric, *problem, "--partition", str(part),
+                     "--primal-tol", "1e-3", "--iter-limit", "9",
+                     "--out", str(out)]) == 0
+        config = json.loads(out.read_text())["config"]
+        assert (config["primal_tol"], config["dual_tol"]) == (1e-4, 1e-4)
+        assert config["iter_limit"] == 15
 
     def test_cdf_from_problem(self, toy_path, toy_partition, capsys):
         assert main(["report", "--metric", "cdf", "--problem", toy_path]) == 0

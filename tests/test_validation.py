@@ -28,9 +28,7 @@ from certias.solver import (
 )
 from certias.validation import (
     DELTA_MARGIN,
-    DRAW_CHUNK,
     LOCATE_BLOCK,
-    _Doubles,
     _ErrorRows,
     _RegionStack,
     search_realization,
@@ -187,7 +185,8 @@ def _per_step_errors(model, rng, m, n_steps):
 def _validate_one_by_one(prob, result, n_samples, seed, model=None, margin=DELTA_MARGIN):
     """validate_conformance with per-region point location, per-step draws
     and the boundary test at `margin`, sample by sample: the reference the
-    stacked version must reproduce exactly."""
+    stacked version must reproduce exactly. Every sample draws its
+    parameter and then its error rows, judged or not."""
     if model is None:
         model = ErrorModel.from_document(result.settings["error_model"])
     tol = Tolerances.from_document(result.settings)
@@ -204,13 +203,13 @@ def _validate_one_by_one(prob, result, n_samples, seed, model=None, margin=DELTA
                samples_skipped_boundary=0, mismatches=[], coverage_gaps=[])
     for _ in range(n_samples):
         theta = rng.uniform(lo, hi)
+        errors = _per_step_errors(model, rng, prob.m, n_steps)
         if not contains(prob.theta_set, theta, slack=1e-9):
             out["samples_outside"] += 1
             continue
         if np.min(np.abs(A @ theta - b)) < margin:
             out["samples_skipped_boundary"] += 1
             continue
-        errors = _per_step_errors(model, rng, prob.m, n_steps)
         realized = tuple(run(prob, theta, errors, tol, model.perturb_dual).sequence)
         host_ids = _hosts_one_by_one(result, theta)
         if not host_ids:
@@ -398,87 +397,96 @@ class TestJudgeBlockSize:
         assert bool(json.loads(documents[0])["mismatches"]) == case.endswith("unmodeled")
 
 
-# Chunk sizes for the chunked reader: one double, a size that reads
-# straddle, and the default.
-_CHUNKS = (1, 7, DRAW_CHUNK)
+# Ways to split three samples' draws into blocks: all at once, one then
+# two, one at a time.
+_SPLITS = ((3,), (1, 2), (1, 1, 1))
 
 
-def _assert_same_stream(doubles, rng_old):
-    # The reader goes on with the doubles the per-call draws leave next.
-    assert doubles.take(3).tobytes() == rng_old.random(3).tobytes()
+def _draw_blocks(rng, splits, stride):
+    """Rows of `stride` doubles, one per sample, read into a preallocated
+    buffer one block of `splits` samples at a time, as the draw pass reads
+    them."""
+    rows = np.empty((sum(splits), stride))
+    start = 0
+    for n in splits:
+        rng.random(out=rows[start:start + n])
+        start += n
+    return rows
 
 
-def _assert_same_draws(monkeypatch, model, m=5, n_steps=32, seed=3):
-    """Three samples' error rows, each read after a 2-D parameter into one
-    block, against per-step rng.uniform calls, for every chunk size in
-    _CHUNKS."""
+def _assert_same_stream(rng, rng_old):
+    # The generator goes on with the doubles the per-call draws leave next.
+    assert rng.random(3).tobytes() == rng_old.random(3).tobytes()
+
+
+def _assert_same_draws(model, m=5, n_steps=32, seed=3):
+    """Three samples' rows of a 2-D parameter and its error rows, against a
+    rng.uniform call for the parameter and then per-step rng.uniform calls,
+    for every split in _SPLITS."""
     lo, hi = np.array([-1.5, 0.25]), np.array([2.0, 0.5])
-    rows = _ErrorRows(model.step_bounds(n_steps), m)
-    for chunk in _CHUNKS:
-        monkeypatch.setattr(validation, "DRAW_CHUNK", chunk)
-        doubles, rng_old = _Doubles(np.random.default_rng(seed)), np.random.default_rng(seed)
-        block, old = np.empty((3, rows.size)), []
-        for i in range(3):
-            theta = lo + (hi - lo) * doubles.take(2)
+    error_rows = _ErrorRows(model.step_bounds(n_steps), m)
+    for splits in _SPLITS:
+        rng, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+        rows = _draw_blocks(rng, splits, 2 + error_rows.size)
+        thetas = lo + (hi - lo) * rows[:, :2]
+        old = []
+        for theta in thetas:
             assert theta.tobytes() == rng_old.uniform(lo, hi).tobytes()
-            block[i] = doubles.take(rows.size)
             old.append(_per_step_errors(model, rng_old, m, n_steps))
-        new = rows(block)
+        new = error_rows(rows[:, 2:])
         assert new.shape == (3, n_steps, m)
         assert new.tobytes() == np.array(old).tobytes()
-        _assert_same_stream(doubles, rng_old)
+        _assert_same_stream(rng, rng_old)
 
 
 class TestScalarBoundDraws:
-    """A parameter reads lo + (hi - lo) u from the chunked reader: the
-    doubles of one rng.uniform call with the box's bound arrays, or of one
-    scalar-bound call per coordinate."""
+    """A parameter reads lo + (hi - lo) u from its row of rng.random
+    doubles: the doubles of one rng.uniform call with the box's bound
+    arrays, or of one scalar-bound call per coordinate."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-    def test_point_equals_array_bound_draw(self, monkeypatch, dim):
+    def test_point_equals_array_bound_draw(self, dim):
         sides = np.random.default_rng(dim).uniform(0.1, 7.0, size=dim)
         lo = np.linspace(-3.0, 1.0, dim)
         hi = lo + sides
         assert len(set(sides)) == dim
-        for chunk in _CHUNKS:
-            monkeypatch.setattr(validation, "DRAW_CHUNK", chunk)
-            doubles = _Doubles(np.random.default_rng(5))
+        for splits in ((50,), (1, 7, 42), (25, 25)):
+            rng = np.random.default_rng(5)
             rng_old, rng_scalar = np.random.default_rng(5), np.random.default_rng(5)
-            for _ in range(50):
-                new = lo + (hi - lo) * doubles.take(dim)
+            for row in _draw_blocks(rng, splits, dim):
+                new = lo + (hi - lo) * row
                 old = rng_old.uniform(lo, hi)
                 scalar = np.array([rng_scalar.uniform(a, b) for a, b in zip(lo.tolist(),
                                                                           hi.tolist())])
                 assert new.dtype == old.dtype
                 assert new.tobytes() == old.tobytes() == scalar.tobytes()
-            _assert_same_stream(doubles, rng_old)
+            _assert_same_stream(rng, rng_old)
 
 
 class TestOneCallDraws:
-    """A judged sample's error rows, read from the chunked reader, equal
-    one rng.uniform(-b, b, size=m) call per step of nonzero bound b."""
+    """A sample's error rows, read from the rng.random doubles right after
+    its parameter, equal one rng.uniform(-b, b, size=m) call per step of
+    nonzero bound b."""
 
-    def test_plain_hypercube(self, monkeypatch):
-        _assert_same_draws(monkeypatch, ErrorModel(kind=KIND_HYPERCUBE, bound=1e-4))
-        _assert_same_draws(monkeypatch, ErrorModel(kind=KIND_HYPERCUBE, bound=0.37),
-                           m=1, n_steps=7)
+    def test_plain_hypercube(self):
+        _assert_same_draws(ErrorModel(kind=KIND_HYPERCUBE, bound=1e-4))
+        _assert_same_draws(ErrorModel(kind=KIND_HYPERCUBE, bound=0.37), m=1, n_steps=7)
 
-    def test_schedule_with_silent_steps(self, monkeypatch):
+    def test_schedule_with_silent_steps(self):
         model = ErrorModel(kind=KIND_HYPERCUBE, bound=0.5, schedule=(
             ErrorModel(kind=KIND_HYPERCUBE, bound=0.1),
             ErrorModel(),
             ErrorModel(kind=KIND_HYPERCUBE, bound=0.0),
             ErrorModel(kind=KIND_HYPERCUBE, bound=3.0),
         ))
-        _assert_same_draws(monkeypatch, model)
+        _assert_same_draws(model)
         tail_silent = ErrorModel(schedule=(ErrorModel(kind=KIND_HYPERCUBE, bound=0.2),))
-        _assert_same_draws(monkeypatch, tail_silent)
+        _assert_same_draws(tail_silent)
 
-    def test_perturb_dual(self, monkeypatch):
-        _assert_same_draws(monkeypatch, ErrorModel(kind=KIND_HYPERCUBE, bound=1e-3,
-                                                   perturb_dual=True))
+    def test_perturb_dual(self):
+        _assert_same_draws(ErrorModel(kind=KIND_HYPERCUBE, bound=1e-3, perturb_dual=True))
 
-    def test_changing_bounds(self, monkeypatch):
+    def test_changing_bounds(self):
         # Nonzero bounds that change from step to step, some repeated, with
         # a silent step between two runs of equal bounds.
         model = ErrorModel(kind=KIND_HYPERCUBE, bound=0.05, schedule=(
@@ -493,15 +501,15 @@ class TestOneCallDraws:
         rows = _ErrorRows(model.step_bounds(32), 5)
         assert rows.steps.tolist() == [0, 1, 2, *range(4, 32)]
         assert rows.size == 31 * 5
-        _assert_same_draws(monkeypatch, model)
+        _assert_same_draws(model)
 
-    def test_zero_bound_draws_nothing(self, monkeypatch):
+    def test_zero_bound_draws_nothing(self):
         model = ErrorModel(kind=KIND_HYPERCUBE, bound=0.0)
-        _assert_same_draws(monkeypatch, model)
+        _assert_same_draws(model)
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
-        doubles, rows = _Doubles(rng), _ErrorRows(model.step_bounds(10), 3)
-        errors = rows(np.array([doubles.take(rows.size) for _ in range(4)]))
+        rows = _ErrorRows(model.step_bounds(10), 3)
+        errors = rows(_draw_blocks(rng, (4,), rows.size))
         assert rng.bit_generator.state == before
         assert errors.shape == (4, 10, 3) and not errors.any()
 
@@ -512,38 +520,6 @@ class TestOneCallDraws:
                                  schedule=(ErrorModel(kind=KIND_RELATIVE, rel_bound=0.1),))):
             with pytest.raises(ValueError, match="cannot sample"):
                 model.step_bounds(4)
-
-
-class TestChunkedReader:
-    @pytest.mark.parametrize("chunk", _CHUNKS)
-    def test_takes_follow_the_stream(self, monkeypatch, chunk):
-        # Takes of random lengths, some longer than a chunk: each hands out
-        # the stream's next doubles, through refills that carry the unread
-        # tail forward, and the buffer stays within a take and a chunk.
-        monkeypatch.setattr(validation, "DRAW_CHUNK", chunk)
-        stream = np.random.default_rng(8).random(60_000)
-        doubles, plan = _Doubles(np.random.default_rng(8)), np.random.default_rng(1)
-        start = 0
-        while start < 50_000:
-            length = int(plan.choice([0, 1, 2, 3, 37, 2 * chunk + 1]))
-            assert doubles.take(length).tobytes() == stream[start:start + length].tobytes()
-            start += length
-            assert len(doubles.buf) < max(37, 2 * chunk + 1) + chunk
-
-    @pytest.mark.parametrize("chunk", _CHUNKS)
-    def test_peeks_leave_the_stream(self, monkeypatch, chunk):
-        # A peek hands out the doubles the next take of that length would,
-        # through refills too, and consumes none of them.
-        monkeypatch.setattr(validation, "DRAW_CHUNK", chunk)
-        stream = np.random.default_rng(9).random(30_000)
-        doubles, plan = _Doubles(np.random.default_rng(9)), np.random.default_rng(2)
-        start = 0
-        while start < 20_000:
-            ahead = int(plan.choice([0, 1, 5, 300, 2 * chunk + 3]))
-            assert doubles.peek(ahead).tobytes() == stream[start:start + ahead].tobytes()
-            length = int(plan.integers(0, ahead + 1))
-            assert doubles.take(length).tobytes() == stream[start:start + length].tobytes()
-            start += length
 
 
 def _near_all_rows(stack, theta):
@@ -643,8 +619,8 @@ def _triangle_problem(seed=2):
 
 
 class TestOffTheBoundingBox:
-    """Reports on a parameter set that is not its bounding box, where the
-    draw pass reads error rows for some samples and not for others."""
+    """Reports on a parameter set that is not its bounding box, where many
+    samples draw error rows that are never used."""
 
     @pytest.mark.parametrize("model", [ErrorModel(), ErrorModel(kind=KIND_HYPERCUBE,
                                                                  bound=5e-7)],
@@ -655,24 +631,19 @@ class TestOffTheBoundingBox:
         n = 2500
         report = validate_conformance(prob, result, n_samples=n, seed=3)
         assert report.samples_outside > 500
-        # More doubles than one chunk: the reader refills mid-run.
-        assert 2 * n > DRAW_CHUNK
         _assert_same_report(report, _validate_one_by_one(prob, result, n, 3))
 
 
-class TestSpeculativeWindows:
-    """The draw pass reads a window of samples ahead, once for each number
-    of misses it allows before a sample, and walks it in order: reports
-    equal the sample-by-sample reference, whatever the window cap, where
-    many samples are outside the parameter set or skipped at a wide
-    boundary margin."""
+class TestManyMisses:
+    """Reports equal the sample-by-sample reference, whatever the block
+    size, where many samples are outside the parameter set or skipped at a
+    wide boundary margin, and so draw error rows that are never used."""
 
     @pytest.mark.parametrize("case", ["triangle-exact", "triangle-unmodeled",
                                       "mpc-wide-margin"])
-    def test_window_caps(self, monkeypatch, case, mpc, mpc_inflated):
-        # Without error doubles a miss moves no later sample; with them,
-        # about a third of the triangle's samples miss, so windows read
-        # ahead for several misses at once.
+    def test_block_sizes(self, monkeypatch, case, mpc, mpc_inflated):
+        # About a third of the triangle's samples miss; with error doubles
+        # each of them still reads its rows.
         model, margin, n = None, DELTA_MARGIN, 1200
         if case.startswith("triangle"):
             prob = _triangle_problem()
@@ -684,8 +655,8 @@ class TestSpeculativeWindows:
         monkeypatch.setattr(validation, "DELTA_MARGIN", margin)
         reference = _validate_one_by_one(prob, result, n, 11, model, margin=margin)
         assert reference["samples_outside"] + reference["samples_skipped_boundary"] > n // 50
-        for cap in (1, 7, LOCATE_BLOCK):
-            monkeypatch.setattr(validation, "LOCATE_BLOCK", cap)
+        for size in (1, 7, LOCATE_BLOCK):
+            monkeypatch.setattr(validation, "LOCATE_BLOCK", size)
             report = validate_conformance(prob, result, n_samples=n, seed=11, model=model)
             _assert_same_report(report, reference)
         assert bool(report.mismatches) == (case == "triangle-unmodeled")
@@ -702,6 +673,22 @@ class TestSpeculativeWindows:
         report = validate_conformance(prob, result, n_samples=n, seed=12)
         assert report.samples_skipped_boundary > n // 100
         _assert_same_report(report, _validate_one_by_one(prob, result, n, 12, margin=0.02))
+
+    def test_every_sample_missed(self, monkeypatch, mpc, mpc_inflated):
+        # A margin wider than the parameter box skips every sample inside
+        # it; a sample count that is no multiple of LOCATE_BLOCK leaves a
+        # short last block. No sample reaches the solver.
+        def no_run(*args, **kwargs):
+            raise AssertionError("run called on a block with no judged sample")
+
+        n = 2 * LOCATE_BLOCK + 37
+        monkeypatch.setattr(validation, "DELTA_MARGIN", 100.0)
+        reference = _validate_one_by_one(mpc, mpc_inflated, n, 13, margin=100.0)
+        monkeypatch.setattr(validation, "run", no_run)
+        report = validate_conformance(mpc, mpc_inflated, n_samples=n, seed=13)
+        assert report.samples_outside + report.samples_skipped_boundary == n
+        assert report.samples_skipped_boundary > 0
+        _assert_same_report(report, reference)
 
 
 class TestSearchRealization:
