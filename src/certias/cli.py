@@ -122,13 +122,18 @@ def _load_partition(path: str) -> CertificationResult:
         raise InputError(f"bad partition document: {exc}") from exc
 
 
+def _model_flags(cfg: RunConfig) -> list:
+    """Names of the model flags given."""
+    return [name for name, flag in (("--error-model", cfg.error_model_path),
+                                    ("--eps-bar", cfg.eps_bar),
+                                    ("--rel-bound", cfg.rel_bound))
+            if flag is not None]
+
+
 def build_model(cfg: RunConfig) -> Optional[ErrorModel]:
     """Error model the flags select, None when no model flag is given.
     --eps-bar 0 selects exact arithmetic."""
-    given = [name for name, flag in (("--error-model", cfg.error_model_path),
-                                     ("--eps-bar", cfg.eps_bar),
-                                     ("--rel-bound", cfg.rel_bound))
-             if flag is not None]
+    given = _model_flags(cfg)
     if len(given) > 1:
         raise InputError(f"{' and '.join(given)} are mutually exclusive")
     if cfg.error_model_path is not None:
@@ -248,6 +253,9 @@ def cmd_report(cfg: RunConfig) -> int:
     if cfg.partition_path is None:
         result = certify(prob, cfg.tolerances(), _model_for(cfg, prob))
     else:
+        given = _model_flags(cfg)
+        if given:
+            raise InputError(f"{' and '.join(given)} cannot be used with --partition")
         result = _load_partition(cfg.partition_path)
         if prob is not None and result.problem_digest != prob.digest():
             raise InputError("the partition belongs to a different problem")

@@ -490,41 +490,31 @@ def is_empty(P: Polyhedron) -> bool:
     return feasible_point(P) is None
 
 
-def product_rounding(A: np.ndarray) -> np.ndarray:
-    """Per row of A, how far two roundings of its product with a point can
-    differ, per unit of the point's max_j |x_j|: 2 d u |a|_1 for d
-    coordinates and unit roundoff u, with a fourfold margin."""
-    return np.abs(A).sum(axis=1) * (4 * A.shape[1] * np.finfo(float).eps)
+def row_products(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x for one point x, or for an s x d block, the s x rows array of A x
+    at each row: the sum over j of x_j * A[:, j] accumulated elementwise,
+    column 0 first, with no BLAS call. A point's products are therefore the
+    same bits whatever block, and whatever other rows of A, they are
+    evaluated with, which a BLAS product does not promise."""
+    z = x[..., 0, None] * A[:, 0]
+    for j in range(1, A.shape[1]):
+        z += x[..., j, None] * A[:, j]
+    return z
 
 
 def contains(P: Polyhedron, point, slack: float = 0.0):
-    """Componentwise membership check A point <= b + slack.
+    """Membership check row_products(P.A, point) <= P.b + slack, row by row.
 
     point is one point, giving a bool, or a 2-D block of points, one per
-    row, giving a bool array with each point's answer alone. The block takes
-    one product, which may round a row's value differently from the point's
-    own; where a value lies within that rounding (product_rounding) of its
-    bound, the point's own product decides.
+    row, giving a bool array with each point's answer alone.
     """
     point = np.asarray(point, dtype=float)
-    if point.ndim == 2:
-        if point.shape[1] != P.dim:
-            raise ValueError("point dimension mismatch")
-        if P.nrows == 0:
-            return np.ones(len(point), dtype=bool)
-        gaps = point @ P.A.T
-        gaps -= P.b + slack
-        inside = (gaps <= 0.0).all(axis=1)
-        doubt = np.abs(gaps) <= product_rounding(P.A) * np.abs(point).max(axis=1)[:, None]
-        for i in doubt.any(axis=1).nonzero()[0]:
-            inside[i] = contains(P, point[i], slack)
-        return inside
-    point = point.ravel()
-    if point.size != P.dim:
+    if point.ndim != 2:
+        point = point.ravel()
+    if point.shape[-1] != P.dim:
         raise ValueError("point dimension mismatch")
-    if P.nrows == 0:
-        return True
-    return bool((P.A @ point <= P.b + slack).all())
+    inside = (row_products(P.A, point) <= P.b + slack).all(axis=-1)
+    return inside if point.ndim == 2 else bool(inside)
 
 
 def remove_redundant(P: Polyhedron, point: Optional[np.ndarray] = None) -> Polyhedron:

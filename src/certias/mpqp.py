@@ -22,7 +22,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from certias.geometry import GeometryError, LpPivotLimitError, Polyhedron, bounding_box, is_empty
+from certias.geometry import (GeometryError, LpPivotLimitError, Polyhedron, bounding_box,
+                              is_empty, row_products)
 
 # A Schur-complement Cholesky pivot below this marks the working set as
 # rank deficient rather than letting the solve produce garbage.
@@ -39,11 +40,9 @@ class ProblemFormatError(ValueError):
 class AffineMap:
     """z(theta) = F theta + g.
 
-    A map is evaluated at one parameter or at each row of a block, as the
-    sum over j of theta_j * F[:, j] accumulated elementwise, column 0
-    first, then plus g, with no BLAS call. A parameter's z is therefore the
-    same bits whatever block it is evaluated in, which a BLAS product of
-    the block does not promise.
+    A map is evaluated at one parameter or at each row of a block as
+    geometry.row_products(F, theta) plus g, with no BLAS call, so a
+    parameter's z is the same bits whatever block it is evaluated in.
     """
 
     F: np.ndarray
@@ -71,11 +70,7 @@ class AffineMap:
             theta = theta.ravel()
         if theta.shape[-1] != self.F.shape[1]:
             raise ValueError(f"theta must have {self.F.shape[1]} entries")
-        z = theta[..., 0, None] * self.F[:, 0]
-        for j in range(1, self.F.shape[1]):
-            z += theta[..., j, None] * self.F[:, j]
-        z += self.g
-        return z
+        return row_products(self.F, theta) + self.g
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,11 @@ taken LOCATE_BLOCK at a time: one Generator.random call fills the block's
 doubles, membership in the parameter set and the boundary test (over the
 partition's distinct rows) are decided for the whole block with one
 product each, and the judged samples form their error rows at once, are
-located with one matrix product over the partition's distinct regions, and
-run through the solver in lockstep. Each point gets the answers it gets
-alone, so the report is the same as drawing, locating and judging each
-sample on its own.
+located with one product over the partition's distinct regions, and run
+through the solver in lockstep. Every product is geometry.row_products,
+which sums column by column in a fixed order, so each point gets the
+answers it gets alone and the report is the same as drawing, locating and
+judging each sample on its own.
 
 search_realization is exact for exact, hypercube and scheduled-hypercube
 models. Each step's decision reads only its own error row and is monotone
@@ -47,17 +48,17 @@ from certias.geometry import (
     bounding_box,
     contains,
     normalize_rows,
-    product_rounding,
+    row_products,
 )
 from certias.lpp import ErrorModel
 from certias.mpqp import MpQP
 from certias.solver import DUAL_CHECK, SLACK_CHECK, Tolerances, run
 
 DELTA_MARGIN = 1e-7
-# Samples drawn at once; their judged ones are located with one matrix
-# product and run in lockstep. On the double integrator under hypercube
-# errors a sample takes 194 doubles, so a block's draws take about 200 KB,
-# and its product over the 60 distinct region rows about 60 KB.
+# Samples drawn at once; their judged ones are located with one product
+# and run in lockstep. On the double integrator under hypercube errors a
+# sample takes 194 doubles, so a block's draws take about 200 KB, and its
+# product over the 60 distinct region rows about 60 KB.
 LOCATE_BLOCK = 128
 
 
@@ -111,14 +112,15 @@ class _RegionStack:
     leaf's. A holds the distinct regions' raw rows region after region and
     rhs their right-hand sides plus MEMBERSHIP_SLACK, so the per-row test A
     theta <= rhs is the one `contains` makes with that slack. starts marks
-    where each distinct region with rows begins, and owner names the
-    distinct region of each row; a region without rows contains every point.
-    rounding bounds how far two roundings of a row's product with a theta
-    can differ, per unit of max_j |theta_j| (geometry.product_rounding).
+    where each distinct region with rows begins; a region without rows
+    contains every point.
 
-    unit_A/unit_b are every leaf's rows, leaf after leaf, with unit-norm
-    coefficients, for the boundary-distance test; near_A/near_b are their
-    distinct rows, which decide it unless rounding could.
+    near_A/near_b are the distinct rows of A and b with unit-norm
+    coefficients, for the boundary-distance test. Every product here is
+    geometry.row_products, whose value for a row and a point does not depend
+    on the other rows or points, so identical rows give identical bits: the
+    distinct rows decide what every leaf's rows decide, and a block gives
+    each point the answer it gets alone.
     """
 
     def __init__(self, result: CertificationResult):
@@ -129,79 +131,34 @@ class _RegionStack:
         self.regions = [leaves[i] for i in np.unique(self.region_of, return_index=True)[1]]
         counts = np.array([P.nrows for P in self.regions])
         self.A = np.vstack([P.A for P in self.regions])
-        self.rhs = np.concatenate([P.b for P in self.regions]) + MEMBERSHIP_SLACK
+        b = np.concatenate([P.b for P in self.regions])
+        self.rhs = b + MEMBERSHIP_SLACK
         self.rowful = (counts > 0).nonzero()[0]
         self.starts = (np.cumsum(counts) - counts)[self.rowful]
-        self.owner = np.repeat(np.arange(len(self.regions)), counts)
-        self.rounding = product_rounding(self.A)
-        self.unit_A, self.unit_b = normalize_rows(np.vstack([P.A for P in leaves]),
-                                                  np.concatenate([P.b for P in leaves]))
-        rows = np.column_stack([self.unit_A, self.unit_b])
+        rows = np.column_stack(normalize_rows(self.A, b))
         keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
         rows = rows[np.unique(keys, return_index=True)[1]]
         self.near_A, self.near_b = rows[:, :-1].copy(), rows[:, -1].copy()
-        self.near_rounding = product_rounding(self.near_A).max(initial=0.0)
-        # Once two products agree, the subtractions of a gap near
-        # DELTA_MARGIN round each by at most half an ulp of it.
-        self.margin_rounding = 4 * np.finfo(float).eps * DELTA_MARGIN
 
     def near_boundary(self, theta: np.ndarray):
         """Whether theta lies within DELTA_MARGIN (normalized) of any region row.
 
         theta is one point, giving a bool, or a 2-D block of points, one per
         row, giving a bool array with each point's answer alone.
-
-        The distinct rows decide. Their product may round a row's value
-        differently from the product over every leaf's rows; where the
-        nearest distinct row lies within that rounding of DELTA_MARGIN, the
-        product over every leaf's rows decides. A block takes one product,
-        which may round a point's nearest value differently from the point's
-        own product, by at most the point's allowance; where it lies within
-        twice that of DELTA_MARGIN, the point's own test decides.
         """
-        if theta.ndim == 2:
-            if not self.near_A.size:
-                return np.zeros(len(theta), dtype=bool)
-            gaps = theta @ self.near_A.T
-            gaps -= self.near_b
-            nearest = np.abs(gaps, out=gaps).min(axis=1)
-            near = nearest < DELTA_MARGIN
-            doubt = self.near_rounding * np.abs(theta).max(axis=1) + self.margin_rounding
-            for i in (np.abs(nearest - DELTA_MARGIN) <= 2 * doubt).nonzero()[0]:
-                near[i] = self.near_boundary(theta[i])
-            return near
-        if not self.near_A.size:
-            return False
-        gaps = np.dot(self.near_A, theta)
+        gaps = row_products(self.near_A, theta)
         gaps -= self.near_b
-        nearest = float(np.abs(gaps, out=gaps).min())
-        doubt = self.near_rounding * max(map(abs, theta.tolist())) + self.margin_rounding
-        if abs(nearest - DELTA_MARGIN) > doubt:
-            return nearest < DELTA_MARGIN
-        gaps = self.unit_A @ theta
-        gaps -= self.unit_b
-        return bool(np.abs(gaps, out=gaps).min() < DELTA_MARGIN)
+        near = np.abs(gaps, out=gaps).min(axis=-1, initial=np.inf) < DELTA_MARGIN
+        return near if theta.ndim == 2 else bool(near)
 
     def locate(self, thetas: np.ndarray) -> list[list[int]]:
         """Ids of the leaves containing each row of thetas (slack
         MEMBERSHIP_SLACK), ascending: for each point, the regions `contains`
-        accepts.
-
-        Each distinct region is decided once. The block takes one product,
-        which may round a row's value differently from the region's own
-        product in `contains`. Where a row's value lies within that rounding
-        of its bound, `contains` decides for the row's region.
-        """
+        accepts, each distinct region decided once."""
         hosts = np.ones((len(thetas), len(self.regions)), dtype=bool)
         if self.starts.size:
-            gaps = self.A @ thetas.T
-            gaps -= self.rhs[:, None]
-            hosts[:, self.rowful] = np.logical_and.reduceat(gaps <= 0.0, self.starts).T
-            np.abs(gaps, out=gaps)
-            doubt = gaps <= (self.rounding * np.abs(thetas).max())[:, None]
-            for row, i in zip(*doubt.nonzero()):
-                k = self.owner[row]
-                hosts[i, k] = contains(self.regions[k], thetas[i], slack=MEMBERSHIP_SLACK)
+            inside = row_products(self.A, thetas) <= self.rhs
+            hosts[:, self.rowful] = np.logical_and.reduceat(inside, self.starts, axis=1)
         return [row.nonzero()[0].tolist() for row in hosts[:, self.region_of]]
 
 

@@ -672,6 +672,21 @@ class TestReport:
         assert (config["primal_tol"], config["dual_tol"]) == (1e-4, 1e-4)
         assert config["iter_limit"] == 15
 
+    @pytest.mark.parametrize("flag", ["--eps-bar", "--rel-bound", "--error-model"])
+    @pytest.mark.parametrize("metric", ["cdf", "slack"])
+    def test_model_flags_with_partition_exit_2(self, toy_path, toy_partition, tmp_path,
+                                               capsys, metric, flag):
+        # The table reads only the partition; a model flag it would ignore
+        # is refused rather than echoed into the report.
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"kind": "hypercube", "bound": 0.5}))
+        value = str(model) if flag == "--error-model" else "0.5"
+        problem = ["--problem", toy_path] if metric == "slack" else []
+        out = tmp_path / "report.json"
+        assert main(["report", "--metric", metric, *problem, "--partition",
+                     str(toy_partition), flag, value, "--out", str(out)]) == 2
+        assert flag in capsys.readouterr().err and not out.exists()
+
     def test_cdf_from_problem(self, toy_path, toy_partition, capsys):
         assert main(["report", "--metric", "cdf", "--problem", toy_path]) == 0
         direct = capsys.readouterr().out

@@ -21,10 +21,10 @@ from certias.geometry import (
     bounding_box,
     contains,
     interior_point,
-    product_rounding,
     is_empty,
     project_fm,
     remove_redundant,
+    row_products,
     solve_lp,
 )
 from certias.lpp import ErrorModel
@@ -318,8 +318,7 @@ class TestContains:
 
     def test_block_gives_each_points_own_answer(self):
         # Points on the slack bound b + 1e-9 of random rows, moved by a few
-        # units of roundoff: the block product rounds some of them within
-        # its allowance of the bound, where each point's own product decides.
+        # units of roundoff, so that some fall on each side of the bound.
         rng = np.random.default_rng(8)
         A = rng.standard_normal((6, 3)) * 10.0 ** rng.integers(-3, 3, size=(6, 1))
         P = Polyhedron(A, rng.uniform(0.5, 2.0, size=6))
@@ -333,8 +332,28 @@ class TestContains:
         want = [contains(P, p, slack=1e-9) for p in points]
         assert contains(P, points, slack=1e-9).tolist() == want
         assert 0 < sum(want) < len(want)
-        gaps = np.abs(points @ P.A.T - (P.b + 1e-9))
-        assert (gaps <= product_rounding(P.A) * np.abs(points).max(axis=1)[:, None]).any()
+
+    def test_value_on_the_bound(self):
+        # A row whose row_products value at the point is b + slack exactly
+        # admits it; with b one ulp lower the value lies one ulp past.
+        rng = np.random.default_rng(12)
+        slack, past = 1e-9, 0
+        for _ in range(200):
+            a = rng.standard_normal(6) * 10.0 ** rng.integers(-3, 4, size=6)
+            x = rng.standard_normal(6)
+            value = row_products(a[None], x)[0]
+            b = value - slack
+            while b + slack < value:
+                b = np.nextafter(b, np.inf)
+            while b + slack > value:
+                b = np.nextafter(b, -np.inf)
+            assert b + slack == value
+            assert contains(Polyhedron(a[None], [b]), x, slack=slack)
+            lower = np.nextafter(b, -np.inf)
+            if lower + slack < value:
+                past += 1
+                assert not contains(Polyhedron(a[None], [lower]), x, slack=slack)
+        assert past > 150
 
     def test_block_edge_cases(self):
         free = Polyhedron(np.zeros((0, 2)), np.zeros(0), 2)
@@ -343,6 +362,24 @@ class TestContains:
         assert contains(box, np.zeros((0, 2))).tolist() == []
         with pytest.raises(ValueError, match="dimension"):
             contains(box, np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_row_products_fixed_order(d):
+    # Each point's products are the same bits alone and in blocks of any
+    # size, and are the column-by-column sum in order.
+    rng = np.random.default_rng(d)
+    A = rng.standard_normal((9, d)) * 10.0 ** rng.integers(-3, 4, size=(9, 1))
+    points = rng.standard_normal((300, d)) * 10.0 ** rng.integers(-3, 4, size=(300, d))
+    alone = np.array([row_products(A, x) for x in points])
+    for x, z in zip(points[:20], alone):
+        want = [sum((float(xj) * float(aj) for xj, aj in zip(x[1:], a[1:])),
+                    float(x[0]) * float(a[0])) for a in A]
+        assert z.tolist() == want
+    for size in (1, 7, 128, 129):
+        block = np.vstack([row_products(A, points[i:i + size])
+                           for i in range(0, len(points), size)])
+        assert block.tobytes() == alone.tobytes()
 
 
 def _public_guards(P):

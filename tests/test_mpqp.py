@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from certias.certifier import certify
 from certias.cli import dump_document
 from certias.examples import double_integrator_problem, toy_problem
-from certias.geometry import Polyhedron
+from certias.geometry import Polyhedron, row_products
 from certias.lpp import ErrorModel
 from certias import mpqp
 from certias.mpqp import AffineMap, MpQP, ProblemFormatError, load_problem, subproblem_maps
@@ -204,6 +204,17 @@ def test_affine_map_block_is_each_row_alone():
             assert amap(thetas[5:9]).tobytes() == block[5:9].tobytes()
     with pytest.raises(ValueError, match="2 entries"):
         maps.mu_map([1.0, 2.0, 3.0])
+
+
+def test_affine_map_is_row_products_plus_g():
+    rng = np.random.default_rng(3)
+    F = rng.standard_normal((7, 3)) * 10.0 ** rng.integers(-3, 4, size=(7, 1))
+    g = rng.standard_normal(7)
+    amap = AffineMap(F, g)
+    thetas = rng.standard_normal((50, 3))
+    assert amap(thetas).tobytes() == (row_products(F, thetas) + g).tobytes()
+    for theta in thetas:
+        assert amap(theta).tobytes() == (row_products(F, theta) + g).tobytes()
 
 
 class TestPickle:

@@ -14,7 +14,14 @@ from test_mpqp import random_problem
 from certias import validation
 from certias.certifier import CertificationResult, CertifiedRegion, certify
 from certias.examples import double_integrator_problem, toy_problem
-from certias.geometry import Polyhedron, bounding_box, contains, interior_point
+from certias.geometry import (
+    Polyhedron,
+    bounding_box,
+    contains,
+    interior_point,
+    normalize_rows,
+    row_products,
+)
 from certias.lpp import KIND_HYPERCUBE, KIND_NONE, KIND_POLYHEDRAL, KIND_RELATIVE, ErrorModel
 from certias.mpqp import MpQP
 from certias.solver import (
@@ -267,23 +274,33 @@ _NEAR_FACET = (-2e-9, -1e-9, -1e-12, 0.0, 1e-12, 5e-10, 9.99e-10, 1e-9,
                1.001e-9, 2e-9)
 
 
+def _slack_bound_points(result, rng):
+    """One point per region row where the row's product meets its bound
+    b + 1e-9 up to rounding, slid along the facet."""
+    points = []
+    for r in result.regions:
+        center = interior_point(r.region)[0]
+        for a, beta in zip(r.region.A, r.region.b):
+            foot = center + (beta + 1e-9 - a @ center) / (a @ a) * a
+            along = rng.standard_normal(len(a))
+            along -= (along @ a) / (a @ a) * a
+            points.append(foot + rng.uniform(-1e-7, 1e-7) * along / np.linalg.norm(along))
+    return points
+
+
 def _assert_blocks_match(result, points):
     """Block location equals the per-region loop for every point, in blocks
     of 1, LOCATE_BLOCK - 1, LOCATE_BLOCK and LOCATE_BLOCK + 1 points, on the
-    partition with zero-row regions added at the front and in the middle.
-    Returns how many points have a row product within the block's rounding
-    allowance of its bound, where `contains` decides."""
+    partition with zero-row regions added at the front and in the middle."""
     points = np.array(points)
     result = _with_free_region(_with_free_region(result, len(result.regions) // 2), 0)
     stack = _RegionStack(result)
-    gaps = np.abs(points @ stack.A.T - stack.rhs)
     reference = [_hosts_one_by_one(result, theta) for theta in points]
     for size in (1, LOCATE_BLOCK - 1, LOCATE_BLOCK, LOCATE_BLOCK + 1):
         located = []
         for start in range(0, len(points), size):
             located += stack.locate(points[start:start + size])
         assert located == reference
-    return int((gaps <= stack.rounding * np.abs(points).max()).any(axis=1).sum())
 
 
 class TestStackedPointLocation:
@@ -296,22 +313,21 @@ class TestStackedPointLocation:
         lo, hi = bounding_box(mpc.theta_set)
         points = [rng.uniform(lo, hi) for _ in range(400)]
         points += _facet_points(mpc_inflated, _NEAR_FACET, cycle=True)
-        assert _assert_blocks_match(mpc_inflated, points) > 0
+        _assert_blocks_match(mpc_inflated, points)
+
+    def test_three_parameter_leaves(self):
+        # A random exact partition over the cube [-1, 1]^3 whose 115 leaves
+        # are all distinct regions.
+        result = certify(random_problem(np.random.default_rng(0), 3, 5, n_theta=3))
+        assert len(_RegionStack(result).regions) == len(result.regions) == 115
+        points = list(np.random.default_rng(9).uniform(-1.0, 1.0, size=(300, 3)))
+        points += _facet_points(result, _NEAR_FACET, cycle=True)
+        points += _slack_bound_points(result, np.random.default_rng(10))
+        _assert_blocks_match(result, points)
 
     def test_points_on_the_slack_bound(self, mpc_inflated):
-        # One point per region row where the row's product meets its bound
-        # b + 1e-9 up to rounding, slid along the facet. A block's product
-        # rounds some of these to the other side of the bound than the
-        # region's own product in `contains`.
-        rng = np.random.default_rng(4)
-        points = []
-        for r in mpc_inflated.regions:
-            center = interior_point(r.region)[0]
-            for a, beta in zip(r.region.A, r.region.b):
-                foot = center + (beta + 1e-9 - a @ center) / (a @ a) * a
-                along = np.array([-a[1], a[0]]) / np.linalg.norm(a)
-                points.append(foot + rng.uniform(-1e-7, 1e-7) * along)
-        assert _assert_blocks_match(mpc_inflated, points) > 0
+        _assert_blocks_match(mpc_inflated,
+                             _slack_bound_points(mpc_inflated, np.random.default_rng(4)))
 
     def test_zero_row_region_contains_everything(self, toy, toy_nominal):
         for where in (0, 1, len(toy_nominal.regions)):
@@ -333,8 +349,7 @@ class TestStackedPointLocation:
     def test_points_near_shared_facets(self, toy_inflated):
         # Toy facets are at theta = -1 +- 0.1 and thereabouts; points within
         # 1e-9 of a shared facet belong to both sides only inside the slack.
-        assert _assert_blocks_match(toy_inflated,
-                                    _facet_points(toy_inflated, _NEAR_FACET)) > 0
+        _assert_blocks_match(toy_inflated, _facet_points(toy_inflated, _NEAR_FACET))
 
     def test_host_ids_are_python_ints(self, toy_nominal):
         hosts = _RegionStack(toy_nominal).locate(np.array([[0.0]]))[0]
@@ -522,11 +537,11 @@ class TestOneCallDraws:
                 model.step_bounds(4)
 
 
-def _near_all_rows(stack, theta):
-    """The boundary test over every leaf's unit rows."""
-    gaps = stack.unit_A @ theta
-    gaps -= stack.unit_b
-    return bool(np.abs(gaps).min() < DELTA_MARGIN)
+def _near_all_rows(result, points):
+    """The boundary test over every leaf's unit rows, point by point."""
+    A, b = normalize_rows(np.vstack([r.region.A for r in result.regions]),
+                          np.concatenate([r.region.b for r in result.regions]))
+    return [bool(np.abs(row_products(A, p) - b).min() < DELTA_MARGIN) for p in points]
 
 
 def _margin_points(result, rng):
@@ -547,48 +562,26 @@ def _margin_points(result, rng):
 class TestDistinctRowsAtTheMargin:
     def test_margin_points(self, mpc_inflated):
         stack = _RegionStack(mpc_inflated)
-        assert (len(stack.near_A), len(stack.unit_A)) == (22, 888)
+        assert len(stack.near_A) == 22
+        assert sum(r.region.nrows for r in mpc_inflated.regions) == 888
         points = _margin_points(mpc_inflated, np.random.default_rng(2))
         decisions = [stack.near_boundary(p) for p in points]
-        assert decisions == [_near_all_rows(stack, p) for p in points]
+        assert decisions == _near_all_rows(mpc_inflated, points)
         assert any(decisions) and not all(decisions)
         gaps = np.abs(np.array(points) @ stack.near_A.T - stack.near_b).min(axis=1)
         assert (np.abs(gaps - DELTA_MARGIN) <= 1e-14).sum() > 100
 
-    def test_rows_that_round_otherwise(self, mpc_inflated):
-        # Distinct rows one ulp off in each coefficient: their products
-        # round differently, by less than the rounding allowance, and at
-        # the margin the product over every leaf's rows still decides.
-        stack = _RegionStack(mpc_inflated)
-        points = _margin_points(mpc_inflated, np.random.default_rng(3))
-        want = [_near_all_rows(stack, p) for p in points]
-        rng = np.random.default_rng(4)
-        for _ in range(3):
-            toward = rng.choice([-np.inf, np.inf], size=stack.near_A.shape)
-            stack.near_A = np.nextafter(stack.near_A, toward)
-            assert [stack.near_boundary(p) for p in points] == want
-
     def test_block_equals_points(self, mpc_inflated):
         # The block test gives each point the answer it gets alone, in
-        # blocks of every size the draw pass uses, also where the distinct
-        # rows round otherwise and the point's own test must decide.
+        # blocks of every size the draw pass uses.
         stack = _RegionStack(mpc_inflated)
         points = np.array(_margin_points(mpc_inflated, np.random.default_rng(6)))
-        want = [_near_all_rows(stack, p) for p in points]
-        rng = np.random.default_rng(7)
-        for _ in range(3):
-            alone = [stack.near_boundary(p) for p in points]
-            assert alone == want
-            for size in (1, 7, LOCATE_BLOCK):
-                block = np.concatenate([stack.near_boundary(points[i:i + size])
-                                        for i in range(0, len(points), size)])
-                assert block.dtype == bool and block.tolist() == alone
-            toward = rng.choice([-np.inf, np.inf], size=stack.near_A.shape)
-            stack.near_A = np.nextafter(stack.near_A, toward)
-        # Most points lie within the block's allowance of the margin.
-        nearest = np.abs(points @ stack.near_A.T - stack.near_b).min(axis=1)
-        doubt = stack.near_rounding * np.abs(points).max(axis=1) + stack.margin_rounding
-        assert (np.abs(nearest - DELTA_MARGIN) <= 2 * doubt).sum() > 100
+        alone = [stack.near_boundary(p) for p in points]
+        assert alone == _near_all_rows(mpc_inflated, points)
+        for size in (1, 7, LOCATE_BLOCK):
+            block = np.concatenate([stack.near_boundary(points[i:i + size])
+                                    for i in range(0, len(points), size)])
+            assert block.dtype == bool and block.tolist() == alone
 
     def test_sampled_points(self, mpc, mpc_inflated):
         stack = _RegionStack(mpc_inflated)
@@ -597,7 +590,7 @@ class TestDistinctRowsAtTheMargin:
         points = [rng.uniform(lo, hi) for _ in range(500)]
         points += _facet_points(mpc_inflated, _NEAR_FACET, cycle=True)
         decisions = [stack.near_boundary(p) for p in points]
-        assert decisions == [_near_all_rows(stack, p) for p in points]
+        assert decisions == _near_all_rows(mpc_inflated, points)
         assert any(decisions) and not all(decisions)
 
     def test_distinct_regions(self, mpc_inflated):
