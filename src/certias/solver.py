@@ -16,10 +16,12 @@ components of the same row.
 
 run is one lockstep engine over a block of parameters; a single parameter
 and step are the block-of-one case. At step k the live parameters are
-grouped by state, each group an array of indices into the block. Each group
-looks its subproblem maps up once, evaluates its vectors in one block,
-decides every member with one vectorized rule (_decide) and applies
-transition once per distinct decision. The maps evaluate elementwise in a
+grouped by solver path, the states they have run so far, each group an
+array of indices into the block. Each group looks its subproblem maps up
+once, evaluates its vectors in one block, decides every member with one
+vectorized rule (_decide) and splits by distinct decision, applying
+transition once per part. Validation judges these groups directly: every
+member of one shares one sequence. The maps evaluate elementwise in a
 fixed order (AffineMap), so a parameter's run is bit for bit the same in
 any block. run and the certifier count iterations with one rule
 (iterations).
@@ -284,52 +286,61 @@ def run(prob: MpQP, theta, errors=None, tol: Optional[Tolerances] = None,
     if not np.all(contains(prob.theta_set, theta.ravel() if single else theta,
                            slack=MEMBERSHIP_SLACK)):
         raise ValueError("theta lies outside the parameter set")
-    results = _lockstep(prob, thetas, errors, tol, perturb_dual)
-    return results[0] if single else results
-
-
-def _lockstep(prob: MpQP, thetas: np.ndarray, errors: np.ndarray, tol: Tolerances,
-              perturb_dual: bool) -> list[RunResult]:
-    """run on a block: step k checks each group of live parameters that
-    share a state once, then moves each distinct decision's members on.
-
-    A group is the array of its members' indices into the block; groups
-    that reach the same state are concatenated. Step k is a slack check
-    when k is even (see iterations), so a parameter still live at step
-    2 * iter_limit has made iter_limit slack checks and hits the cap there.
-    """
-    sequences: list[list[SolverState]] = [[] for _ in range(len(thetas))]
+    ends, blocks = _lockstep(prob, thetas, errors, tol, perturb_dual)
     snapshots: list[list[np.ndarray]] = [[] for _ in range(len(thetas))]
-    ends: dict[SolverState, list[np.ndarray]] = {}
-    live = {SolverState((), SLACK_CHECK): np.arange(len(thetas))}
-    for k in range(2 * tol.iter_limit):
-        if not live:
-            break
-        moved: dict[SolverState, list[np.ndarray]] = {}
-        for state, members in live.items():
-            rows = errors[members, k] if k < errors.shape[1] else np.zeros((len(members), prob.m))
-            decisions, z = _check(prob, state, thetas[members], rows, tol, perturb_dual)
-            for i, snapshot in zip(members.tolist(), z):
-                sequences[i].append(state)
-                snapshots[i].append(snapshot)
-            distinct = set(decisions.tolist())
-            for index in distinct:
-                part = members if len(distinct) == 1 else members[decisions == index]
-                nxt = _successor(state, index)
-                (ends if nxt.terminal else moved).setdefault(nxt, []).append(part)
-        live = {state: np.concatenate(parts) for state, parts in moved.items()}
-    for state, members in live.items():
-        ends.setdefault(SolverState(state.working_set, TERMINATED_ITER_LIMIT), []).append(members)
-
+    for members, z in blocks:
+        for i, snapshot in zip(members.tolist(), z):
+            snapshots[i].append(snapshot)
     results: list[Optional[RunResult]] = [None] * len(thetas)
-    for end, parts in ends.items():
-        members = np.concatenate(parts)
+    for sequence, members in ends:
+        end, count = sequence[-1], iterations(sequence)
         xs = [None] * len(members)
         if end.mode != DEGENERATE:
             xs = subproblem_maps(prob, end.working_set).x_map(thetas[members])
         for i, x in zip(members.tolist(), xs):
-            sequence = (*sequences[i], end)
-            results[i] = RunResult(sequence=sequence, status=end.mode,
-                                   iterations=iterations(sequence), x=x,
-                                   snapshots=snapshots[i])
-    return results
+            results[i] = RunResult(sequence=sequence, status=end.mode, iterations=count,
+                                   x=x, snapshots=snapshots[i])
+    return results[0] if single else results
+
+
+def _lockstep(prob: MpQP, thetas: np.ndarray, errors: np.ndarray, tol: Tolerances,
+              perturb_dual: bool) -> tuple[list, list]:
+    """run on a block, grouped by solver path: step k checks each live
+    group once, then splits it by decision.
+
+    A live group is (path, state, members): path is the tuple of states its
+    members have run, state the one they run next, and members their
+    indices into the block, ascending. Groups never merge, so every member
+    of a group shares one path. Step k is a slack check when k is even (see
+    iterations), so a group still live at step 2 * iter_limit has made
+    iter_limit slack checks and hits the cap there.
+
+    Returns (ends, blocks). ends lists (sequence, members) for each finished
+    group, sequence being its path plus the terminal marker (the cap's
+    included). blocks lists (members, z) for each check in step order, z
+    holding the vectors its members' decisions were based on, row by row.
+    """
+    ends: list[tuple[tuple[SolverState, ...], np.ndarray]] = []
+    blocks: list[tuple[np.ndarray, np.ndarray]] = []
+    live = [((), SolverState((), SLACK_CHECK), np.arange(len(thetas)))]
+    for k in range(2 * tol.iter_limit):
+        if not live:
+            break
+        moved = []
+        for path, state, members in live:
+            rows = errors[members, k] if k < errors.shape[1] else np.zeros((len(members), prob.m))
+            decisions, z = _check(prob, state, thetas[members], rows, tol, perturb_dual)
+            blocks.append((members, z))
+            path += (state,)
+            distinct = set(decisions.tolist())
+            for index in distinct:
+                part = members if len(distinct) == 1 else members[decisions == index]
+                nxt = _successor(state, index)
+                if nxt.terminal:
+                    ends.append(((*path, nxt), part))
+                else:
+                    moved.append((path, nxt, part))
+        live = moved
+    for path, state, members in live:
+        ends.append(((*path, SolverState(state.working_set, TERMINATED_ITER_LIMIT)), members))
+    return ends, blocks

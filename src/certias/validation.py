@@ -21,11 +21,16 @@ taken LOCATE_BLOCK at a time: one Generator.random call fills the block's
 doubles, membership in the parameter set and the boundary test (over the
 partition's distinct rows) are decided for the whole block with one
 product each, and the judged samples form their error rows at once, are
-located with one product over the partition's distinct regions, and run
-through the solver in lockstep. Every product is geometry.row_products,
-which sums column by column in a fixed order, so each point gets the
-answers it gets alone and the report is the same as drawing, locating and
-judging each sample on its own.
+located over the partition's distinct regions, LOCATE_ROWS rows per
+product, into a samples x leaves host matrix, and run through the solver in lockstep.
+Every product is geometry.row_products, which sums column by column in a
+fixed order, so each point gets the answers it gets alone.
+
+The judge works per solver path, not per sample: the lockstep's groups
+each ran one sequence, and a group is checked at once against the host
+columns of the leaves certified with that sequence. Only the samples that
+fail read their host ids. The report is the same as drawing, locating
+and judging each sample on its own.
 
 search_realization is exact for exact, hypercube and scheduled-hypercube
 models. Each step's decision reads only its own error row and is monotone
@@ -52,14 +57,18 @@ from certias.geometry import (
 )
 from certias.lpp import ErrorModel
 from certias.mpqp import MpQP
-from certias.solver import DUAL_CHECK, SLACK_CHECK, Tolerances, run
+from certias.solver import DUAL_CHECK, SLACK_CHECK, Tolerances, _lockstep, run
 
 DELTA_MARGIN = 1e-7
-# Samples drawn at once; their judged ones are located with one product
-# and run in lockstep. On the double integrator under hypercube errors a
+# Samples drawn at once; their judged ones are located together and run
+# in lockstep. On the double integrator under hypercube errors a
 # sample takes 194 doubles, so a block's draws take about 200 KB, and its
 # product over the 60 distinct region rows about 60 KB.
 LOCATE_BLOCK = 128
+# Region rows tested at once when locating a block, so a block's products
+# over a large stack take 128 x 128 doubles (about 130 KB), not one s x rows
+# array per pass of row_products.
+LOCATE_ROWS = 128
 
 
 @dataclass
@@ -105,7 +114,7 @@ class ValidationReport:
 
 class _RegionStack:
     """The partition's distinct regions with their rows stacked once, so
-    locating points is one product.
+    locating a block of points is one product per LOCATE_ROWS rows.
 
     Leaves whose regions have the same A and b bytes share one distinct
     region, on which `contains` answers alike for them; region_of names each
@@ -151,15 +160,20 @@ class _RegionStack:
         near = np.abs(gaps, out=gaps).min(axis=-1, initial=np.inf) < DELTA_MARGIN
         return near if theta.ndim == 2 else bool(near)
 
-    def locate(self, thetas: np.ndarray) -> list[list[int]]:
-        """Ids of the leaves containing each row of thetas (slack
-        MEMBERSHIP_SLACK), ascending: for each point, the regions `contains`
-        accepts, each distinct region decided once."""
+    def locate(self, thetas: np.ndarray) -> np.ndarray:
+        """Host matrix of the rows of thetas: entry (i, j) says whether leaf
+        j contains point i (slack MEMBERSHIP_SLACK), as `contains` decides,
+        each distinct region decided once. The rows are tested LOCATE_ROWS
+        at a time, so the products of a large stack are never held at once.
+        """
         hosts = np.ones((len(thetas), len(self.regions)), dtype=bool)
         if self.starts.size:
-            inside = row_products(self.A, thetas) <= self.rhs
+            inside = np.empty((len(thetas), len(self.A)), dtype=bool)
+            for r in range(0, len(self.A), LOCATE_ROWS):
+                np.less_equal(row_products(self.A[r:r + LOCATE_ROWS], thetas),
+                              self.rhs[r:r + LOCATE_ROWS], out=inside[:, r:r + LOCATE_ROWS])
             hosts[:, self.rowful] = np.logical_and.reduceat(inside, self.starts, axis=1)
-        return [row.nonzero()[0].tolist() for row in hosts[:, self.region_of]]
+        return hosts[:, self.region_of]
 
 
 class _ErrorRows:
@@ -224,7 +238,9 @@ def validate_conformance(prob: MpQP, result: CertificationResult,
     error_rows = _ErrorRows(model.step_bounds(2 * tol.iter_limit + 2), prob.m)
     rng = np.random.default_rng(seed)
     report = ValidationReport(samples_total=int(n_samples))
-    sequences = [r.sequence for r in result.regions]
+    leaves_of: dict = {}
+    for i, r in enumerate(result.regions):
+        leaves_of.setdefault(r.sequence, []).append(i)
     draws = np.empty((LOCATE_BLOCK, dim + error_rows.size))
     for start in range(0, n_samples, LOCATE_BLOCK):
         block = draws[:min(LOCATE_BLOCK, n_samples - start)]
@@ -241,12 +257,15 @@ def validate_conformance(prob: MpQP, result: CertificationResult,
             thetas, block = thetas[judged], block[judged]
         errors = error_rows(block[:, dim:])
         hosts = stack.locate(thetas)
-        runs = run(prob, thetas, errors, tol, model.perturb_dual)
-        for theta, solved, host_ids in zip(thetas, runs, hosts):
-            if not host_ids:
-                report.coverage_gaps.append(tuple(theta))
-            elif solved.sequence not in [sequences[i] for i in host_ids]:
-                report.mismatches.append((tuple(theta), solved.sequence, host_ids))
+        ends, _ = _lockstep(prob, thetas, errors, tol, model.perturb_dual)
+        for sequence, members in ends:
+            ok = hosts[members][:, leaves_of.get(sequence, [])].any(axis=1)
+            for i in members[~ok].tolist():
+                host_ids = hosts[i].nonzero()[0].tolist()
+                if not host_ids:
+                    report.coverage_gaps.append(tuple(thetas[i]))
+                else:
+                    report.mismatches.append((tuple(thetas[i]), sequence, host_ids))
 
     report.mismatches.sort(key=lambda entry: entry[0])
     report.coverage_gaps.sort()

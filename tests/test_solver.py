@@ -17,6 +17,7 @@ from certias.solver import (
     Tolerances,
     _check,
     _decide,
+    _lockstep,
     run,
     step,
     transition,
@@ -451,6 +452,69 @@ class TestBlockRun:
         with pytest.raises(ValueError, match="outside"):
             run(prob, np.array([[-2.0], [4.0]]))
         assert run(prob, np.zeros((0, 1))) == []
+
+
+def _path_group_case(name):
+    """(problem, thetas, errors, perturb_dual) for the path-group tests: 300
+    parameters of the set with error rows of their case's bound."""
+    rng = np.random.default_rng(12)
+    prob, bound, perturb_dual = {
+        "di-perturb-dual": (double_integrator_problem(), 1e-3, True),
+        "toy": (toy_problem(), 0.1, False),
+        "random-3": (random_problem(np.random.default_rng(0), 3, 5, n_theta=3), 1e-2, False),
+    }[name]
+    lo, hi = bounding_box(prob.theta_set)
+    thetas = rng.uniform(lo, hi, size=(500, prob.n_theta))
+    thetas = thetas[contains(prob.theta_set, thetas)][:300]
+    errors = rng.uniform(-bound, bound, size=(len(thetas), 32, prob.m))
+    return prob, thetas, errors, perturb_dual
+
+
+class TestPathGroups:
+    """The lockstep groups parameters by the states they ran: each finished
+    group holds one sequence shared by all its members."""
+
+    CASES = ["di-perturb-dual", "toy", "random-3"]
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_every_index_ends_once(self, name):
+        prob, thetas, errors, perturb_dual = _path_group_case(name)
+        ends, blocks = _lockstep(prob, thetas, errors, Tolerances(), perturb_dual)
+        members = np.concatenate([part for _, part in ends])
+        assert np.sort(members).tolist() == list(range(len(thetas)))
+        # Each parameter is checked once per state before its terminal marker.
+        checks = np.bincount(np.concatenate([part for part, _ in blocks]),
+                             minlength=len(thetas))
+        for sequence, part in ends:
+            assert sequence[-1].terminal and not any(s.terminal for s in sequence[:-1])
+            assert (checks[part] == len(sequence) - 1).all()
+            assert (np.diff(part) > 0).all()
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_members_share_one_sequence(self, name):
+        prob, thetas, errors, perturb_dual = _path_group_case(name)
+        tol = Tolerances()
+        ends, _ = _lockstep(prob, thetas, errors, tol, perturb_dual)
+        results = run(prob, thetas, errors, tol, perturb_dual)
+        for sequence, part in ends:
+            shared = results[part[0]].sequence
+            assert shared == sequence
+            assert all(results[i].sequence is shared for i in part.tolist())
+        # The groups' sequences are distinct: a path ends in one group.
+        assert len({sequence for sequence, _ in ends}) == len(ends)
+
+    @pytest.mark.parametrize("size", [1, 7, 128, 129])
+    @pytest.mark.parametrize("name", CASES)
+    def test_blocks_give_each_row_its_run(self, name, size):
+        prob, thetas, errors, perturb_dual = _path_group_case(name)
+        tol = Tolerances()
+        alone = [run(prob, theta, rows, tol, perturb_dual)
+                 for theta, rows in zip(thetas, errors)]
+        for start in range(0, len(thetas), size):
+            block = run(prob, thetas[start:start + size], errors[start:start + size], tol,
+                        perturb_dual)
+            for result, reference in zip(block, alone[start:start + size]):
+                _same_run(result, reference)
 
 
 def _tie_problem():

@@ -66,6 +66,11 @@ def mpc():
 
 
 @pytest.fixture(scope="module")
+def mpc_nominal(mpc):
+    return certify(mpc)
+
+
+@pytest.fixture(scope="module")
 def mpc_inflated(mpc):
     return certify(mpc, model=ErrorModel(kind=KIND_HYPERCUBE, bound=1e-4))
 
@@ -248,6 +253,23 @@ def _with_free_region(result, where):
                                settings=result.settings, stats=result.stats)
 
 
+def _split_leaves(result):
+    """A copy of result with each leaf replaced by its two halves on either
+    side of theta_0 = its interior point's theta_0, both with its sequence."""
+    regions = []
+    for r in result.regions:
+        P = r.region
+        cut = interior_point(P)[0][0]
+        for sign in (1.0, -1.0):
+            row = np.zeros((1, P.dim))
+            row[0, 0] = sign
+            half = Polyhedron(np.vstack([P.A, row]), np.append(P.b, sign * cut), P.dim)
+            regions.append(CertifiedRegion(region=half, sequence=r.sequence,
+                                           status=r.status, iterations=r.iterations))
+    return CertificationResult(regions=regions, problem_digest=result.problem_digest,
+                               settings=result.settings, stats=result.stats)
+
+
 def _facet_points(result, offsets, cycle=False):
     """Points at signed distances `offsets` from every region facet, taken
     from the projection of the region's center onto the facet. With `cycle`,
@@ -289,18 +311,20 @@ def _slack_bound_points(result, rng):
 
 
 def _assert_blocks_match(result, points):
-    """Block location equals the per-region loop for every point, in blocks
-    of 1, LOCATE_BLOCK - 1, LOCATE_BLOCK and LOCATE_BLOCK + 1 points, on the
-    partition with zero-row regions added at the front and in the middle."""
+    """The host matrix of block location equals the per-region `contains`
+    loop for every point, in blocks of 1, LOCATE_BLOCK - 1, LOCATE_BLOCK and
+    LOCATE_BLOCK + 1 points, on the partition with zero-row regions added
+    at the front and in the middle."""
     points = np.array(points)
     result = _with_free_region(_with_free_region(result, len(result.regions) // 2), 0)
     stack = _RegionStack(result)
-    reference = [_hosts_one_by_one(result, theta) for theta in points]
+    reference = [[contains(r.region, theta, slack=1e-9) for r in result.regions]
+                 for theta in points]
     for size in (1, LOCATE_BLOCK - 1, LOCATE_BLOCK, LOCATE_BLOCK + 1):
-        located = []
-        for start in range(0, len(points), size):
-            located += stack.locate(points[start:start + size])
-        assert located == reference
+        blocks = [stack.locate(points[start:start + size])
+                  for start in range(0, len(points), size)]
+        assert all(hosts.dtype == bool for hosts in blocks)
+        assert np.vstack(blocks).tolist() == reference
 
 
 class TestStackedPointLocation:
@@ -334,7 +358,7 @@ class TestStackedPointLocation:
             result = _with_free_region(toy_nominal, where)
             stack = _RegionStack(result)
             for theta in np.linspace(-3.0, 3.0, 61)[:, None]:
-                hosts = stack.locate(theta.reshape(1, -1))[0]
+                hosts = stack.locate(theta.reshape(1, -1))[0].nonzero()[0].tolist()
                 assert where in hosts
                 assert hosts == _hosts_one_by_one(result, theta)
 
@@ -342,7 +366,7 @@ class TestStackedPointLocation:
         result = _with_free_region(toy_nominal, 0)
         result.regions = result.regions[:1]
         stack = _RegionStack(result)
-        assert stack.locate(np.array([[0.5]]))[0] == [0]
+        assert stack.locate(np.array([[0.5]])).tolist() == [[True]]
         assert not stack.near_boundary(np.array([0.5]))
         assert stack.near_boundary(np.array([[0.5], [-2.0]])).tolist() == [False, False]
 
@@ -350,10 +374,6 @@ class TestStackedPointLocation:
         # Toy facets are at theta = -1 +- 0.1 and thereabouts; points within
         # 1e-9 of a shared facet belong to both sides only inside the slack.
         _assert_blocks_match(toy_inflated, _facet_points(toy_inflated, _NEAR_FACET))
-
-    def test_host_ids_are_python_ints(self, toy_nominal):
-        hosts = _RegionStack(toy_nominal).locate(np.array([[0.0]]))[0]
-        assert hosts and all(type(i) is int for i in hosts)
 
 
 class TestReportsMatchOneByOne:
@@ -384,10 +404,45 @@ class TestReportsMatchOneByOne:
         assert report.mismatches
         _assert_same_report(report, _validate_one_by_one(toy, result, 400, 6, model))
 
+    @pytest.mark.parametrize("case", ["toy", "mpc"])
+    def test_leaves_sharing_a_sequence(self, case, toy, toy_nominal, mpc, mpc_nominal):
+        # Every leaf cut in two at its interior point, both halves keeping
+        # its sequence: a sample's run must match whichever half hosts it.
+        prob, result = (toy, toy_nominal) if case == "toy" else (mpc, mpc_nominal)
+        result = _split_leaves(result)
+        report = validate_conformance(prob, result, n_samples=600, seed=5)
+        assert report.passed and report.samples_skipped_boundary < 6
+        _assert_same_report(report, _validate_one_by_one(prob, result, 600, 5))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_dropped_leaves(self, mpc, mpc_nominal, seed):
+        # The exact double integrator with every other leaf dropped, judged
+        # under perturbed slacks and multipliers: samples in a dropped leaf
+        # are coverage gaps, and those whose run leaves their kept leaf's
+        # sequence are mismatches.
+        result = CertificationResult(regions=mpc_nominal.regions[::2],
+                                     problem_digest=mpc_nominal.problem_digest,
+                                     settings=mpc_nominal.settings, stats=mpc_nominal.stats)
+        model = ErrorModel(kind=KIND_HYPERCUBE, bound=1e-2, perturb_dual=True)
+        report = validate_conformance(mpc, result, n_samples=3000, seed=seed, model=model)
+        assert 250 < len(report.mismatches) < 320
+        assert 1000 < len(report.coverage_gaps) < 1150
+        _assert_same_report(report, _validate_one_by_one(mpc, result, 3000, seed, model))
+
+    def test_containing_regions_are_python_ints(self, toy, toy_nominal):
+        model = ErrorModel(kind=KIND_HYPERCUBE, bound=0.1)
+        document = validate_conformance(toy, toy_nominal, n_samples=300, seed=4,
+                                        model=model).to_document()
+        assert document["mismatches"]
+        for entry in document["mismatches"]:
+            hosts = entry["containing_regions"]
+            assert hosts and all(type(i) is int for i in hosts)
+        json.dumps(document)
+
 
 class TestJudgeBlockSize:
-    """The judge pass runs each block of judged samples through run in
-    lockstep; the report is the same bytes whatever the block size."""
+    """The judge pass runs each block of judged samples through the solver
+    in lockstep; the report is the same bytes whatever the block size."""
 
     @pytest.mark.parametrize("case", ["toy-unmodeled", "toy-perturb-dual",
                                       "mpc-inflated", "mpc-unmodeled"])
