@@ -20,7 +20,10 @@ grouped by solver path, the states they have run so far, each group an
 array of indices into the block. Each group looks its subproblem maps up
 once, evaluates its vectors in one block, decides every member with one
 vectorized rule (_decide) and splits by distinct decision, applying
-transition once per part. Validation judges these groups directly: every
+transition once per part. The lockstep reads error rows from a row
+source, once per step that reads them, for the step's live parameters in
+ascending order: run answers from its error array, validation draws them
+as the steps come. Validation judges the finished groups directly: every
 member of one shares one sequence. The maps evaluate elementwise in a
 fixed order (AffineMap), so a parameter's run is bit for bit the same in
 any block. run and the certifier count iterations with one rule
@@ -266,8 +269,10 @@ def run(prob: MpQP, theta, errors=None, tol: Optional[Tolerances] = None,
     errors is None. Iterations (slack checks) are capped at tol.iter_limit,
     after which the run ends with TERMINATED_ITER_LIMIT.
 
-    A block runs in lockstep, and each parameter's result, x and snapshots
-    included, is bit for bit the one it gets when run alone.
+    A block runs in lockstep, its row source answering each step's live
+    rows from errors (errors[live, k], zeros past K), and each parameter's
+    result, x and snapshots included, is bit for bit the one it gets when
+    run alone.
     """
     tol = tol or Tolerances()
     theta = np.asarray(theta, dtype=float)
@@ -286,7 +291,13 @@ def run(prob: MpQP, theta, errors=None, tol: Optional[Tolerances] = None,
     if not np.all(contains(prob.theta_set, theta.ravel() if single else theta,
                            slack=MEMBERSHIP_SLACK)):
         raise ValueError("theta lies outside the parameter set")
-    ends, blocks = _lockstep(prob, thetas, errors, tol, perturb_dual)
+    K = errors.shape[1]
+
+    def rows_at(k, live):
+        return errors[live, k] if k < K else np.zeros((len(live), prob.m))
+
+    blocks: list[tuple[np.ndarray, np.ndarray]] = []
+    ends = _lockstep(prob, thetas, rows_at, tol, perturb_dual, blocks)
     snapshots: list[list[np.ndarray]] = [[] for _ in range(len(thetas))]
     for members, z in blocks:
         for i, snapshot in zip(members.tolist(), z):
@@ -303,8 +314,8 @@ def run(prob: MpQP, theta, errors=None, tol: Optional[Tolerances] = None,
     return results[0] if single else results
 
 
-def _lockstep(prob: MpQP, thetas: np.ndarray, errors: np.ndarray, tol: Tolerances,
-              perturb_dual: bool) -> tuple[list, list]:
+def _lockstep(prob: MpQP, thetas: np.ndarray, rows_at, tol: Tolerances,
+              perturb_dual: bool, blocks: Optional[list] = None) -> list:
     """run on a block, grouped by solver path: step k checks each live
     group once, then splits it by decision.
 
@@ -315,22 +326,36 @@ def _lockstep(prob: MpQP, thetas: np.ndarray, errors: np.ndarray, tol: Tolerance
     iterations), so a group still live at step 2 * iter_limit has made
     iter_limit slack checks and hits the cap there.
 
-    Returns (ends, blocks). ends lists (sequence, members) for each finished
-    group, sequence being its path plus the terminal marker (the cap's
-    included). blocks lists (members, z) for each check in step order, z
-    holding the vectors its members' decisions were based on, row by row.
+    rows_at(k, live) is the row source: it returns the error rows of step
+    k, one per entry of live, the step's live indices in ascending order.
+    It is called once for each step that reads error rows, every slack
+    check and, with perturb_dual, every dual check, and never for an exact
+    dual check.
+
+    Returns ends, the (sequence, members) of each finished group, sequence
+    being its path plus the terminal marker (the cap's included). When
+    blocks is given, (members, z) is appended to it for each check in step
+    order, z holding the vectors its members' decisions were based on, row
+    by row.
     """
     ends: list[tuple[tuple[SolverState, ...], np.ndarray]] = []
-    blocks: list[tuple[np.ndarray, np.ndarray]] = []
     live = [((), SolverState((), SLACK_CHECK), np.arange(len(thetas)))]
+    where = np.empty(len(thetas), dtype=np.intp)
     for k in range(2 * tol.iter_limit):
         if not live:
             break
+        rows = None
+        if k % 2 == 0 or perturb_dual:
+            indices = np.sort(np.concatenate([members for _, _, members in live]))
+            rows = rows_at(k, indices)
+            where[indices] = np.arange(len(indices))
         moved = []
         for path, state, members in live:
-            rows = errors[members, k] if k < errors.shape[1] else np.zeros((len(members), prob.m))
-            decisions, z = _check(prob, state, thetas[members], rows, tol, perturb_dual)
-            blocks.append((members, z))
+            decisions, z = _check(prob, state, thetas[members],
+                                  None if rows is None else rows[where[members]],
+                                  tol, perturb_dual)
+            if blocks is not None:
+                blocks.append((members, z))
             path += (state,)
             distinct = set(decisions.tolist())
             for index in distinct:
@@ -343,4 +368,4 @@ def _lockstep(prob: MpQP, thetas: np.ndarray, errors: np.ndarray, tol: Tolerance
         live = moved
     for path, state, members in live:
         ends.append(((*path, SolverState(state.working_set, TERMINATED_ITER_LIMIT)), members))
-    return ends, blocks
+    return ends

@@ -11,25 +11,29 @@ Samples within a small normalized distance of any certified-region boundary
 are skipped rather than judged: tie-breaking on shared boundaries depends on
 the region representation, and the guarantees are interior statements.
 
-validate_conformance draws every sample at one fixed stride: its parameter,
-lo + (hi - lo) u per coordinate, then its error rows, -b + (b - (-b)) u per
-component of a step of nonzero bound b, whether the sample is judged or
-not. Those are the doubles, the order and the two roundings of one
-Generator.uniform call per coordinate and one per step, so the draws are
-the ones a sample-by-sample loop of uniform calls makes. The samples are
-taken LOCATE_BLOCK at a time: one Generator.random call fills the block's
-doubles, membership in the parameter set and the boundary test (over the
-partition's distinct rows) are decided for the whole block with one
-product each, and the judged samples form their error rows at once, are
-located over the partition's distinct regions, LOCATE_ROWS rows per
-product, into a samples x leaves host matrix, and run through the solver in lockstep.
-Every product is geometry.row_products, which sums column by column in a
-fixed order, so each point gets the answers it gets alone.
+validate_conformance draws every sample's parameter first, all with one
+Generator.random call: lo + (hi - lo) u per coordinate. Membership in the
+parameter set and the boundary test (over the partition's distinct rows)
+are then decided LOCATE_BLOCK samples at a time, with one product each.
+The judged samples run through the solver in one lockstep, which asks
+for error rows only at the steps it reaches: at each slack check, and at
+each dual check under perturb_dual, the step's live samples, in ascending
+order, get -b + (b - (-b)) u per component from one Generator.random
+call, b being the step's bound; a step of bound 0 gets zeros and draws
+nothing. Those are the doubles, the order and the two roundings of one
+Generator.uniform(-b, b, m) call per live sample, so the draws are the
+ones a sample-by-sample loop makes when it advances every live sample a
+step at a time. Neither the draws nor the report depend on LOCATE_BLOCK.
 
-The judge works per solver path, not per sample: the lockstep's groups
-each ran one sequence, and a group is checked at once against the host
-columns of the leaves certified with that sequence. Only the samples that
-fail read their host ids. The report is the same as drawing, locating
+The judge works per solver path, not per sample: each group the
+lockstep ends with ran one sequence, looked up once in a table of the
+certified sequences. The judged samples are then located LOCATE_BLOCK at
+a time over the partition's distinct regions, LOCATE_ROWS rows per
+product, into a block x leaves host matrix, and each sample is checked
+at once against the hosts certified with its sequence. Only the samples
+that fail read their host ids. Every product is geometry.row_products,
+which sums column by column in a fixed order, so each point gets the
+answers it gets alone, and the report is the one of drawing, locating
 and judging each sample on its own.
 
 search_realization is exact for exact, hypercube and scheduled-hypercube
@@ -60,10 +64,9 @@ from certias.mpqp import MpQP
 from certias.solver import DUAL_CHECK, SLACK_CHECK, Tolerances, _lockstep, run
 
 DELTA_MARGIN = 1e-7
-# Samples drawn at once; their judged ones are located together and run
-# in lockstep. On the double integrator under hypercube errors a
-# sample takes 194 doubles, so a block's draws take about 200 KB, and its
-# product over the 60 distinct region rows about 60 KB.
+# Samples tested for membership and the boundary at once, and judged
+# samples located at once: on the double integrator a block's product over
+# its 60 distinct region rows takes about 60 KB.
 LOCATE_BLOCK = 128
 # Region rows tested at once when locating a block, so a block's products
 # over a large stack take 128 x 128 doubles (about 130 KB), not one s x rows
@@ -176,35 +179,23 @@ class _RegionStack:
         return hosts[:, self.region_of]
 
 
-class _ErrorRows:
-    """One sample's error rows from the generator's doubles, row k uniform
-    within bounds[k] (from ErrorModel.step_bounds).
+def _error_draws(rng: np.random.Generator, bounds: np.ndarray, m: int):
+    """validate_conformance's row source for _lockstep: the error rows of
+    step k for the live samples, uniform within bounds[k] (from
+    ErrorModel.step_bounds), from one rng.random call; zeros, and no draw,
+    where bounds[k] is 0."""
+    low = -bounds
+    span = bounds - low
 
-    A sample reads `size` doubles: m per step of nonzero bound, in step
-    order; rows of bound 0 stay zero and read none. Row k is
-    -b + (b - (-b)) u for b = bounds[k]: the doubles and the two roundings
-    of one rng.uniform(-b, b, size=m) call per step of nonzero bound.
-    """
+    def rows_at(k, live):
+        if bounds[k] == 0.0:
+            return np.zeros((len(live), m))
+        u = rng.random((len(live), m))
+        u *= span[k]
+        u += low[k]
+        return u
 
-    def __init__(self, bounds: np.ndarray, m: int):
-        self.shape = (len(bounds), m)
-        self.steps = (bounds != 0.0).nonzero()[0]
-        high = bounds[self.steps, None]
-        self.low = -high
-        self.span = high - self.low
-        self.size = len(self.steps) * m
-
-    def __call__(self, doubles: np.ndarray) -> np.ndarray:
-        """Error rows of each sample, from its row of `size` doubles, which
-        this overwrites."""
-        u = doubles.reshape(len(doubles), len(self.steps), self.shape[1])
-        u *= self.span
-        u += self.low
-        if len(self.steps) == self.shape[0]:
-            return u
-        errors = np.zeros((len(doubles), *self.shape))
-        errors[:, self.steps] = u
-        return errors
+    return rows_at
 
 
 def validate_conformance(prob: MpQP, result: CertificationResult,
@@ -232,40 +223,42 @@ def validate_conformance(prob: MpQP, result: CertificationResult,
     if model is None:
         model = ErrorModel.from_document(result.settings["error_model"])
     tol = Tolerances.from_document(result.settings)
+    bounds = model.step_bounds(2 * tol.iter_limit)
     lo, hi = bounding_box(prob.theta_set)
-    span, dim = hi - lo, len(lo)
     stack = _RegionStack(result)
-    error_rows = _ErrorRows(model.step_bounds(2 * tol.iter_limit + 2), prob.m)
     rng = np.random.default_rng(seed)
     report = ValidationReport(samples_total=int(n_samples))
-    leaves_of: dict = {}
-    for i, r in enumerate(result.regions):
-        leaves_of.setdefault(r.sequence, []).append(i)
-    draws = np.empty((LOCATE_BLOCK, dim + error_rows.size))
+    thetas = lo + (hi - lo) * rng.random((n_samples, len(lo)))
+    judged = np.empty(n_samples, dtype=bool)
     for start in range(0, n_samples, LOCATE_BLOCK):
-        block = draws[:min(LOCATE_BLOCK, n_samples - start)]
-        rng.random(out=block)
-        thetas = lo + span * block[:, :dim]
-        inside = contains(prob.theta_set, thetas, slack=MEMBERSHIP_SLACK)
-        judged = inside & ~stack.near_boundary(thetas)
-        n_inside, n_judged = int(inside.sum()), int(judged.sum())
-        report.samples_outside += len(block) - n_inside
-        report.samples_skipped_boundary += n_inside - n_judged
-        if not n_judged:
-            continue
-        if n_judged < len(block):
-            thetas, block = thetas[judged], block[judged]
-        errors = error_rows(block[:, dim:])
-        hosts = stack.locate(thetas)
-        ends, _ = _lockstep(prob, thetas, errors, tol, model.perturb_dual)
-        for sequence, members in ends:
-            ok = hosts[members][:, leaves_of.get(sequence, [])].any(axis=1)
-            for i in members[~ok].tolist():
-                host_ids = hosts[i].nonzero()[0].tolist()
-                if not host_ids:
-                    report.coverage_gaps.append(tuple(thetas[i]))
-                else:
-                    report.mismatches.append((tuple(thetas[i]), sequence, host_ids))
+        block = thetas[start:start + LOCATE_BLOCK]
+        inside = contains(prob.theta_set, block, slack=MEMBERSHIP_SLACK)
+        judged[start:start + LOCATE_BLOCK] = inside & ~stack.near_boundary(block)
+        report.samples_outside += len(block) - int(inside.sum())
+    thetas = thetas[judged]
+    report.samples_skipped_boundary = n_samples - report.samples_outside - len(thetas)
+    if not len(thetas):
+        return report
+    ends = _lockstep(prob, thetas, _error_draws(rng, bounds, prob.m), tol,
+                     model.perturb_dual)
+    # Each end group's sequence id among the leaves', -1 when no leaf has it.
+    ids: dict = {}
+    leaf_ids = np.array([ids.setdefault(r.sequence, len(ids)) for r in result.regions],
+                        dtype=np.intp)
+    end_ids = np.array([ids.get(sequence, -1) for sequence, _ in ends], dtype=np.intp)
+    end_of = np.empty(len(thetas), dtype=np.intp)
+    for j, (_, members) in enumerate(ends):
+        end_of[members] = j
+    for start in range(0, len(thetas), LOCATE_BLOCK):
+        hosts = stack.locate(thetas[start:start + LOCATE_BLOCK])
+        block_ends = end_of[start:start + LOCATE_BLOCK]
+        ok = (hosts & (leaf_ids == end_ids[block_ends, None])).any(axis=1)
+        for i in (~ok).nonzero()[0].tolist():
+            theta, host_ids = tuple(thetas[start + i]), hosts[i].nonzero()[0].tolist()
+            if not host_ids:
+                report.coverage_gaps.append(theta)
+            else:
+                report.mismatches.append((theta, ends[block_ends[i]][0], host_ids))
 
     report.mismatches.sort(key=lambda entry: entry[0])
     report.coverage_gaps.sort()

@@ -470,6 +470,16 @@ def _path_group_case(name):
     return prob, thetas, errors, perturb_dual
 
 
+def _row_source(errors, calls=None):
+    """A _lockstep row source answering from an s x K x m error array, as
+    run does, appending each call's (k, live) to calls when given."""
+    def rows_at(k, live):
+        if calls is not None:
+            calls.append((k, live.copy()))
+        return errors[live, k]
+    return rows_at
+
+
 class TestPathGroups:
     """The lockstep groups parameters by the states they ran: each finished
     group holds one sequence shared by all its members."""
@@ -479,7 +489,9 @@ class TestPathGroups:
     @pytest.mark.parametrize("name", CASES)
     def test_every_index_ends_once(self, name):
         prob, thetas, errors, perturb_dual = _path_group_case(name)
-        ends, blocks = _lockstep(prob, thetas, errors, Tolerances(), perturb_dual)
+        blocks = []
+        ends = _lockstep(prob, thetas, _row_source(errors), Tolerances(), perturb_dual,
+                         blocks)
         members = np.concatenate([part for _, part in ends])
         assert np.sort(members).tolist() == list(range(len(thetas)))
         # Each parameter is checked once per state before its terminal marker.
@@ -494,7 +506,7 @@ class TestPathGroups:
     def test_members_share_one_sequence(self, name):
         prob, thetas, errors, perturb_dual = _path_group_case(name)
         tol = Tolerances()
-        ends, _ = _lockstep(prob, thetas, errors, tol, perturb_dual)
+        ends = _lockstep(prob, thetas, _row_source(errors), tol, perturb_dual)
         results = run(prob, thetas, errors, tol, perturb_dual)
         for sequence, part in ends:
             shared = results[part[0]].sequence
@@ -502,6 +514,25 @@ class TestPathGroups:
             assert all(results[i].sequence is shared for i in part.tolist())
         # The groups' sequences are distinct: a path ends in one group.
         assert len({sequence for sequence, _ in ends}) == len(ends)
+
+    @pytest.mark.parametrize("perturb_dual", [False, True])
+    @pytest.mark.parametrize("name", CASES)
+    def test_row_source_calls(self, name, perturb_dual):
+        # One call per step that reads rows, every slack check and, with
+        # perturb_dual, every dual check, for the samples that check at that
+        # step in ascending order; never one at an exact dual check.
+        prob, thetas, errors, _ = _path_group_case(name)
+        calls = []
+        ends = _lockstep(prob, thetas, _row_source(errors, calls), Tolerances(),
+                         perturb_dual)
+        checks = np.zeros(len(thetas), dtype=int)
+        for sequence, part in ends:
+            checks[part] = len(sequence) - 1
+        reached = range(checks.max())
+        assert [k for k, _ in calls] == [k for k in reached if k % 2 == 0 or perturb_dual]
+        for k, live in calls:
+            assert (np.diff(live) > 0).all()
+            assert live.tolist() == (checks > k).nonzero()[0].tolist()
 
     @pytest.mark.parametrize("size", [1, 7, 128, 129])
     @pytest.mark.parametrize("name", CASES)

@@ -28,15 +28,17 @@ from certias.solver import (
     DUAL_CHECK,
     PASS_INDEX,
     SLACK_CHECK,
+    TERMINATED_ITER_LIMIT,
     TERMINATED_OPTIMAL,
     SolverState,
     Tolerances,
     run,
+    step,
 )
 from certias.validation import (
     DELTA_MARGIN,
     LOCATE_BLOCK,
-    _ErrorRows,
+    _error_draws,
     _RegionStack,
     search_realization,
     validate_conformance,
@@ -180,25 +182,30 @@ def _hosts_one_by_one(result, theta):
             if contains(r.region, theta, slack=1e-9)]
 
 
+def _step_draw(model, k, rng, m):
+    """Error row of step k: one rng.uniform call where the step's bound is
+    nonzero, zeros and no draw where it is 0."""
+    mk = model.at(k)
+    if mk.kind == KIND_NONE or (mk.kind == KIND_HYPERCUBE and mk.bound == 0.0):
+        return np.zeros(m)
+    if mk.kind == KIND_HYPERCUBE:
+        return rng.uniform(-mk.bound, mk.bound, size=m)
+    raise ValueError(f"cannot sample from error model kind {mk.kind!r}")
+
+
 def _per_step_errors(model, rng, m, n_steps):
-    """One rng.uniform call per drawing step, in step order."""
-    vecs = []
-    for k in range(n_steps):
-        mk = model.at(k)
-        if mk.kind == KIND_NONE or (mk.kind == KIND_HYPERCUBE and mk.bound == 0.0):
-            vecs.append(np.zeros(m))
-        elif mk.kind == KIND_HYPERCUBE:
-            vecs.append(rng.uniform(-mk.bound, mk.bound, size=m))
-        else:
-            raise ValueError(f"cannot sample from error model kind {mk.kind!r}")
-    return np.array(vecs)
+    """One sample's error rows: one _step_draw per step, in step order."""
+    return np.array([_step_draw(model, k, rng, m) for k in range(n_steps)])
 
 
 def _validate_one_by_one(prob, result, n_samples, seed, model=None, margin=DELTA_MARGIN):
-    """validate_conformance with per-region point location, per-step draws
-    and the boundary test at `margin`, sample by sample: the reference the
-    stacked version must reproduce exactly. Every sample draws its
-    parameter and then its error rows, judged or not."""
+    """validate_conformance point by point, with per-region point location,
+    per-sample draws and the boundary test at `margin`: the reference the
+    lockstep version must reproduce exactly. Every sample's parameter is
+    drawn first, one rng.uniform call each. Then, step by step, each live
+    judged sample in ascending order takes its error row, one _step_draw,
+    at the steps that read rows (slack checks, and dual checks under
+    perturb_dual), and advances by solver.step."""
     if model is None:
         model = ErrorModel.from_document(result.settings["error_model"])
     tol = Tolerances.from_document(result.settings)
@@ -210,19 +217,30 @@ def _validate_one_by_one(prob, result, n_samples, seed, model=None, margin=DELTA
     norms = np.linalg.norm(A, axis=1)
     norms[norms == 0.0] = 1.0
     A, b = A / norms[:, None], b / norms
-    n_steps = 2 * tol.iter_limit + 2
     out = dict(samples_total=n_samples, samples_outside=0,
                samples_skipped_boundary=0, mismatches=[], coverage_gaps=[])
-    for _ in range(n_samples):
-        theta = rng.uniform(lo, hi)
-        errors = _per_step_errors(model, rng, prob.m, n_steps)
+    judged = []
+    for theta in [rng.uniform(lo, hi) for _ in range(n_samples)]:
         if not contains(prob.theta_set, theta, slack=1e-9):
             out["samples_outside"] += 1
-            continue
-        if np.min(np.abs(A @ theta - b)) < margin:
+        elif np.min(np.abs(A @ theta - b)) < margin:
             out["samples_skipped_boundary"] += 1
-            continue
-        realized = tuple(run(prob, theta, errors, tol, model.perturb_dual).sequence)
+        else:
+            judged.append(theta)
+    paths = [[SolverState((), SLACK_CHECK)] for _ in judged]
+    for k in range(2 * tol.iter_limit):
+        for theta, path in zip(judged, paths):
+            state = path[-1]
+            if state.terminal:
+                continue
+            epsilon = np.zeros(prob.m)
+            if state.mode == SLACK_CHECK or model.perturb_dual:
+                epsilon = _step_draw(model, k, rng, prob.m)
+            path.append(step(prob, state, theta, epsilon, tol, model.perturb_dual)[0])
+    for theta, path in zip(judged, paths):
+        if not path[-1].terminal:
+            path.append(SolverState(path[-1].working_set, TERMINATED_ITER_LIMIT))
+        realized = tuple(path)
         host_ids = _hosts_one_by_one(result, theta)
         if not host_ids:
             out["coverage_gaps"].append(tuple(theta))
@@ -429,6 +447,24 @@ class TestReportsMatchOneByOne:
         assert 1000 < len(report.coverage_gaps) < 1150
         _assert_same_report(report, _validate_one_by_one(mpc, result, 3000, seed, model))
 
+    @pytest.mark.parametrize("perturb_dual", [False, True])
+    def test_schedule_with_silent_steps(self, toy, toy_nominal, perturb_dual):
+        # Steps 1 and 2 see no error and draw nothing; the other steps draw
+        # at three bounds. Judged against its own partition and, with
+        # errors it did not model, against the exact one.
+        model = ErrorModel(kind=KIND_HYPERCUBE, bound=0.05, perturb_dual=perturb_dual,
+                           schedule=(ErrorModel(kind=KIND_HYPERCUBE, bound=0.1),
+                                     ErrorModel(),
+                                     ErrorModel(kind=KIND_HYPERCUBE, bound=0.0),
+                                     ErrorModel(kind=KIND_HYPERCUBE, bound=0.2)))
+        certified = certify(toy, model=model)
+        report = validate_conformance(toy, certified, n_samples=600, seed=8)
+        assert report.passed
+        _assert_same_report(report, _validate_one_by_one(toy, certified, 600, 8))
+        report = validate_conformance(toy, toy_nominal, n_samples=600, seed=8, model=model)
+        assert report.mismatches
+        _assert_same_report(report, _validate_one_by_one(toy, toy_nominal, 600, 8, model))
+
     def test_containing_regions_are_python_ints(self, toy, toy_nominal):
         model = ErrorModel(kind=KIND_HYPERCUBE, bound=0.1)
         document = validate_conformance(toy, toy_nominal, n_samples=300, seed=4,
@@ -441,8 +477,9 @@ class TestReportsMatchOneByOne:
 
 
 class TestJudgeBlockSize:
-    """The judge pass runs each block of judged samples through the solver
-    in lockstep; the report is the same bytes whatever the block size."""
+    """Membership, the boundary test and the judge's point location go
+    LOCATE_BLOCK samples at a time; the draws and the report are the same
+    bytes whatever the block size."""
 
     @pytest.mark.parametrize("case", ["toy-unmodeled", "toy-perturb-dual",
                                       "mpc-inflated", "mpc-unmodeled"])
@@ -458,30 +495,13 @@ class TestJudgeBlockSize:
                                                              bound=1e-4), 300),
         }[case]
         documents = []
-        for size in (1, 7, 128):
+        for size in (1, 7, 128, 129, n):
             monkeypatch.setattr(validation, "LOCATE_BLOCK", size)
             report = validate_conformance(prob, result, n_samples=n, seed=9, model=model)
             documents.append(json.dumps(report.to_document()))
-        assert documents[0] == documents[1] == documents[2]
+        assert len(set(documents)) == 1
         # Errors the partition did not model leave mismatches to compare.
         assert bool(json.loads(documents[0])["mismatches"]) == case.endswith("unmodeled")
-
-
-# Ways to split three samples' draws into blocks: all at once, one then
-# two, one at a time.
-_SPLITS = ((3,), (1, 2), (1, 1, 1))
-
-
-def _draw_blocks(rng, splits, stride):
-    """Rows of `stride` doubles, one per sample, read into a preallocated
-    buffer one block of `splits` samples at a time, as the draw pass reads
-    them."""
-    rows = np.empty((sum(splits), stride))
-    start = 0
-    for n in splits:
-        rng.random(out=rows[start:start + n])
-        start += n
-    return rows
 
 
 def _assert_same_stream(rng, rng_old):
@@ -489,30 +509,36 @@ def _assert_same_stream(rng, rng_old):
     assert rng.random(3).tobytes() == rng_old.random(3).tobytes()
 
 
+def _live_sets(n_steps, seed=4):
+    """Ascending live sets, one per step, that shrink as samples finish,
+    down to none: the shape of the lockstep's calls to a row source."""
+    rng = np.random.default_rng(seed)
+    live = np.arange(9)
+    sets = []
+    for _ in range(n_steps):
+        sets.append(live)
+        live = live[rng.random(len(live)) < 0.85]
+    return sets
+
+
 def _assert_same_draws(model, m=5, n_steps=32, seed=3):
-    """Three samples' rows of a 2-D parameter and its error rows, against a
-    rng.uniform call for the parameter and then per-step rng.uniform calls,
-    for every split in _SPLITS."""
-    lo, hi = np.array([-1.5, 0.25]), np.array([2.0, 0.5])
-    error_rows = _ErrorRows(model.step_bounds(n_steps), m)
-    for splits in _SPLITS:
-        rng, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-        rows = _draw_blocks(rng, splits, 2 + error_rows.size)
-        thetas = lo + (hi - lo) * rows[:, :2]
-        old = []
-        for theta in thetas:
-            assert theta.tobytes() == rng_old.uniform(lo, hi).tobytes()
-            old.append(_per_step_errors(model, rng_old, m, n_steps))
-        new = error_rows(rows[:, 2:])
-        assert new.shape == (3, n_steps, m)
-        assert new.tobytes() == np.array(old).tobytes()
-        _assert_same_stream(rng, rng_old)
+    """The row source's rows for each step's live samples, against one
+    _step_draw per live sample, in ascending order, step after step."""
+    bounds = model.step_bounds(n_steps)
+    rng, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+    rows_at = _error_draws(rng, bounds, m)
+    for k, live in enumerate(_live_sets(n_steps)):
+        new = rows_at(k, live)
+        old = np.array([_step_draw(model, k, rng_old, m) for _ in live]).reshape(-1, m)
+        assert new.shape == (len(live), m)
+        assert new.tobytes() == old.tobytes()
+    _assert_same_stream(rng, rng_old)
 
 
 class TestScalarBoundDraws:
-    """A parameter reads lo + (hi - lo) u from its row of rng.random
-    doubles: the doubles of one rng.uniform call with the box's bound
-    arrays, or of one scalar-bound call per coordinate."""
+    """Every sample's parameter, lo + (hi - lo) u from one rng.random call
+    for all samples, equals one rng.uniform call per sample with the box's
+    bound arrays, and one scalar-bound call per coordinate."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_point_equals_array_bound_draw(self, dim):
@@ -520,23 +546,22 @@ class TestScalarBoundDraws:
         lo = np.linspace(-3.0, 1.0, dim)
         hi = lo + sides
         assert len(set(sides)) == dim
-        for splits in ((50,), (1, 7, 42), (25, 25)):
-            rng = np.random.default_rng(5)
-            rng_old, rng_scalar = np.random.default_rng(5), np.random.default_rng(5)
-            for row in _draw_blocks(rng, splits, dim):
-                new = lo + (hi - lo) * row
-                old = rng_old.uniform(lo, hi)
-                scalar = np.array([rng_scalar.uniform(a, b) for a, b in zip(lo.tolist(),
-                                                                          hi.tolist())])
-                assert new.dtype == old.dtype
-                assert new.tobytes() == old.tobytes() == scalar.tobytes()
-            _assert_same_stream(rng, rng_old)
+        rng = np.random.default_rng(5)
+        rng_old, rng_scalar = np.random.default_rng(5), np.random.default_rng(5)
+        for new in lo + (hi - lo) * rng.random((50, dim)):
+            old = rng_old.uniform(lo, hi)
+            scalar = np.array([rng_scalar.uniform(a, b) for a, b in zip(lo.tolist(),
+                                                                      hi.tolist())])
+            assert new.dtype == old.dtype
+            assert new.tobytes() == old.tobytes() == scalar.tobytes()
+        _assert_same_stream(rng, rng_old)
 
 
 class TestOneCallDraws:
-    """A sample's error rows, read from the rng.random doubles right after
-    its parameter, equal one rng.uniform(-b, b, size=m) call per step of
-    nonzero bound b."""
+    """The row source of validate_conformance: a step's error rows for its
+    live samples equal one rng.uniform(-b, b, size=m) call per live sample,
+    in ascending order, b being the step's bound; a step of bound 0 draws
+    nothing."""
 
     def test_plain_hypercube(self):
         _assert_same_draws(ErrorModel(kind=KIND_HYPERCUBE, bound=1e-4))
@@ -568,9 +593,7 @@ class TestOneCallDraws:
             ErrorModel(kind=KIND_HYPERCUBE, bound=0.05),
             ErrorModel(kind=KIND_HYPERCUBE, bound=1e-3),
         ))
-        rows = _ErrorRows(model.step_bounds(32), 5)
-        assert rows.steps.tolist() == [0, 1, 2, *range(4, 32)]
-        assert rows.size == 31 * 5
+        assert model.step_bounds(32).nonzero()[0].tolist() == [0, 1, 2, *range(4, 32)]
         _assert_same_draws(model)
 
     def test_zero_bound_draws_nothing(self):
@@ -578,10 +601,11 @@ class TestOneCallDraws:
         _assert_same_draws(model)
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
-        rows = _ErrorRows(model.step_bounds(10), 3)
-        errors = rows(_draw_blocks(rng, (4,), rows.size))
+        rows_at = _error_draws(rng, model.step_bounds(10), 3)
+        errors = [rows_at(k, live) for k, live in enumerate(_live_sets(10))]
         assert rng.bit_generator.state == before
-        assert errors.shape == (4, 10, 3) and not errors.any()
+        assert [e.shape for e in errors] == [(len(live), 3) for live in _live_sets(10)]
+        assert not any(e.any() for e in errors)
 
     def test_unsupported_kinds_raise(self):
         for model in (ErrorModel(kind=KIND_POLYHEDRAL, set=Polyhedron.box([-0.1], [0.1])),
@@ -668,7 +692,7 @@ def _triangle_problem(seed=2):
 
 class TestOffTheBoundingBox:
     """Reports on a parameter set that is not its bounding box, where many
-    samples draw error rows that are never used."""
+    samples are never judged and draw no error rows."""
 
     @pytest.mark.parametrize("model", [ErrorModel(), ErrorModel(kind=KIND_HYPERCUBE,
                                                                  bound=5e-7)],
@@ -685,13 +709,13 @@ class TestOffTheBoundingBox:
 class TestManyMisses:
     """Reports equal the sample-by-sample reference, whatever the block
     size, where many samples are outside the parameter set or skipped at a
-    wide boundary margin, and so draw error rows that are never used."""
+    wide boundary margin, and so draw no error rows."""
 
     @pytest.mark.parametrize("case", ["triangle-exact", "triangle-unmodeled",
                                       "mpc-wide-margin"])
     def test_block_sizes(self, monkeypatch, case, mpc, mpc_inflated):
-        # About a third of the triangle's samples miss; with error doubles
-        # each of them still reads its rows.
+        # About a third of the triangle's samples miss; only the judged ones
+        # draw error rows.
         model, margin, n = None, DELTA_MARGIN, 1200
         if case.startswith("triangle"):
             prob = _triangle_problem()
@@ -703,7 +727,7 @@ class TestManyMisses:
         monkeypatch.setattr(validation, "DELTA_MARGIN", margin)
         reference = _validate_one_by_one(prob, result, n, 11, model, margin=margin)
         assert reference["samples_outside"] + reference["samples_skipped_boundary"] > n // 50
-        for size in (1, 7, LOCATE_BLOCK):
+        for size in (1, 7, LOCATE_BLOCK, LOCATE_BLOCK + 1, n):
             monkeypatch.setattr(validation, "LOCATE_BLOCK", size)
             report = validate_conformance(prob, result, n_samples=n, seed=11, model=model)
             _assert_same_report(report, reference)
@@ -727,12 +751,12 @@ class TestManyMisses:
         # it; a sample count that is no multiple of LOCATE_BLOCK leaves a
         # short last block. No sample reaches the solver.
         def no_run(*args, **kwargs):
-            raise AssertionError("run called on a block with no judged sample")
+            raise AssertionError("the solver ran with no judged sample")
 
         n = 2 * LOCATE_BLOCK + 37
         monkeypatch.setattr(validation, "DELTA_MARGIN", 100.0)
         reference = _validate_one_by_one(mpc, mpc_inflated, n, 13, margin=100.0)
-        monkeypatch.setattr(validation, "run", no_run)
+        monkeypatch.setattr(validation, "_lockstep", no_run)
         report = validate_conformance(mpc, mpc_inflated, n_samples=n, seed=13)
         assert report.samples_outside + report.samples_skipped_boundary == n
         assert report.samples_skipped_boundary > 0
