@@ -67,15 +67,29 @@ class SolverState:
     The working set lists constraint rows in insertion order. Entries are
     normally distinct; a perturbed slack can re-add a working row, which the
     next subproblem solve then reports as singular.
+
+    The hash is computed once, at construction: sequences (tuples of
+    states) key the certified-sequence tables, which hash them state by
+    state.
     """
 
     working_set: tuple[int, ...]
     mode: str
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "working_set", tuple(int(i) for i in self.working_set))
         if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        object.__setattr__(self, "_hash", hash((self.working_set, self.mode)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # A str hash differs between processes, so pickling and copying
+        # rebuild through the constructor instead of restoring _hash.
+        return type(self), (self.working_set, self.mode)
 
     @property
     def terminal(self) -> bool:

@@ -25,16 +25,17 @@ Generator.uniform(-b, b, m) call per live sample, so the draws are the
 ones a sample-by-sample loop makes when it advances every live sample a
 step at a time. Neither the draws nor the report depend on LOCATE_BLOCK.
 
-The judge works per solver path, not per sample: each group the
-lockstep ends with ran one sequence, looked up once in a table of the
-certified sequences. The judged samples are then located LOCATE_BLOCK at
-a time over the partition's distinct regions, LOCATE_ROWS rows per
-product, into a block x leaves host matrix, and each sample is checked
-at once against the hosts certified with its sequence. Only the samples
-that fail read their host ids. Every product is geometry.row_products,
-which sums column by column in a fixed order, so each point gets the
-answers it gets alone, and the report is the one of drawing, locating
-and judging each sample on its own.
+The judge works per solver path, not per sample or leaf: each group the
+lockstep ends with ran one sequence, and its members are tested only
+against the distinct regions certified with that sequence, found in a
+table built once per call. A member that one of them admits passes; the
+rest fail. Only the failures are located, LOCATE_BLOCK at a time over
+the partition's distinct regions, LOCATE_ROWS rows per product: a
+failure with no host is a coverage gap, one with hosts a mismatch. Every
+product is geometry.row_products, which sums column by column in a fixed
+order, and every test is the one `contains` makes, so each point gets
+the answers it gets alone, and the report is the one of drawing,
+locating and judging each sample on its own.
 
 search_realization is exact for exact, hypercube and scheduled-hypercube
 models. Each step's decision reads only its own error row and is monotone
@@ -64,7 +65,7 @@ from certias.mpqp import MpQP
 from certias.solver import DUAL_CHECK, SLACK_CHECK, Tolerances, _lockstep, run
 
 DELTA_MARGIN = 1e-7
-# Samples tested for membership and the boundary at once, and judged
+# Samples tested for membership and the boundary at once, and failed
 # samples located at once: on the double integrator a block's product over
 # its 60 distinct region rows takes about 60 KB.
 LOCATE_BLOCK = 128
@@ -117,7 +118,9 @@ class ValidationReport:
 
 class _RegionStack:
     """The partition's distinct regions with their rows stacked once, so
-    locating a block of points is one product per LOCATE_ROWS rows.
+    locating a block of points is one product per LOCATE_ROWS rows. The
+    judge tests each end group with `contains` against the regions of its
+    sequence alone, and locates only the samples that fail.
 
     Leaves whose regions have the same A and b bytes share one distinct
     region, on which `contains` answers alike for them; region_of names each
@@ -166,7 +169,8 @@ class _RegionStack:
     def locate(self, thetas: np.ndarray) -> np.ndarray:
         """Host matrix of the rows of thetas: entry (i, j) says whether leaf
         j contains point i (slack MEMBERSHIP_SLACK), as `contains` decides,
-        each distinct region decided once. The rows are tested LOCATE_ROWS
+        each distinct region decided once. The judge calls it on failed
+        samples only, to name their hosts. The rows are tested LOCATE_ROWS
         at a time, so the products of a large stack are never held at once.
         """
         hosts = np.ones((len(thetas), len(self.regions)), dtype=bool)
@@ -241,24 +245,31 @@ def validate_conformance(prob: MpQP, result: CertificationResult,
         return report
     ends = _lockstep(prob, thetas, _error_draws(rng, bounds, prob.m), tol,
                      model.perturb_dual)
-    # Each end group's sequence id among the leaves', -1 when no leaf has it.
-    ids: dict = {}
-    leaf_ids = np.array([ids.setdefault(r.sequence, len(ids)) for r in result.regions],
-                        dtype=np.intp)
-    end_ids = np.array([ids.get(sequence, -1) for sequence, _ in ends], dtype=np.intp)
-    end_of = np.empty(len(thetas), dtype=np.intp)
-    for j, (_, members) in enumerate(ends):
-        end_of[members] = j
-    for start in range(0, len(thetas), LOCATE_BLOCK):
-        hosts = stack.locate(thetas[start:start + LOCATE_BLOCK])
-        block_ends = end_of[start:start + LOCATE_BLOCK]
-        ok = (hosts & (leaf_ids == end_ids[block_ends, None])).any(axis=1)
-        for i in (~ok).nonzero()[0].tolist():
-            theta, host_ids = tuple(thetas[start + i]), hosts[i].nonzero()[0].tolist()
+    # The distinct regions certified with each sequence: a group's member
+    # passes when one of them admits it, and only the failures are located.
+    regions_of: dict = {}
+    for r, g in zip(result.regions, stack.region_of.tolist()):
+        regions_of.setdefault(r.sequence, set()).add(g)
+    failed, failed_end = [], []
+    for j, (sequence, members) in enumerate(ends):
+        for g in sorted(regions_of.get(sequence, ())):
+            members = members[~contains(stack.regions[g], thetas[members],
+                                        slack=MEMBERSHIP_SLACK)]
+        failed.append(members)
+        failed_end.append(np.full(len(members), j))
+    failed = np.concatenate(failed)
+    order = np.argsort(failed)
+    failed, failed_end = failed[order], np.concatenate(failed_end)[order]
+    for start in range(0, len(failed), LOCATE_BLOCK):
+        block = failed[start:start + LOCATE_BLOCK]
+        hosts = stack.locate(thetas[block])
+        for i, j, row in zip(block.tolist(), failed_end[start:start + LOCATE_BLOCK].tolist(),
+                             hosts):
+            theta, host_ids = tuple(thetas[i]), row.nonzero()[0].tolist()
             if not host_ids:
                 report.coverage_gaps.append(theta)
             else:
-                report.mismatches.append((theta, ends[block_ends[i]][0], host_ids))
+                report.mismatches.append((theta, ends[j][0], host_ids))
 
     report.mismatches.sort(key=lambda entry: entry[0])
     report.coverage_gaps.sort()

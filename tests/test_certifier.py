@@ -1,7 +1,10 @@
 import hashlib
 import json
+import os
 import pathlib
 import pickle
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -377,6 +380,36 @@ class TestCertifyMpc:
         copy = pickle.loads(pickle.dumps(result))
         assert dump_document(copy.to_document()) == dump_document(result.to_document())
         assert not copy.regions[0].region.A.flags.writeable
+
+
+# Child-process scripts for TestPickleAcrossHashSeeds, run with the given
+# PYTHONHASHSEED: the first pickles a certified toy partition, the second
+# looks its sequences up among those of a partition certified afresh.
+_PICKLE_SCRIPT = """
+import pickle, sys
+from certias import certify, toy_problem
+with open(sys.argv[1], "wb") as out:
+    pickle.dump(certify(toy_problem()), out)
+"""
+_LOOKUP_SCRIPT = """
+import pickle, sys
+from certias import certify, toy_problem
+with open(sys.argv[1], "rb") as src:
+    loaded = pickle.load(src)
+fresh = {r.sequence: i for i, r in enumerate(certify(toy_problem()).regions)}
+assert [fresh[r.sequence] for r in loaded.regions] == list(range(len(fresh)))
+"""
+
+
+class TestPickleAcrossHashSeeds:
+    def test_sequences_found_after_unpickling(self, tmp_path):
+        # A str hash differs between processes: an unpickled state must hash
+        # as one built in the process that loads it.
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        path = str(tmp_path / "toy.pickle")
+        for script, seed in ((_PICKLE_SCRIPT, "1"), (_LOOKUP_SCRIPT, "2")):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            subprocess.run([sys.executable, "-c", script, path], env=env, check=True)
 
 
 def _slack_count(sequence):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -61,6 +64,26 @@ class TestTransition:
     def test_terminal_has_no_transitions(self):
         with pytest.raises(ValueError):
             transition(SolverState((), TERMINATED_OPTIMAL), PASS_INDEX)
+
+
+class TestStateHash:
+    """The hash is computed once, at construction; copies are rebuilt
+    through the constructor, so equal states hash alike."""
+
+    @pytest.mark.parametrize("how", ["pickle", "copy", "deepcopy"])
+    def test_copies_equal_and_hash_alike(self, how):
+        state = SolverState((np.int64(2), 0), DUAL_CHECK)
+        again = {"pickle": lambda: pickle.loads(pickle.dumps(state)),
+                 "copy": lambda: copy.copy(state),
+                 "deepcopy": lambda: copy.deepcopy(state)}[how]()
+        assert again == state and hash(again) == hash(state) == hash(((2, 0), DUAL_CHECK))
+        assert {state: 1}[again] == 1
+
+    def test_hash_is_no_field_of_comparison_or_repr(self):
+        a, b = SolverState((1,), SLACK_CHECK), SolverState((1,), SLACK_CHECK)
+        object.__setattr__(b, "_hash", hash(a) + 1)
+        assert a == b
+        assert repr(a) == "SolverState(working_set=(1,), mode='slack_check')"
 
 
 class TestStep:

@@ -465,6 +465,63 @@ class TestReportsMatchOneByOne:
         assert report.mismatches
         _assert_same_report(report, _validate_one_by_one(toy, toy_nominal, 600, 8, model))
 
+    def test_random_partition_without_repeated_regions(self):
+        # An exact 2-parameter random partition whose 28 leaves are 28
+        # distinct regions with 28 sequences, judged under errors it did not
+        # model: every group is tested against its one region, and the
+        # failures are mismatches.
+        prob = random_problem(np.random.default_rng(0), 3, 5, n_theta=2)
+        result = certify(prob)
+        assert len(_RegionStack(result).regions) == len(result.regions) == 28
+        assert len({r.sequence for r in result.regions}) == 28
+        model = ErrorModel(kind=KIND_HYPERCUBE, bound=1e-2)
+        report = validate_conformance(prob, result, n_samples=600, seed=1, model=model)
+        assert len(report.mismatches) > 100
+        _assert_same_report(report, _validate_one_by_one(prob, result, 600, 1, model))
+
+    def test_sequence_on_several_regions(self, toy, toy_nominal):
+        # The toy's unconstrained leaf, theta >= -1, cut into three distinct
+        # regions that keep its sequence, listed first, after the other leaf
+        # and last: samples with theta > 1 lie only in the last of them.
+        constrained, free = toy_nominal.regions
+        cuts = [free.region.intersect([[1.0]], [0.0]),
+                free.region.intersect([[-1.0], [1.0]], [0.0, 1.0]),
+                free.region.intersect([[-1.0]], [-1.0])]
+        pieces = [CertifiedRegion(region=P, sequence=free.sequence, status=free.status,
+                                  iterations=free.iterations) for P in cuts]
+        result = CertificationResult(regions=[pieces[0], constrained, *pieces[1:]],
+                                     problem_digest=toy_nominal.problem_digest,
+                                     settings=toy_nominal.settings, stats=toy_nominal.stats)
+        assert len(_RegionStack(result).regions) == 4
+        rng = np.random.default_rng(5)
+        lo, hi = bounding_box(toy.theta_set)
+        assert sum(rng.uniform(lo, hi)[0] > 1.0 for _ in range(600)) > 150
+        report = validate_conformance(toy, result, n_samples=600, seed=5)
+        assert report.passed
+        _assert_same_report(report, _validate_one_by_one(toy, result, 600, 5))
+
+    def test_group_with_many_failures(self, monkeypatch, toy, toy_nominal):
+        # The toy's two leaves trade sequences: every judged sample is a
+        # mismatch, and the samples with theta > -1 fail as one group of
+        # more than LOCATE_BLOCK, located a block at a time.
+        a, b = toy_nominal.regions
+        result = CertificationResult(
+            regions=[CertifiedRegion(region=a.region, sequence=b.sequence, status=b.status,
+                                     iterations=b.iterations),
+                     CertifiedRegion(region=b.region, sequence=a.sequence, status=a.status,
+                                     iterations=a.iterations)],
+            problem_digest=toy_nominal.problem_digest, settings=toy_nominal.settings,
+            stats=toy_nominal.stats)
+        reference = _validate_one_by_one(toy, result, 600, 3)
+        largest = max(sum(seq == s for _, seq, _ in reference["mismatches"])
+                      for s in (a.sequence, b.sequence))
+        assert largest > LOCATE_BLOCK
+        assert len(reference["mismatches"]) + reference["samples_skipped_boundary"] == 600
+        for size in (1, 7, LOCATE_BLOCK, 600):
+            monkeypatch.setattr(validation, "LOCATE_BLOCK", size)
+            _assert_same_report(validate_conformance(toy, result, n_samples=600, seed=3),
+                                reference)
+
     def test_containing_regions_are_python_ints(self, toy, toy_nominal):
         model = ErrorModel(kind=KIND_HYPERCUBE, bound=0.1)
         document = validate_conformance(toy, toy_nominal, n_samples=300, seed=4,
