@@ -88,13 +88,21 @@ class CertifiedRegion:
     """A leaf of the exploration tree.
 
     sequence lists executed states plus the final terminal marker, exactly
-    as solver.run reports it for any parameter inside the region.
+    as solver.run reports it for any parameter inside the region. status
+    and iterations are read off the sequence: the status its marker names,
+    and iterations(sequence), the certified iteration count.
     """
 
     region: Polyhedron
     sequence: tuple[SolverState, ...]
-    status: str
-    iterations: int
+
+    @property
+    def status(self) -> str:
+        return _STATUS_BY_MODE[self.sequence[-1].mode]
+
+    @property
+    def iterations(self) -> int:
+        return iterations(self.sequence)
 
     def to_document(self) -> dict:
         return {**self.region.to_document(),
@@ -103,9 +111,20 @@ class CertifiedRegion:
 
     @classmethod
     def from_document(cls, doc: dict) -> "CertifiedRegion":
-        return cls(Polyhedron.from_document(doc),
-                   tuple(SolverState.from_document(s) for s in doc["sequence"]),
-                   doc["status"], doc["iterations"])
+        """Leaf from its document. Raises ValueError unless the sequence
+        ends in its one terminal state and the document's status and
+        iterations are the ones that sequence gives."""
+        leaf = cls(Polyhedron.from_document(doc),
+                   tuple(SolverState.from_document(s) for s in doc["sequence"]))
+        if not leaf.sequence:
+            raise ValueError("a certified sequence cannot be empty")
+        if not leaf.sequence[-1].terminal or any(s.terminal for s in leaf.sequence[:-1]):
+            raise ValueError("a certified sequence must end in its one terminal state")
+        claimed, derived = (doc["status"], doc["iterations"]), (leaf.status, leaf.iterations)
+        if claimed != derived or type(doc["iterations"]) is not int:
+            raise ValueError(f"status and iterations {claimed} disagree with the "
+                             f"sequence, which gives {derived}")
+        return leaf
 
 
 @dataclass
@@ -250,7 +269,8 @@ def certify(prob: MpQP, tol: Optional[Tolerances] = None,
     run so far, the point that proved the region nonempty, None at the
     root). Each popped entry is handled in the pointwise solver's order:
     the iteration cap (at step 2 * iter_limit), then a singular subproblem,
-    then the decision split; leaves count iterations as run does. The
+    then the decision split; a leaf is its region and its sequence, whose
+    status and iterations it reads off as run does. The
     splits share one memo of lifted families (partition_step's `lifted`),
     freed when certify returns. The result is canonically sorted by
     sequence, so it does not depend on exploration order. max_live caps the
@@ -280,13 +300,13 @@ def certify(prob: MpQP, tol: Optional[Tolerances] = None,
         explored += 1
         k = len(seq)
         if k == 2 * tol.iter_limit:
-            leaf = seq + (SolverState(state.working_set, TERMINATED_ITER_LIMIT),)
-            finals.append(CertifiedRegion(region, leaf, "iter_limit", iterations(leaf)))
+            finals.append(CertifiedRegion(
+                region, seq + (SolverState(state.working_set, TERMINATED_ITER_LIMIT),)))
             continue
         seq += (state,)
         if subproblem_maps(prob, state.working_set).singular:
-            leaf = seq + (SolverState(state.working_set, DEGENERATE),)
-            finals.append(CertifiedRegion(region, leaf, "degenerate", iterations(leaf)))
+            finals.append(CertifiedRegion(
+                region, seq + (SolverState(state.working_set, DEGENERATE),)))
             continue
         kids = partition_step(region, state, prob, tol, model, k, point, lifted)
         # halfplane_family has a pass branch plus one per decision component.
@@ -295,9 +315,7 @@ def certify(prob: MpQP, tol: Optional[Tolerances] = None,
         for idx, kid, x0 in kids:
             child = transition(state, idx)
             if child.terminal:
-                leaf = seq + (child,)
-                finals.append(CertifiedRegion(kid, leaf, _STATUS_BY_MODE[child.mode],
-                                              iterations(leaf)))
+                finals.append(CertifiedRegion(kid, seq + (child,)))
             else:
                 stack.append((kid, child, seq, x0))
 

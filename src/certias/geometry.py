@@ -110,10 +110,12 @@ class Polyhedron:
 
     Rows whose coefficients are exactly zero with b >= 0 are dropped at
     construction (they constrain nothing). Zero rows with b < 0 are kept:
-    they mark the set empty and is_empty() reports them as such.
+    they mark the set empty and is_empty() reports them as such. A is
+    always 2-D, (rows, dim), so a set without rows keeps its dimension;
+    `dim=` is needed only to build one.
     """
 
-    __slots__ = ("A", "b", "dim")
+    __slots__ = ("A", "b")
 
     def __init__(self, A, b, dim: Optional[int] = None):
         A = np.asarray(A, dtype=float)
@@ -130,7 +132,7 @@ class Polyhedron:
         if dim < 1:
             raise ValueError("dimension must be at least 1")
         A, b = self._nontrivial(A, b)
-        self._freeze(A.copy(), b.copy(), dim)
+        self._freeze(A.copy(), b.copy())
 
     @staticmethod
     def _nontrivial(A, b):
@@ -143,7 +145,7 @@ class Polyhedron:
         return A, b
 
     @classmethod
-    def _from_rows(cls, A, b, dim: int) -> "Polyhedron":
+    def _from_rows(cls, A, b) -> "Polyhedron":
         """{x : A x <= b} from rows the constructor has already validated.
 
         A and b must be float arrays, of shapes (k, dim) and (k,), with no
@@ -151,15 +153,14 @@ class Polyhedron:
         rather than copied, so another Polyhedron's frozen A will do.
         """
         self = object.__new__(cls)
-        self._freeze(A, b, dim)
+        self._freeze(A, b)
         return self
 
-    def _freeze(self, A, b, dim: int) -> None:
+    def _freeze(self, A, b) -> None:
         A.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "dim", dim)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polyhedron is immutable")
@@ -167,7 +168,11 @@ class Polyhedron:
     def __reduce__(self):
         # Pickling and copying rebuild through _from_rows, which freezes the
         # arrays again; restoring the slots would go through __setattr__.
-        return self._from_rows, (self.A, self.b, self.dim)
+        return self._from_rows, (self.A, self.b)
+
+    @property
+    def dim(self) -> int:
+        return self.A.shape[1]
 
     @property
     def nrows(self) -> int:
@@ -214,8 +219,7 @@ class Polyhedron:
     def _stacked(self, A, b) -> "Polyhedron":
         """This set with rows A x <= b stacked on, rows that _nontrivial has
         already returned, of shapes (k, dim) and (k,)."""
-        return Polyhedron._from_rows(np.vstack([self.A, A]), np.concatenate([self.b, b]),
-                                     self.dim)
+        return Polyhedron._from_rows(np.vstack([self.A, A]), np.concatenate([self.b, b]))
 
     def __repr__(self) -> str:
         return f"Polyhedron(rows={self.nrows}, dim={self.dim})"
@@ -480,7 +484,7 @@ def feasible_point(P: Polyhedron, start: Optional[np.ndarray] = None
         measure, x = phase1_measure(P)
     else:
         # P has no zero rows here, so the shifted rows are all nontrivial.
-        measure, y = phase1_measure(Polyhedron._from_rows(P.A, rhs, P.dim))
+        measure, y = phase1_measure(Polyhedron._from_rows(P.A, rhs))
         x = None if y is None else start + y
     return None if x is None or measure > FEAS_TOL else x
 
@@ -574,7 +578,7 @@ def remove_redundant(P: Polyhedron, point: Optional[np.ndarray] = None) -> Polyh
         if zero[i]:
             guard = Polyhedron(guard_A, guard_b, P.dim)
         else:
-            guard = Polyhedron._from_rows(guard_A, guard_b, P.dim)
+            guard = Polyhedron._from_rows(guard_A, guard_b)
         try:
             res = solve_lp(P.A[i], guard, "max", target=bounds[i] + 2.0 * REDUNDANCY_TOL)
         except LpPivotLimitError:
@@ -585,7 +589,7 @@ def remove_redundant(P: Polyhedron, point: Optional[np.ndarray] = None) -> Polyh
             alive = rows[:-1]
     if len(survivors) == r:
         return P
-    return Polyhedron._from_rows(P.A.take(alive, axis=0), P.b.take(alive), P.dim)
+    return Polyhedron._from_rows(P.A.take(alive, axis=0), P.b.take(alive))
 
 
 def interior_point(P: Polyhedron) -> tuple[np.ndarray, float]:

@@ -55,6 +55,9 @@ class ErrorModel:
     relative   componentwise |eps_j| <= rel_bound * max |z| over the region,
                converted to a hypercube bound region by region
 
+    A nonzero bound, a nonzero rel_bound or a set given to a kind that does
+    not take it raises ValueError.
+
     schedule, when given, overrides the model per automaton step: entry k
     applies at step k, and steps past the end fall back to this model.
     perturb_dual extends the error to multiplier checks (the same set) at
@@ -73,6 +76,11 @@ class ErrorModel:
             raise ValueError(f"unknown error model kind {self.kind!r}")
         if not (0 <= self.bound < math.inf and 0 <= self.rel_bound < math.inf):
             raise ValueError("error bounds must be finite and nonnegative")
+        # A size the kind does not read would be dropped without a word.
+        for name, given in (("bound", self.bound != 0), ("rel_bound", self.rel_bound != 0),
+                            ("set", self.set is not None)):
+            if given and _KINDS[self.kind] != name:
+                raise ValueError(f"a {self.kind} error model takes no {name}")
         if self.kind == KIND_POLYHEDRAL:
             if self.set is None:
                 raise ValueError("polyhedral error model needs a set")

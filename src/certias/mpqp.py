@@ -79,14 +79,18 @@ class SubproblemMaps:
 
     x_map gives the primal solution, mu_map the constraint slack
     d(theta) - C x(theta) across all rows, lambda_map the multipliers of the
-    working rows (in working-set order). singular is set instead of the maps
-    when the working rows are linearly dependent.
+    working rows (in working-set order). When the working rows are
+    linearly dependent there are no maps: all three are None, and singular
+    says so.
     """
 
     x_map: Optional[AffineMap]
     mu_map: Optional[AffineMap]
     lambda_map: Optional[AffineMap]
-    singular: bool = False
+
+    @property
+    def singular(self) -> bool:
+        return self.x_map is None
 
 
 class MpQP:
@@ -257,13 +261,6 @@ def subproblem_maps(prob: MpQP, working_set: Sequence[int]) -> SubproblemMaps:
     certify on several threads against one problem, and each call still
     counts only its own LPs.
     """
-    # A tuple, as a solver state holds, is looked up as it is: the cache
-    # keys are normalized, and a tuple equal to one is the same working set.
-    if type(working_set) is tuple:
-        with prob._cache_lock:
-            hit = prob._cache.get(working_set)
-        if hit is not None:
-            return hit
     W = tuple(int(i) for i in working_set)
     for i in W:
         if not 0 <= i < prob.m:
@@ -288,7 +285,7 @@ def subproblem_maps(prob: MpQP, working_set: Sequence[int]) -> SubproblemMaps:
         S = C_W @ E
         L = _chol_with_pivot_check(S, RANK_TOL)
         if L is None:
-            result = SubproblemMaps(None, None, None, singular=True)
+            result = SubproblemMaps(None, None, None)
             with prob._cache_lock:
                 prob._cache[W] = result
             return result
@@ -301,7 +298,7 @@ def subproblem_maps(prob: MpQP, working_set: Sequence[int]) -> SubproblemMaps:
     x_map = AffineMap(x_all[:, :n_th], x_all[:, n_th])
     mu_all = np.hstack([prob.d_lin, prob.d_const[:, None]]) - prob.C @ x_all
     mu_map = AffineMap(mu_all[:, :n_th], mu_all[:, n_th])
-    result = SubproblemMaps(x_map, mu_map, lam, singular=False)
+    result = SubproblemMaps(x_map, mu_map, lam)
     with prob._cache_lock:
         prob._cache[W] = result
     return result

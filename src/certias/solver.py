@@ -258,15 +258,22 @@ class RunResult:
     """Trace of one pointwise solve.
 
     sequence lists every executed state and ends with the terminal marker.
-    status is the terminal mode; iterations is iterations(sequence). x is
-    the final iterate, None when the run ended degenerate.
+    status and iterations are read off it: the marker's mode and
+    iterations(sequence). x is the final iterate, None when the run ended
+    degenerate.
     """
 
     sequence: tuple[SolverState, ...]
-    status: str
-    iterations: int
     x: Optional[np.ndarray]
     snapshots: list[np.ndarray] = field(default_factory=list)
+
+    @property
+    def status(self) -> str:
+        return self.sequence[-1].mode
+
+    @property
+    def iterations(self) -> int:
+        return iterations(self.sequence)
 
 
 def run(prob: MpQP, theta, errors=None, tol: Optional[Tolerances] = None,
@@ -318,13 +325,12 @@ def run(prob: MpQP, theta, errors=None, tol: Optional[Tolerances] = None,
             snapshots[i].append(snapshot)
     results: list[Optional[RunResult]] = [None] * len(thetas)
     for sequence, members in ends:
-        end, count = sequence[-1], iterations(sequence)
+        end = sequence[-1]
         xs = [None] * len(members)
         if end.mode != DEGENERATE:
             xs = subproblem_maps(prob, end.working_set).x_map(thetas[members])
         for i, x in zip(members.tolist(), xs):
-            results[i] = RunResult(sequence=sequence, status=end.mode, iterations=count,
-                                   x=x, snapshots=snapshots[i])
+            results[i] = RunResult(sequence=sequence, x=x, snapshots=snapshots[i])
     return results[0] if single else results
 
 

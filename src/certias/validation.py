@@ -187,11 +187,15 @@ def _error_draws(rng: np.random.Generator, bounds: np.ndarray, m: int):
     """validate_conformance's row source for _lockstep: the error rows of
     step k for the live samples, uniform within bounds[k] (from
     ErrorModel.step_bounds), from one rng.random call; zeros, and no draw,
-    where bounds[k] is 0."""
+    where bounds[k] is 0. A step past the last bound reads the last one:
+    given the schedule's bounds and then the base model's, every step gets
+    the bound it sees, however high the iteration cap."""
     low = -bounds
     span = bounds - low
+    last = len(bounds) - 1
 
     def rows_at(k, live):
+        k = min(k, last)
         if bounds[k] == 0.0:
             return np.zeros((len(live), m))
         u = rng.random((len(live), m))
@@ -227,7 +231,8 @@ def validate_conformance(prob: MpQP, result: CertificationResult,
     if model is None:
         model = ErrorModel.from_document(result.settings["error_model"])
     tol = Tolerances.from_document(result.settings)
-    bounds = model.step_bounds(2 * tol.iter_limit)
+    # Steps past the schedule see the base model, whose bound comes last.
+    bounds = model.step_bounds(len(model.schedule or ()) + 1)
     lo, hi = bounding_box(prob.theta_set)
     stack = _RegionStack(result)
     rng = np.random.default_rng(seed)

@@ -33,7 +33,8 @@ from certias.examples import double_integrator_problem, toy_problem
 from certias.geometry import LpPivotLimitError, Polyhedron, lp_call_count
 from certias.lpp import KIND_HYPERCUBE, ErrorModel
 from certias.mpqp import MpQP, subproblem_maps
-from certias.solver import SLACK_CHECK, run
+from certias.solver import (DUAL_CHECK, SLACK_CHECK, TERMINATED_ITER_LIMIT, TERMINATED_OPTIMAL,
+                            SolverState, run)
 
 EPS_P = 1e-6
 NOISE = 1e-12
@@ -70,9 +71,16 @@ def _fake_result(leaves):
 
 
 def _leaf(status, iterations):
-    box = Polyhedron.box([0.0], [1.0])
-    return CertifiedRegion(box, sequence=(), status=status,
-                           iterations=iterations)
+    """A leaf on [0, 1] whose sequence alternates a slack check on no rows
+    with a dual check on row 0 and stops `optimal` after its last slack
+    check, or hits the `iter_limit` cap after its last dual check."""
+    executed = 2 * iterations - 1 if status == "optimal" else 2 * iterations
+    marker = TERMINATED_OPTIMAL if status == "optimal" else TERMINATED_ITER_LIMIT
+    sequence = tuple(SolverState((0,), DUAL_CHECK) if j % 2 else SolverState((), SLACK_CHECK)
+                     for j in range(executed)) + (SolverState((), marker),)
+    leaf = CertifiedRegion(Polyhedron.box([0.0], [1.0]), sequence)
+    assert (leaf.status, leaf.iterations) == (status, iterations)
+    return leaf
 
 
 class TestSlackProfile:

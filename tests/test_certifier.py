@@ -14,6 +14,8 @@ import certias.certifier
 import certias.geometry as geo
 from certias.certifier import (
     BudgetExceededError,
+    CertificationResult,
+    CertifiedRegion,
     certify,
     halfplane_family,
     partition_step,
@@ -31,6 +33,7 @@ from certias.solver import (
     PASS_INDEX,
     SLACK_CHECK,
     TERMINATED_ITER_LIMIT,
+    TERMINATED_OPTIMAL,
     SolverState,
     Tolerances,
     iterations,
@@ -460,6 +463,82 @@ class TestIterationRule:
         for r in [*leaves, *runs]:
             assert r.iterations == iterations(r.sequence) == _slack_count(r.sequence)
             assert r.iterations <= iter_limit
+
+
+_STATUS_OF_MARKER = {TERMINATED_OPTIMAL: "optimal", TERMINATED_ITER_LIMIT: "iter_limit",
+                     DEGENERATE: "degenerate"}
+
+
+class TestDerivedLeafFields:
+    """A leaf stores its region and sequence; status and iterations are
+    read off the sequence and cannot be given or set apart from it."""
+
+    @pytest.mark.parametrize("status", sorted(_ALL_ENDS))
+    def test_read_off_the_sequence(self, inflated_result, status):
+        leaf = next(r for r in inflated_result.regions if r.status == status)
+        assert _STATUS_OF_MARKER[leaf.sequence[-1].mode] == status
+        assert leaf.iterations == _slack_count(leaf.sequence)
+        if status == "iter_limit":
+            assert leaf.iterations == Tolerances().iter_limit
+        with pytest.raises(AttributeError):
+            leaf.status = "optimal"
+        with pytest.raises(AttributeError):
+            leaf.iterations = 1
+        assert CertifiedRegion(leaf.region, leaf.sequence).to_document() == leaf.to_document()
+
+    def test_constructor_takes_only_deciding_fields(self, inflated_result):
+        leaf = inflated_result.regions[0]
+        with pytest.raises(TypeError):
+            CertifiedRegion(leaf.region, leaf.sequence, leaf.status, leaf.iterations)
+
+
+class TestSelfConsistentDocuments:
+    """CertifiedRegion.from_document reads only a leaf whose sequence ends
+    in its one terminal state and whose status and iterations are the ones
+    that sequence gives."""
+
+    @pytest.fixture
+    def capped(self, inflated_result):
+        """The document of a leaf that hits the cap after 15 iterations."""
+        return next(r for r in inflated_result.regions
+                    if r.status == "iter_limit").to_document()
+
+    def test_clean_document_round_trips_byte_for_byte(self, inflated_result):
+        text = dump_document(inflated_result.to_document())
+        back = CertificationResult.from_document(json.loads(text))
+        assert dump_document(back.to_document()) == text
+
+    def test_empty_sequence(self, capped):
+        with pytest.raises(ValueError, match="cannot be empty"):
+            CertifiedRegion.from_document({**capped, "sequence": []})
+
+    @pytest.mark.parametrize("cut", ["no_marker", "marker_mid", "marker_mid_and_end",
+                                     "two_markers"])
+    def test_not_one_terminal_state_at_the_end(self, capped, cut):
+        seq = capped["sequence"]
+        marker = seq[-1]
+        sequence = {"no_marker": seq[:-1],
+                    "marker_mid": seq[:2] + [marker] + seq[2:-1],
+                    "marker_mid_and_end": seq[:2] + [marker] + seq[2:],
+                    "two_markers": seq + [marker]}[cut]
+        with pytest.raises(ValueError, match="one terminal state"):
+            CertifiedRegion.from_document({**capped, "sequence": sequence})
+
+    @pytest.mark.parametrize("fields", [
+        {"status": "optimal"},
+        {"status": "optimal", "iterations": 1},
+        {"iterations": 1},
+        {"iterations": 15.0},
+        {"status": "finished"},
+    ])
+    def test_claims_that_disagree_with_the_sequence(self, capped, fields):
+        with pytest.raises(ValueError, match="disagree"):
+            CertifiedRegion.from_document({**capped, **fields})
+
+    def test_bool_iteration_count(self, inflated_result):
+        one = next(r for r in inflated_result.regions if r.iterations == 1).to_document()
+        with pytest.raises(ValueError, match="disagree"):
+            CertifiedRegion.from_document({**one, "iterations": True})
 
 
 class TestCanonicalOrder:

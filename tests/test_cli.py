@@ -606,6 +606,37 @@ class TestSweep:
         assert "--eps-bars" in capsys.readouterr().err
 
 
+def _relabelled_toy(toy_path, tmp_path):
+    """The toy's hypercube 0.05 partition with its cap leaves relabelled
+    as finished after one iteration: their sequences still hit the cap."""
+    out = tmp_path / "part.json"
+    assert main(["certify", "--problem", toy_path, "--eps-bar", "0.05",
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    capped = [leaf for leaf in doc["regions"] if leaf["status"] == "iter_limit"]
+    assert len(doc["regions"]) == 45 and len(capped) == 2
+    for leaf in capped:
+        leaf.update(status="optimal", iterations=1)
+    bad = tmp_path / "relabelled.json"
+    bad.write_text(dump_document(doc))
+    return bad
+
+
+@pytest.mark.parametrize("command", [
+    ["report", "--metric", "cdf"],
+    ["validate", "--problem", None, "--samples", "50"],
+])
+def test_relabelled_partition_exits_2(toy_path, tmp_path, capsys, command):
+    # Read as it stands, the relabelled leaves would count as finished in
+    # the CDF: a silently wrong table.
+    bad = _relabelled_toy(toy_path, tmp_path)
+    argv = [toy_path if arg is None else arg for arg in command]
+    assert main([*argv, "--partition", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert "bad partition document" in captured.err and "disagree" in captured.err
+    assert captured.out == ""
+
+
 class TestReport:
     def test_cdf_from_partition(self, toy_partition, capsys):
         code = main(["report", "--metric", "cdf",

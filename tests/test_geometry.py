@@ -76,11 +76,12 @@ class TestPolyhedronConstruction:
 
     @pytest.mark.parametrize("how", ["pickle", "copy", "deepcopy"])
     def test_pickle_and_copy(self, how):
-        # Rebuilt through _from_rows: the same rows and dim, still frozen.
+        # Rebuilt through _from_rows: the same rows and dim, still frozen. A
+        # set without rows keeps its dim, which is its A's column count.
+        rebuild = {"pickle": lambda P: pickle.loads(pickle.dumps(P)),
+                   "copy": copy.copy, "deepcopy": copy.deepcopy}[how]
         P = random_bounded(np.random.default_rng(4), 3, 2)
-        Q = {"pickle": lambda: pickle.loads(pickle.dumps(P)),
-             "copy": lambda: copy.copy(P),
-             "deepcopy": lambda: copy.deepcopy(P)}[how]()
+        Q = rebuild(P)
         assert type(Q) is Polyhedron and Q.dim == P.dim == 3
         assert (Q.A.tobytes(), Q.b.tobytes()) == (P.A.tobytes(), P.b.tobytes())
         assert not Q.A.flags.writeable and not Q.b.flags.writeable
@@ -88,8 +89,9 @@ class TestPolyhedronConstruction:
             Q.dim = 4
         with pytest.raises(ValueError):
             Q.b[0] = 5.0
-        free = pickle.loads(pickle.dumps(Polyhedron(np.zeros((0, 2)), [], dim=2)))
-        assert (free.nrows, free.dim) == (0, 2)
+        free = rebuild(Polyhedron(np.zeros((0, 2)), [], dim=2))
+        assert (free.nrows, free.dim, free.A.shape) == (0, 2, (0, 2))
+        assert not free.A.flags.writeable and not free.b.flags.writeable
 
 
 class TestIntersect:

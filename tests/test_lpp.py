@@ -53,6 +53,22 @@ class TestErrorModel:
             with pytest.raises(ValueError, match="finite"):
                 ErrorModel.from_document(fields)
 
+    @pytest.mark.parametrize("fields, name", [
+        ({"bound": 0.5}, "bound"),
+        ({"kind": "relative", "rel_bound": 0.1, "bound": 0.5}, "bound"),
+        ({"kind": "polyhedral", "set": Polyhedron.box([-1.0], [1.0]), "bound": 0.5}, "bound"),
+        ({"rel_bound": 0.1}, "rel_bound"),
+        ({"kind": "hypercube", "bound": 0.1, "rel_bound": 0.1}, "rel_bound"),
+        ({"set": Polyhedron.box([-1.0], [1.0])}, "set"),
+        ({"kind": "hypercube", "bound": 0.1, "set": Polyhedron.box([-1.0], [1.0])}, "set"),
+        ({"kind": "relative", "rel_bound": 0.1, "set": Polyhedron.box([-1.0], [1.0])}, "set"),
+    ])
+    def test_sizes_the_kind_ignores_rejected(self, fields, name):
+        # Each would be dropped without a word: from the arithmetic, and
+        # from the model's document.
+        with pytest.raises(ValueError, match=f"takes no {name}$"):
+            ErrorModel(**fields)
+
     def test_polyhedral_set_must_hold_origin(self):
         shifted = Polyhedron.box([0.5], [1.0])
         with pytest.raises(ValueError, match="origin"):

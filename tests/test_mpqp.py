@@ -118,7 +118,11 @@ class TestSubproblemMaps:
         prob = double_integrator_problem()
         maps = subproblem_maps(prob, (0, 0))
         assert maps.singular
-        assert maps.x_map is None
+        assert maps.x_map is maps.mu_map is maps.lambda_map is None
+        # singular is read off the maps: their absence.
+        with pytest.raises(AttributeError):
+            maps.singular = False
+        assert not subproblem_maps(prob, (0,)).singular
 
     def test_oversized_working_set_is_singular(self):
         prob = double_integrator_problem()
@@ -162,12 +166,18 @@ class TestSubproblemMaps:
             assert np.max(np.abs(maps.mu_map.g[rows])) <= 1e-8
 
     def test_cache_returns_same_object(self):
+        # Every spelling of one working set normalizes to one cache key.
         prob = toy_problem()
-        assert subproblem_maps(prob, (0,)) is subproblem_maps(prob, (0,))
+        maps = subproblem_maps(prob, (0,))
+        assert all(subproblem_maps(prob, W) is maps
+                   for W in ((0,), [0], (np.int64(0),), np.array([0])))
 
     def test_out_of_range_index(self):
-        with pytest.raises(ValueError):
-            subproblem_maps(toy_problem(), (3,))
+        prob = toy_problem()
+        subproblem_maps(prob, (0,))
+        for W in ((3,), (-1,), (0, 3)):
+            with pytest.raises(ValueError, match="out of range"):
+                subproblem_maps(prob, W)
 
 
 @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.0, 1.0))

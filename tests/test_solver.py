@@ -16,6 +16,7 @@ from certias.solver import (
     SLACK_CHECK,
     TERMINATED_ITER_LIMIT,
     TERMINATED_OPTIMAL,
+    RunResult,
     SolverState,
     Tolerances,
     _check,
@@ -213,6 +214,24 @@ class TestRunToy:
         assert result.status == DEGENERATE
         assert result.sequence[-1].working_set == (0, 0)
         assert result.x is None
+
+    @pytest.mark.parametrize("mode, theta, errors", [
+        (TERMINATED_OPTIMAL, [-2.0], None),
+        (TERMINATED_ITER_LIMIT, [-0.95], constant_rows([-0.5])),
+        (DEGENERATE, [-2.0], constant_rows([-1e-3])),
+    ])
+    def test_status_and_iterations_read_off_the_sequence(self, mode, theta, errors):
+        # A run stores its sequence; status is its marker's mode and
+        # iterations its slack checks, neither given nor set apart from it.
+        result = run(toy_problem(), theta, errors, Tolerances(iter_limit=4))
+        assert result.status == result.sequence[-1].mode == mode
+        assert result.iterations == sum(s.mode == SLACK_CHECK for s in result.sequence)
+        with pytest.raises(AttributeError):
+            result.status = TERMINATED_OPTIMAL
+        with pytest.raises(AttributeError):
+            result.iterations = 1
+        with pytest.raises(TypeError):
+            RunResult(result.sequence, result.status, result.iterations, result.x)
 
     def test_outside_parameter_set_rejected(self):
         with pytest.raises(ValueError, match="outside"):

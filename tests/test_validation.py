@@ -6,6 +6,7 @@ suite reruns them at full sample counts.
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,9 +263,7 @@ def _with_free_region(result, where):
     """A copy of result with a zero-row region inserted at position `where`."""
     dim = result.regions[0].region.dim
     free = CertifiedRegion(region=Polyhedron(np.zeros((0, dim)), np.zeros(0), dim),
-                           sequence=result.regions[0].sequence,
-                           status=result.regions[0].status,
-                           iterations=result.regions[0].iterations)
+                           sequence=result.regions[0].sequence)
     regions = list(result.regions)
     regions.insert(where, free)
     return CertificationResult(regions=regions, problem_digest=result.problem_digest,
@@ -282,8 +281,7 @@ def _split_leaves(result):
             row = np.zeros((1, P.dim))
             row[0, 0] = sign
             half = Polyhedron(np.vstack([P.A, row]), np.append(P.b, sign * cut), P.dim)
-            regions.append(CertifiedRegion(region=half, sequence=r.sequence,
-                                           status=r.status, iterations=r.iterations))
+            regions.append(CertifiedRegion(region=half, sequence=r.sequence))
     return CertificationResult(regions=regions, problem_digest=result.problem_digest,
                                settings=result.settings, stats=result.stats)
 
@@ -487,8 +485,7 @@ class TestReportsMatchOneByOne:
         cuts = [free.region.intersect([[1.0]], [0.0]),
                 free.region.intersect([[-1.0], [1.0]], [0.0, 1.0]),
                 free.region.intersect([[-1.0]], [-1.0])]
-        pieces = [CertifiedRegion(region=P, sequence=free.sequence, status=free.status,
-                                  iterations=free.iterations) for P in cuts]
+        pieces = [CertifiedRegion(region=P, sequence=free.sequence) for P in cuts]
         result = CertificationResult(regions=[pieces[0], constrained, *pieces[1:]],
                                      problem_digest=toy_nominal.problem_digest,
                                      settings=toy_nominal.settings, stats=toy_nominal.stats)
@@ -506,10 +503,8 @@ class TestReportsMatchOneByOne:
         # more than LOCATE_BLOCK, located a block at a time.
         a, b = toy_nominal.regions
         result = CertificationResult(
-            regions=[CertifiedRegion(region=a.region, sequence=b.sequence, status=b.status,
-                                     iterations=b.iterations),
-                     CertifiedRegion(region=b.region, sequence=a.sequence, status=a.status,
-                                     iterations=a.iterations)],
+            regions=[CertifiedRegion(region=a.region, sequence=b.sequence),
+                     CertifiedRegion(region=b.region, sequence=a.sequence)],
             problem_digest=toy_nominal.problem_digest, settings=toy_nominal.settings,
             stats=toy_nominal.stats)
         reference = _validate_one_by_one(toy, result, 600, 3)
@@ -664,6 +659,18 @@ class TestOneCallDraws:
         assert [e.shape for e in errors] == [(len(live), 3) for live in _live_sets(10)]
         assert not any(e.any() for e in errors)
 
+    @pytest.mark.parametrize("schedule", [(), (ErrorModel(kind=KIND_HYPERCUBE, bound=0.1),),
+                                          (ErrorModel(), ErrorModel(kind=KIND_HYPERCUBE,
+                                                                    bound=0.2))])
+    def test_steps_past_the_bounds_read_the_last(self, schedule):
+        # The schedule's bounds plus the base model's give every step's
+        # draws that one bound per step gives.
+        model = ErrorModel(kind=KIND_HYPERCUBE, bound=0.05, schedule=schedule or None)
+        short = _error_draws(np.random.default_rng(3), model.step_bounds(len(schedule) + 1), 4)
+        full = _error_draws(np.random.default_rng(3), model.step_bounds(32), 4)
+        for k, live in enumerate(_live_sets(32)):
+            assert short(k, live).tobytes() == full(k, live).tobytes()
+
     def test_unsupported_kinds_raise(self):
         for model in (ErrorModel(kind=KIND_POLYHEDRAL, set=Polyhedron.box([-0.1], [0.1])),
                       ErrorModel(kind=KIND_RELATIVE, rel_bound=0.1),
@@ -671,6 +678,25 @@ class TestOneCallDraws:
                                  schedule=(ErrorModel(kind=KIND_RELATIVE, rel_bound=0.1),))):
             with pytest.raises(ValueError, match="cannot sample"):
                 model.step_bounds(4)
+
+
+class TestCostIndependentOfIterLimit:
+    def test_high_cap_validates_like_the_default(self, toy):
+        # The runs stop after two iterations whatever the cap, so neither
+        # the report nor the memory may depend on it: one bound per possible
+        # step would take 160 MB here.
+        reports = []
+        for iter_limit in (15, 10**7):
+            result = certify(toy, Tolerances(iter_limit=iter_limit))
+            tracemalloc.start()
+            try:
+                report = validate_conformance(toy, result, n_samples=200, seed=4)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2_000_000
+            reports.append(report.to_document())
+        assert reports[0] == reports[1]
 
 
 def _near_all_rows(result, points):
@@ -1004,8 +1030,7 @@ class TestMalformedSequences:
         region = next(r for r in toy_inflated.regions if len(r.sequence) == 4)
         stop = SolverState(region.sequence[where].working_set, TERMINATED_OPTIMAL)
         sequence = region.sequence[:where] + (stop,) + region.sequence[where:]
-        bad = CertifiedRegion(region=region.region, sequence=sequence,
-                              status=region.status, iterations=region.iterations)
+        bad = CertifiedRegion(region=region.region, sequence=sequence)
         center, _ = interior_point(region.region)
         for model in (ErrorModel(), ErrorModel(kind=KIND_HYPERCUBE, bound=0.1)):
             with pytest.raises(ValueError, match="mid-sequence"):
