@@ -37,12 +37,14 @@ from certias.mpqp import MpQP, subproblem_maps
 from certias.solver import (
     DEGENERATE,
     DUAL_CHECK,
+    NO_INDEX,
     PASS_INDEX,
     SLACK_CHECK,
     TERMINATED_ITER_LIMIT,
     TERMINATED_OPTIMAL,
     SolverState,
     Tolerances,
+    decision_of,
     iterations,
     transition,
 )
@@ -110,16 +112,25 @@ class CertifiedRegion:
                 "status": self.status, "iterations": self.iterations}
 
     @classmethod
-    def from_document(cls, doc: dict) -> "CertifiedRegion":
-        """Leaf from its document. Raises ValueError unless the sequence
-        ends in its one terminal state and the document's status and
-        iterations are the ones that sequence gives."""
+    def from_document(cls, doc: dict, steps: Optional[set] = None) -> "CertifiedRegion":
+        """Leaf from its document. Raises ValueError unless the sequence is
+        a run of the automaton, from the empty slack check to its one
+        terminal state (decision_of), and gives the document's status and
+        iterations. steps, shared by a document's leaves, holds the pairs of
+        states already found to follow one another, so each is checked once."""
         leaf = cls(Polyhedron.from_document(doc),
                    tuple(SolverState.from_document(s) for s in doc["sequence"]))
         if not leaf.sequence:
             raise ValueError("a certified sequence cannot be empty")
         if not leaf.sequence[-1].terminal or any(s.terminal for s in leaf.sequence[:-1]):
             raise ValueError("a certified sequence must end in its one terminal state")
+        if leaf.sequence[0] != SolverState((), SLACK_CHECK):
+            raise ValueError("a certified sequence must start at the empty slack check")
+        steps = set() if steps is None else steps
+        for pair in zip(leaf.sequence, leaf.sequence[1:]):
+            if pair not in steps:
+                decision_of(*pair)
+                steps.add(pair)
         claimed, derived = (doc["status"], doc["iterations"]), (leaf.status, leaf.iterations)
         if claimed != derived or type(doc["iterations"]) is not int:
             raise ValueError(f"status and iterations {claimed} disagree with the "
@@ -152,7 +163,8 @@ class CertificationResult:
         Tolerances.from_document(doc["settings"])  # malformed tolerances fail here
         if not doc["regions"]:
             raise ValueError("partition has no regions")
-        return cls(regions=[CertifiedRegion.from_document(r) for r in doc["regions"]],
+        steps: set = set()
+        return cls(regions=[CertifiedRegion.from_document(r, steps) for r in doc["regions"]],
                    problem_digest=doc["problem_digest"], settings=doc["settings"],
                    stats=doc["stats"])
 
@@ -269,15 +281,15 @@ def certify(prob: MpQP, tol: Optional[Tolerances] = None,
     run so far, the point that proved the region nonempty, None at the
     root). Each popped entry is handled in the pointwise solver's order:
     the iteration cap (at step 2 * iter_limit), then a singular subproblem,
-    then the decision split; a leaf is its region and its sequence, whose
-    status and iterations it reads off as run does. The
-    splits share one memo of lifted families (partition_step's `lifted`),
-    freed when certify returns. The result is canonically sorted by
-    sequence, so it does not depend on exploration order. max_live caps the
-    frontier size to guard against error-model-induced blowup
-    (BudgetExceededError). A polyhedral set of the wrong dimension, in the
-    model or in any schedule entry, raises ValueError before anything is
-    explored.
+    then the decision split, every next state but the cap marker coming from
+    transition, as in the lockstep; a leaf is its region and its sequence,
+    whose status and iterations it reads off as run does. The splits share
+    one memo of lifted families (partition_step's `lifted`), freed when
+    certify returns. The result is canonically sorted by sequence, so it
+    does not depend on exploration order. max_live caps the frontier size
+    to guard against error-model-induced blowup (BudgetExceededError). A
+    polyhedral set of the wrong dimension, in the model or in any schedule
+    entry, raises ValueError before anything is explored.
 
     certify runs on the calling thread, and workers is accepted for
     compatibility only. Calls on several threads at once are safe: each
@@ -305,8 +317,7 @@ def certify(prob: MpQP, tol: Optional[Tolerances] = None,
             continue
         seq += (state,)
         if subproblem_maps(prob, state.working_set).singular:
-            finals.append(CertifiedRegion(
-                region, seq + (SolverState(state.working_set, DEGENERATE),)))
+            finals.append(CertifiedRegion(region, seq + (transition(state, NO_INDEX),)))
             continue
         kids = partition_step(region, state, prob, tol, model, k, point, lifted)
         # halfplane_family has a pass branch plus one per decision component.

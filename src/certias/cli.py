@@ -260,7 +260,10 @@ def cmd_report(cfg: RunConfig) -> int:
         if prob is not None and result.problem_digest != prob.digest():
             raise InputError("the partition belongs to a different problem")
         cfg = _partition_config(cfg, result)
-    table = iteration_cdf(result) if metric == "cdf" else slack_profile(prob, result)
+    try:
+        table = iteration_cdf(result) if metric == "cdf" else slack_profile(prob, result)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     _emit(table, cfg)
     return 0
 

@@ -14,20 +14,17 @@ before it is compared against the tolerance. Multipliers are checked
 exactly unless perturb_dual is set, in which case they see the working-set
 components of the same row.
 
-run is one lockstep engine over a block of parameters; a single parameter
-and step are the block-of-one case. At step k the live parameters are
-grouped by solver path, the states they have run so far, each group an
+The lockstep (_lockstep) is the one pointwise engine: run is its block of
+one, and validation drives it on a block. At step k the live parameters
+are grouped by solver path, the states they have run so far, each group an
 array of indices into the block. Each group looks its subproblem maps up
-once, evaluates its vectors in one block, decides every member with one
-vectorized rule (_decide) and splits by distinct decision, applying
-transition once per part. The lockstep reads error rows from a row
-source, once per step that reads them, for the step's live parameters in
-ascending order: run answers from its error array, validation draws them
-as the steps come. Validation judges the finished groups directly: every
-member of one shares one sequence. The maps evaluate elementwise in a
-fixed order (AffineMap), so a parameter's run is bit for bit the same in
-any block. run and the certifier count iterations with one rule
-(iterations).
+once, decides every member with one vectorized rule (_decide) and splits
+by distinct decision, each part's next state coming from transition, which
+also ends a singular check DEGENERATE. The lockstep reads error rows from
+a row source, once per step that reads them, for the step's live
+parameters in ascending order. The maps evaluate elementwise in a fixed
+order (AffineMap), so a parameter's run is bit for bit the same in any
+block. run and the certifier count iterations with one rule (iterations).
 """
 
 from __future__ import annotations
@@ -144,27 +141,48 @@ class Tolerances:
 
 
 def transition(state: SolverState, index: int) -> SolverState:
-    """Next automaton state after taking decision `index` in `state`.
+    """Next automaton state after taking decision `index` in `state`, the one
+    rule the pointwise solver and the certifier share.
 
     In slack_check mode, index >= 0 adds that constraint row and moves to
     dual_check; PASS_INDEX terminates optimal. In dual_check mode, index >= 0
     removes that row and PASS_INDEX keeps the working set; both return to
-    slack_check. This single function is shared by the pointwise solver and
-    the certifier.
+    slack_check. NO_INDEX (a singular subproblem) ends DEGENERATE from either
+    mode. Any other index, or any index in a terminal state, raises ValueError.
     """
     W = state.working_set
+    if state.terminal:
+        raise ValueError(f"no transitions from terminal mode {state.mode!r}")
+    if index == NO_INDEX:
+        return SolverState(W, DEGENERATE)
+    if index == PASS_INDEX:
+        return SolverState(W, TERMINATED_OPTIMAL if state.mode == SLACK_CHECK else SLACK_CHECK)
+    if index < 0:
+        raise ValueError(f"no decision {index}")
     if state.mode == SLACK_CHECK:
-        if index == PASS_INDEX:
-            return SolverState(W, TERMINATED_OPTIMAL)
         return SolverState(W + (int(index),), DUAL_CHECK)
-    if state.mode == DUAL_CHECK:
-        if index == PASS_INDEX:
-            return SolverState(W, SLACK_CHECK)
-        if index not in W:
-            raise ValueError(f"cannot drop row {index}: not in working set {W}")
-        pos = W.index(int(index))
-        return SolverState(W[:pos] + W[pos + 1:], SLACK_CHECK)
-    raise ValueError(f"no transitions from terminal mode {state.mode!r}")
+    if index not in W:
+        raise ValueError(f"cannot drop row {index}: not in working set {W}")
+    pos = W.index(int(index))
+    return SolverState(W[:pos] + W[pos + 1:], SLACK_CHECK)
+
+
+def decision_of(state: SolverState, nxt: SolverState) -> int:
+    """The decision i with transition(state, i) == nxt, a cap marker standing
+    for the slack check it replaces; ValueError when there is none. A longer
+    nxt added its last row, a shorter one dropped the row where the working
+    sets first part, one of equal length passed or ended DEGENERATE."""
+    W, V = state.working_set, nxt.working_set
+    if len(V) == len(W) + 1:
+        index = V[-1]
+    elif len(V) == len(W) - 1:
+        index = next((w for w, v in zip(W, V) if w != v), W[-1])
+    else:
+        index = NO_INDEX if nxt.mode == DEGENERATE else PASS_INDEX
+    want = SolverState(V, SLACK_CHECK) if nxt.mode == TERMINATED_ITER_LIMIT else nxt
+    if transition(state, index) != want:
+        raise ValueError(f"no decision takes {state} to {nxt}")
+    return index
 
 
 def iterations(sequence: Sequence[SolverState]) -> int:
@@ -214,16 +232,10 @@ def _check(prob: MpQP, state: SolverState, thetas: np.ndarray, rows: Optional[np
     return _decide(z, W, tol.dual), z
 
 
-def _successor(state: SolverState, index: int) -> SolverState:
-    """transition, plus the DEGENERATE end of a check that took no decision."""
-    if index == NO_INDEX:
-        return SolverState(state.working_set, DEGENERATE)
-    return transition(state, index)
-
-
 def step(prob: MpQP, state: SolverState, theta, epsilon, tol: Tolerances,
          perturb_dual: bool = False) -> tuple[SolverState, int, np.ndarray]:
-    """One automaton step at a fixed parameter: run's check on a block of one.
+    """One automaton step at a fixed parameter: the lockstep's check on a
+    block of one. A terminal state raises ValueError (transition).
 
     Args:
         prob: problem instance.
@@ -240,8 +252,6 @@ def step(prob: MpQP, state: SolverState, theta, epsilon, tol: Tolerances,
         decision was based on. chosen_index is the added or dropped row,
         PASS_INDEX for terminate/keep, NO_INDEX on a singular subproblem.
     """
-    if state.terminal:
-        raise ValueError("cannot step a terminal state")
     theta = np.asarray(theta, dtype=float).ravel()
     rows = None
     if state.mode == SLACK_CHECK or perturb_dual:
@@ -250,7 +260,7 @@ def step(prob: MpQP, state: SolverState, theta, epsilon, tol: Tolerances,
             raise ValueError(f"epsilon must have {prob.m} entries")
     (index,), (snapshot,) = _check(prob, state, theta[None], rows, tol, perturb_dual)
     index = int(index)
-    return _successor(state, index), index, snapshot
+    return transition(state, index), index, snapshot
 
 
 @dataclass
@@ -277,67 +287,42 @@ class RunResult:
 
 
 def run(prob: MpQP, theta, errors=None, tol: Optional[Tolerances] = None,
-        perturb_dual: bool = False) -> RunResult | list[RunResult]:
-    """Run the solver until it terminates, at one parameter or at a block.
+        perturb_dual: bool = False) -> RunResult:
+    """Run the solver at one parameter until it terminates: the lockstep on
+    a block of one.
 
-    theta is a parameter vector, giving a RunResult, or an s x n_theta
-    block, giving a list of s RunResults in row order. Every parameter must
-    lie in the problem's parameter set (within MEMBERSHIP_SLACK). errors is
-    a K x m array for one parameter, and an s x K x m array of each row's
-    error rows for a block: automaton step k adds row k to its slack (and,
-    with perturb_dual, the row's working-set components to its
-    multipliers); steps past row K-1 add zero, as does every step when
-    errors is None. Iterations (slack checks) are capped at tol.iter_limit,
-    after which the run ends with TERMINATED_ITER_LIMIT.
-
-    A block runs in lockstep, its row source answering each step's live
-    rows from errors (errors[live, k], zeros past K), and each parameter's
-    result, x and snapshots included, is bit for bit the one it gets when
-    run alone.
+    theta is a parameter vector of the problem's parameter set (within
+    MEMBERSHIP_SLACK). errors is a K x m array of error rows: automaton
+    step k adds row k to its slack (and, with perturb_dual, the row's
+    working-set components to its multipliers); steps past row K-1 add
+    zero, as does every step when errors is None. Iterations (slack
+    checks) are capped at tol.iter_limit, after which the run ends with
+    TERMINATED_ITER_LIMIT. Any other shape of theta or errors raises
+    ValueError.
     """
     tol = tol or Tolerances()
-    theta = np.asarray(theta, dtype=float)
-    single = theta.ndim != 2
-    thetas = theta.reshape(1, -1) if single else theta
-    if errors is None:
-        errors = np.zeros((len(thetas), 0, prob.m))
-    else:
-        errors = np.asarray(errors, dtype=float)
-        if single:
-            if errors.ndim != 2 or errors.shape[1] != prob.m:
-                raise ValueError(f"errors must be a 2-D array with {prob.m} columns")
-            errors = errors[None]
-        elif errors.ndim != 3 or errors.shape[0] != len(thetas) or errors.shape[2] != prob.m:
-            raise ValueError(f"errors must be a {len(thetas)} x K x {prob.m} array")
-    if not np.all(contains(prob.theta_set, theta.ravel() if single else theta,
-                           slack=MEMBERSHIP_SLACK)):
+    theta = np.asarray(theta, dtype=float).ravel()
+    errors = np.zeros((0, prob.m)) if errors is None else np.asarray(errors, dtype=float)
+    if errors.ndim != 2 or errors.shape[1] != prob.m:
+        raise ValueError(f"errors must be a 2-D array with {prob.m} columns")
+    if not contains(prob.theta_set, theta, slack=MEMBERSHIP_SLACK):
         raise ValueError("theta lies outside the parameter set")
-    K = errors.shape[1]
 
     def rows_at(k, live):
-        return errors[live, k] if k < K else np.zeros((len(live), prob.m))
+        return errors[k:k + 1] if k < len(errors) else np.zeros((1, prob.m))
 
     blocks: list[tuple[np.ndarray, np.ndarray]] = []
-    ends = _lockstep(prob, thetas, rows_at, tol, perturb_dual, blocks)
-    snapshots: list[list[np.ndarray]] = [[] for _ in range(len(thetas))]
-    for members, z in blocks:
-        for i, snapshot in zip(members.tolist(), z):
-            snapshots[i].append(snapshot)
-    results: list[Optional[RunResult]] = [None] * len(thetas)
-    for sequence, members in ends:
-        end = sequence[-1]
-        xs = [None] * len(members)
-        if end.mode != DEGENERATE:
-            xs = subproblem_maps(prob, end.working_set).x_map(thetas[members])
-        for i, x in zip(members.tolist(), xs):
-            results[i] = RunResult(sequence=sequence, x=x, snapshots=snapshots[i])
-    return results[0] if single else results
+    ((sequence, _),) = _lockstep(prob, theta[None], rows_at, tol, perturb_dual, blocks)
+    end = sequence[-1]
+    x = None if end.mode == DEGENERATE else \
+        subproblem_maps(prob, end.working_set).x_map(theta[None])[0]
+    return RunResult(sequence=sequence, x=x, snapshots=[z[0] for _, z in blocks])
 
 
 def _lockstep(prob: MpQP, thetas: np.ndarray, rows_at, tol: Tolerances,
               perturb_dual: bool, blocks: Optional[list] = None) -> list:
-    """run on a block, grouped by solver path: step k checks each live
-    group once, then splits it by decision.
+    """The pointwise solver on a block, grouped by solver path: step k checks
+    each live group once, then splits it by decision (transition).
 
     A live group is (path, state, members): path is the tuple of states its
     members have run, state the one they run next, and members their
@@ -356,7 +341,7 @@ def _lockstep(prob: MpQP, thetas: np.ndarray, rows_at, tol: Tolerances,
     being its path plus the terminal marker (the cap's included). When
     blocks is given, (members, z) is appended to it for each check in step
     order, z holding the vectors its members' decisions were based on, row
-    by row.
+    by row: run reads its snapshots from it.
     """
     ends: list[tuple[tuple[SolverState, ...], np.ndarray]] = []
     live = [((), SolverState((), SLACK_CHECK), np.arange(len(thetas)))]
@@ -380,7 +365,7 @@ def _lockstep(prob: MpQP, thetas: np.ndarray, rows_at, tol: Tolerances,
             distinct = set(decisions.tolist())
             for index in distinct:
                 part = members if len(distinct) == 1 else members[decisions == index]
-                nxt = _successor(state, index)
+                nxt = transition(state, index)
                 if nxt.terminal:
                     ends.append(((*path, nxt), part))
                 else:

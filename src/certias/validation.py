@@ -62,7 +62,7 @@ from certias.geometry import (
 )
 from certias.lpp import ErrorModel
 from certias.mpqp import MpQP
-from certias.solver import DUAL_CHECK, SLACK_CHECK, Tolerances, _lockstep, run
+from certias.solver import Tolerances, _lockstep, decision_of, run
 
 DELTA_MARGIN = 1e-7
 # Samples tested for membership and the boundary at once, and failed
@@ -289,18 +289,16 @@ def _vertex(sequence, bounds: np.ndarray, m: int) -> np.ndarray:
     it win, larger errors elsewhere keep the competition out, and a pass,
     keep or singular step wants every component at the upper bound. Dual
     errors enter through the working set's constraint rows, which is the
-    labeling the certified sequence uses.
+    labeling the certified sequence uses. A sequence that is no run of the
+    automaton (decision_of) raises ValueError.
     """
+    if any(state.terminal for state in sequence[:-1]):
+        raise ValueError("unexpected terminal state mid-sequence")
     rows = np.repeat(bounds[:, None], m, axis=1)
     for k, (state, nxt) in enumerate(zip(sequence, sequence[1:])):
-        if state.mode not in (SLACK_CHECK, DUAL_CHECK):
-            raise ValueError(f"unexpected mode {state.mode!r} mid-sequence")
-        W, V = state.working_set, nxt.working_set
-        if len(V) > len(W):
-            rows[k, V[-1]] = -bounds[k]
-        elif len(V) < len(W):
-            # The dropped row sits where the two working sets first part.
-            rows[k, next((w for w, v in zip(W, V) if w != v), W[-1])] = -bounds[k]
+        index = decision_of(state, nxt)
+        if index >= 0:
+            rows[k, index] = -bounds[k]
     return rows
 
 

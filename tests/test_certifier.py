@@ -459,7 +459,8 @@ class TestIterationRule:
         steps = 2 * iter_limit + 2
         errors = rng.uniform(-1.0, 1.0, size=(len(thetas), steps, prob.m)) \
             * model.step_bounds(steps)[:, None]
-        runs = run(prob, thetas, errors, tol, model.perturb_dual)
+        runs = [run(prob, theta, rows, tol, model.perturb_dual)
+                for theta, rows in zip(thetas, errors)]
         for r in [*leaves, *runs]:
             assert r.iterations == iterations(r.sequence) == _slack_count(r.sequence)
             assert r.iterations <= iter_limit
@@ -539,6 +540,98 @@ class TestSelfConsistentDocuments:
         one = next(r for r in inflated_result.regions if r.iterations == 1).to_document()
         with pytest.raises(ValueError, match="disagree"):
             CertifiedRegion.from_document({**one, "iterations": True})
+
+
+_S, _D = SLACK_CHECK, DUAL_CHECK
+_OPT, _CAP, _DEG = TERMINATED_OPTIMAL, TERMINATED_ITER_LIMIT, DEGENERATE
+
+
+def _leaf_document(leaf_doc, states):
+    """leaf_doc with the sequence of (working set, mode) states, and the
+    status and iterations that sequence gives."""
+    leaf = CertifiedRegion(Polyhedron.from_document(leaf_doc),
+                           tuple(SolverState(w, mode) for w, mode in states))
+    return {**leaf_doc, "sequence": [s.to_document() for s in leaf.sequence],
+            "status": _STATUS_OF_MARKER[states[-1][1]], "iterations": leaf.iterations}
+
+
+class TestSequencesAreRuns:
+    """A document's sequences must be runs of the automaton: from the empty
+    slack check, each later state is transition(previous, i) for some
+    decision i, a cap marker standing for the slack check it replaces."""
+
+    @pytest.mark.parametrize("states", [
+        [((), _S), ((0,), _D), ((0,), _S), ((0,), _OPT)],
+        [((), _S), ((1,), _D), ((1,), _DEG)],
+        [((), _S), ((0,), _D), ((), _S), ((), _DEG)],
+        [((), _S), ((0,), _D), ((0,), _CAP)],
+        [((), _S), ((0,), _D), ((0,), _S), ((0, 2), _D), ((2,), _S), ((2,), _OPT)],
+    ], ids=["keep", "singular-dual", "singular-slack", "cap", "drop"])
+    def test_runs_read(self, inflated_result, states):
+        doc = _leaf_document(inflated_result.regions[0].to_document(), states)
+        leaf = CertifiedRegion.from_document(doc)
+        assert [(s.working_set, s.mode) for s in leaf.sequence] == states
+
+    @pytest.mark.parametrize("states, match", [
+        ([((0,), _S), ((0,), _OPT)], "empty slack check"),
+        ([((), _D), ((), _S), ((), _OPT)], "empty slack check"),
+        ([((), _S), ((0,), _S), ((0,), _OPT)], "no decision"),
+        ([((), _S), ((0,), _D), ((0,), _D), ((0,), _OPT)], "no decision"),
+        ([((), _S), ((-7,), _D), ((-7,), _S), ((-7,), _OPT)], "no decision"),
+        ([((), _S), ((0,), _D), ((1,), _S), ((1,), _OPT)], "no decision"),
+        ([((), _S), ((0,), _D), ((0, 1), _D), ((0, 1), _DEG)], "cannot drop"),
+        ([((), _S), ((), _CAP)], "no decision"),
+        ([((), _S), ((0,), _D), ((0,), _OPT)], "no decision"),
+        ([((), _S), ((0, 1), _D), ((0, 1), _S), ((0, 1), _OPT)], "no decision"),
+    ], ids=["root-row", "root-dual", "slack-to-slack", "dual-to-dual", "negative-row",
+            "swap-row", "add-at-dual", "cap-after-slack", "optimal-after-dual",
+            "two-rows-at-once"])
+    def test_non_runs_refused(self, inflated_result, states, match):
+        doc = _leaf_document(inflated_result.regions[0].to_document(), states)
+        with pytest.raises(ValueError, match=match):
+            CertifiedRegion.from_document(doc)
+        whole = {**inflated_result.to_document()}
+        whole["regions"] = [*whole["regions"][:3], doc, *whole["regions"][3:]]
+        with pytest.raises(ValueError, match=match):
+            CertificationResult.from_document(whole)
+
+    def test_flipped_mode_in_the_exact_toy_partition(self):
+        # The first leaf's second state read as a slack check would make
+        # three slack checks, counted as two iterations.
+        doc = json.loads(dump_document(certify(toy_problem()).to_document()))
+        leaf = doc["regions"][0]
+        assert leaf["sequence"][1]["mode"] == DUAL_CHECK
+        leaf["sequence"][1]["mode"] = SLACK_CHECK
+        with pytest.raises(ValueError, match="no decision"):
+            CertificationResult.from_document(doc)
+
+    def test_each_pair_checked_once_per_document(self, inflated_result, monkeypatch):
+        doc = json.loads(dump_document(inflated_result.to_document()))
+        calls = []
+        check = certias.certifier.decision_of
+        monkeypatch.setattr(certias.certifier, "decision_of",
+                            lambda *pair: calls.append(pair) or check(*pair))
+        back = CertificationResult.from_document(doc)
+        pairs = {p for r in back.regions for p in zip(r.sequence, r.sequence[1:])}
+        assert sorted(calls, key=sequence_key) == sorted(pairs, key=sequence_key)
+
+    @pytest.mark.parametrize("case", [
+        ("toy", ErrorModel(), 15),
+        ("toy", ErrorModel(kind="hypercube", bound=0.1), 3),
+        ("toy", ErrorModel(kind="hypercube", bound=0.05, perturb_dual=True), 15),
+        ("toy", ErrorModel(kind="hypercube", bound=0.05, schedule=(
+            ErrorModel(), ErrorModel(kind="hypercube", bound=0.2))), 15),
+        ("toy", ErrorModel(kind="relative", rel_bound=1e-3), 15),
+        ("double_integrator", ErrorModel(kind="hypercube", bound=1e-4), 15),
+        ("double_integrator", ErrorModel(kind="hypercube", bound=1e-3, perturb_dual=True), 15),
+    ], ids=["toy-exact", "toy-cap-3", "toy-perturb-dual", "toy-schedule",
+            "toy-relative", "di-hypercube", "di-perturb-dual"])
+    def test_certified_documents_read_back_byte_for_byte(self, case):
+        name, model, cap = case
+        prob = toy_problem() if name == "toy" else double_integrator_problem()
+        text = dump_document(certify(prob, Tolerances(iter_limit=cap), model).to_document())
+        back = CertificationResult.from_document(json.loads(text))
+        assert dump_document(back.to_document()) == text
 
 
 class TestCanonicalOrder:

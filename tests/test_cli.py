@@ -637,6 +637,27 @@ def test_relabelled_partition_exits_2(toy_path, tmp_path, capsys, command):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", [
+    ["report", "--metric", "cdf"],
+    ["validate", "--problem", None, "--samples", "100"],
+])
+def test_sequence_not_a_run_exits_2(toy_path, toy_partition, tmp_path, capsys, command):
+    # The first leaf's second state flipped to a slack check: read as it
+    # stands, the CDF counted the leaf done at 2 iterations, and validate
+    # found mismatches (exit 1).
+    doc = json.loads(toy_partition.read_text())
+    state = doc["regions"][0]["sequence"][1]
+    assert state["mode"] == "dual_check"
+    state["mode"] = "slack_check"
+    bad = tmp_path / "flipped.json"
+    bad.write_text(dump_document(doc))
+    argv = [toy_path if arg is None else arg for arg in command]
+    assert main([*argv, "--partition", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert "bad partition document" in captured.err and "no decision" in captured.err
+    assert captured.out == ""
+
+
 class TestReport:
     def test_cdf_from_partition(self, toy_partition, capsys):
         code = main(["report", "--metric", "cdf",
@@ -741,6 +762,26 @@ class TestReport:
                      "--partition", str(toy_partition)]) == 2
         captured = capsys.readouterr()
         assert "different problem" in captured.err and captured.out == ""
+
+    def test_working_set_row_out_of_range_exits_2(self, toy_path, toy_partition, tmp_path,
+                                                  capsys):
+        # Row 0 renamed 7 leaves every sequence a run of the automaton, but
+        # the toy has one constraint row: slack_profile refuses the row,
+        # once an internal error (exit 3).
+        doc = json.loads(toy_partition.read_text())
+        renamed = 0
+        for leaf in doc["regions"]:
+            for state in leaf["sequence"]:
+                renamed += state["working_set"].count(0)
+                state["working_set"] = [7 if i == 0 else i for i in state["working_set"]]
+        assert renamed
+        bad = tmp_path / "renamed.json"
+        bad.write_text(dump_document(doc))
+        assert main(["report", "--metric", "slack", "--problem", toy_path,
+                     "--partition", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert "error: working-set index 7 out of range" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("metric", ["slack", "cdf"])
     def test_empty_partition_exits_2(self, toy_path, toy_partition, tmp_path,

@@ -7,7 +7,7 @@ import pytest
 from certias.examples import double_integrator_problem, toy_problem
 from certias.geometry import Polyhedron, bounding_box, contains
 from certias.lpp import KIND_HYPERCUBE, ErrorModel
-from certias.mpqp import MpQP
+from certias.mpqp import MpQP, subproblem_maps
 from certias.solver import (
     DEGENERATE,
     DUAL_CHECK,
@@ -22,6 +22,7 @@ from certias.solver import (
     _check,
     _decide,
     _lockstep,
+    decision_of,
     run,
     step,
     transition,
@@ -65,6 +66,61 @@ class TestTransition:
     def test_terminal_has_no_transitions(self):
         with pytest.raises(ValueError):
             transition(SolverState((), TERMINATED_OPTIMAL), PASS_INDEX)
+
+    @pytest.mark.parametrize("mode", [SLACK_CHECK, DUAL_CHECK])
+    def test_no_decision_ends_degenerate(self, mode):
+        assert transition(SolverState((0,), mode), NO_INDEX) == SolverState((0,), DEGENERATE)
+        assert transition(SolverState((), SLACK_CHECK), NO_INDEX) == \
+            SolverState((), DEGENERATE)
+
+    @pytest.mark.parametrize("mode", [SLACK_CHECK, DUAL_CHECK])
+    @pytest.mark.parametrize("index", [-3, -7])
+    def test_other_negative_indices_rejected(self, mode, index):
+        with pytest.raises(ValueError, match="no decision"):
+            transition(SolverState((0,), mode), index)
+
+    @pytest.mark.parametrize("mode", [TERMINATED_OPTIMAL, TERMINATED_ITER_LIMIT, DEGENERATE])
+    @pytest.mark.parametrize("index", [NO_INDEX, PASS_INDEX, 0, 1])
+    def test_terminal_refuses_every_index(self, mode, index):
+        with pytest.raises(ValueError, match="terminal"):
+            transition(SolverState((0,), mode), index)
+
+
+class TestDecisionOf:
+    """decision_of inverts transition, the cap marker standing for the
+    slack check it replaces, and refuses a pair no decision links."""
+
+    @pytest.mark.parametrize("state, index", [
+        (SolverState((), SLACK_CHECK), 0),
+        (SolverState((2,), SLACK_CHECK), PASS_INDEX),
+        (SolverState((2,), SLACK_CHECK), NO_INDEX),
+        (SolverState((2, 0, 1), DUAL_CHECK), 0),
+        (SolverState((2, 0, 1), DUAL_CHECK), 1),
+        (SolverState((2, 0), DUAL_CHECK), PASS_INDEX),
+        (SolverState((2, 0), DUAL_CHECK), NO_INDEX),
+    ])
+    def test_inverts_transition(self, state, index):
+        nxt = transition(state, index)
+        assert decision_of(state, nxt) == index
+        if nxt.mode == SLACK_CHECK:
+            assert decision_of(state, SolverState(nxt.working_set, TERMINATED_ITER_LIMIT)) \
+                == index
+
+    @pytest.mark.parametrize("state, nxt", [
+        (SolverState((), SLACK_CHECK), SolverState((), SLACK_CHECK)),
+        (SolverState((), SLACK_CHECK), SolverState((0,), SLACK_CHECK)),
+        (SolverState((), SLACK_CHECK), SolverState((), TERMINATED_ITER_LIMIT)),
+        (SolverState((), SLACK_CHECK), SolverState((-7,), DUAL_CHECK)),
+        (SolverState((0,), DUAL_CHECK), SolverState((0,), DUAL_CHECK)),
+        (SolverState((0,), DUAL_CHECK), SolverState((0,), TERMINATED_OPTIMAL)),
+        (SolverState((0, 1), DUAL_CHECK), SolverState((2,), SLACK_CHECK)),
+        (SolverState((0,), DUAL_CHECK), SolverState((0, 1), SLACK_CHECK)),
+        (SolverState((0, 1, 2), DUAL_CHECK), SolverState((0,), SLACK_CHECK)),
+        (SolverState((0,), TERMINATED_OPTIMAL), SolverState((0,), DEGENERATE)),
+    ])
+    def test_refuses_non_steps(self, state, nxt):
+        with pytest.raises(ValueError):
+            decision_of(state, nxt)
 
 
 class TestStateHash:
@@ -147,6 +203,11 @@ class TestStep:
         nxt, _, _ = step(prob, SolverState((0,), DUAL_CHECK), [0.0], [0.0, 0.0],
                          Tolerances())
         assert nxt == SolverState((), SLACK_CHECK)
+
+    @pytest.mark.parametrize("mode", [TERMINATED_OPTIMAL, TERMINATED_ITER_LIMIT, DEGENERATE])
+    def test_terminal_state_refused(self, mode):
+        with pytest.raises(ValueError, match="terminal"):
+            step(toy_problem(), SolverState((0,), mode), [-2.0], [0.0], Tolerances())
 
     def test_singular_subproblem_goes_degenerate(self):
         prob = double_integrator_problem()
@@ -277,7 +338,6 @@ class TestRunAgainstBruteForce:
             # Primal feasibility within the primal tolerance.
             assert np.all(prob.C @ x <= prob.d(theta) + 1e-6 + 1e-9)
             # Stationarity with the final working set's multipliers.
-            from certias.mpqp import subproblem_maps
             W = result.sequence[-1].working_set
             lam = subproblem_maps(prob, W).lambda_map(theta)
             grad = prob.H @ x + prob.f(theta) + prob.C[list(W)].T @ lam
@@ -425,9 +485,40 @@ _SCHEDULE = ErrorModel(kind=KIND_HYPERCUBE, bound=0.05, schedule=(
     ErrorModel(kind=KIND_HYPERCUBE, bound=0.01)))
 
 
+def _row_source(errors, calls=None):
+    """A _lockstep row source answering from an s x K x m error array, as
+    run does for its one row, appending each call's (k, live) to calls when
+    given."""
+    def rows_at(k, live):
+        if calls is not None:
+            calls.append((k, live.copy()))
+        return errors[live, k]
+    return rows_at
+
+
+def _block_runs(prob, thetas, errors, tol, perturb_dual):
+    """Each row's RunResult read off one _lockstep over the block: its
+    group's sequence, x from its group's x_map on the block and the
+    vectors its checks were based on, in row order."""
+    blocks = []
+    ends = _lockstep(prob, thetas, _row_source(errors), tol, perturb_dual, blocks)
+    snapshots = [[] for _ in range(len(thetas))]
+    for members, z in blocks:
+        for i, snapshot in zip(members.tolist(), z):
+            snapshots[i].append(snapshot)
+    results = [None] * len(thetas)
+    for sequence, members in ends:
+        xs = [None] * len(members)
+        if sequence[-1].mode != DEGENERATE:
+            xs = subproblem_maps(prob, sequence[-1].working_set).x_map(thetas[members])
+        for i, x in zip(members.tolist(), xs):
+            results[i] = RunResult(sequence=sequence, x=x, snapshots=snapshots[i])
+    return results
+
+
 class TestBlockRun:
-    """A block runs in lockstep, and each parameter gets exactly the result
-    it gets alone: the block it sits in does not matter."""
+    """The lockstep on a block gives each parameter exactly the run it gets
+    alone, from run: the block it sits in does not matter."""
 
     @pytest.mark.parametrize("case", [
         ("toy", ErrorModel()),
@@ -451,17 +542,18 @@ class TestBlockRun:
         bounds = model.step_bounds(24)
         errors = rng.uniform(-1.0, 1.0, size=(len(thetas), 24, prob.m)) * bounds[:, None]
         tol = Tolerances(iter_limit=6)
-        block = run(prob, thetas, errors, tol, model.perturb_dual)
+        block = _block_runs(prob, thetas, errors, tol, model.perturb_dual)
         assert len(block) == len(thetas)
         for theta, rows, result in zip(thetas, errors, block):
             _same_run(result, run(prob, theta, rows, tol, model.perturb_dual))
         # A sub-block in another order gives the same results again.
         order = rng.permutation(len(thetas))[:37]
-        for i, result in zip(order, run(prob, thetas[order], errors[order], tol,
-                                        model.perturb_dual)):
+        for i, result in zip(order, _block_runs(prob, thetas[order], errors[order], tol,
+                                                model.perturb_dual)):
             _same_run(result, block[i])
         if model.kind == "none":
-            for theta, result in zip(thetas, run(prob, thetas, None, tol)):
+            zeros = np.zeros((len(thetas), 2 * tol.iter_limit, prob.m))
+            for theta, result in zip(thetas, _block_runs(prob, thetas, zeros, tol, False)):
                 _same_run(result, run(prob, theta, tol=tol))
 
     def test_cap_and_degenerate_runs_in_one_block(self):
@@ -475,25 +567,29 @@ class TestBlockRun:
                            constant_rows([0.0], 16)])
         tol = Tolerances(iter_limit=6)
         for perturb_dual in (False, True):
-            block = run(prob, thetas, errors, tol, perturb_dual)
+            block = _block_runs(prob, thetas, errors, tol, perturb_dual)
             for theta, rows, result in zip(thetas, errors, block):
                 _same_run(result, run(prob, theta, rows, tol, perturb_dual))
-        statuses = [r.status for r in run(prob, thetas, errors, tol)]
+        statuses = [r.status for r in _block_runs(prob, thetas, errors, tol, False)]
         assert statuses == [TERMINATED_ITER_LIMIT, DEGENERATE, DEGENERATE,
                             TERMINATED_OPTIMAL, TERMINATED_OPTIMAL]
-        statuses = [r.status for r in run(prob, thetas, errors, tol, True)]
+        statuses = [r.status for r in _block_runs(prob, thetas, errors, tol, True)]
         assert statuses[2] == TERMINATED_ITER_LIMIT
 
     def test_block_shapes(self):
+        # run takes one parameter and its K x m rows; the lockstep takes
+        # blocks, an empty one included.
         prob = toy_problem()
-        thetas = np.array([[-2.0], [0.0]])
-        with pytest.raises(ValueError, match="2 x K x 1"):
-            run(prob, thetas, np.zeros((16, 1)))
-        with pytest.raises(ValueError, match="2 x K x 1"):
-            run(prob, thetas, np.zeros((3, 16, 1)))
+        with pytest.raises(ValueError, match="dimension"):
+            run(prob, np.array([[-2.0], [0.0]]))
+        with pytest.raises(ValueError, match="2-D array with 1 columns"):
+            run(prob, np.array([-2.0]), np.zeros((3, 16, 1)))
+        with pytest.raises(ValueError, match="2-D array with 1 columns"):
+            run(prob, np.array([-2.0]), np.zeros(16))
         with pytest.raises(ValueError, match="outside"):
-            run(prob, np.array([[-2.0], [4.0]]))
-        assert run(prob, np.zeros((0, 1))) == []
+            run(prob, np.array([4.0]))
+        assert _lockstep(prob, np.zeros((0, 1)), _row_source(np.zeros((0, 16, 1))),
+                         Tolerances(), False) == []
 
 
 def _path_group_case(name):
@@ -510,16 +606,6 @@ def _path_group_case(name):
     thetas = thetas[contains(prob.theta_set, thetas)][:300]
     errors = rng.uniform(-bound, bound, size=(len(thetas), 32, prob.m))
     return prob, thetas, errors, perturb_dual
-
-
-def _row_source(errors, calls=None):
-    """A _lockstep row source answering from an s x K x m error array, as
-    run does, appending each call's (k, live) to calls when given."""
-    def rows_at(k, live):
-        if calls is not None:
-            calls.append((k, live.copy()))
-        return errors[live, k]
-    return rows_at
 
 
 class TestPathGroups:
@@ -549,11 +635,10 @@ class TestPathGroups:
         prob, thetas, errors, perturb_dual = _path_group_case(name)
         tol = Tolerances()
         ends = _lockstep(prob, thetas, _row_source(errors), tol, perturb_dual)
-        results = run(prob, thetas, errors, tol, perturb_dual)
+        alone = [run(prob, theta, rows, tol, perturb_dual).sequence
+                 for theta, rows in zip(thetas, errors)]
         for sequence, part in ends:
-            shared = results[part[0]].sequence
-            assert shared == sequence
-            assert all(results[i].sequence is shared for i in part.tolist())
+            assert all(alone[i] == sequence for i in part.tolist())
         # The groups' sequences are distinct: a path ends in one group.
         assert len({sequence for sequence, _ in ends}) == len(ends)
 
@@ -584,8 +669,8 @@ class TestPathGroups:
         alone = [run(prob, theta, rows, tol, perturb_dual)
                  for theta, rows in zip(thetas, errors)]
         for start in range(0, len(thetas), size):
-            block = run(prob, thetas[start:start + size], errors[start:start + size], tol,
-                        perturb_dual)
+            block = _block_runs(prob, thetas[start:start + size], errors[start:start + size],
+                                tol, perturb_dual)
             for result, reference in zip(block, alone[start:start + size]):
                 _same_run(result, reference)
 
