@@ -159,14 +159,21 @@ class CertificationResult:
         """Result from a partition document; every matrix reads back bit for
         bit. Raises KeyError, ValueError or TypeError on a malformed one,
         and ValueError on one without regions: certify always returns at
-        least one leaf."""
-        Tolerances.from_document(doc["settings"])  # malformed tolerances fail here
+        least one leaf. A leaf obeys the document's iteration cap L as
+        certify does: at most 2L + 1 states, and the cap marker at exactly
+        2L + 1."""
+        cap = 2 * Tolerances.from_document(doc["settings"]).iter_limit + 1
         if not doc["regions"]:
             raise ValueError("partition has no regions")
         steps: set = set()
-        return cls(regions=[CertifiedRegion.from_document(r, steps) for r in doc["regions"]],
-                   problem_digest=doc["problem_digest"], settings=doc["settings"],
-                   stats=doc["stats"])
+        regions = [CertifiedRegion.from_document(r, steps) for r in doc["regions"]]
+        for leaf in regions:
+            states = len(leaf.sequence)
+            if states > cap or (leaf.status == "iter_limit" and states != cap):
+                raise ValueError(f"a sequence of {states} states with status "
+                                 f"{leaf.status!r} breaks the cap of {cap} states")
+        return cls(regions=regions, problem_digest=doc["problem_digest"],
+                   settings=doc["settings"], stats=doc["stats"])
 
 
 def _argmin_family(n: int, pick: int, threshold: float) -> tuple[np.ndarray, np.ndarray]:

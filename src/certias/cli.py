@@ -114,12 +114,22 @@ def _load_mpqp(path: str) -> MpQP:
         raise InputError(f"bad problem document {path}: {exc}") from exc
 
 
-def _load_partition(path: str) -> CertificationResult:
+def _load_partition(path: str, prob: Optional[MpQP]) -> CertificationResult:
+    """The partition document at path. With a problem, it must be that
+    problem's, and every working-set row one of its constraint rows."""
     doc = _load_json(path)
     try:
-        return CertificationResult.from_document(doc)
+        result = CertificationResult.from_document(doc)
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"bad partition document: {exc}") from exc
+    if prob is not None:
+        if result.problem_digest != prob.digest():
+            raise InputError("the partition belongs to a different problem")
+        rows = {i for r in result.regions for s in r.sequence for i in s.working_set}
+        for i in sorted(rows):
+            if not 0 <= i < prob.m:
+                raise InputError(f"working-set index {i} out of range")
+    return result
 
 
 def _model_flags(cfg: RunConfig) -> list:
@@ -212,7 +222,7 @@ def _partition_config(cfg: RunConfig, result: CertificationResult) -> RunConfig:
 
 def cmd_validate(cfg: RunConfig) -> int:
     prob = _load_mpqp(_require(cfg, "problem_path", "--problem"))
-    result = _load_partition(_require(cfg, "partition_path", "--partition"))
+    result = _load_partition(_require(cfg, "partition_path", "--partition"), prob)
     override = build_model(cfg)
     if cfg.samples < 1:
         raise InputError("--samples must be at least 1")
@@ -256,9 +266,7 @@ def cmd_report(cfg: RunConfig) -> int:
         given = _model_flags(cfg)
         if given:
             raise InputError(f"{' and '.join(given)} cannot be used with --partition")
-        result = _load_partition(cfg.partition_path)
-        if prob is not None and result.problem_digest != prob.digest():
-            raise InputError("the partition belongs to a different problem")
+        result = _load_partition(cfg.partition_path, prob)
         cfg = _partition_config(cfg, result)
     try:
         table = iteration_cdf(result) if metric == "cdf" else slack_profile(prob, result)

@@ -29,13 +29,13 @@ The judge works per solver path, not per sample or leaf: each group the
 lockstep ends with ran one sequence, and its members are tested only
 against the distinct regions certified with that sequence, found in a
 table built once per call. A member that one of them admits passes; the
-rest fail. Only the failures are located, LOCATE_BLOCK at a time over
-the partition's distinct regions, LOCATE_ROWS rows per product: a
+rest fail. Only the failures are located, all in one call and only when
+some sample failed, by `contains` over the partition's distinct regions: a
 failure with no host is a coverage gap, one with hosts a mismatch. Every
 product is geometry.row_products, which sums column by column in a fixed
-order, and every test is the one `contains` makes, so each point gets
-the answers it gets alone, and the report is the one of drawing,
-locating and judging each sample on its own.
+order, and every membership test is `contains`, so each point gets the
+answers it gets alone, and the report is the one of drawing, locating and
+judging each sample on its own.
 
 search_realization is exact for exact, hypercube and scheduled-hypercube
 models. Each step's decision reads only its own error row and is monotone
@@ -65,14 +65,10 @@ from certias.mpqp import MpQP
 from certias.solver import Tolerances, _lockstep, decision_of, run
 
 DELTA_MARGIN = 1e-7
-# Samples tested for membership and the boundary at once, and failed
-# samples located at once: on the double integrator a block's product over
-# its 60 distinct region rows takes about 60 KB.
+# Samples tested at once for membership in the parameter set and for the
+# boundary: on the double integrator a block's product over its 22 distinct
+# unit rows takes about 22 KB.
 LOCATE_BLOCK = 128
-# Region rows tested at once when locating a block, so a block's products
-# over a large stack take 128 x 128 doubles (about 130 KB), not one s x rows
-# array per pass of row_products.
-LOCATE_ROWS = 128
 
 
 @dataclass
@@ -117,25 +113,18 @@ class ValidationReport:
 
 
 class _RegionStack:
-    """The partition's distinct regions with their rows stacked once, so
-    locating a block of points is one product per LOCATE_ROWS rows. The
-    judge tests each end group with `contains` against the regions of its
-    sequence alone, and locates only the samples that fail.
+    """The partition's distinct regions, for the boundary test and for
+    locating the samples the judge fails. The judge tests each end group
+    with `contains` against the regions of its sequence alone.
 
     Leaves whose regions have the same A and b bytes share one distinct
     region, on which `contains` answers alike for them; region_of names each
-    leaf's. A holds the distinct regions' raw rows region after region and
-    rhs their right-hand sides plus MEMBERSHIP_SLACK, so the per-row test A
-    theta <= rhs is the one `contains` makes with that slack. starts marks
-    where each distinct region with rows begins; a region without rows
-    contains every point.
-
-    near_A/near_b are the distinct rows of A and b with unit-norm
-    coefficients, for the boundary-distance test. Every product here is
-    geometry.row_products, whose value for a row and a point does not depend
-    on the other rows or points, so identical rows give identical bits: the
-    distinct rows decide what every leaf's rows decide, and a block gives
-    each point the answer it gets alone.
+    leaf's. near_A/near_b are the distinct rows of the distinct regions with
+    unit-norm coefficients, for the boundary-distance test. Every product
+    here is geometry.row_products, whose value for a row and a point does
+    not depend on the other rows or points, so identical rows give identical
+    bits: the distinct rows decide what every leaf's rows decide, and a
+    block gives each point the answer it gets alone.
     """
 
     def __init__(self, result: CertificationResult):
@@ -144,13 +133,8 @@ class _RegionStack:
         self.region_of = np.array([first.setdefault((P.A.tobytes(), P.b.tobytes()),
                                                     len(first)) for P in leaves], dtype=np.intp)
         self.regions = [leaves[i] for i in np.unique(self.region_of, return_index=True)[1]]
-        counts = np.array([P.nrows for P in self.regions])
-        self.A = np.vstack([P.A for P in self.regions])
-        b = np.concatenate([P.b for P in self.regions])
-        self.rhs = b + MEMBERSHIP_SLACK
-        self.rowful = (counts > 0).nonzero()[0]
-        self.starts = (np.cumsum(counts) - counts)[self.rowful]
-        rows = np.column_stack(normalize_rows(self.A, b))
+        rows = np.column_stack(normalize_rows(np.vstack([P.A for P in self.regions]),
+                                              np.concatenate([P.b for P in self.regions])))
         keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
         rows = rows[np.unique(keys, return_index=True)[1]]
         self.near_A, self.near_b = rows[:, :-1].copy(), rows[:, -1].copy()
@@ -170,17 +154,10 @@ class _RegionStack:
         """Host matrix of the rows of thetas: entry (i, j) says whether leaf
         j contains point i (slack MEMBERSHIP_SLACK), as `contains` decides,
         each distinct region decided once. The judge calls it on failed
-        samples only, to name their hosts. The rows are tested LOCATE_ROWS
-        at a time, so the products of a large stack are never held at once.
+        samples only, to name their hosts.
         """
-        hosts = np.ones((len(thetas), len(self.regions)), dtype=bool)
-        if self.starts.size:
-            inside = np.empty((len(thetas), len(self.A)), dtype=bool)
-            for r in range(0, len(self.A), LOCATE_ROWS):
-                np.less_equal(row_products(self.A[r:r + LOCATE_ROWS], thetas),
-                              self.rhs[r:r + LOCATE_ROWS], out=inside[:, r:r + LOCATE_ROWS])
-            hosts[:, self.rowful] = np.logical_and.reduceat(inside, self.starts, axis=1)
-        return hosts[:, self.region_of]
+        return np.column_stack([contains(P, thetas, slack=MEMBERSHIP_SLACK)
+                                for P in self.regions])[:, self.region_of]
 
 
 def _error_draws(rng: np.random.Generator, bounds: np.ndarray, m: int):
@@ -265,11 +242,8 @@ def validate_conformance(prob: MpQP, result: CertificationResult,
     failed = np.concatenate(failed)
     order = np.argsort(failed)
     failed, failed_end = failed[order], np.concatenate(failed_end)[order]
-    for start in range(0, len(failed), LOCATE_BLOCK):
-        block = failed[start:start + LOCATE_BLOCK]
-        hosts = stack.locate(thetas[block])
-        for i, j, row in zip(block.tolist(), failed_end[start:start + LOCATE_BLOCK].tolist(),
-                             hosts):
+    if len(failed):
+        for i, j, row in zip(failed.tolist(), failed_end.tolist(), stack.locate(thetas[failed])):
             theta, host_ids = tuple(thetas[i]), row.nonzero()[0].tolist()
             if not host_ids:
                 report.coverage_gaps.append(theta)

@@ -493,10 +493,15 @@ class TestDerivedLeafFields:
             CertifiedRegion(leaf.region, leaf.sequence, leaf.status, leaf.iterations)
 
 
+_S, _D = SLACK_CHECK, DUAL_CHECK
+_OPT, _CAP, _DEG = TERMINATED_OPTIMAL, TERMINATED_ITER_LIMIT, DEGENERATE
+
+
 class TestSelfConsistentDocuments:
     """CertifiedRegion.from_document reads only a leaf whose sequence ends
     in its one terminal state and whose status and iterations are the ones
-    that sequence gives."""
+    that sequence gives; CertificationResult.from_document reads only leaves
+    that keep the document's iteration cap."""
 
     @pytest.fixture
     def capped(self, inflated_result):
@@ -541,9 +546,43 @@ class TestSelfConsistentDocuments:
         with pytest.raises(ValueError, match="disagree"):
             CertifiedRegion.from_document({**one, "iterations": True})
 
+    def test_cap_marker_before_the_cap(self):
+        # The exact toy partition (cap 15) with its first leaf capped after
+        # one iteration, which iteration_cdf once read as [(1, 0.5)]. The
+        # leaf alone is a run: only the document knows the cap.
+        doc = json.loads(dump_document(certify(toy_problem()).to_document()))
+        doc["regions"][0] = _leaf_document(doc["regions"][0],
+                                           [((), _S), ((0,), _D), ((0,), _CAP)])
+        CertifiedRegion.from_document(doc["regions"][0])
+        with pytest.raises(ValueError, match="cap of 31 states"):
+            CertificationResult.from_document(doc)
 
-_S, _D = SLACK_CHECK, DUAL_CHECK
-_OPT, _CAP, _DEG = TERMINATED_OPTIMAL, TERMINATED_ITER_LIMIT, DEGENERATE
+    @pytest.fixture(scope="class")
+    def one_iteration(self):
+        """The exact toy partition under a cap of one iteration, 3 states:
+        its first leaf is capped, its second optimal."""
+        return dump_document(certify(toy_problem(), Tolerances(iter_limit=1)).to_document())
+
+    @pytest.mark.parametrize("states", [
+        [((), _S), ((0,), _D), ((0,), _S), ((0,), _OPT)],
+        [((), _S), ((0,), _D), ((0,), _S), ((0, 1), _D), ((0, 1), _CAP)],
+    ], ids=["optimal", "capped"])
+    def test_sequence_past_the_cap(self, one_iteration, states):
+        doc = json.loads(one_iteration)
+        doc["regions"][1] = _leaf_document(doc["regions"][1], states)
+        with pytest.raises(ValueError, match="cap of 3 states"):
+            CertificationResult.from_document(doc)
+
+    def test_leaves_at_the_cap_read(self, one_iteration):
+        # A subproblem found singular at the last dual check ends in 2L + 1
+        # states, as a capped leaf does.
+        capped = CertificationResult.from_document(json.loads(one_iteration)).regions[0]
+        assert (capped.status, len(capped.sequence)) == ("iter_limit", 3)
+        doc = json.loads(one_iteration)
+        states = [((), _S), ((0,), _D), ((0,), _DEG)]
+        doc["regions"][0] = _leaf_document(doc["regions"][0], states)
+        back = CertificationResult.from_document(doc)
+        assert [(s.working_set, s.mode) for s in back.regions[0].sequence] == states
 
 
 def _leaf_document(leaf_doc, states):

@@ -783,6 +783,28 @@ class TestReport:
         assert "error: working-set index 7 out of range" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", [
+        ["validate", "--samples", "300"],
+        ["report", "--metric", "cdf"],
+    ], ids=["validate", "cdf"])
+    def test_renamed_row_refused_with_problem(self, toy_path, toy_partition, tmp_path,
+                                              capsys, command):
+        # Every command given the problem checks the partition's rows
+        # against it: validate once judged such a partition (exit 1), and
+        # the cdf report printed its table (exit 0).
+        doc = json.loads(toy_partition.read_text())
+        for leaf in doc["regions"]:
+            for state in leaf["sequence"]:
+                state["working_set"] = [7 if i == 0 else i for i in state["working_set"]]
+        bad = tmp_path / "renamed.json"
+        bad.write_text(dump_document(doc))
+        out = tmp_path / "out.json"
+        assert main([*command, "--problem", toy_path, "--partition", str(bad),
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "error: working-set index 7 out of range" in captured.err
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("metric", ["slack", "cdf"])
     def test_empty_partition_exits_2(self, toy_path, toy_partition, tmp_path,
                                      capsys, metric):

@@ -500,7 +500,7 @@ class TestReportsMatchOneByOne:
     def test_group_with_many_failures(self, monkeypatch, toy, toy_nominal):
         # The toy's two leaves trade sequences: every judged sample is a
         # mismatch, and the samples with theta > -1 fail as one group of
-        # more than LOCATE_BLOCK, located a block at a time.
+        # more than LOCATE_BLOCK, all located in one call.
         a, b = toy_nominal.regions
         result = CertificationResult(
             regions=[CertifiedRegion(region=a.region, sequence=b.sequence),
@@ -517,6 +517,16 @@ class TestReportsMatchOneByOne:
             _assert_same_report(validate_conformance(toy, result, n_samples=600, seed=3),
                                 reference)
 
+    def test_no_location_without_failures(self, monkeypatch, mpc, mpc_inflated):
+        # A passing report locates nothing: not even an empty call, which
+        # still costs one `contains` per distinct region.
+        def no_locate(self, thetas):
+            raise AssertionError("a passing report located samples")
+
+        monkeypatch.setattr(_RegionStack, "locate", no_locate)
+        report = validate_conformance(mpc, mpc_inflated, n_samples=2000, seed=0)
+        assert report.passed and report.samples_total == 2000
+
     def test_containing_regions_are_python_ints(self, toy, toy_nominal):
         model = ErrorModel(kind=KIND_HYPERCUBE, bound=0.1)
         document = validate_conformance(toy, toy_nominal, n_samples=300, seed=4,
@@ -529,9 +539,9 @@ class TestReportsMatchOneByOne:
 
 
 class TestJudgeBlockSize:
-    """Membership, the boundary test and the judge's point location go
-    LOCATE_BLOCK samples at a time; the draws and the report are the same
-    bytes whatever the block size."""
+    """Membership and the boundary test go LOCATE_BLOCK samples at a time,
+    and the judge's point location takes every failed sample at once; the
+    draws and the report are the same bytes whatever the block size."""
 
     @pytest.mark.parametrize("case", ["toy-unmodeled", "toy-perturb-dual",
                                       "mpc-inflated", "mpc-unmodeled"])
