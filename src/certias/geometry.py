@@ -510,20 +510,20 @@ def contains(P: Polyhedron, point, slack: float = 0.0):
     """Membership check row_products(P.A, point) <= P.b + slack, row by row.
 
     point is one point, giving a bool, or a 2-D block of points, one per
-    row, giving a bool array with each point's answer alone. A block's
-    products are row_products(point, P.A), the rows x s transpose: each is
-    the same product (floating-point multiplication commutes), summed in the
-    same column order, so it has the same bits, and the test across P's few
-    rows runs along the long axis of points.
+    row, giving a bool array with each point's answer alone. The products
+    are row_products(points, P.A), the rows x s transpose of
+    row_products(P.A, points): each is the same product (floating-point
+    multiplication commutes), summed in the same column order, so it has the
+    same bits, and the test across P's few rows runs along the long axis of
+    points.
     """
     point = np.asarray(point, dtype=float)
     if point.ndim != 2:
         point = point.ravel()
     if point.shape[-1] != P.dim:
         raise ValueError("point dimension mismatch")
-    if point.ndim == 1:
-        return bool((row_products(P.A, point) <= P.b + slack).all())
-    return (row_products(point, P.A) <= (P.b + slack)[:, None]).all(axis=0)
+    inside = (row_products(np.atleast_2d(point), P.A) <= (P.b + slack)[:, None]).all(axis=0)
+    return inside if point.ndim == 2 else bool(inside[0])
 
 
 def remove_redundant(P: Polyhedron, point: Optional[np.ndarray] = None) -> Polyhedron:
