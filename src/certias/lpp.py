@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -70,6 +70,8 @@ class ErrorModel:
     rel_bound: float = 0.0
     schedule: Optional[tuple["ErrorModel", ...]] = None
     perturb_dual: bool = False
+    # Polyhedral slices at() made from this model's set, by working set.
+    _slices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -104,7 +106,10 @@ class ErrorModel:
         A slack check leaves rows None. A multiplier check passes its working
         set as rows: it sees exact arithmetic unless this model sets
         perturb_dual, and then a polyhedral set projected onto those rows'
-        coordinates, in order.
+        coordinates, in order. The projection solves LPs, so each model keeps
+        the slices of its set: one object per (entry, working set) for the
+        model's lifetime, and a later certify with the same model solves
+        none of those LPs again.
         """
         mk = self
         if self.schedule is not None and 0 <= k < len(self.schedule):
@@ -114,7 +119,14 @@ class ErrorModel:
         if not self.perturb_dual:
             return _EXACT
         if mk.kind == KIND_POLYHEDRAL:
-            return ErrorModel(kind=KIND_POLYHEDRAL, set=_coordinate_slice(mk.set, rows))
+            rows = tuple(rows)
+            sliced = mk._slices.get(rows)
+            if sliced is None:
+                # Threads that race here both slice; setdefault hands each
+                # the one slice stored first.
+                sliced = mk._slices.setdefault(rows, ErrorModel(
+                    kind=KIND_POLYHEDRAL, set=_coordinate_slice(mk.set, rows)))
+            return sliced
         return mk
 
     def step_bounds(self, n_steps: int) -> np.ndarray:

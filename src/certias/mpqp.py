@@ -96,10 +96,15 @@ class SubproblemMaps:
 class MpQP:
     """Validated problem data plus a per-working-set map cache.
 
+    theta_box is the parameter set's bounding box (lo, hi) as read-only
+    arrays: the constructor solves it to prove the set bounded and keeps
+    it, so nothing solves those LPs again.
+
     One problem may be shared by certify calls on several threads: the
     cache is filled under a lock and holds immutable maps. A problem
     pickles without its lock and its cache: a copy starts with an empty
-    cache and a new lock, and computes the same maps bit for bit.
+    cache and a new lock, and computes the same maps bit for bit. Its
+    theta_box is the same bits, read-only again.
     """
 
     def __init__(self, H, C, f_lin, f_const, d_lin, d_const, theta_set: Polyhedron):
@@ -138,7 +143,7 @@ class MpQP:
         if is_empty(theta_set):
             raise ProblemFormatError("the parameter set is empty")
         try:
-            bounding_box(theta_set)
+            box = bounding_box(theta_set)
         except LpPivotLimitError:
             raise
         except GeometryError:
@@ -151,6 +156,9 @@ class MpQP:
         self.d_lin = d_lin
         self.d_const = d_const
         self.theta_set = theta_set
+        for bound in box:
+            bound.setflags(write=False)
+        self.theta_box = box
         self._chol = chol
         self._cache: dict[tuple[int, ...], SubproblemMaps] = {}
         self._cache_lock = threading.Lock()
@@ -163,6 +171,8 @@ class MpQP:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        for bound in self.theta_box:
+            bound.setflags(write=False)
         self._cache_lock = threading.Lock()
 
     @property

@@ -53,8 +53,6 @@ _MODES = frozenset({SLACK_CHECK, DUAL_CHECK}) | TERMINAL_MODES
 PASS_INDEX = -1
 # Index reported when no decision was taken (singular subproblem).
 NO_INDEX = -2
-# Above every constraint row: the label min ignores the columns it fills.
-_NO_LABEL = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -202,12 +200,21 @@ def _decide(values: np.ndarray, labels: Sequence[int], threshold: float) -> np.n
     values has one row per parameter and one column per label. Labels are
     constraint rows: 0..m-1 for a slack check, the working set in insertion
     order for a dual check, so a tie goes to the lowest row, not to the
-    first column.
+    first column. The columns are put in ascending label order, which only
+    a working set not added in row order needs; one argmin then finds each
+    row's first smallest value, so its lowest label. No labels, an empty
+    working set, give PASS_INDEX.
     """
+    labels = np.asarray(labels)
+    if not labels.size:
+        return np.full(len(values), PASS_INDEX)
+    if (labels[1:] < labels[:-1]).any():
+        order = labels.argsort(kind="stable")
+        labels, values = labels[order], values[:, order]
     masked = np.where(values < -threshold, values, np.inf)
-    low = masked.min(axis=1, initial=np.inf, keepdims=True)
-    pick = np.where(masked == low, labels, _NO_LABEL).min(axis=1, initial=_NO_LABEL)
-    return np.where(low[:, 0] < np.inf, pick, PASS_INDEX)
+    pick = masked.argmin(axis=1)
+    below = masked[np.arange(len(pick)), pick] < np.inf
+    return np.where(below, labels[pick], PASS_INDEX)
 
 
 def _check(prob: MpQP, state: SolverState, thetas: np.ndarray, rows: Optional[np.ndarray],

@@ -12,9 +12,11 @@ are skipped rather than judged: tie-breaking on shared boundaries depends on
 the region representation, and the guarantees are interior statements.
 
 validate_conformance draws every sample's parameter first, all with one
-Generator.random call: lo + (hi - lo) u per coordinate. Membership in the
-parameter set and the boundary test (over the partition's distinct rows)
-are then decided LOCATE_BLOCK samples at a time, with one product each.
+Generator.random call: lo + (hi - lo) u per coordinate, (lo, hi) being the
+problem's theta_box, so it solves no LP. Membership in the parameter set
+and the boundary test (over the partition's distinct rows) are then decided
+a block of samples at a time, with one product each; a block's products
+take about BLOCK_BYTES, so the double integrator's samples go in one block.
 The judged samples run through the solver in one lockstep, which asks
 for error rows only at the steps it reaches: at each slack check, and at
 each dual check under perturb_dual, the step's live samples, in ascending
@@ -23,7 +25,7 @@ call, b being the step's bound; a step of bound 0 gets zeros and draws
 nothing. Those are the doubles, the order and the two roundings of one
 Generator.uniform(-b, b, m) call per live sample, so the draws are the
 ones a sample-by-sample loop makes when it advances every live sample a
-step at a time. Neither the draws nor the report depend on LOCATE_BLOCK.
+step at a time. Neither the draws nor the report depend on BLOCK_BYTES.
 
 The judge works per solver path, not per sample or leaf: each group the
 lockstep ends with ran one sequence, and its members are tested only
@@ -55,7 +57,6 @@ import numpy as np
 from certias.certifier import CertificationResult, CertifiedRegion
 from certias.geometry import (
     MEMBERSHIP_SLACK,
-    bounding_box,
     contains,
     normalize_rows,
     row_products,
@@ -65,10 +66,11 @@ from certias.mpqp import MpQP
 from certias.solver import Tolerances, _lockstep, decision_of, run
 
 DELTA_MARGIN = 1e-7
-# Samples tested at once for membership in the parameter set and for the
-# boundary: on the double integrator a block's product over its 22 distinct
-# unit rows takes about 22 KB.
-LOCATE_BLOCK = 128
+# Bytes of one block's products in the membership and boundary pass: a block
+# holds BLOCK_BYTES // (8 rows) samples, rows being the larger of the
+# partition's distinct rows and the parameter set's. The double integrator's
+# 22 rows take 5957 samples a block; about 1000 rows take 131.
+BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -210,16 +212,17 @@ def validate_conformance(prob: MpQP, result: CertificationResult,
     tol = Tolerances.from_document(result.settings)
     # Steps past the schedule see the base model, whose bound comes last.
     bounds = model.step_bounds(len(model.schedule or ()) + 1)
-    lo, hi = bounding_box(prob.theta_set)
+    lo, hi = prob.theta_box
     stack = _RegionStack(result)
     rng = np.random.default_rng(seed)
     report = ValidationReport(samples_total=int(n_samples))
     thetas = lo + (hi - lo) * rng.random((n_samples, len(lo)))
     judged = np.empty(n_samples, dtype=bool)
-    for start in range(0, n_samples, LOCATE_BLOCK):
-        block = thetas[start:start + LOCATE_BLOCK]
+    size = max(1, BLOCK_BYTES // (8 * max(len(stack.near_b), prob.theta_set.nrows)))
+    for start in range(0, n_samples, size):
+        block = thetas[start:start + size]
         inside = contains(prob.theta_set, block, slack=MEMBERSHIP_SLACK)
-        judged[start:start + LOCATE_BLOCK] = inside & ~stack.near_boundary(block)
+        judged[start:start + size] = inside & ~stack.near_boundary(block)
         report.samples_outside += len(block) - int(inside.sum())
     thetas = thetas[judged]
     report.samples_skipped_boundary = n_samples - report.samples_outside - len(thetas)

@@ -11,10 +11,13 @@ from certias.geometry import (
     is_empty,
     normalize_rows,
 )
+from certias import lpp
+from certias.certifier import certify
 from certias.lpp import ErrorModel, lift_partition_project, lift_rows, rel_to_abs
 from certias.mpqp import AffineMap
 
 from oracles import poly_contains_poly, poly_equal
+from test_mpqp import random_problem
 
 EPS_P = 1e-6
 
@@ -114,6 +117,59 @@ class TestErrorModel:
         whole = model.at(0, rows=(0, 1, 2)).set
         assert np.array_equal(whole.A, box.A) and np.array_equal(whole.b, box.b)
         assert replace(model, perturb_dual=False).at(0, rows=(0,)).kind == "none"
+
+    def test_slices_kept_per_working_set(self):
+        box = Polyhedron.box([-0.1, -0.2, -0.3], [0.1, 0.2, 0.3])
+        model = ErrorModel(kind="polyhedral", set=box, perturb_dual=True)
+        first = model.at(0, rows=(2, 0))
+        assert model.at(0, rows=(2, 0)) is first and model.at(5, rows=[2, 0]) is first
+        assert model.at(0, rows=(0, 2)) is not first
+        # A schedule entry keeps the slices of its own set.
+        entry = ErrorModel(kind="polyhedral", set=box)
+        scheduled = ErrorModel(kind="hypercube", bound=0.1, perturb_dual=True,
+                               schedule=(entry,))
+        assert scheduled.at(0, rows=(1,)) is scheduled.at(0, rows=(1,))
+        assert list(entry._slices) == [(1,)] and not scheduled._slices
+        # The slices are no part of what the model is.
+        fresh = ErrorModel(kind="polyhedral", set=box, perturb_dual=True)
+        assert fresh == model and hash(fresh) == hash(model)
+        assert repr(fresh) == repr(model) and fresh.to_document() == model.to_document()
+        assert not replace(model, bound=0.0)._slices
+
+    def test_certify_slices_once_per_working_set(self, monkeypatch):
+        # Thirty perturbed multiplier checks on two working sets slice the
+        # set twice; the partition is the one of slicing at every check.
+        prob = random_problem(np.random.default_rng(0), 2, 4)
+        box = Polyhedron(np.vstack([np.eye(4), -np.eye(4), np.ones((1, 4))]), [1e-2] * 9)
+        sliced, checked = [], []
+        slice_set, at = lpp._coordinate_slice, ErrorModel.at
+
+        def spy_slice(err_set, coords):
+            sliced.append(tuple(coords))
+            return slice_set(err_set, coords)
+
+        def spy_at(self, k, rows=None):
+            if rows is not None:
+                checked.append(rows)
+            return at(self, k, rows)
+
+        monkeypatch.setattr(lpp, "_coordinate_slice", spy_slice)
+        monkeypatch.setattr(ErrorModel, "at", spy_at)
+        model = ErrorModel(kind="polyhedral", set=box, perturb_dual=True)
+        result = certify(prob, model=model)
+        assert len(checked) == 30 and sorted(sliced) == sorted(set(checked))
+
+        class Forgetful(dict):
+            def setdefault(self, key, value):
+                return value
+
+        unkept = ErrorModel(kind="polyhedral", set=box, perturb_dual=True)
+        object.__setattr__(unkept, "_slices", Forgetful())
+        sliced.clear()
+        again = certify(prob, model=unkept)
+        assert len(sliced) == 30
+        assert again.stats.pop("lp_calls") > result.stats.pop("lp_calls")
+        assert again.to_document() == result.to_document()
 
     def test_check_dimension(self):
         box2 = Polyhedron.box([-0.1, -0.1], [0.1, 0.1])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from certias.certifier import certify
 from certias.cli import dump_document
 from certias.examples import double_integrator_problem, toy_problem
-from certias.geometry import Polyhedron, row_products
+from certias.geometry import Polyhedron, bounding_box, row_products
 from certias.lpp import ErrorModel
 from certias import mpqp
 from certias.mpqp import AffineMap, MpQP, ProblemFormatError, load_problem, subproblem_maps
@@ -241,6 +241,22 @@ class TestPickle:
         for a, b in zip((want.x_map, want.mu_map, want.lambda_map),
                         (got.x_map, got.mu_map, got.lambda_map)):
             assert a.F.tobytes() == b.F.tobytes() and a.g.tobytes() == b.g.tobytes()
+
+    def test_theta_box(self):
+        # The box the constructor solved: bounding_box's bits, read-only,
+        # and so again after a round trip. The triangle is no box itself.
+        base = random_problem(np.random.default_rng(2), 3, 5)
+        triangle = MpQP(H=base.H, C=base.C, f_lin=base.f_lin, f_const=base.f_const,
+                        d_lin=base.d_lin, d_const=base.d_const,
+                        theta_set=Polyhedron([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],
+                                             [0.7, 0.3, 0.1]))
+        for prob in (double_integrator_problem(), triangle):
+            want = [bound.tobytes() for bound in bounding_box(prob.theta_set)]
+            for box in (prob.theta_box, pickle.loads(pickle.dumps(prob)).theta_box):
+                assert [bound.tobytes() for bound in box] == want
+                for bound in box:
+                    with pytest.raises(ValueError, match="read-only"):
+                        bound[0] = 0.0
 
     def test_unpickled_problem_certifies_same_bytes(self):
         prob = double_integrator_problem()

@@ -703,6 +703,17 @@ def _lowest_label_reference(values, labels, threshold):
     return out
 
 
+def _masked_min_reference(values, labels, threshold):
+    """The block rule _decide's argmin replaced, kept as its oracle: the
+    masked minimum of each row, then the lowest label among the columns
+    holding it, with a label above every row standing for none."""
+    none = np.iinfo(np.int64).max
+    masked = np.where(values < -threshold, values, np.inf)
+    low = masked.min(axis=1, initial=np.inf, keepdims=True)
+    pick = np.where(masked == low, labels, none).min(axis=1, initial=none)
+    return np.where(low[:, 0] < np.inf, pick, PASS_INDEX)
+
+
 class TestDecisionRule:
     def test_dual_tie_goes_to_lowest_row_not_first_position(self):
         prob = _tie_problem()
@@ -735,3 +746,38 @@ class TestDecisionRule:
             want = _lowest_label_reference(values, labels, threshold)
             assert _decide(values, labels, threshold).tolist() == want
             assert PASS_INDEX in want
+
+    def test_no_labels_pass(self):
+        # An empty working set decides nothing; a terminal state with one
+        # is refused by transition, as every terminal state is.
+        assert _decide(np.zeros((3, 0)), (), 1e-6).tolist() == [PASS_INDEX] * 3
+        prob = double_integrator_problem()
+        state = SolverState((), DUAL_CHECK)
+        assert step(prob, state, [0.0, 0.0], np.zeros(prob.m), Tolerances())[1] == PASS_INDEX
+        with pytest.raises(ValueError, match="no transitions from terminal mode"):
+            step(prob, SolverState((), TERMINATED_OPTIMAL), [0.0, 0.0], np.zeros(prob.m),
+                 Tolerances())
+
+    @pytest.mark.parametrize("order", ["ascending", "permuted"])
+    @pytest.mark.parametrize("n_rows", [1, 40])
+    def test_matches_masked_min(self, order, n_rows):
+        # Few distinct values force exact ties; NaN is never below the
+        # threshold and -inf always is. Slack checks pass their labels as
+        # an array, dual checks as the working-set tuple.
+        rng = np.random.default_rng([n_rows, order == "permuted"])
+        pool = [-np.inf, -2.0, -1.0, -1e-6, -5e-7, 0.0, 3.0, np.inf, np.nan]
+        unsorted = 0
+        for _ in range(750):
+            width = int(rng.integers(1, 8))
+            labels = np.sort(rng.choice(20, size=width, replace=False))
+            if order == "permuted":
+                labels = rng.permutation(labels)
+                unsorted += bool((np.diff(labels) < 0).any())
+            values = rng.choice(pool, size=(n_rows, width))
+            kept = values.copy()
+            want = _masked_min_reference(values, labels, 1e-6)
+            for given in (labels, tuple(labels.tolist())):
+                got = _decide(values, given, 1e-6)
+                assert got.dtype == want.dtype and got.tolist() == want.tolist()
+            assert np.array_equal(values, kept, equal_nan=True)
+        assert unsorted > 500 or order == "ascending"

@@ -20,6 +20,7 @@ from certias.geometry import (
     bounding_box,
     contains,
     interior_point,
+    lp_call_count,
     normalize_rows,
     row_products,
 )
@@ -38,7 +39,6 @@ from certias.solver import (
 )
 from certias.validation import (
     DELTA_MARGIN,
-    LOCATE_BLOCK,
     _error_draws,
     _RegionStack,
     search_realization,
@@ -326,17 +326,22 @@ def _slack_bound_points(result, rng):
     return points
 
 
+def _block_bytes(prob, result, size):
+    """The BLOCK_BYTES that puts `size` samples in each block of the
+    membership and boundary pass of validating result."""
+    return 8 * max(len(_RegionStack(result).near_b), prob.theta_set.nrows) * size
+
+
 def _assert_blocks_match(result, points):
     """The host matrix of block location equals the per-region `contains`
-    loop for every point, in blocks of 1, LOCATE_BLOCK - 1, LOCATE_BLOCK and
-    LOCATE_BLOCK + 1 points, on the partition with zero-row regions added
-    at the front and in the middle."""
+    loop for every point, in blocks of 1, 127, 128 and 129 points, on the
+    partition with zero-row regions added at the front and in the middle."""
     points = np.array(points)
     result = _with_free_region(_with_free_region(result, len(result.regions) // 2), 0)
     stack = _RegionStack(result)
     reference = [[contains(r.region, theta, slack=1e-9) for r in result.regions]
                  for theta in points]
-    for size in (1, LOCATE_BLOCK - 1, LOCATE_BLOCK, LOCATE_BLOCK + 1):
+    for size in (1, 127, 128, 129):
         blocks = [stack.locate(points[start:start + size])
                   for start in range(0, len(points), size)]
         assert all(hosts.dtype == bool for hosts in blocks)
@@ -500,7 +505,7 @@ class TestReportsMatchOneByOne:
     def test_group_with_many_failures(self, monkeypatch, toy, toy_nominal):
         # The toy's two leaves trade sequences: every judged sample is a
         # mismatch, and the samples with theta > -1 fail as one group of
-        # more than LOCATE_BLOCK, all located in one call.
+        # more than 128, all located in one call.
         a, b = toy_nominal.regions
         result = CertificationResult(
             regions=[CertifiedRegion(region=a.region, sequence=b.sequence),
@@ -510,10 +515,10 @@ class TestReportsMatchOneByOne:
         reference = _validate_one_by_one(toy, result, 600, 3)
         largest = max(sum(seq == s for _, seq, _ in reference["mismatches"])
                       for s in (a.sequence, b.sequence))
-        assert largest > LOCATE_BLOCK
+        assert largest > 128
         assert len(reference["mismatches"]) + reference["samples_skipped_boundary"] == 600
-        for size in (1, 7, LOCATE_BLOCK, 600):
-            monkeypatch.setattr(validation, "LOCATE_BLOCK", size)
+        for size in (1, 7, 128, 600):
+            monkeypatch.setattr(validation, "BLOCK_BYTES", _block_bytes(toy, result, size))
             _assert_same_report(validate_conformance(toy, result, n_samples=600, seed=3),
                                 reference)
 
@@ -539,9 +544,10 @@ class TestReportsMatchOneByOne:
 
 
 class TestJudgeBlockSize:
-    """Membership and the boundary test go LOCATE_BLOCK samples at a time,
-    and the judge's point location takes every failed sample at once; the
-    draws and the report are the same bytes whatever the block size."""
+    """Membership and the boundary test go a block of samples at a time,
+    its size set by BLOCK_BYTES, and the judge's point location takes every
+    failed sample at once; the draws and the report are the same bytes
+    whatever the block size."""
 
     @pytest.mark.parametrize("case", ["toy-unmodeled", "toy-perturb-dual",
                                       "mpc-inflated", "mpc-unmodeled"])
@@ -558,12 +564,47 @@ class TestJudgeBlockSize:
         }[case]
         documents = []
         for size in (1, 7, 128, 129, n):
-            monkeypatch.setattr(validation, "LOCATE_BLOCK", size)
+            monkeypatch.setattr(validation, "BLOCK_BYTES", _block_bytes(prob, result, size))
             report = validate_conformance(prob, result, n_samples=n, seed=9, model=model)
             documents.append(json.dumps(report.to_document()))
         assert len(set(documents)) == 1
         # Errors the partition did not model leave mismatches to compare.
         assert bool(json.loads(documents[0])["mismatches"]) == case.endswith("unmodeled")
+
+    def test_blocks_by_bytes(self, monkeypatch, mpc, mpc_inflated):
+        # The double integrator's 22 distinct rows take its 2000 samples in
+        # one block; a budget of 128 samples' products takes 16 blocks.
+        blocks = []
+        near = _RegionStack.near_boundary
+
+        def counted(self, theta):
+            blocks.append(len(theta))
+            return near(self, theta)
+
+        monkeypatch.setattr(_RegionStack, "near_boundary", counted)
+        assert len(_RegionStack(mpc_inflated).near_b) == 22
+        validate_conformance(mpc, mpc_inflated, n_samples=2000, seed=0)
+        assert blocks == [2000]
+        blocks.clear()
+        monkeypatch.setattr(validation, "BLOCK_BYTES", 8 * 22 * 128)
+        validate_conformance(mpc, mpc_inflated, n_samples=2000, seed=0)
+        assert blocks == [128] * 15 + [80]
+
+
+class TestNoLinearPrograms:
+    """validate_conformance draws from the problem's theta_box and decides
+    membership with `contains`: it solves no LP, passing or failing."""
+
+    @pytest.mark.parametrize("case", ["mpc-passing", "toy-unmodeled"])
+    def test_no_lp(self, case, toy, toy_nominal, mpc, mpc_inflated):
+        prob, result, model = {
+            "mpc-passing": (mpc, mpc_inflated, None),
+            "toy-unmodeled": (toy, toy_nominal, ErrorModel(kind=KIND_HYPERCUBE, bound=0.1)),
+        }[case]
+        before = lp_call_count()
+        report = validate_conformance(prob, result, n_samples=500, seed=1, model=model)
+        assert lp_call_count() == before
+        assert report.passed == (case == "mpc-passing")
 
 
 def _assert_same_stream(rng, rng_old):
@@ -745,12 +786,12 @@ class TestDistinctRowsAtTheMargin:
 
     def test_block_equals_points(self, mpc_inflated):
         # The block test gives each point the answer it gets alone, in
-        # blocks of every size the draw pass uses.
+        # blocks of 1, 7 and 128 points and in one block of all of them.
         stack = _RegionStack(mpc_inflated)
         points = np.array(_margin_points(mpc_inflated, np.random.default_rng(6)))
         alone = [stack.near_boundary(p) for p in points]
         assert alone == _near_all_rows(mpc_inflated, points)
-        for size in (1, 7, LOCATE_BLOCK):
+        for size in (1, 7, 128, len(points)):
             block = np.concatenate([stack.near_boundary(points[i:i + size])
                                     for i in range(0, len(points), size)])
             assert block.dtype == bool and block.tolist() == alone
@@ -820,8 +861,8 @@ class TestManyMisses:
         monkeypatch.setattr(validation, "DELTA_MARGIN", margin)
         reference = _validate_one_by_one(prob, result, n, 11, model, margin=margin)
         assert reference["samples_outside"] + reference["samples_skipped_boundary"] > n // 50
-        for size in (1, 7, LOCATE_BLOCK, LOCATE_BLOCK + 1, n):
-            monkeypatch.setattr(validation, "LOCATE_BLOCK", size)
+        for size in (1, 7, 128, 129, n):
+            monkeypatch.setattr(validation, "BLOCK_BYTES", _block_bytes(prob, result, size))
             report = validate_conformance(prob, result, n_samples=n, seed=11, model=model)
             _assert_same_report(report, reference)
         assert bool(report.mismatches) == (case == "triangle-unmodeled")
@@ -841,12 +882,13 @@ class TestManyMisses:
 
     def test_every_sample_missed(self, monkeypatch, mpc, mpc_inflated):
         # A margin wider than the parameter box skips every sample inside
-        # it; a sample count that is no multiple of LOCATE_BLOCK leaves a
-        # short last block. No sample reaches the solver.
+        # it; a sample count that is no multiple of the block leaves a short
+        # last block. No sample reaches the solver.
         def no_run(*args, **kwargs):
             raise AssertionError("the solver ran with no judged sample")
 
-        n = 2 * LOCATE_BLOCK + 37
+        n = 2 * 128 + 37
+        monkeypatch.setattr(validation, "BLOCK_BYTES", _block_bytes(mpc, mpc_inflated, 128))
         monkeypatch.setattr(validation, "DELTA_MARGIN", 100.0)
         reference = _validate_one_by_one(mpc, mpc_inflated, n, 13, margin=100.0)
         monkeypatch.setattr(validation, "_lockstep", no_run)
