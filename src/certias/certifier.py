@@ -14,13 +14,6 @@ which owns every rule about error kinds. The subsets may then overlap; each
 leaf still certifies that its sequence is realizable only within its region,
 so a parameter covered by several leaves gets the worst case over all of
 them.
-
-Under an exact or hypercube model a family's rows over theta do not depend
-on the region, so one certify call lifts each (working set, mode, model
-seen) once and stacks the rows onto every region that meets it. Relative
-models convert region by region, and polyhedral ones project with LPs:
-keeping those would cut LPs and move the pinned LP counts, which waits for
-the LP-count gate of ROADMAP item 1.
 """
 
 from __future__ import annotations
@@ -237,41 +230,46 @@ def partition_step(region: Polyhedron, state: SolverState, prob: MpQP,
     overlap.
 
     lifted, a dict one certify call shares among its steps (a fresh one
-    when None), memoizes the lifted families. For a model of kind none or
-    hypercube, the rows over theta of each family depend only on (working
-    set, mode, the model the check sees), so lift_rows computes them once
-    per key and each region gets them stacked on, the rows
-    region.intersect would give. The model is keyed by identity: models
-    that compare equal may lift to different bits (a bound of -0.0 equals
-    0.0, yet -0.0 + -0.0 is -0.0 where -0.0 + 0.0 is +0.0). A model of
-    those kinds that at() returns is the model itself, a schedule entry or
-    the shared exact model, all alive for the whole call, so no stored id
-    is reused within it.
+    when None), is the one memo of what a check needs, keyed by (working
+    set, mode, model.at(k)); the model is None for a multiplier check
+    without perturb_dual, which sees exact arithmetic at every step. Each
+    entry is built once: the check's labels, half-planes and map, the model
+    it sees (ErrorModel.at, whose polyhedral slice solves LPs), and, when
+    that model is of kind none or hypercube, the families' rows over theta
+    (lift_rows), which depend on no region and are stacked onto each one as
+    region.intersect would stack them. Relative and polyhedral models are
+    lifted region by region (lift_partition_project). The model is keyed
+    by identity, since models that compare equal may lift to different
+    bits (a bound of -0.0 equals 0.0, yet -0.0 + -0.0 is -0.0 where
+    -0.0 + 0.0 is +0.0); a schedule entry or the model itself lives for the
+    whole call, so no stored id is reused within it. Nothing outlives the
+    call: stats.lp_calls depends on the call alone, and one model may serve
+    any number of calls.
     """
-    mk = model.at(k, state.working_set if state.mode == DUAL_CHECK else None)
-    key = (state.working_set, state.mode, id(mk))
     lifted = {} if lifted is None else lifted
-    fams = lifted.get(key)
-    if fams is None:
+    dual = state.mode == DUAL_CHECK
+    key = (state.working_set, state.mode,
+           id(model.at(k) if model.perturb_dual or not dual else None))
+    memo = lifted.get(key)
+    if memo is None:
         maps = subproblem_maps(prob, state.working_set)
         if maps.singular:
             raise ValueError("cannot partition on a singular subproblem")
         zmap = maps.mu_map if state.mode == SLACK_CHECK else maps.lambda_map
         family = halfplane_family(state, prob.m, tol)
         halfplanes = [(A, b) for A, b, _ in family]
+        mk = model.at(k, state.working_set if dual else None)
+        rows = (lift_rows(halfplanes, zmap, mk)
+                if mk.kind in (KIND_NONE, KIND_HYPERCUBE) else None)
         labels = [idx for _, _, idx in family]
-        # A relative model converts against each region. A polyhedral one
-        # solves LPs to project each family: memoizing it would cut LPs, and
-        # so move the pinned lp_calls, which waits for the LP-count gate
-        # (ROADMAP item 1).
-        if mk.kind not in (KIND_NONE, KIND_HYPERCUBE):
-            kids = zip(labels, lift_partition_project(region, halfplanes, zmap, mk))
-        else:
-            fams = lifted[key] = list(zip(labels, lift_rows(halfplanes, zmap, mk)))
-    if fams is not None:
-        kids = [(idx, region._stacked(A_t, b_t)) for idx, (A_t, b_t) in fams]
+        memo = lifted[key] = (labels, halfplanes, zmap, mk, rows)
+    labels, halfplanes, zmap, mk, rows = memo
+    if rows is None:
+        kids = lift_partition_project(region, halfplanes, zmap, mk)
+    else:
+        kids = [region._stacked(A_t, b_t) for A_t, b_t in rows]
     out = []
-    for idx, kid in kids:
+    for idx, kid in zip(labels, kids):
         x0 = feasible_point(kid, start=point)
         if x0 is None:
             continue
@@ -291,7 +289,7 @@ def certify(prob: MpQP, tol: Optional[Tolerances] = None,
     then the decision split, every next state but the cap marker coming from
     transition, as in the lockstep; a leaf is its region and its sequence,
     whose status and iterations it reads off as run does. The splits share
-    one memo of lifted families (partition_step's `lifted`), freed when
+    one memo of what each check needs (partition_step's `lifted`), freed when
     certify returns. The result is canonically sorted by sequence, so it
     does not depend on exploration order. max_live caps the frontier size
     to guard against error-model-induced blowup (BudgetExceededError). A

@@ -14,9 +14,10 @@ Exit codes: 0 success, 1 validation found mismatches or coverage gaps,
 2 input problems (missing or malformed files, bad flag values, an error set
 whose dimension is not the problem's constraint count), 3 anything
 unexpected, 4 a numerical failure in the geometry kernel (GeometryError: the
-simplex pivot cap or the Fourier-Motzkin row cap), or a sweep cell that
-failed that way or outgrew its budget; sweep still writes the finished
-cells and names each failed one on stderr.
+simplex pivot cap or the Fourier-Motzkin row cap), a frontier that outgrew
+its budget (BudgetExceededError, from certify or report), or a sweep cell
+that failed either way; sweep still writes the finished cells and names
+each failed one on stderr.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from certias.analysis import iteration_cdf, slack_profile, sweep
-from certias.certifier import CertificationResult, certify
+from certias.certifier import BudgetExceededError, CertificationResult, certify
 from certias.geometry import GeometryError
 from certias.lpp import KIND_RELATIVE, ErrorModel
 from certias.mpqp import MpQP, load_problem
@@ -375,6 +376,9 @@ def main(argv=None) -> int:
     except GeometryError as exc:
         log.debug("numerical failure", exc_info=True)
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
+    except BudgetExceededError as exc:
+        print(f"budget exceeded: {exc}", file=sys.stderr)
         return 4
     except Exception as exc:
         log.exception("internal failure")

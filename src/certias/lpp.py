@@ -16,19 +16,15 @@ and Fourier-Motzkin elimination for a general polyhedral E. A relative
 bound is first converted, per region, to a sup-norm ball by bounding |z|
 over the region with a pair of linear programs per component (rel_to_abs).
 The lift itself, lift_rows, takes no region: its rows are stacked onto
-the region afterwards. certify keeps the exact and hypercube lifts, which
-solve no LP, for its whole call, one per (working set, mode, model seen);
-keeping polyhedral ones too would cut LPs and so move the pinned LP
-counts, which waits for the LP-count gate of ROADMAP item 1.
-ErrorModel.step_bounds gives the per-step hypercube bounds that pointwise
-runs draw their error rows from.
+the region afterwards. ErrorModel.step_bounds gives the per-step hypercube
+bounds that pointwise runs draw their error rows from.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -55,8 +51,9 @@ class ErrorModel:
     relative   componentwise |eps_j| <= rel_bound * max |z| over the region,
                converted to a hypercube bound region by region
 
-    A nonzero bound, a nonzero rel_bound or a set given to a kind that does
-    not take it raises ValueError.
+    A bound or rel_bound that is not a finite nonnegative number (a bool is
+    not one), or a nonzero bound, a nonzero rel_bound or a set given to a
+    kind that does not take it, raises ValueError.
 
     schedule, when given, overrides the model per automaton step: entry k
     applies at step k, and steps past the end fall back to this model.
@@ -70,12 +67,12 @@ class ErrorModel:
     rel_bound: float = 0.0
     schedule: Optional[tuple["ErrorModel", ...]] = None
     perturb_dual: bool = False
-    # Polyhedral slices at() made from this model's set, by working set.
-    _slices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown error model kind {self.kind!r}")
+        _check_number("bound", self.bound)
+        _check_number("rel_bound", self.rel_bound)
         if not (0 <= self.bound < math.inf and 0 <= self.rel_bound < math.inf):
             raise ValueError("error bounds must be finite and nonnegative")
         # A size the kind does not read would be dropped without a word.
@@ -106,10 +103,8 @@ class ErrorModel:
         A slack check leaves rows None. A multiplier check passes its working
         set as rows: it sees exact arithmetic unless this model sets
         perturb_dual, and then a polyhedral set projected onto those rows'
-        coordinates, in order. The projection solves LPs, so each model keeps
-        the slices of its set: one object per (entry, working set) for the
-        model's lifetime, and a later certify with the same model solves
-        none of those LPs again.
+        coordinates, in order: a new model on every call, whose projection
+        solves LPs, so callers memoize it (certifier.partition_step).
         """
         mk = self
         if self.schedule is not None and 0 <= k < len(self.schedule):
@@ -119,14 +114,8 @@ class ErrorModel:
         if not self.perturb_dual:
             return _EXACT
         if mk.kind == KIND_POLYHEDRAL:
-            rows = tuple(rows)
-            sliced = mk._slices.get(rows)
-            if sliced is None:
-                # Threads that race here both slice; setdefault hands each
-                # the one slice stored first.
-                sliced = mk._slices.setdefault(rows, ErrorModel(
-                    kind=KIND_POLYHEDRAL, set=_coordinate_slice(mk.set, rows)))
-            return sliced
+            return ErrorModel(kind=KIND_POLYHEDRAL,
+                              set=_coordinate_slice(mk.set, tuple(rows)))
         return mk
 
     def step_bounds(self, n_steps: int) -> np.ndarray:
@@ -190,9 +179,8 @@ class ErrorModel:
             raise ValueError("an error model must be a JSON object")
         doc = dict(doc)
         for key in ("bound", "eps_bar", "rel_bound"):
-            if key in doc and (isinstance(doc[key], bool)
-                               or not isinstance(doc[key], numbers.Real)):
-                raise ValueError(f"{key} must be a number, not {doc[key]!r}")
+            if key in doc:
+                _check_number(key, doc[key])
         if not isinstance(doc.get("perturb_dual", False), bool):
             raise ValueError(f"perturb_dual must be true or false, "
                              f"not {doc['perturb_dual']!r}")
@@ -219,6 +207,12 @@ class ErrorModel:
                    schedule=None if schedule is None
                    else tuple(cls.from_document(e) for e in schedule),
                    perturb_dual=doc.get("perturb_dual", False))
+
+
+def _check_number(name: str, value) -> None:
+    """Raise ValueError unless value is a real number other than a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, not {value!r}")
 
 
 _EXACT = ErrorModel()

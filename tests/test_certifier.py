@@ -811,6 +811,12 @@ class TestLiftedFamilies:
         assert 0 < len(lifts) < len(steps)
         seen = {m for _, m in lifts}
         assert {id(model.schedule[k]) for k in (0, 1, 2, 4)} <= seen
+        # Without perturb_dual every multiplier check sees exact arithmetic,
+        # whatever its step's entry: one lift per working set.
+        lifts.clear()
+        certify(double_integrator_problem(),
+                model=_cube(1e-4, schedule=tuple(_cube(1e-4) for _ in range(9))))
+        assert len(lifts) == len(set(lifts)) == 28
 
     @pytest.mark.parametrize("model", [
         ErrorModel(kind="relative", rel_bound=1e-3, perturb_dual=True),

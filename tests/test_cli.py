@@ -168,6 +168,16 @@ class TestCertify:
         assert main(["certify", "--problem", toy_path]) == 4
         assert "numerical failure: RowExplosionError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["certify"], ["report", "--metric", "cdf"]])
+    def test_frontier_budget_is_exit_4(self, argv, toy_path, capsys, monkeypatch):
+        # Errors of 0.05 make the toy's checks cycle and its frontier grow.
+        real = certify
+        monkeypatch.setattr("certias.cli.certify",
+                            lambda *args, **kwargs: real(*args, **kwargs, max_live=5))
+        assert main([*argv, "--problem", toy_path, "--eps-bar", "0.05"]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["budget exceeded: live regions (6) exceed max_live=5"]
+
     def test_fm_row_cap_is_exit_4(self, toy_path, tmp_path, capsys, monkeypatch):
         # A polyhedral error set is projected by Fourier-Motzkin elimination,
         # which reads the cap when it runs.

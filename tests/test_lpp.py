@@ -1,4 +1,5 @@
-from dataclasses import replace
+import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from certias.geometry import (
     is_empty,
     normalize_rows,
 )
-from certias import lpp
+from certias import certifier, lpp
 from certias.certifier import certify
+from certias.cli import dump_document
 from certias.lpp import ErrorModel, lift_partition_project, lift_rows, rel_to_abs
 from certias.mpqp import AffineMap
+from certias.solver import DUAL_CHECK
 
 from oracles import poly_contains_poly, poly_equal
 from test_mpqp import random_problem
@@ -55,6 +58,39 @@ class TestErrorModel:
                 ErrorModel(**fields)
             with pytest.raises(ValueError, match="finite"):
                 ErrorModel.from_document(fields)
+
+    @pytest.mark.parametrize("fields, name", [
+        ({"kind": "hypercube", "bound": True}, "bound"),
+        ({"kind": "hypercube", "bound": "0.1"}, "bound"),
+        ({"kind": "hypercube", "bound": 1j}, "bound"),
+        ({"kind": "hypercube", "bound": np.array([0.1])}, "bound"),
+        ({"kind": "relative", "rel_bound": False}, "rel_bound"),
+        ({"kind": "relative", "rel_bound": None}, "rel_bound"),
+    ])
+    def test_non_number_bounds_rejected(self, fields, name):
+        # As from_document refuses them: a model certify accepts is one
+        # whose settings read back.
+        with pytest.raises(ValueError, match=f"^{name} must be a number"):
+            ErrorModel(**fields)
+
+    @pytest.mark.parametrize("model", [
+        ErrorModel(),
+        ErrorModel(perturb_dual=True),
+        ErrorModel(kind="hypercube", bound=0),
+        ErrorModel(kind="hypercube", bound=2),
+        ErrorModel(kind="hypercube", bound=-0.0),
+        ErrorModel(kind="hypercube", bound=np.float64(1e-4), perturb_dual=True),
+        ErrorModel(kind="relative", rel_bound=1),
+        ErrorModel(kind="relative", rel_bound=np.float64(0.5)),
+        ErrorModel(kind="hypercube", bound=0.5, perturb_dual=True, schedule=(
+            ErrorModel(kind="hypercube", bound=3), ErrorModel(kind="relative", rel_bound=0.2),
+            ErrorModel())),
+    ])
+    def test_accepted_models_read_back(self, model):
+        # Written as certify writes settings, then read as validate reads them.
+        doc = json.loads(dump_document(model.to_document()))
+        again = ErrorModel.from_document(doc)
+        assert again == model and again.to_document() == model.to_document()
 
     @pytest.mark.parametrize("fields, name", [
         ({"bound": 0.5}, "bound"),
@@ -118,55 +154,56 @@ class TestErrorModel:
         assert np.array_equal(whole.A, box.A) and np.array_equal(whole.b, box.b)
         assert replace(model, perturb_dual=False).at(0, rows=(0,)).kind == "none"
 
-    def test_slices_kept_per_working_set(self):
+    def test_one_model_certifies_the_same_document_twice(self):
+        # What one certify call solves does not depend on what its model
+        # did before: on the 10-row box-and-sum set both calls solve the
+        # same LPs.
+        prob = random_problem(np.random.default_rng(0), 2, 4)
+        sums = np.ones((1, 4))
+        cut = Polyhedron(np.vstack([np.eye(4), -np.eye(4), sums, -sums]), [1e-2] * 10)
+        model = ErrorModel(kind="polyhedral", set=cut, perturb_dual=True)
+        docs = [dump_document(certify(prob, model=model).to_document()) for _ in range(2)]
+        assert [json.loads(d)["stats"]["lp_calls"] for d in docs] == [11475, 11475]
+        assert docs[0] == docs[1]
+        # at() keeps nothing: each call returns a new slice, and a model is
+        # a plain value of its six fields.
         box = Polyhedron.box([-0.1, -0.2, -0.3], [0.1, 0.2, 0.3])
         model = ErrorModel(kind="polyhedral", set=box, perturb_dual=True)
         first = model.at(0, rows=(2, 0))
-        assert model.at(0, rows=(2, 0)) is first and model.at(5, rows=[2, 0]) is first
-        assert model.at(0, rows=(0, 2)) is not first
-        # A schedule entry keeps the slices of its own set.
-        entry = ErrorModel(kind="polyhedral", set=box)
-        scheduled = ErrorModel(kind="hypercube", bound=0.1, perturb_dual=True,
-                               schedule=(entry,))
-        assert scheduled.at(0, rows=(1,)) is scheduled.at(0, rows=(1,))
-        assert list(entry._slices) == [(1,)] and not scheduled._slices
-        # The slices are no part of what the model is.
-        fresh = ErrorModel(kind="polyhedral", set=box, perturb_dual=True)
-        assert fresh == model and hash(fresh) == hash(model)
-        assert repr(fresh) == repr(model) and fresh.to_document() == model.to_document()
-        assert not replace(model, bound=0.0)._slices
+        assert model.at(0, rows=(2, 0)) is not first
+        assert poly_equal(model.at(5, rows=[2, 0]).set, first.set)
+        assert [f.name for f in fields(ErrorModel)] == [
+            "kind", "bound", "set", "rel_bound", "schedule", "perturb_dual"]
 
     def test_certify_slices_once_per_working_set(self, monkeypatch):
         # Thirty perturbed multiplier checks on two working sets slice the
-        # set twice; the partition is the one of slicing at every check.
+        # set twice in one call. The partition is the one of slicing at
+        # every check, as steps without the call's memo do.
         prob = random_problem(np.random.default_rng(0), 2, 4)
         box = Polyhedron(np.vstack([np.eye(4), -np.eye(4), np.ones((1, 4))]), [1e-2] * 9)
+        model = ErrorModel(kind="polyhedral", set=box, perturb_dual=True)
         sliced, checked = [], []
-        slice_set, at = lpp._coordinate_slice, ErrorModel.at
+        slice_set, step = lpp._coordinate_slice, certifier.partition_step
 
         def spy_slice(err_set, coords):
             sliced.append(tuple(coords))
             return slice_set(err_set, coords)
 
-        def spy_at(self, k, rows=None):
-            if rows is not None:
-                checked.append(rows)
-            return at(self, k, rows)
+        def spy_step(region, state, *args, keep=True):
+            if state.mode == DUAL_CHECK:
+                checked.append(state.working_set)
+            return step(region, state, *args[:-1], args[-1] if keep else None)
 
         monkeypatch.setattr(lpp, "_coordinate_slice", spy_slice)
-        monkeypatch.setattr(ErrorModel, "at", spy_at)
-        model = ErrorModel(kind="polyhedral", set=box, perturb_dual=True)
+        monkeypatch.setattr(certifier, "partition_step", spy_step)
         result = certify(prob, model=model)
         assert len(checked) == 30 and sorted(sliced) == sorted(set(checked))
+        assert len(sliced) == 2
 
-        class Forgetful(dict):
-            def setdefault(self, key, value):
-                return value
-
-        unkept = ErrorModel(kind="polyhedral", set=box, perturb_dual=True)
-        object.__setattr__(unkept, "_slices", Forgetful())
+        monkeypatch.setattr(certifier, "partition_step",
+                            lambda *args: spy_step(*args, keep=False))
         sliced.clear()
-        again = certify(prob, model=unkept)
+        again = certify(prob, model=model)
         assert len(sliced) == 30
         assert again.stats.pop("lp_calls") > result.stats.pop("lp_calls")
         assert again.to_document() == result.to_document()

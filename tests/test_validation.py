@@ -7,6 +7,7 @@ suite reruns them at full sample counts.
 import itertools
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -162,6 +163,27 @@ class TestValidateConformance:
         report = validate_conformance(toy, result, n_samples=500, seed=6)
         assert report.passed
         assert report.samples_total == 500
+
+    def test_polyhedral_perturbed_dual_certificate_passes(self, toy):
+        # Multiplier checks see the set sliced onto their working set. A cube
+        # inside the set projects inside every slice, so sampling it is
+        # sound; a cube outside the set has teeth.
+        cube = ErrorModel(kind=KIND_HYPERCUBE, bound=0.05, perturb_dual=True)
+        interval = Polyhedron.box([-0.05], [0.05])
+        result = certify(toy, model=ErrorModel(kind=KIND_POLYHEDRAL, set=interval,
+                                               perturb_dual=True))
+        report = validate_conformance(toy, result, n_samples=2000, seed=0, model=cube)
+        assert report.passed and report.mismatches == []
+        prob = random_problem(np.random.default_rng(0), 2, 4)
+        sums = np.ones((1, 4))
+        cut = Polyhedron(np.vstack([np.eye(4), -np.eye(4), sums, -sums]), [1e-2] * 10)
+        result = certify(prob, model=ErrorModel(kind=KIND_POLYHEDRAL, set=cut,
+                                                perturb_dual=True))
+        inside = validate_conformance(prob, result, n_samples=2000, seed=0,
+                                      model=replace(cube, bound=2.5e-3))
+        assert inside.passed and inside.mismatches == []
+        outside = validate_conformance(prob, result, n_samples=2000, seed=0, model=cube)
+        assert outside.mismatches
 
     @pytest.mark.parametrize("n", [-3, -1, 2.5, 10.0, True, False, "10", None])
     def test_bad_sample_count(self, toy, toy_nominal, n):
