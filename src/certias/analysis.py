@@ -131,28 +131,20 @@ def slack_profile(prob: MpQP, result: CertificationResult) -> SlackProfile:
     certify returned or one read back from its document. Raises ValueError
     when the result belongs to another problem.
 
-    A split's children lie inside their parent and cover it, so the regions
-    live at depth k, about to run their (k+1)-th iteration, are together the
-    leaves whose sequence split at the slack check in position 2k; its
-    working set gives the slack map. A degenerate leaf's last executed state
-    was found singular and never split. Ended regions join from their final
-    depth onward.
+    A split's children lie inside their parent and cover it, so the leaves
+    cover the regions live at each depth k, about to run their (k+1)-th
+    iteration. A leaf's working set at depth k, which gives the slack map,
+    is the one its k-th slack check (position 2k) split on. Past its last
+    slack check it is the one the run ended with; a degenerate leaf, whose
+    last executed state was singular and never split, has none.
     """
     if result.problem_digest != prob.digest():
         raise ValueError("certification result belongs to a different problem")
-    live: dict[int, list] = {}
-    holds = []
-    skipped = 0
-    for i, reg in enumerate(result.regions):
-        executed = len(reg.sequence) - 1
-        if reg.status == "degenerate":
-            executed -= 1
-            skipped += 1
-        else:
-            holds.append((reg.iterations, i, reg.sequence[-1].working_set))
-        for j in range(0, executed, 2):
-            live.setdefault(j // 2, []).append((i, reg.sequence[j].working_set))
-    depth = max([*live.keys(), *(h[0] for h in holds)], default=0)
+    leaves = []
+    for reg in result.regions:
+        degenerate = reg.status == "degenerate"
+        split = [s.working_set for s in reg.sequence[:-2 if degenerate else -1:2]]
+        leaves.append((reg.region, split, None if degenerate else reg.sequence[-1].working_set))
 
     # Keyed by content: many leaves share a region's rows, and a leaf meets
     # one working set at several depths. A failure counts once per leaf and
@@ -160,12 +152,13 @@ def slack_profile(prob: MpQP, result: CertificationResult) -> SlackProfile:
     cache: dict = {}
     failed = set()
     per_iteration = []
-    for k in range(depth + 1):
+    for k in range(max((len(split) + (end is not None) for _, split, end in leaves),
+                       default=0)):
         worst = -INF
-        candidates = list(live.get(k, []))
-        candidates += [(i, w) for start, i, w in holds if start <= k]
-        for i, working_set in candidates:
-            region = result.regions[i].region
+        for i, (region, split, end) in enumerate(leaves):
+            working_set = split[k] if k < len(split) else end
+            if working_set is None:
+                continue
             key = (region.A.tobytes(), region.b.tobytes(), tuple(working_set))
             if key not in cache:
                 cache[key] = _region_worst(prob, region, working_set)
@@ -174,6 +167,7 @@ def slack_profile(prob: MpQP, result: CertificationResult) -> SlackProfile:
             else:
                 worst = max(worst, cache[key])
         per_iteration.append((k, worst))
+    skipped = sum(end is None for _, _, end in leaves)
     return SlackProfile(per_iteration, skipped_singular=skipped,
                         lp_failures=len(failed))
 

@@ -218,16 +218,18 @@ def partition_step(region: Polyhedron, state: SolverState, prob: MpQP,
                    tol: Tolerances, model: ErrorModel, k: int,
                    point: Optional[np.ndarray] = None,
                    lifted: Optional[dict] = None
-                   ) -> list[tuple[int, Polyhedron, np.ndarray]]:
-    """Split a region by the decisions the state can take inside it.
+                   ) -> tuple[list[tuple[int, Polyhedron, np.ndarray]], int]:
+    """Split a region by the decisions the state can take inside it: the
+    region form of the lockstep's check.
 
-    Returns (index, subregion, point) triples for every branch whose
-    subregion is nonempty; subregions come back in reduced form, and point
-    is the point of the subregion its emptiness test found. `point`, a point
-    of the region such as the one its own test found, starts each branch's
-    emptiness test (feasible_point's `start`). With a zero model the
-    subregions tile the region exactly; with errors they cover it and
-    overlap.
+    Returns (branches, pruned): an (index, subregion, point) triple for each
+    nonempty branch, and the number of empty ones. Subregions come back in
+    reduced form; point is the one the subregion's emptiness test found.
+    `point`, a point of the region such as the one its own test found,
+    starts each branch's emptiness test (feasible_point's `start`). With a
+    zero model the subregions tile the region exactly; with errors they
+    cover it and overlap. A singular subproblem takes no decision: its one
+    branch is (NO_INDEX, region, point), which transition ends DEGENERATE.
 
     lifted, a dict one certify call shares among its steps (a fresh one
     when None), is the one memo of what a check needs, keyed by (working
@@ -246,15 +248,15 @@ def partition_step(region: Polyhedron, state: SolverState, prob: MpQP,
     call: stats.lp_calls depends on the call alone, and one model may serve
     any number of calls.
     """
+    maps = subproblem_maps(prob, state.working_set)
+    if maps.singular:
+        return [(NO_INDEX, region, point)], 0
     lifted = {} if lifted is None else lifted
     dual = state.mode == DUAL_CHECK
     key = (state.working_set, state.mode,
            id(model.at(k) if model.perturb_dual or not dual else None))
     memo = lifted.get(key)
     if memo is None:
-        maps = subproblem_maps(prob, state.working_set)
-        if maps.singular:
-            raise ValueError("cannot partition on a singular subproblem")
         zmap = maps.mu_map if state.mode == SLACK_CHECK else maps.lambda_map
         family = halfplane_family(state, prob.m, tol)
         halfplanes = [(A, b) for A, b, _ in family]
@@ -274,7 +276,7 @@ def partition_step(region: Polyhedron, state: SolverState, prob: MpQP,
         if x0 is None:
             continue
         out.append((idx, remove_redundant(kid, point=x0), x0))
-    return out
+    return out, len(labels) - len(out)
 
 
 def certify(prob: MpQP, tol: Optional[Tolerances] = None,
@@ -284,9 +286,8 @@ def certify(prob: MpQP, tol: Optional[Tolerances] = None,
 
     The frontier is a stack of (region, state about to run there, states
     run so far, the point that proved the region nonempty, None at the
-    root). Each popped entry is handled in the pointwise solver's order:
-    the iteration cap (at step 2 * iter_limit), then a singular subproblem,
-    then the decision split, every next state but the cap marker coming from
+    root). Each popped entry is capped (at step 2 * iter_limit) or split
+    by partition_step, every next state but the cap marker coming from
     transition, as in the lockstep; a leaf is its region and its sequence,
     whose status and iterations it reads off as run does. The splits share
     one memo of what each check needs (partition_step's `lifted`), freed when
@@ -321,13 +322,8 @@ def certify(prob: MpQP, tol: Optional[Tolerances] = None,
                 region, seq + (SolverState(state.working_set, TERMINATED_ITER_LIMIT),)))
             continue
         seq += (state,)
-        if subproblem_maps(prob, state.working_set).singular:
-            finals.append(CertifiedRegion(region, seq + (transition(state, NO_INDEX),)))
-            continue
-        kids = partition_step(region, state, prob, tol, model, k, point, lifted)
-        # halfplane_family has a pass branch plus one per decision component.
-        family = len(state.working_set) if state.mode == DUAL_CHECK else prob.m
-        pruned += family + 1 - len(kids)
+        kids, cut = partition_step(region, state, prob, tol, model, k, point, lifted)
+        pruned += cut
         for idx, kid, x0 in kids:
             child = transition(state, idx)
             if child.terminal:

@@ -23,7 +23,6 @@ bounds that pointwise runs draw their error rows from.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -210,8 +209,9 @@ class ErrorModel:
 
 
 def _check_number(name: str, value) -> None:
-    """Raise ValueError unless value is a real number other than a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    """Raise ValueError unless value is an int or a float other than a bool,
+    which JSON writes (numpy's float64 is a float; float32 and int64 are not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, not {value!r}")
 
 

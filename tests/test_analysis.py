@@ -8,6 +8,7 @@ entry w-1 on.
 
 import hashlib
 import json
+import logging
 import math
 
 import numpy as np
@@ -30,7 +31,7 @@ from certias.certifier import (
     certify,
 )
 from certias.examples import double_integrator_problem, toy_problem
-from certias.geometry import LpPivotLimitError, Polyhedron, lp_call_count
+from certias.geometry import LpPivotLimitError, LpResult, Polyhedron, lp_call_count
 from certias.lpp import KIND_HYPERCUBE, ErrorModel
 from certias.mpqp import MpQP, subproblem_maps
 from certias.solver import (DUAL_CHECK, SLACK_CHECK, TERMINATED_ITER_LIMIT, TERMINATED_OPTIMAL,
@@ -198,6 +199,32 @@ class TestSlackCacheByContent:
         assert profile.lp_failures == failed == pairs
         assert len(set(contents[:-pairs])) == len(contents) - pairs < pairs
         assert all(v == -INF for v in profile.values())
+
+    def test_one_failed_lp(self, monkeypatch, caplog, toy, toy_inflated):
+        # The toy has one constraint row. Its LP fails on the region of the
+        # one-iteration leaf, whose empty working set is the worst slack at
+        # every depth from 1 on and is held through all sixteen depths.
+        clean = slack_profile(toy, toy_inflated).values()
+        (leaf,) = [r for r in toy_inflated.regions if r.iterations == 1]
+        real = analysis.solve_lp
+
+        def solve_lp(c, region, sense="min"):
+            if (np.array_equal(region.A, leaf.region.A)
+                    and np.array_equal(region.b, leaf.region.b)):
+                return LpResult("infeasible", math.nan, None)
+            return real(c, region, sense)
+
+        monkeypatch.setattr(analysis, "solve_lp", solve_lp)
+        with caplog.at_level(logging.WARNING, logger="certias.analysis"):
+            profile = slack_profile(toy, toy_inflated)
+        assert [r.getMessage() for r in caplog.records] == [
+            "slack LP infeasible on a region with 2 rows; excluded"]
+        per_iteration, failed, _ = _profile_by_object(toy, toy_inflated)
+        assert profile.lp_failures == failed == 1
+        assert profile.per_iteration == per_iteration
+        values = profile.values()
+        assert len(values) == 16 and values[0] == clean[0]
+        assert all(v < c for v, c in zip(values[1:], clean[1:]))
 
 
 class TestSlackFromLeaves:

@@ -30,6 +30,7 @@ from certias.mpqp import MpQP, load_problem
 from certias.solver import (
     DEGENERATE,
     DUAL_CHECK,
+    NO_INDEX,
     PASS_INDEX,
     SLACK_CHECK,
     TERMINATED_ITER_LIMIT,
@@ -96,19 +97,20 @@ class TestHalfplaneFamily:
 class TestPartitionStep:
     def test_toy_nominal_split(self):
         prob = toy_problem()
-        out = partition_step(prob.theta_set, SolverState((), SLACK_CHECK), prob,
-                             Tolerances(), ErrorModel(), 0)
+        out, pruned = partition_step(prob.theta_set, SolverState((), SLACK_CHECK), prob,
+                                     Tolerances(), ErrorModel(), 0)
         by_index = {idx: reg for idx, reg, _ in out}
-        assert set(by_index) == {PASS_INDEX, 0}
+        assert set(by_index) == {PASS_INDEX, 0} and pruned == 0
         assert poly_equal(by_index[PASS_INDEX], interval(-1.0 - EPS_P, 3.0))
         assert poly_equal(by_index[0], interval(-3.0, -1.0 - EPS_P))
 
     def test_toy_inflated_split_overlaps(self):
         prob = toy_problem()
         model = ErrorModel(kind="hypercube", bound=0.1)
-        out = partition_step(prob.theta_set, SolverState((), SLACK_CHECK), prob,
-                             Tolerances(), model, 0)
+        out, pruned = partition_step(prob.theta_set, SolverState((), SLACK_CHECK), prob,
+                                     Tolerances(), model, 0)
         by_index = {idx: reg for idx, reg, _ in out}
+        assert pruned == 0
         assert poly_equal(by_index[PASS_INDEX], interval(-1.1 - EPS_P, 3.0))
         assert poly_equal(by_index[0], interval(-3.0, -0.9 - EPS_P))
         lo1, hi1 = spans(by_index[PASS_INDEX])
@@ -118,16 +120,18 @@ class TestPartitionStep:
     def test_subset_region_only_terminates(self):
         prob = toy_problem()
         inside = interval(1.0, 2.0)  # slack 1+theta >= 2 everywhere
-        out = partition_step(inside, SolverState((), SLACK_CHECK), prob,
-                             Tolerances(), ErrorModel(), 0)
+        out, pruned = partition_step(inside, SolverState((), SLACK_CHECK), prob,
+                                     Tolerances(), ErrorModel(), 0)
         assert len(out) == 1 and out[0][0] == PASS_INDEX
+        assert pruned == 1  # the branch adding row 0 is empty
 
     def test_dual_split_with_dual_perturbation(self):
         prob = toy_problem()
         state = SolverState((0,), DUAL_CHECK)
         model = ErrorModel(kind="hypercube", bound=0.1, perturb_dual=True)
-        out = partition_step(prob.theta_set, state, prob, Tolerances(), model, 1)
+        out, pruned = partition_step(prob.theta_set, state, prob, Tolerances(), model, 1)
         by_index = {idx: reg for idx, reg, _ in out}
+        assert pruned == 0
         # multiplier map is -1-theta; pass needs it >= -eps_d (minus spread)
         assert poly_equal(by_index[PASS_INDEX], interval(-3.0, -0.9 + EPS_P))
         assert poly_equal(by_index[0], interval(-1.1 + EPS_P, 3.0))
@@ -136,25 +140,35 @@ class TestPartitionStep:
         prob = toy_problem()
         state = SolverState((0,), DUAL_CHECK)
         model = ErrorModel(kind="hypercube", bound=0.1)  # slack errors only
-        out = partition_step(prob.theta_set, state, prob, Tolerances(), model, 1)
+        out, pruned = partition_step(prob.theta_set, state, prob, Tolerances(), model, 1)
         by_index = {idx: reg for idx, reg, _ in out}
+        assert pruned == 0
         assert poly_equal(by_index[PASS_INDEX], interval(-3.0, -1.0 + EPS_P))
         assert poly_equal(by_index[0], interval(-1.0 + EPS_P, 3.0))
 
     def test_relative_model_converts_against_region(self):
         prob = toy_problem()
         model = ErrorModel(kind="relative", rel_bound=0.1)
-        out = partition_step(prob.theta_set, SolverState((), SLACK_CHECK), prob,
-                             Tolerances(), model, 0)
+        out, pruned = partition_step(prob.theta_set, SolverState((), SLACK_CHECK), prob,
+                                     Tolerances(), model, 0)
         # max |1+theta| over [-3,3] is 4, so the bound converts to 0.4.
         by_index = {idx: reg for idx, reg, _ in out}
+        assert pruned == 0
         assert poly_equal(by_index[PASS_INDEX], interval(-1.4 - EPS_P, 3.0))
 
-    def test_singular_state_rejected(self):
+    def test_singular_state_one_no_index_branch(self):
+        # Working set (0, 0) repeats its row, so its subproblem is singular:
+        # no decision is taken, and the whole region with the given point is
+        # the one branch, which transition ends degenerate.
         prob = toy_problem()
-        with pytest.raises(ValueError, match="singular"):
-            partition_step(prob.theta_set, SolverState((0, 0), DUAL_CHECK), prob,
-                           Tolerances(), ErrorModel(), 2)
+        state = SolverState((0, 0), DUAL_CHECK)
+        point = np.array([0.5])
+        out, pruned = partition_step(prob.theta_set, state, prob, Tolerances(),
+                                     ErrorModel(kind="hypercube", bound=0.1), 2, point)
+        ((index, region, start),) = out
+        assert (index, pruned) == (NO_INDEX, 0)
+        assert region is prob.theta_set and start is point
+        assert solver_transition(state, NO_INDEX) == SolverState((0, 0), DEGENERATE)
 
 
 class TestCertifyToyExact:

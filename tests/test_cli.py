@@ -109,6 +109,30 @@ class TestCertify:
         assert main(["certify", "--problem", str(bad)]) == 2
         assert "bad problem document" in capsys.readouterr().err
 
+    # Each document is the toy's with one field broken (the first is not an
+    # object at all); load_problem or MpQP names what is wrong.
+    @pytest.mark.parametrize("edit,message", [
+        (None, "must be a JSON object"),
+        ({"H": [[1.0, 0.0]]}, "H must be square"),
+        ({"C": [[1.0, 0.0]]}, "C has 2 columns, expected 1"),
+        ({"f_const": [0.0, 0.0]}, "f_const must have 1 entries"),
+        ({"d_lin": [[0.0, 0.0]]}, "d_lin must be 1x1"),
+        ({"d_const": [1.0, 2.0]}, "d_const must have 1 entries"),
+        ({"theta_set": {"A": [[1.0], [-1.0]]}}, "theta_set must carry matrices A and b"),
+        ({"theta_set": {"A": [[1.0], [-1.0, 0.0]], "b": [3.0, 3.0]}}, "bad theta_set"),
+        ({"H": [["a"]]}, "bad problem data"),
+    ], ids=["not-an-object", "H-not-square", "C-columns", "f_const-size",
+            "d_lin-shape", "d_const-size", "theta_set-without-b", "ragged-theta_set",
+            "non-numeric-H"])
+    def test_malformed_problem_exits_2(self, toy_path, tmp_path, capsys, edit, message):
+        doc = [1.0] if edit is None else {**json.loads(pathlib.Path(toy_path).read_text()),
+                                          **edit}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["certify", "--problem", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "bad problem document" in err and message in err
+
     def test_eps_bar_flag(self, toy_path, tmp_path):
         out = tmp_path / "part.json"
         code = main(["certify", "--problem", toy_path, "--eps-bar", "0.1",
@@ -614,6 +638,11 @@ class TestSweep:
         assert main(["sweep", "--problem", toy_path,
                      "--primal-tols", "1e-6"]) == 2
         assert "--eps-bars" in capsys.readouterr().err
+
+    def test_non_number_in_list_exits_2(self, toy_path, capsys):
+        assert main(["sweep", "--problem", toy_path, "--primal-tols", "1e-6",
+                     "--eps-bars", "0,abc"]) == 2
+        assert "not a comma list of numbers: '0,abc'" in capsys.readouterr().err
 
 
 def _relabelled_toy(toy_path, tmp_path):

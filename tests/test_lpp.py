@@ -16,7 +16,7 @@ from certias import certifier, lpp
 from certias.certifier import certify
 from certias.cli import dump_document
 from certias.lpp import ErrorModel, lift_partition_project, lift_rows, rel_to_abs
-from certias.mpqp import AffineMap
+from certias.mpqp import AffineMap, subproblem_maps
 from certias.solver import DUAL_CHECK
 
 from oracles import poly_contains_poly, poly_equal
@@ -66,10 +66,17 @@ class TestErrorModel:
         ({"kind": "hypercube", "bound": np.array([0.1])}, "bound"),
         ({"kind": "relative", "rel_bound": False}, "rel_bound"),
         ({"kind": "relative", "rel_bound": None}, "rel_bound"),
+        ({"kind": "hypercube", "bound": np.float32(0.05)}, "bound"),
+        ({"kind": "hypercube", "bound": np.int64(0)}, "bound"),
+        ({"kind": "relative", "rel_bound": np.float32(0.5)}, "rel_bound"),
     ])
     def test_non_number_bounds_rejected(self, fields, name):
-        # As from_document refuses them: a model certify accepts is one
-        # whose settings read back.
+        # As from_document refuses them, or as dump_document could not write
+        # them (numpy float32 and int64 are real numbers, not int or float):
+        # a model certify accepts is one whose settings write and read back.
+        if isinstance(fields[name], np.generic):
+            with pytest.raises(TypeError):
+                dump_document(fields)
         with pytest.raises(ValueError, match=f"^{name} must be a number"):
             ErrorModel(**fields)
 
@@ -178,7 +185,8 @@ class TestErrorModel:
     def test_certify_slices_once_per_working_set(self, monkeypatch):
         # Thirty perturbed multiplier checks on two working sets slice the
         # set twice in one call. The partition is the one of slicing at
-        # every check, as steps without the call's memo do.
+        # every check, as steps without the call's memo do. Singular checks
+        # take no decision and slice nothing, so they are not counted.
         prob = random_problem(np.random.default_rng(0), 2, 4)
         box = Polyhedron(np.vstack([np.eye(4), -np.eye(4), np.ones((1, 4))]), [1e-2] * 9)
         model = ErrorModel(kind="polyhedral", set=box, perturb_dual=True)
@@ -190,7 +198,7 @@ class TestErrorModel:
             return slice_set(err_set, coords)
 
         def spy_step(region, state, *args, keep=True):
-            if state.mode == DUAL_CHECK:
+            if state.mode == DUAL_CHECK and not subproblem_maps(prob, state.working_set).singular:
                 checked.append(state.working_set)
             return step(region, state, *args[:-1], args[-1] if keep else None)
 
