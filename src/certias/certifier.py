@@ -2,8 +2,9 @@
 
 Where the pointwise solver evaluates one decision vector and branches, the
 certifier splits the current parameter region into the subsets on which each
-branch is taken, using the same transition rule. Exploring the resulting
-tree to its leaves yields, for every parameter in the initial set, the exact
+branch is taken, in the same loop (solver._explore) and with the same
+transition rule. Exploring the resulting tree to its leaves, step by step,
+yields, for every parameter in the initial set, the exact
 state sequence the solver will execute and hence its iteration count, before
 the solver ever runs.
 
@@ -37,6 +38,7 @@ from certias.solver import (
     TERMINATED_OPTIMAL,
     SolverState,
     Tolerances,
+    _explore,
     decision_of,
     iterations,
     transition,
@@ -284,18 +286,24 @@ def certify(prob: MpQP, tol: Optional[Tolerances] = None,
             max_live: int = 20000) -> CertificationResult:
     """Explore the whole parameter set and certify every leaf.
 
-    The frontier is a stack of (region, state about to run there, states
-    run so far, the point that proved the region nonempty, None at the
-    root). Each popped entry is capped (at step 2 * iter_limit) or split
-    by partition_step, every next state but the cap marker coming from
-    transition, as in the lockstep; a leaf is its region and its sequence,
-    whose status and iterations it reads off as run does. The splits share
-    one memo of what each check needs (partition_step's `lifted`), freed when
-    certify returns. The result is canonically sorted by sequence, so it
-    does not depend on exploration order. max_live caps the frontier size
-    to guard against error-model-induced blowup (BudgetExceededError). A
-    polyhedral set of the wrong dimension, in the model or in any schedule
-    entry, raises ValueError before anything is explored.
+    certify is solver._explore, the lockstep's step-by-step loop, over
+    regions: its items are (region, the point that proved the region
+    nonempty, None at the root), and its check splits each region live at
+    step k by partition_step. Every next state comes from transition, and
+    the cap marker from _explore, as in the lockstep; a leaf is its region
+    and its sequence, whose status and iterations it reads off as run
+    does. The splits share one memo of what each check needs
+    (partition_step's `lifted`), freed when certify returns. The result is
+    canonically sorted by sequence, so it does not depend on exploration
+    order. stats["explored"] counts the partition_step calls and the capped
+    leaves.
+
+    max_live bounds the regions live at one step, to guard against
+    error-model-induced blowup (BudgetExceededError). It does not bound
+    total work: a frontier that cycles under errors stays within it while
+    the work grows linearly with iter_limit. A polyhedral set of the wrong
+    dimension, in the model or in any schedule entry, raises ValueError
+    before anything is explored.
 
     certify runs on the calling thread, and workers is accepted for
     compatibility only. Calls on several threads at once are safe: each
@@ -305,37 +313,27 @@ def certify(prob: MpQP, tol: Optional[Tolerances] = None,
     model = model or ErrorModel()
     model.check_dimension(prob.m)
     lp_before = lp_call_count()
-    stack = [(remove_redundant(prob.theta_set), SolverState((), SLACK_CHECK), (), None)]
-    finals: list[CertifiedRegion] = []
     lifted: dict = {}
-    explored = 0
-    pruned = 0
-    while stack:
-        if len(stack) > max_live:
-            raise BudgetExceededError(
-                f"live regions ({len(stack)}) exceed max_live={max_live}")
-        region, state, seq, point = stack.pop()
-        explored += 1
-        k = len(seq)
-        if k == 2 * tol.iter_limit:
-            finals.append(CertifiedRegion(
-                region, seq + (SolverState(state.working_set, TERMINATED_ITER_LIMIT),)))
-            continue
-        seq += (state,)
-        kids, cut = partition_step(region, state, prob, tol, model, k, point, lifted)
-        pruned += cut
-        for idx, kid, x0 in kids:
-            child = transition(state, idx)
-            if child.terminal:
-                finals.append(CertifiedRegion(kid, seq + (child,)))
-            else:
-                stack.append((kid, child, seq, x0))
+    calls = pruned = 0
 
-    finals.sort(key=lambda r: sequence_key(r.sequence))
+    def check(k, live):
+        nonlocal calls, pruned
+        if len(live) > max_live:
+            raise BudgetExceededError(
+                f"live regions ({len(live)}) exceed max_live={max_live}")
+        calls += len(live)
+        for _, state, (region, point) in live:
+            kids, cut = partition_step(region, state, prob, tol, model, k, point, lifted)
+            pruned += cut
+            yield [(idx, (kid, x0)) for idx, kid, x0 in kids]
+
+    ends = _explore((remove_redundant(prob.theta_set), None), check, tol)
+    finals = sorted((CertifiedRegion(region, seq) for seq, (region, _) in ends),
+                    key=lambda r: sequence_key(r.sequence))
     settings = {**tol.to_document(), "error_model": model.to_document()}
     stats = {
         "regions": len(finals),
-        "explored": explored,
+        "explored": calls + sum(r.status == "iter_limit" for r in finals),
         "pruned": pruned,
         "lp_calls": lp_call_count() - lp_before,
     }

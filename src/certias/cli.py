@@ -133,18 +133,24 @@ def _load_partition(path: str, prob: Optional[MpQP]) -> CertificationResult:
     return result
 
 
-def _model_flags(cfg: RunConfig) -> list:
-    """Names of the model flags given."""
-    return [name for name, flag in (("--error-model", cfg.error_model_path),
-                                    ("--eps-bar", cfg.eps_bar),
-                                    ("--rel-bound", cfg.rel_bound))
-            if flag is not None]
+# Each model or tolerance flag and its RunConfig field. report's parser
+# leaves the tolerance flags None when not given, as every parser does the
+# model flags, so it can refuse them with --partition.
+_MODEL_FLAGS = {"--error-model": "error_model_path", "--eps-bar": "eps_bar",
+                "--rel-bound": "rel_bound"}
+_TOL_FLAGS = {"--primal-tol": "primal_tol", "--dual-tol": "dual_tol",
+              "--iter-limit": "iter_limit"}
+
+
+def _given(cfg: RunConfig, flags: dict) -> list:
+    """Names of the flags given, of those in flags."""
+    return [flag for flag, name in flags.items() if getattr(cfg, name) is not None]
 
 
 def build_model(cfg: RunConfig) -> Optional[ErrorModel]:
     """Error model the flags select, None when no model flag is given.
     --eps-bar 0 selects exact arithmetic."""
-    given = _model_flags(cfg)
+    given = _given(cfg, _MODEL_FLAGS)
     if len(given) > 1:
         raise InputError(f"{' and '.join(given)} are mutually exclusive")
     if cfg.error_model_path is not None:
@@ -262,9 +268,11 @@ def cmd_report(cfg: RunConfig) -> int:
         raise InputError("report needs --problem or --partition")
     prob = None if cfg.problem_path is None else _load_mpqp(cfg.problem_path)
     if cfg.partition_path is None:
+        cfg = replace(cfg, **{name: getattr(RunConfig, name) for name in _TOL_FLAGS.values()
+                              if getattr(cfg, name) is None})
         result = certify(prob, cfg.tolerances(), _model_for(cfg, prob))
     else:
-        given = _model_flags(cfg)
+        given = _given(cfg, _MODEL_FLAGS) + _given(cfg, _TOL_FLAGS)
         if given:
             raise InputError(f"{' and '.join(given)} cannot be used with --partition")
         result = _load_partition(cfg.partition_path, prob)
@@ -292,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "solver over a parameter set.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, model_flags=True, tol_flags=True):
+    def common(p, *, model_flags=True, tol_flags=True, tol_defaults=True):
         p.add_argument("--problem", dest="problem_path", metavar="PATH",
                        help="problem document (JSON)")
         p.add_argument("--out", metavar="PATH", help="output file; stdout "
@@ -300,14 +308,14 @@ def build_parser() -> argparse.ArgumentParser:
                        "ends in .json)")
         if tol_flags:
             p.add_argument("--primal-tol", dest="primal_tol", type=float,
-                           default=RunConfig.primal_tol,
-                           help="slack tolerance (default %(default)s)")
+                           default=RunConfig.primal_tol if tol_defaults else None,
+                           help=f"slack tolerance (default {RunConfig.primal_tol})")
             p.add_argument("--dual-tol", dest="dual_tol", type=float,
                            default=None,
                            help="multiplier tolerance (default: --primal-tol)")
             p.add_argument("--iter-limit", dest="iter_limit", type=int,
-                           default=RunConfig.iter_limit,
-                           help="iteration cap (default %(default)s)")
+                           default=RunConfig.iter_limit if tol_defaults else None,
+                           help=f"iteration cap (default {RunConfig.iter_limit})")
         p.add_argument("--workers", type=int, default=RunConfig.workers,
                        help="accepted for compatibility; certification runs "
                        "on the calling thread")
@@ -343,12 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma list of error bounds")
 
     p_rep = sub.add_parser("report", help="emit analysis tables")
-    common(p_rep)
+    common(p_rep, tol_defaults=False)
     p_rep.add_argument("--metric", choices=("slack", "cdf"))
     p_rep.add_argument("--partition", dest="partition_path", metavar="PATH",
-                       help="partition document from certify; without "
-                       "it, report certifies --problem under the tolerance "
-                       "and model flags")
+                       help="partition document from certify, whose "
+                       "tolerances and model the report uses; without it, "
+                       "report certifies --problem under the tolerance and "
+                       "model flags")
     return parser
 
 

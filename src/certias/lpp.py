@@ -70,8 +70,8 @@ class ErrorModel:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown error model kind {self.kind!r}")
-        _check_number("bound", self.bound)
-        _check_number("rel_bound", self.rel_bound)
+        check_number("bound", self.bound)
+        check_number("rel_bound", self.rel_bound)
         if not (0 <= self.bound < math.inf and 0 <= self.rel_bound < math.inf):
             raise ValueError("error bounds must be finite and nonnegative")
         # A size the kind does not read would be dropped without a word.
@@ -179,7 +179,7 @@ class ErrorModel:
         doc = dict(doc)
         for key in ("bound", "eps_bar", "rel_bound"):
             if key in doc:
-                _check_number(key, doc[key])
+                check_number(key, doc[key])
         if not isinstance(doc.get("perturb_dual", False), bool):
             raise ValueError(f"perturb_dual must be true or false, "
                              f"not {doc['perturb_dual']!r}")
@@ -208,7 +208,7 @@ class ErrorModel:
                    perturb_dual=doc.get("perturb_dual", False))
 
 
-def _check_number(name: str, value) -> None:
+def check_number(name: str, value) -> None:
     """Raise ValueError unless value is an int or a float other than a bool,
     which JSON writes (numpy's float64 is a float; float32 and int64 are not)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):

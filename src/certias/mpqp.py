@@ -22,8 +22,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from certias.geometry import (GeometryError, LpPivotLimitError, Polyhedron, bounding_box,
-                              is_empty, row_products)
+from certias.geometry import (EmptyPolyhedronError, GeometryError, LpPivotLimitError,
+                              Polyhedron, bounding_box, row_products)
 
 # A Schur-complement Cholesky pivot below this marks the working set as
 # rank deficient rather than letting the solve produce garbage.
@@ -140,12 +140,13 @@ class MpQP:
             chol = np.linalg.cholesky(H)
         except np.linalg.LinAlgError:
             raise ProblemFormatError("H is not positive definite") from None
-        if is_empty(theta_set):
-            raise ProblemFormatError("the parameter set is empty")
+        # bounding_box's LPs prove the set nonempty and bounded.
         try:
             box = bounding_box(theta_set)
         except LpPivotLimitError:
             raise
+        except EmptyPolyhedronError:
+            raise ProblemFormatError("the parameter set is empty") from None
         except GeometryError:
             raise ProblemFormatError("the parameter set is unbounded") from None
 
@@ -271,14 +272,15 @@ def subproblem_maps(prob: MpQP, working_set: Sequence[int]) -> SubproblemMaps:
     certify on several threads against one problem, and each call still
     counts only its own LPs.
     """
-    W = tuple(int(i) for i in working_set)
-    for i in W:
-        if not 0 <= i < prob.m:
-            raise ValueError(f"working-set index {i} out of range")
+    W = tuple(map(int, working_set))
     with prob._cache_lock:
         hit = prob._cache.get(W)
     if hit is not None:
         return hit
+    # Only checked rows are cached, so a hit needs no check.
+    for i in W:
+        if not 0 <= i < prob.m:
+            raise ValueError(f"working-set index {i} out of range")
 
     n_th = prob.n_theta
     # Parameter-wise batch: column j of the lin part plus one const column.

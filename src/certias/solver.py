@@ -5,8 +5,7 @@ that is the perturbed constraint slack: if no component falls below the
 primal tolerance the run ends optimal, otherwise the most violated row joins
 the working set. In dual_check mode it is the multiplier vector of the
 current working set: a sufficiently negative multiplier sends its row back
-out. The same transition function drives the region certifier, so the two
-must never be edited apart.
+out.
 
 Perturbations model inexact slack evaluation: run takes a K x m array of
 error rows, and step k adds row k (zero once the rows run out) to the slack
@@ -14,17 +13,20 @@ before it is compared against the tolerance. Multipliers are checked
 exactly unless perturb_dual is set, in which case they see the working-set
 components of the same row.
 
-The lockstep (_lockstep) is the one pointwise engine: run is its block of
-one, and validation drives it on a block. At step k the live parameters
-are grouped by solver path, the states they have run so far, each group an
-array of indices into the block. Each group looks its subproblem maps up
-once, decides every member with one vectorized rule (_decide) and splits
-by distinct decision, each part's next state coming from transition, which
-also ends a singular check DEGENERATE. The lockstep reads error rows from
-a row source, once per step that reads them, for the step's live
-parameters in ascending order. The maps evaluate elementwise in a fixed
-order (AffineMap), so a parameter's run is bit for bit the same in any
-block. run and the certifier count iterations with one rule (iterations).
+One loop (_explore) runs the automaton for points and regions alike: at
+step k it asks a check to split each live group by decision, takes each
+part's next state from transition, which also ends a singular check
+DEGENERATE, and caps the groups still live at step 2 * iter_limit. It
+takes one of two checks. The lockstep (_lockstep) is the one pointwise
+engine: run is its block of one, and validation drives it on a block. Its
+check groups the live parameters by solver path, each group an array of
+indices into the block; each group looks its subproblem maps up once and
+decides every member with one vectorized rule (_decide). The lockstep
+reads error rows from a row source, once per step that reads them, for the
+step's live parameters in ascending order. The certifier's check is
+partition_step, which splits a region instead. The maps evaluate elementwise in a fixed order
+(AffineMap), so a parameter's run is bit for bit the same in any block.
+run and the certifier count iterations with one rule (iterations).
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from certias.geometry import MEMBERSHIP_SLACK, contains
+from certias.lpp import check_number
 from certias.mpqp import MpQP, subproblem_maps
 
 SLACK_CHECK = "slack_check"
@@ -73,7 +76,7 @@ class SolverState:
     _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "working_set", tuple(int(i) for i in self.working_set))
+        object.__setattr__(self, "working_set", tuple(map(int, self.working_set)))
         if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         object.__setattr__(self, "_hash", hash((self.working_set, self.mode)))
@@ -112,14 +115,16 @@ class Tolerances:
     iter_limit: int = 15
 
     def __post_init__(self):
+        # Numbers a partition document can hold, as for error bounds.
         if any(isinstance(v, bool) for v in (self.eps_primal, self.eps_dual, self.iter_limit)):
             raise ValueError("tolerances must be numbers, not booleans")
-        if not 0 <= self.eps_primal < math.inf:
-            raise ValueError("eps_primal must be finite and nonnegative")
-        if self.eps_dual is not None and not 0 <= self.eps_dual < math.inf:
-            raise ValueError("eps_dual must be finite and nonnegative")
-        if not isinstance(self.iter_limit, numbers.Integral):
-            raise ValueError("iter_limit must be an integer")
+        # eps_dual defaults to eps_primal, which is checked first.
+        for name, value in (("eps_primal", self.eps_primal), ("eps_dual", self.dual)):
+            check_number(name, value)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
+        if not isinstance(self.iter_limit, int):
+            raise ValueError(f"iter_limit must be an integer, not {self.iter_limit!r}")
         if self.iter_limit < 1:
             raise ValueError("iter_limit must be at least 1")
 
@@ -326,17 +331,48 @@ def run(prob: MpQP, theta, errors=None, tol: Optional[Tolerances] = None,
     return RunResult(sequence=sequence, x=x, snapshots=[z[0] for _, z in blocks])
 
 
+def _explore(root, check, tol: Tolerances) -> list:
+    """The automaton run on groups, step by step: the one loop of the
+    lockstep and of the certifier.
+
+    A live group is (path, state, item): path is the tuple of states run
+    so far, state the one run next, item what the check splits (member
+    indices for the lockstep, a (region, point) pair for the certifier).
+    At step k, check(k, live) gives each live group's branches, in order:
+    (index, item) pairs, each the decision index taken on its item. Each
+    next state comes from transition; a terminal one ends its branch.
+    Step k is a slack check when k is even (see iterations), so a group
+    still live at step 2 * iter_limit has made iter_limit slack checks and
+    ends there with the cap marker, which nothing else builds.
+
+    Returns the (sequence, item) of every ended branch, sequence being its
+    path plus its terminal marker.
+    """
+    ends: list = []
+    live = [((), SolverState((), SLACK_CHECK), root)]
+    for k in range(2 * tol.iter_limit):
+        if not live:
+            break
+        moved = []
+        for (path, state, _), branches in zip(live, check(k, live)):
+            path += (state,)
+            for index, item in branches:
+                nxt = transition(state, index)
+                if nxt.terminal:
+                    ends.append(((*path, nxt), item))
+                else:
+                    moved.append((path, nxt, item))
+        live = moved
+    return ends + [((*path, SolverState(state.working_set, TERMINATED_ITER_LIMIT)), item)
+                   for path, state, item in live]
+
+
 def _lockstep(prob: MpQP, thetas: np.ndarray, rows_at, tol: Tolerances,
               perturb_dual: bool, blocks: Optional[list] = None) -> list:
-    """The pointwise solver on a block, grouped by solver path: step k checks
-    each live group once, then splits it by decision (transition).
-
-    A live group is (path, state, members): path is the tuple of states its
-    members have run, state the one they run next, and members their
-    indices into the block, ascending. Groups never merge, so every member
-    of a group shares one path. Step k is a slack check when k is even (see
-    iterations), so a group still live at step 2 * iter_limit has made
-    iter_limit slack checks and hits the cap there.
+    """The pointwise solver on a block, grouped by solver path: _explore
+    with items the members' indices into the block, ascending. Step k
+    checks each live group once (_check) and splits it by decision. Groups
+    never merge, so every member of a group shares one path.
 
     rows_at(k, live) is the row source: it returns the error rows of step
     k, one per entry of live, the step's live indices in ascending order.
@@ -350,34 +386,22 @@ def _lockstep(prob: MpQP, thetas: np.ndarray, rows_at, tol: Tolerances,
     order, z holding the vectors its members' decisions were based on, row
     by row: run reads its snapshots from it.
     """
-    ends: list[tuple[tuple[SolverState, ...], np.ndarray]] = []
-    live = [((), SolverState((), SLACK_CHECK), np.arange(len(thetas)))]
     where = np.empty(len(thetas), dtype=np.intp)
-    for k in range(2 * tol.iter_limit):
-        if not live:
-            break
+
+    def check(k, live):
         rows = None
         if k % 2 == 0 or perturb_dual:
             indices = np.sort(np.concatenate([members for _, _, members in live]))
             rows = rows_at(k, indices)
             where[indices] = np.arange(len(indices))
-        moved = []
-        for path, state, members in live:
+        for _, state, members in live:
             decisions, z = _check(prob, state, thetas[members],
                                   None if rows is None else rows[where[members]],
                                   tol, perturb_dual)
             if blocks is not None:
                 blocks.append((members, z))
-            path += (state,)
             distinct = set(decisions.tolist())
-            for index in distinct:
-                part = members if len(distinct) == 1 else members[decisions == index]
-                nxt = transition(state, index)
-                if nxt.terminal:
-                    ends.append(((*path, nxt), part))
-                else:
-                    moved.append((path, nxt, part))
-        live = moved
-    for path, state, members in live:
-        ends.append(((*path, SolverState(state.working_set, TERMINATED_ITER_LIMIT)), members))
-    return ends
+            yield [(index, members if len(distinct) == 1 else members[decisions == index])
+                   for index in distinct]
+
+    return _explore(np.arange(len(thetas)), check, tol)

@@ -336,6 +336,31 @@ class TestCertifyToyInflated:
             certify(toy_problem(), model=ErrorModel(kind="hypercube", bound=0.1),
                     max_live=1)
 
+    def test_budget_counts_regions_live_at_one_step(self):
+        # At most 12 DI regions are live at one step under errors of 1e-4,
+        # at a cap of 15 as at one of 60: the budget does not grow with
+        # depth. explored counts every split and every capped leaf.
+        prob, model = double_integrator_problem(), ErrorModel.from_eps_bar(1e-4)
+        with pytest.raises(BudgetExceededError,
+                           match=r"^live regions \(12\) exceed max_live=11$"):
+            certify(prob, model=model, max_live=11)
+        splits = []
+        real = certias.certifier.partition_step
+
+        def counted(*args):
+            splits.append(args[5])
+            return real(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(certias.certifier, "partition_step", counted)
+            for cap in (15, 60):
+                splits.clear()
+                result = certify(prob, Tolerances(iter_limit=cap), model, max_live=12)
+                capped = sum(r.status == "iter_limit" for r in result.regions)
+                assert result.stats["explored"] == len(splits) + capped
+                assert max(np.bincount(splits)) == 12
+                assert max(splits) == 2 * cap - 1
+
 
 class TestCertifyMpc:
     @pytest.fixture

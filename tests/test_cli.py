@@ -63,6 +63,24 @@ def test_examples_module_runs_without_warning(problem_dir, tmp_path):
     subprocess.run([sys.executable, "-c", probe], env=env, check=True)
 
 
+def test_examples_served_on_first_use():
+    # certias serves the examples' constructors lazily: the attribute
+    # resolves to the examples module's function, an unknown name does not.
+    import certias
+    from certias import examples
+    assert certias.toy_problem is examples.toy_problem
+    assert certias.double_integrator_problem is examples.double_integrator_problem
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_problem'"):
+        certias.no_such_problem
+    # In a fresh interpreter the module is imported on that first use only.
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    probe = ("import sys, certias; assert 'certias.examples' not in sys.modules; "
+             "assert certias.toy_problem().m == 1; assert 'certias.examples' in sys.modules; "
+             "missing = not hasattr(certias, 'no_such_problem'); assert missing")
+    subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                   check=True)
+
+
 @pytest.fixture()
 def toy_partition(toy_path, tmp_path):
     out = tmp_path / "part.json"
@@ -194,13 +212,14 @@ class TestCertify:
 
     @pytest.mark.parametrize("argv", [["certify"], ["report", "--metric", "cdf"]])
     def test_frontier_budget_is_exit_4(self, argv, toy_path, capsys, monkeypatch):
-        # Errors of 0.05 make the toy's checks cycle and its frontier grow.
+        # Errors of 0.05 make the toy's checks overlap: two of its regions
+        # are live at one step.
         real = certify
         monkeypatch.setattr("certias.cli.certify",
-                            lambda *args, **kwargs: real(*args, **kwargs, max_live=5))
+                            lambda *args, **kwargs: real(*args, **kwargs, max_live=1))
         assert main([*argv, "--problem", toy_path, "--eps-bar", "0.05"]) == 4
         err = capsys.readouterr().err.splitlines()
-        assert err == ["budget exceeded: live regions (6) exceed max_live=5"]
+        assert err == ["budget exceeded: live regions (2) exceed max_live=1"]
 
     def test_fm_row_cap_is_exit_4(self, toy_path, tmp_path, capsys, monkeypatch):
         # A polyhedral error set is projected by Fourier-Motzkin elimination,
@@ -750,17 +769,49 @@ class TestReport:
     @pytest.mark.parametrize("metric", ["cdf", "slack"])
     def test_json_echoes_partition_tolerances(self, toy_path, tmp_path, metric):
         # The table comes from the partition, so its config echoes the
-        # partition's tolerances, not the flags'.
+        # partition's tolerances, not the flags' defaults.
         part, out = tmp_path / "part.json", tmp_path / "report.json"
         assert main(["certify", "--problem", toy_path, "--primal-tol", "1e-4",
-                     "--out", str(part)]) == 0
+                     "--iter-limit", "9", "--out", str(part)]) == 0
         problem = ["--problem", toy_path] if metric == "slack" else []
         assert main(["report", "--metric", metric, *problem, "--partition", str(part),
-                     "--primal-tol", "1e-3", "--iter-limit", "9",
                      "--out", str(out)]) == 0
         config = json.loads(out.read_text())["config"]
         assert (config["primal_tol"], config["dual_tol"]) == (1e-4, 1e-4)
-        assert config["iter_limit"] == 15
+        assert config["iter_limit"] == 9
+
+    @pytest.mark.parametrize("flags", [["--primal-tol", "0.5"], ["--dual-tol", "0.5"],
+                                       ["--iter-limit", "3"], ["--iter-limit", "15"],
+                                       ["--iter-limit", "3", "--primal-tol", "0.5"]])
+    @pytest.mark.parametrize("metric", ["cdf", "slack"])
+    def test_tolerance_flags_with_partition_exit_2(self, toy_path, toy_partition, tmp_path,
+                                                   capsys, metric, flags):
+        # The table runs with the partition's tolerances; a tolerance flag
+        # it would ignore is refused, even one giving the default value.
+        problem = ["--problem", toy_path] if metric == "slack" else []
+        out = tmp_path / "report.json"
+        assert main(["report", "--metric", metric, *problem, "--partition",
+                     str(toy_partition), *flags, "--out", str(out)]) == 2
+        names = " and ".join(sorted(flags[::2], key=["--primal-tol", "--dual-tol",
+                                                      "--iter-limit"].index))
+        assert capsys.readouterr().err == f"error: {names} cannot be used with --partition\n"
+        assert not out.exists()
+
+    def test_tolerance_defaults_echo_without_partition(self, toy_path, tmp_path):
+        # Without --partition the report certifies under the flags, and the
+        # ones not given echo their defaults.
+        out = tmp_path / "report.json"
+        assert main(["report", "--metric", "cdf", "--problem", toy_path,
+                     "--out", str(out)]) == 0
+        config = json.loads(out.read_text())["config"]
+        assert (config["primal_tol"], config["dual_tol"], config["iter_limit"]) == \
+            (1e-6, None, 15)
+        assert '"primal_tol": 1e-06' in out.read_text()
+        assert main(["report", "--metric", "cdf", "--problem", toy_path, "--iter-limit", "3",
+                     "--dual-tol", "0.5", "--out", str(out)]) == 0
+        config = json.loads(out.read_text())["config"]
+        assert (config["primal_tol"], config["dual_tol"], config["iter_limit"]) == \
+            (1e-6, 0.5, 3)
 
     @pytest.mark.parametrize("flag", ["--eps-bar", "--rel-bound", "--error-model"])
     @pytest.mark.parametrize("metric", ["cdf", "slack"])

@@ -67,6 +67,18 @@ class TestPolyhedronConstruction:
         with pytest.raises(ValueError):
             Polyhedron([[1.0, 0.0]], [1.0, 2.0])
 
+    def test_dimension_needed_and_positive(self):
+        # A set without rows takes its dimension from dim=, which must be
+        # at least 1.
+        with pytest.raises(ValueError, match="dim is required"):
+            Polyhedron(np.zeros((0, 2)), [])
+        with pytest.raises(ValueError, match="at least 1"):
+            Polyhedron(np.zeros((0, 0)), [], dim=0)
+
+    def test_box_needs_equal_lengths(self):
+        with pytest.raises(ValueError, match="equal length"):
+            Polyhedron.box([0.0, 0.0], [1.0])
+
     def test_immutable(self):
         P = Polyhedron([[1.0]], [1.0])
         with pytest.raises(AttributeError):
@@ -228,6 +240,18 @@ class TestSolveLp:
     def test_bad_sense_rejected(self):
         with pytest.raises(ValueError):
             solve_lp([1.0], Polyhedron([[1.0]], [1.0]), "best")
+
+    def test_no_rows(self):
+        # Without rows only a zero objective is bounded; its optimum is the
+        # origin.
+        free = Polyhedron(np.zeros((0, 2)), [], dim=2)
+        res = solve_lp([0.0, 0.0], free, "max")
+        assert (res.status, res.value, res.point.tolist()) == ("optimal", 0.0, [0.0, 0.0])
+        assert solve_lp([0.0, 1.0], free, "min").status == "unbounded"
+
+    def test_objective_size_checked(self):
+        with pytest.raises(ValueError, match="objective has 2 entries, polyhedron dim is 1"):
+            solve_lp([1.0, 0.0], Polyhedron([[1.0]], [1.0]), "max")
 
 
 class TestIsEmpty:
@@ -817,6 +841,12 @@ class TestInteriorPoint:
         P = Polyhedron([[1.0], [-1.0]], [-1.0, -1.0])
         with pytest.raises(EmptyPolyhedronError):
             interior_point(P)
+
+    def test_half_line_raises(self):
+        # x >= 0 holds balls of every radius: unbounded, not empty.
+        with pytest.raises(GeometryError, match="inscribed-ball LP is unbounded") as info:
+            interior_point(Polyhedron([[-1.0]], [0.0]))
+        assert not isinstance(info.value, EmptyPolyhedronError)
 
     def test_ball_fits(self):
         rng = np.random.default_rng(3)

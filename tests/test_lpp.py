@@ -130,6 +130,11 @@ class TestErrorModel:
         # Past the schedule's end the base model itself applies, unchanged.
         assert base.at(2) is base and base.at(-1) is base
 
+    @pytest.mark.parametrize("entry", [{"kind": "hypercube", "bound": 0.1}, None, 0.1])
+    def test_schedule_entries_are_models(self, entry):
+        with pytest.raises(TypeError, match="schedule entries must be ErrorModel instances"):
+            ErrorModel(schedule=(ErrorModel(), entry))
+
     def test_schedule_cannot_nest(self):
         inner = ErrorModel(kind="none", schedule=(ErrorModel(),))
         with pytest.raises(ValueError, match="nest"):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from certias.certifier import certify
 from certias.cli import dump_document
 from certias.examples import double_integrator_problem, toy_problem
-from certias.geometry import Polyhedron, bounding_box, row_products
+from certias.geometry import Polyhedron, bounding_box, lp_call_count, row_products
 from certias.lpp import ErrorModel
 from certias import mpqp
 from certias.mpqp import AffineMap, MpQP, ProblemFormatError, load_problem, subproblem_maps
@@ -62,11 +62,31 @@ class TestLoadProblem:
         with pytest.raises(ProblemFormatError, match="empty"):
             load_problem(doc)
 
+    @pytest.mark.parametrize("theta_set", [
+        {"A": [[0.0, 0.0], [1.0, 0.0]], "b": [-1.0, 1.0]},
+        {"A": [[1.0, 0.0], [-1.0, 0.0]], "b": [-1.0, -1.0]},
+    ], ids=["zero-row", "unbounded-direction"])
+    def test_empty_parameter_set_2d(self, theta_set):
+        # Empty before it is unbounded: neither set bounds its second
+        # coordinate.
+        doc = double_integrator_problem().to_document()
+        doc["theta_set"] = theta_set
+        with pytest.raises(ProblemFormatError, match="the parameter set is empty"):
+            load_problem(doc)
+
     def test_unbounded_parameter_set(self):
         doc = toy_problem().to_document()
         doc["theta_set"] = {"A": [[1.0]], "b": [3.0]}
         with pytest.raises(ProblemFormatError, match="unbounded"):
             load_problem(doc)
+
+    def test_bounding_box_lps_alone(self):
+        # The box's 2 * n_theta LPs prove the set nonempty and bounded; no
+        # emptiness LP comes before them.
+        doc = double_integrator_problem().to_document()
+        before = lp_call_count()
+        prob = load_problem(doc)
+        assert lp_call_count() - before == 2 * prob.n_theta
 
     def test_boundedness_check_bug_propagates(self, monkeypatch):
         # Only a GeometryError from the bounding box means "unbounded"; a

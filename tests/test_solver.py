@@ -1,9 +1,12 @@
 import copy
+import json
 import pickle
 
 import numpy as np
 import pytest
 
+from certias.certifier import certify
+from certias.cli import dump_document
 from certias.examples import double_integrator_problem, toy_problem
 from certias.geometry import Polyhedron, bounding_box, contains
 from certias.lpp import KIND_HYPERCUBE, ErrorModel
@@ -135,6 +138,11 @@ class TestStateHash:
                  "deepcopy": lambda: copy.deepcopy(state)}[how]()
         assert again == state and hash(again) == hash(state) == hash(((2, 0), DUAL_CHECK))
         assert {state: 1}[again] == 1
+
+    @pytest.mark.parametrize("mode", ["slack", "", None])
+    def test_unknown_mode_rejected(self, mode):
+        with pytest.raises(ValueError, match="unknown mode"):
+            SolverState.from_document({"working_set": [0], "mode": mode})
 
     def test_hash_is_no_field_of_comparison_or_repr(self):
         a, b = SolverState((1,), SLACK_CHECK), SolverState((1,), SLACK_CHECK)
@@ -466,7 +474,26 @@ class TestTolerances:
         for cap in (15.5, 15.0):
             with pytest.raises(ValueError, match="iter_limit must be an integer"):
                 Tolerances(iter_limit=cap)
-        assert Tolerances(iter_limit=np.int64(4)).iter_limit == 4
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"iter_limit": np.int64(5)}, "iter_limit must be an integer"),
+        ({"eps_primal": np.float32(1e-6)}, "eps_primal must be a number"),
+        ({"eps_dual": np.float16(1e-6)}, "eps_dual must be a number"),
+        ({"eps_primal": "1e-6"}, "eps_primal must be a number"),
+    ])
+    def test_numbers_no_document_holds_rejected(self, kwargs, message):
+        # The numpy numbers used to certify, and then the partition document
+        # could not be written: JSON holds ints and floats only, as for
+        # error bounds.
+        with pytest.raises(ValueError, match=message):
+            Tolerances(**kwargs)
+
+    def test_float64_accepted_and_written(self):
+        tol = Tolerances(eps_primal=np.float64(1e-6), eps_dual=np.float64(2e-6), iter_limit=5)
+        result = certify(toy_problem(), tol)
+        doc = json.loads(dump_document(result.to_document()))
+        assert doc["settings"] == {**tol.to_document(), "error_model": {"kind": "none"}}
+        assert Tolerances.from_document(doc["settings"]) == tol
 
 
 def _same_run(a, b):
