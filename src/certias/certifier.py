@@ -156,12 +156,15 @@ class CertificationResult:
         and ValueError on one without regions: certify always returns at
         least one leaf. A leaf obeys the document's iteration cap L as
         certify does: at most 2L + 1 states, and the cap marker at exactly
-        2L + 1."""
+        2L + 1. No two leaves share a sequence, as no two paths of certify's
+        exploration tree do."""
         cap = 2 * Tolerances.from_document(doc["settings"]).iter_limit + 1
         if not doc["regions"]:
             raise ValueError("partition has no regions")
         steps: set = set()
         regions = [CertifiedRegion.from_document(r, steps) for r in doc["regions"]]
+        if len({leaf.sequence for leaf in regions}) < len(regions):
+            raise ValueError("two leaves share a sequence")
         for leaf in regions:
             states = len(leaf.sequence)
             if states > cap or (leaf.status == "iter_limit" and states != cap):

@@ -133,9 +133,9 @@ def _load_partition(path: str, prob: Optional[MpQP]) -> CertificationResult:
     return result
 
 
-# Each model or tolerance flag and its RunConfig field. report's parser
-# leaves the tolerance flags None when not given, as every parser does the
-# model flags, so it can refuse them with --partition.
+# Each model or tolerance flag and its RunConfig field. The parsers leave
+# both kinds None when not given, so a command can refuse one (report with
+# --partition, sweep's --primal-tol) before _tol_defaults fills the rest.
 _MODEL_FLAGS = {"--error-model": "error_model_path", "--eps-bar": "eps_bar",
                 "--rel-bound": "rel_bound"}
 _TOL_FLAGS = {"--primal-tol": "primal_tol", "--dual-tol": "dual_tol",
@@ -145,6 +145,12 @@ _TOL_FLAGS = {"--primal-tol": "primal_tol", "--dual-tol": "dual_tol",
 def _given(cfg: RunConfig, flags: dict) -> list:
     """Names of the flags given, of those in flags."""
     return [flag for flag, name in flags.items() if getattr(cfg, name) is not None]
+
+
+def _tol_defaults(cfg: RunConfig) -> RunConfig:
+    """cfg with RunConfig's default for each tolerance flag not given."""
+    return replace(cfg, **{name: getattr(RunConfig, name) for name in _TOL_FLAGS.values()
+                           if getattr(cfg, name) is None})
 
 
 def build_model(cfg: RunConfig) -> Optional[ErrorModel]:
@@ -213,6 +219,7 @@ def _require(cfg: RunConfig, field_name: str, flag: str):
 
 def cmd_certify(cfg: RunConfig) -> int:
     prob = _load_mpqp(_require(cfg, "problem_path", "--problem"))
+    cfg = _tol_defaults(cfg)
     result = certify(prob, cfg.tolerances(), _model_for(cfg, prob))
     _emit(result, cfg)
     log.info("certified %d regions (%s)", len(result.regions), result.stats)
@@ -245,6 +252,10 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
+    # Each cell takes its slack tolerance from --primal-tols.
+    if cfg.primal_tol is not None:
+        raise InputError("sweep takes no --primal-tol: each cell takes its own from --primal-tols")
+    cfg = _tol_defaults(cfg)
     prob = _load_mpqp(_require(cfg, "problem_path", "--problem"))
     eps_list = _require(cfg, "primal_tols", "--primal-tols")
     bar_list = _require(cfg, "eps_bars", "--eps-bars")
@@ -268,8 +279,7 @@ def cmd_report(cfg: RunConfig) -> int:
         raise InputError("report needs --problem or --partition")
     prob = None if cfg.problem_path is None else _load_mpqp(cfg.problem_path)
     if cfg.partition_path is None:
-        cfg = replace(cfg, **{name: getattr(RunConfig, name) for name in _TOL_FLAGS.values()
-                              if getattr(cfg, name) is None})
+        cfg = _tol_defaults(cfg)
         result = certify(prob, cfg.tolerances(), _model_for(cfg, prob))
     else:
         given = _given(cfg, _MODEL_FLAGS) + _given(cfg, _TOL_FLAGS)
@@ -300,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "solver over a parameter set.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, model_flags=True, tol_flags=True, tol_defaults=True):
+    def common(p, *, model_flags=True, tol_flags=True):
         p.add_argument("--problem", dest="problem_path", metavar="PATH",
                        help="problem document (JSON)")
         p.add_argument("--out", metavar="PATH", help="output file; stdout "
@@ -308,13 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
                        "ends in .json)")
         if tol_flags:
             p.add_argument("--primal-tol", dest="primal_tol", type=float,
-                           default=RunConfig.primal_tol if tol_defaults else None,
                            help=f"slack tolerance (default {RunConfig.primal_tol})")
             p.add_argument("--dual-tol", dest="dual_tol", type=float,
-                           default=None,
                            help="multiplier tolerance (default: --primal-tol)")
             p.add_argument("--iter-limit", dest="iter_limit", type=int,
-                           default=RunConfig.iter_limit if tol_defaults else None,
                            help=f"iteration cap (default {RunConfig.iter_limit})")
         p.add_argument("--workers", type=int, default=RunConfig.workers,
                        help="accepted for compatibility; certification runs "
@@ -351,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma list of error bounds")
 
     p_rep = sub.add_parser("report", help="emit analysis tables")
-    common(p_rep, tol_defaults=False)
+    common(p_rep)
     p_rep.add_argument("--metric", choices=("slack", "cdf"))
     p_rep.add_argument("--partition", dest="partition_path", metavar="PATH",
                        help="partition document from certify, whose "

@@ -24,15 +24,23 @@ indices into the block; each group looks its subproblem maps up once and
 decides every member with one vectorized rule (_decide). The lockstep
 reads error rows from a row source, once per step that reads them, for the
 step's live parameters in ascending order. The certifier's check is
-partition_step, which splits a region instead. The maps evaluate elementwise in a fixed order
-(AffineMap), so a parameter's run is bit for bit the same in any block.
-run and the certifier count iterations with one rule (iterations).
+partition_step, which splits a region instead. The maps evaluate
+elementwise in a fixed order (AffineMap), so a parameter's run is bit for
+bit the same in any block. run and the certifier count iterations with one
+rule (iterations).
+
+A state is a plain tuple (working_set, mode), so a sequence of states is a
+plain value; a pickled or copied state is rebuilt through the constructor
+and hashes like a fresh one in any process. A certificate has one leaf per
+sequence, and validation tests each group the lockstep ends with against
+the one region certified with that sequence.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -58,36 +66,21 @@ PASS_INDEX = -1
 NO_INDEX = -2
 
 
-@dataclass(frozen=True)
-class SolverState:
-    """One automaton state: the ordered working set plus the check mode.
+class SolverState(namedtuple("SolverState", "working_set mode")):
+    """One automaton state: the ordered working set plus the check mode, a
+    plain tuple, so it hashes and compares as (working_set, mode) does.
 
     The working set lists constraint rows in insertion order. Entries are
     normally distinct; a perturbed slack can re-add a working row, which the
     next subproblem solve then reports as singular.
-
-    The hash is computed once, at construction: sequences (tuples of
-    states) key the certified-sequence tables, which hash them state by
-    state.
     """
 
-    working_set: tuple[int, ...]
-    mode: str
-    _hash: int = field(init=False, compare=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "working_set", tuple(map(int, self.working_set)))
-        if self.mode not in _MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        object.__setattr__(self, "_hash", hash((self.working_set, self.mode)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # A str hash differs between processes, so pickling and copying
-        # rebuild through the constructor instead of restoring _hash.
-        return type(self), (self.working_set, self.mode)
+    def __new__(cls, working_set, mode):
+        if mode not in _MODES:
+            raise ValueError(f"unknown mode {mode!r}")
+        return tuple.__new__(cls, (tuple(map(int, working_set)), mode))
 
     @property
     def terminal(self) -> bool:
@@ -98,7 +91,7 @@ class SolverState:
 
     @classmethod
     def from_document(cls, doc: dict) -> "SolverState":
-        # Entries are checked here, not in __post_init__: that runs on every transition.
+        # Entries are checked here, not in __new__: that runs on every transition.
         working_set = doc["working_set"]
         if not all(isinstance(i, numbers.Integral) and not isinstance(i, bool)
                    for i in working_set):
@@ -153,16 +146,16 @@ def transition(state: SolverState, index: int) -> SolverState:
     slack_check. NO_INDEX (a singular subproblem) ends DEGENERATE from either
     mode. Any other index, or any index in a terminal state, raises ValueError.
     """
-    W = state.working_set
-    if state.terminal:
-        raise ValueError(f"no transitions from terminal mode {state.mode!r}")
+    W, mode = state
+    if mode in TERMINAL_MODES:
+        raise ValueError(f"no transitions from terminal mode {mode!r}")
     if index == NO_INDEX:
         return SolverState(W, DEGENERATE)
     if index == PASS_INDEX:
-        return SolverState(W, TERMINATED_OPTIMAL if state.mode == SLACK_CHECK else SLACK_CHECK)
+        return SolverState(W, TERMINATED_OPTIMAL if mode == SLACK_CHECK else SLACK_CHECK)
     if index < 0:
         raise ValueError(f"no decision {index}")
-    if state.mode == SLACK_CHECK:
+    if mode == SLACK_CHECK:
         return SolverState(W + (int(index),), DUAL_CHECK)
     if index not in W:
         raise ValueError(f"cannot drop row {index}: not in working set {W}")

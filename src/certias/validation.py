@@ -29,8 +29,8 @@ step at a time. Neither the draws nor the report depend on BLOCK_BYTES.
 
 The judge works per solver path, not per sample or leaf: each group the
 lockstep ends with ran one sequence, and its members are tested only
-against the distinct regions certified with that sequence, found in a
-table built once per call. A member that one of them admits passes; the
+against the one region certified with that sequence, if any (a
+certificate has one leaf per sequence). A member it admits passes; the
 rest fail. Only the failures are located, all in one call and only when
 some sample failed, by `contains` over the partition's distinct regions: a
 failure with no host is a coverage gap, one with hosts a mismatch. Every
@@ -117,7 +117,7 @@ class ValidationReport:
 class _RegionStack:
     """The partition's distinct regions, for the boundary test and for
     locating the samples the judge fails. The judge tests each end group
-    with `contains` against the regions of its sequence alone.
+    with `contains` against the one region of its sequence alone.
 
     Leaves whose regions have the same A and b bytes share one distinct
     region, on which `contains` answers alike for them; region_of names each
@@ -194,10 +194,11 @@ def validate_conformance(prob: MpQP, result: CertificationResult,
     set; draws outside the set are counted and ignored, draws within
     DELTA_MARGIN (normalized) of any certified-region boundary are counted
     as skipped. Each remaining draw gets a fresh error sequence admissible
-    under the result's model (or the `model` override) and its realized run
-    must match the sequence of some certified region containing it.
-    Raises ValueError when some step of the model is polyhedral or
-    relative: those cannot be sampled.
+    under the result's model (or the `model` override), and the one region
+    certified with its realized sequence must contain it. Raises ValueError
+    when some step of the model is polyhedral or relative, which cannot be
+    sampled, and when two leaves share a sequence, which certify never
+    writes.
 
     Deterministic for a fixed seed. Raises ValueError unless n_samples is
     a nonnegative integer.
@@ -214,6 +215,11 @@ def validate_conformance(prob: MpQP, result: CertificationResult,
     bounds = model.step_bounds(len(model.schedule or ()) + 1)
     lo, hi = prob.theta_box
     stack = _RegionStack(result)
+    # The one region certified with each sequence: a group's member passes
+    # when it admits the member, and only the failures are located.
+    region_of = dict(zip((r.sequence for r in result.regions), stack.region_of))
+    if len(region_of) < len(result.regions):
+        raise ValueError("two leaves share a sequence")
     rng = np.random.default_rng(seed)
     report = ValidationReport(samples_total=int(n_samples))
     thetas = lo + (hi - lo) * rng.random((n_samples, len(lo)))
@@ -230,14 +236,10 @@ def validate_conformance(prob: MpQP, result: CertificationResult,
         return report
     ends = _lockstep(prob, thetas, _error_draws(rng, bounds, prob.m), tol,
                      model.perturb_dual)
-    # The distinct regions certified with each sequence: a group's member
-    # passes when one of them admits it, and only the failures are located.
-    regions_of: dict = {}
-    for r, g in zip(result.regions, stack.region_of.tolist()):
-        regions_of.setdefault(r.sequence, set()).add(g)
     failed, failed_end = [], []
     for j, (sequence, members) in enumerate(ends):
-        for g in sorted(regions_of.get(sequence, ())):
+        g = region_of.get(sequence)
+        if g is not None:
             members = members[~contains(stack.regions[g], thetas[members],
                                         slack=MEMBERSHIP_SLACK)]
         failed.append(members)

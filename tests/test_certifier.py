@@ -41,6 +41,7 @@ from certias.solver import (
     run,
 )
 from certias.solver import transition as solver_transition
+from certias.validation import validate_conformance
 
 from oracles import poly_contains_poly, poly_equal
 
@@ -724,6 +725,56 @@ class TestCanonicalOrder:
         keys = [sequence_key(r.sequence) for r in res.regions]
         assert len(keys) == len(set(keys))
         assert keys == sorted(keys)
+
+
+def _box_and_sum(m, bound):
+    """{eps in R^m : |eps|_inf <= bound, |sum eps| <= bound}, a polyhedral
+    error set that is no box."""
+    A = np.vstack([np.eye(m), -np.eye(m), np.ones((1, m)), -np.ones((1, m))])
+    return Polyhedron(A, np.full(len(A), bound))
+
+
+_LADDER_MODELS = {
+    "exact": lambda m, b: ErrorModel(),
+    "hypercube": lambda m, b: ErrorModel(kind="hypercube", bound=b),
+    "perturb-dual": lambda m, b: ErrorModel(kind="hypercube", bound=b, perturb_dual=True),
+    "relative": lambda m, b: ErrorModel(kind="relative", rel_bound=1e-3),
+    "polyhedral": lambda m, b: ErrorModel(kind="polyhedral", set=_box_and_sum(m, b)),
+    "scheduled": lambda m, b: ErrorModel(kind="hypercube", bound=b, schedule=(
+        ErrorModel(), ErrorModel(kind="hypercube", bound=2 * b))),
+}
+
+
+class TestOneLeafPerSequence:
+    """A certificate has one leaf per sequence: certify's leaves are the
+    paths of one exploration tree, a non-singular check's labels are
+    distinct, and a singular one has one branch. Reading a document and
+    validating a result refuse two leaves with one sequence."""
+
+    @pytest.mark.parametrize("kind", sorted(_LADDER_MODELS))
+    @pytest.mark.parametrize("name", ["toy", "double_integrator"])
+    def test_sequences_pairwise_distinct(self, name, kind):
+        prob, bound = ((toy_problem(), 0.05) if name == "toy"
+                       else (double_integrator_problem(), 1e-4))
+        result = certify(prob, model=_LADDER_MODELS[kind](prob.m, bound))
+        sequences = [r.sequence for r in result.regions]
+        assert len(set(sequences)) == len(sequences)
+
+    @pytest.mark.parametrize("where", [1, None])
+    def test_first_leaf_repeated_is_refused(self, where, mpc_problem):
+        result = certify(mpc_problem, model=ErrorModel(kind="hypercube", bound=1e-4))
+        doc = json.loads(dump_document(result.to_document()))
+        CertificationResult.from_document(doc)
+        doc["regions"].insert(len(doc["regions"]) if where is None else where,
+                              doc["regions"][0])
+        with pytest.raises(ValueError, match="two leaves share a sequence"):
+            CertificationResult.from_document(doc)
+        regions = list(result.regions)
+        regions.insert(len(regions) if where is None else where, regions[0])
+        repeated = CertificationResult(regions=regions, problem_digest=result.problem_digest,
+                                       settings=result.settings, stats=result.stats)
+        with pytest.raises(ValueError, match="two leaves share a sequence"):
+            validate_conformance(mpc_problem, repeated, n_samples=10)
 
 
 def shipped_double_integrator():

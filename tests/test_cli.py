@@ -663,6 +663,34 @@ class TestSweep:
                      "--eps-bars", "0,abc"]) == 2
         assert "not a comma list of numbers: '0,abc'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--primal-tol", "0.5"], ["--primal-tol=0.5"],
+                                      ["--primal-tol", "1e-6"]])
+    def test_primal_tol_exits_2(self, toy_path, tmp_path, capsys, flag):
+        # Each cell takes its slack tolerance from --primal-tols: a
+        # --primal-tol would be echoed without being used.
+        out = tmp_path / "sweep.json"
+        assert main(["sweep", "--problem", toy_path, "--primal-tols", "1e-6",
+                     "--eps-bars", "0", *flag, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "sweep takes no --primal-tol" in captured.err and "--primal-tols" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_other_tolerance_flags_echo(self, toy_path, tmp_path):
+        # Without --primal-tol the echo keeps its default; the dual
+        # tolerance and the cap are given to every cell and echoed.
+        out = tmp_path / "sweep.json"
+        assert main(["sweep", "--problem", toy_path, "--primal-tols", "1e-6",
+                     "--eps-bars", "0", "--out", str(out)]) == 0
+        config = json.loads(out.read_text())["config"]
+        assert (config["primal_tol"], config["dual_tol"], config["iter_limit"]) == (1e-6, None, 15)
+        assert main(["sweep", "--problem", toy_path, "--primal-tols", "1e-6",
+                     "--eps-bars", "0", "--dual-tol", "1e-3", "--iter-limit", "1",
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        config = doc["config"]
+        assert (config["primal_tol"], config["dual_tol"], config["iter_limit"]) == (1e-6, 1e-3, 1)
+        assert doc["rows"][0]["worst_iterations"] == "INF"
+
 
 def _relabelled_toy(toy_path, tmp_path):
     """The toy's hypercube 0.05 partition with its cap leaves relabelled
@@ -713,6 +741,24 @@ def test_sequence_not_a_run_exits_2(toy_path, toy_partition, tmp_path, capsys, c
     assert main([*argv, "--partition", str(bad)]) == 2
     captured = capsys.readouterr()
     assert "bad partition document" in captured.err and "no decision" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["report", "--metric", "cdf"],
+    ["validate", "--problem", None, "--samples", "100"],
+])
+def test_repeated_leaf_exits_2(toy_path, toy_partition, tmp_path, capsys, command):
+    # The first leaf appended again: read as it stands, the CDF counted it
+    # twice, and validate passed. certify writes one leaf per sequence.
+    doc = json.loads(toy_partition.read_text())
+    doc["regions"].append(doc["regions"][0])
+    bad = tmp_path / "repeated.json"
+    bad.write_text(dump_document(doc))
+    argv = [toy_path if arg is None else arg for arg in command]
+    assert main([*argv, "--partition", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert "bad partition document: two leaves share a sequence" in captured.err
     assert captured.out == ""
 
 

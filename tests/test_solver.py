@@ -127,8 +127,9 @@ class TestDecisionOf:
 
 
 class TestStateHash:
-    """The hash is computed once, at construction; copies are rebuilt
-    through the constructor, so equal states hash alike."""
+    """A state is the plain tuple (working_set, mode): it hashes and compares
+    as that tuple, and copies are rebuilt through the constructor, so equal
+    states hash alike."""
 
     @pytest.mark.parametrize("how", ["pickle", "copy", "deepcopy"])
     def test_copies_equal_and_hash_alike(self, how):
@@ -144,11 +145,14 @@ class TestStateHash:
         with pytest.raises(ValueError, match="unknown mode"):
             SolverState.from_document({"working_set": [0], "mode": mode})
 
-    def test_hash_is_no_field_of_comparison_or_repr(self):
-        a, b = SolverState((1,), SLACK_CHECK), SolverState((1,), SLACK_CHECK)
-        object.__setattr__(b, "_hash", hash(a) + 1)
-        assert a == b
-        assert repr(a) == "SolverState(working_set=(1,), mode='slack_check')"
+    def test_hash_is_the_tuple_hash(self):
+        for state in (SolverState((1,), SLACK_CHECK), SolverState((3, np.int64(0)), DUAL_CHECK),
+                      SolverState((), TERMINATED_OPTIMAL)):
+            assert hash(state) == hash((state.working_set, state.mode))
+            assert state == SolverState.from_document(state.to_document())
+        assert {"_hash", "__hash__", "__eq__", "__reduce__"}.isdisjoint(vars(SolverState))
+        assert repr(SolverState((1,), SLACK_CHECK)) == \
+            "SolverState(working_set=(1,), mode='slack_check')"
 
 
 class TestStep:

@@ -281,11 +281,14 @@ def _assert_same_report(report, reference):
         assert all(type(i) is int for i in hosts)
 
 
-def _with_free_region(result, where):
-    """A copy of result with a zero-row region inserted at position `where`."""
+def _with_free_region(result, where, sequence=None):
+    """A copy of result with a zero-row region inserted at position `where`,
+    certified with `sequence`, the first leaf's when None (point location
+    alone reads such a copy: it repeats a sequence, which validation
+    refuses)."""
     dim = result.regions[0].region.dim
     free = CertifiedRegion(region=Polyhedron(np.zeros((0, dim)), np.zeros(0), dim),
-                           sequence=result.regions[0].sequence)
+                           sequence=result.regions[0].sequence if sequence is None else sequence)
     regions = list(result.regions)
     regions.insert(where, free)
     return CertificationResult(regions=regions, problem_digest=result.problem_digest,
@@ -441,21 +444,37 @@ class TestReportsMatchOneByOne:
         _assert_same_report(report, _validate_one_by_one(toy, toy_nominal, 2000, 4, model))
 
     def test_zero_row_region(self, toy, toy_nominal):
-        result = _with_free_region(toy_nominal, 1)
+        # A zero-row region certified with a sequence that errors the exact
+        # partition did not model realize: the samples that run it pass,
+        # and every other mismatch counts it among its hosts.
         model = ErrorModel(kind=KIND_HYPERCUBE, bound=0.1)
+        missed = validate_conformance(toy, toy_nominal, n_samples=400, seed=6,
+                                      model=model).mismatches
+        certified = {r.sequence for r in toy_nominal.regions}
+        sequence = next(seq for _, seq, _ in missed if seq not in certified)
+        result = _with_free_region(toy_nominal, 1, sequence)
         report = validate_conformance(toy, result, n_samples=400, seed=6, model=model)
-        assert report.mismatches
+        assert 0 < len(report.mismatches) < len(missed) - 50
+        assert all(1 in hosts for _, _, hosts in report.mismatches)
         _assert_same_report(report, _validate_one_by_one(toy, result, 400, 6, model))
 
     @pytest.mark.parametrize("case", ["toy", "mpc"])
-    def test_leaves_sharing_a_sequence(self, case, toy, toy_nominal, mpc, mpc_nominal):
+    def test_leaves_sharing_a_sequence(self, monkeypatch, case, toy, toy_nominal, mpc,
+                                       mpc_nominal):
         # Every leaf cut in two at its interior point, both halves keeping
-        # its sequence: a sample's run must match whichever half hosts it.
+        # its sequence, is no certificate: certify writes one leaf per
+        # sequence, and validation refuses the partition before it samples.
         prob, result = (toy, toy_nominal) if case == "toy" else (mpc, mpc_nominal)
         result = _split_leaves(result)
-        report = validate_conformance(prob, result, n_samples=600, seed=5)
-        assert report.passed and report.samples_skipped_boundary < 6
-        _assert_same_report(report, _validate_one_by_one(prob, result, 600, 5))
+
+        def no_lockstep(*args, **kwargs):
+            raise AssertionError("a refused partition was sampled")
+
+        monkeypatch.setattr(validation, "_lockstep", no_lockstep)
+        with pytest.raises(ValueError, match="two leaves share a sequence"):
+            validate_conformance(prob, result, n_samples=600, seed=5)
+        with pytest.raises(ValueError, match="two leaves share a sequence"):
+            CertificationResult.from_document(result.to_document())
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_dropped_leaves(self, mpc, mpc_nominal, seed):
@@ -507,22 +526,23 @@ class TestReportsMatchOneByOne:
     def test_sequence_on_several_regions(self, toy, toy_nominal):
         # The toy's unconstrained leaf, theta >= -1, cut into three distinct
         # regions that keep its sequence, listed first, after the other leaf
-        # and last: samples with theta > 1 lie only in the last of them.
+        # and last: wherever the repeats stand, validation and reading the
+        # document refuse the partition.
         constrained, free = toy_nominal.regions
         cuts = [free.region.intersect([[1.0]], [0.0]),
                 free.region.intersect([[-1.0], [1.0]], [0.0, 1.0]),
                 free.region.intersect([[-1.0]], [-1.0])]
         pieces = [CertifiedRegion(region=P, sequence=free.sequence) for P in cuts]
-        result = CertificationResult(regions=[pieces[0], constrained, *pieces[1:]],
-                                     problem_digest=toy_nominal.problem_digest,
-                                     settings=toy_nominal.settings, stats=toy_nominal.stats)
-        assert len(_RegionStack(result).regions) == 4
-        rng = np.random.default_rng(5)
-        lo, hi = bounding_box(toy.theta_set)
-        assert sum(rng.uniform(lo, hi)[0] > 1.0 for _ in range(600)) > 150
-        report = validate_conformance(toy, result, n_samples=600, seed=5)
-        assert report.passed
-        _assert_same_report(report, _validate_one_by_one(toy, result, 600, 5))
+        for regions in ([pieces[0], constrained, *pieces[1:]], [constrained, *pieces],
+                        [*pieces, constrained]):
+            result = CertificationResult(regions=regions,
+                                         problem_digest=toy_nominal.problem_digest,
+                                         settings=toy_nominal.settings, stats=toy_nominal.stats)
+            assert len(_RegionStack(result).regions) == 4
+            with pytest.raises(ValueError, match="two leaves share a sequence"):
+                validate_conformance(toy, result, n_samples=600, seed=5)
+            with pytest.raises(ValueError, match="two leaves share a sequence"):
+                CertificationResult.from_document(result.to_document())
 
     def test_group_with_many_failures(self, monkeypatch, toy, toy_nominal):
         # The toy's two leaves trade sequences: every judged sample is a
