@@ -309,8 +309,8 @@ def certify(prob: MpQP, tol: Optional[Tolerances] = None,
     before anything is explored.
 
     certify runs on the calling thread, and workers is accepted for
-    compatibility only. Calls on several threads at once are safe: each
-    one's stats["lp_calls"] counts the LPs of that call alone.
+    compatibility only. stats["lp_calls"] is the change in the
+    process-wide lp_call_count() across the call.
     """
     tol = tol or Tolerances()
     model = model or ErrorModel()

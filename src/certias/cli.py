@@ -7,8 +7,9 @@ row-major nested arrays; floats are written in their shortest round-tripping
 decimal form, so reading a document back reproduces every matrix bit for
 bit. Keys are sorted and indentation is fixed, which makes output documents
 byte-stable: the same problem, flags, and seed give identical bytes on
-every run. --workers is accepted for compatibility; certification runs on
-the calling thread.
+every run. certias runs on one thread; --workers is accepted for
+compatibility and changes nothing. Parallel work means separate processes,
+each its own certias invocation.
 
 Exit codes: 0 success, 1 validation found mismatches or coverage gaps,
 2 input problems (missing or malformed files, bad flag values, an error set
@@ -53,7 +54,8 @@ class RunConfig:
     the output document; those two cannot affect the computed content, and
     leaving them out keeps documents byte-identical across machines and
     --workers values. workers is accepted for compatibility and otherwise
-    unused: certification runs on the calling thread.
+    unused: certias runs on one thread, and parallel work means separate
+    processes.
     """
 
     command: str
@@ -310,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "solver over a parameter set.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, model_flags=True, tol_flags=True):
+    def common(p, *, model_flags=True, tol_flags=True, dual_default=None):
         p.add_argument("--problem", dest="problem_path", metavar="PATH",
                        help="problem document (JSON)")
         p.add_argument("--out", metavar="PATH", help="output file; stdout "
@@ -318,14 +320,16 @@ def build_parser() -> argparse.ArgumentParser:
                        "ends in .json)")
         if tol_flags:
             p.add_argument("--primal-tol", dest="primal_tol", type=float,
-                           help=f"slack tolerance (default {RunConfig.primal_tol})")
+                           help=argparse.SUPPRESS if dual_default else
+                           f"slack tolerance (default {RunConfig.primal_tol})")
             p.add_argument("--dual-tol", dest="dual_tol", type=float,
-                           help="multiplier tolerance (default: --primal-tol)")
+                           help="multiplier tolerance (default: "
+                           f"{dual_default or '--primal-tol'})")
             p.add_argument("--iter-limit", dest="iter_limit", type=int,
                            help=f"iteration cap (default {RunConfig.iter_limit})")
         p.add_argument("--workers", type=int, default=RunConfig.workers,
-                       help="accepted for compatibility; certification runs "
-                       "on the calling thread")
+                       help="accepted for compatibility and ignored: "
+                       "certias runs on one thread")
         if model_flags:
             p.add_argument("--eps-bar", dest="eps_bar", type=float,
                            default=None,
@@ -349,7 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--seed", type=int, default=RunConfig.seed)
 
     p_sweep = sub.add_parser("sweep", help="grid of certifications")
-    common(p_sweep, model_flags=False)
+    # sweep refuses --primal-tol, and --help hides it. It stays registered
+    # so that argparse's prefix matching cannot read it as --primal-tols.
+    common(p_sweep, model_flags=False,
+           dual_default="each cell's --primal-tols entry")
     p_sweep.add_argument("--primal-tols", dest="primal_tols",
                          type=_float_list, metavar="A,B,...",
                          help="comma list of slack tolerances")

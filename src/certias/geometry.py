@@ -36,7 +36,6 @@ point, so such a system starts feasible and needs no phase 1.
 from __future__ import annotations
 
 import logging
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -80,29 +79,19 @@ class EmptyPolyhedronError(GeometryError):
     """An operation that needs a nonempty set was handed an empty one."""
 
 
-class _Work(threading.local):
-    """LPs and pivots solved so far on the current thread."""
-
-    lps = 0
-    pivots = 0
-
-
-_WORK = _Work()
+# LPs and pivots solved so far in this process.
+_LPS = 0
+_PIVOTS = 0
 
 
 def lp_call_count() -> int:
-    """Number of simplex solves made so far on the calling thread.
-
-    Per thread, so a delta taken around a call counts that call's LPs even
-    while other threads solve LPs of their own.
-    """
-    return _WORK.lps
+    """Number of simplex solves made so far in this process."""
+    return _LPS
 
 
 def pivot_count() -> int:
-    """Number of simplex pivots taken by completed solves on the calling
-    thread."""
-    return _WORK.pivots
+    """Number of simplex pivots taken by completed solves in this process."""
+    return _PIVOTS
 
 
 class Polyhedron:
@@ -395,10 +384,11 @@ def _simplex(A, b, c, budget, tol, target=np.inf):
 
 def _solve(P: Polyhedron, c, tol, target=np.inf):
     """(status, x, phase1_measure) of min c^T x over P, counted and budgeted."""
-    _WORK.lps += 1
+    global _LPS, _PIVOTS
+    _LPS += 1
     budget = PIVOT_CAP_FACTOR * (P.nrows + P.dim)
     status, x, measure, pivots = _simplex(P.A, P.b, c, budget, tol, target)
-    _WORK.pivots += pivots
+    _PIVOTS += pivots
     return status, x, measure
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -100,11 +99,9 @@ class MpQP:
     arrays: the constructor solves it to prove the set bounded and keeps
     it, so nothing solves those LPs again.
 
-    One problem may be shared by certify calls on several threads: the
-    cache is filled under a lock and holds immutable maps. A problem
-    pickles without its lock and its cache: a copy starts with an empty
-    cache and a new lock, and computes the same maps bit for bit. Its
-    theta_box is the same bits, read-only again.
+    A problem pickles without its cache: a copy starts with an empty
+    cache and computes the same maps bit for bit. Its theta_box is the
+    same bits, read-only again.
     """
 
     def __init__(self, H, C, f_lin, f_const, d_lin, d_const, theta_set: Polyhedron):
@@ -162,19 +159,14 @@ class MpQP:
         self.theta_box = box
         self._chol = chol
         self._cache: dict[tuple[int, ...], SubproblemMaps] = {}
-        self._cache_lock = threading.Lock()
 
     def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        del state["_cache_lock"]
-        state["_cache"] = {}
-        return state
+        return {**self.__dict__, "_cache": {}}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         for bound in self.theta_box:
             bound.setflags(write=False)
-        self._cache_lock = threading.Lock()
 
     @property
     def n_x(self) -> int:
@@ -267,14 +259,10 @@ def subproblem_maps(prob: MpQP, working_set: Sequence[int]) -> SubproblemMaps:
 
     Solves the stationarity system through a Cholesky factorization of H and
     a Schur complement over the working rows. Results are cached per working
-    set on the problem object under its lock, and the returned maps are
-    immutable, so sharing them is safe across threads: callers may run
-    certify on several threads against one problem, and each call still
-    counts only its own LPs.
+    set on the problem object, and the returned maps are immutable.
     """
     W = tuple(map(int, working_set))
-    with prob._cache_lock:
-        hit = prob._cache.get(W)
+    hit = prob._cache.get(W)
     if hit is not None:
         return hit
     # Only checked rows are cached, so a hit needs no check.
@@ -297,9 +285,7 @@ def subproblem_maps(prob: MpQP, working_set: Sequence[int]) -> SubproblemMaps:
         S = C_W @ E
         L = _chol_with_pivot_check(S, RANK_TOL)
         if L is None:
-            result = SubproblemMaps(None, None, None)
-            with prob._cache_lock:
-                prob._cache[W] = result
+            result = prob._cache[W] = SubproblemMaps(None, None, None)
             return result
         rhs = d_all + C_W @ Hinv_f
         y = np.linalg.solve(L, rhs)
@@ -310,7 +296,5 @@ def subproblem_maps(prob: MpQP, working_set: Sequence[int]) -> SubproblemMaps:
     x_map = AffineMap(x_all[:, :n_th], x_all[:, n_th])
     mu_all = np.hstack([prob.d_lin, prob.d_const[:, None]]) - prob.C @ x_all
     mu_map = AffineMap(mu_all[:, :n_th], mu_all[:, n_th])
-    result = SubproblemMaps(x_map, mu_map, lam)
-    with prob._cache_lock:
-        prob._cache[W] = result
+    result = prob._cache[W] = SubproblemMaps(x_map, mu_map, lam)
     return result

@@ -798,29 +798,6 @@ def test_work_counters_of_shipped_double_integrator():
     assert len(res.regions) == 223
 
 
-def test_concurrent_certify_matches_serial():
-    # LPs are counted per thread, so two certifications running at once
-    # each report their own LPs and write the serial document byte for byte.
-    prob = shipped_double_integrator()
-    model = ErrorModel(kind="hypercube", bound=1e-4)
-    serial = dump_document(certify(prob, model=model).to_document())
-    assert json.loads(serial)["stats"]["lp_calls"] == 4149
-    start = threading.Barrier(2)
-    docs = [None, None]
-
-    def work(i):
-        start.wait()
-        docs[i] = dump_document(certify(prob, model=model).to_document())
-
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=300)
-        assert not t.is_alive()
-    assert docs == [serial, serial]
-
-
 def _cube(bound, **kw):
     return ErrorModel(kind="hypercube", bound=bound, **kw)
 

@@ -81,6 +81,32 @@ def test_examples_served_on_first_use():
                    check=True)
 
 
+def test_commands_do_not_import_scipy(tmp_path):
+    # Only the kernel's differential tests use scipy. Every command runs in
+    # one fresh interpreter, which must end without having imported it.
+    root = pathlib.Path(__file__).resolve().parent.parent
+    probe = """
+import sys
+from certias.cli import main
+out, toy = sys.argv[1], "problems/toy.json"
+part = out + "/part.json"
+runs = [["certify", "--problem", toy, "--out", part],
+        ["validate", "--problem", toy, "--partition", part, "--samples", "300"],
+        ["sweep", "--problem", toy, "--primal-tols", "1e-6,1e-4", "--eps-bars", "0,0.1",
+         "--out", out + "/sweep.csv"],
+        ["report", "--metric", "cdf", "--partition", part, "--out", out + "/cdf.csv"],
+        ["report", "--metric", "slack", "--problem", toy, "--partition", part,
+         "--out", out + "/slack.csv"]]
+for argv in runs:
+    assert main(argv) == 0, argv
+assert "scipy" not in sys.modules, "a command imported scipy"
+"""
+    subprocess.run([sys.executable, "-c", probe, str(tmp_path)], cwd=root,
+                   env=dict(os.environ, PYTHONPATH=str(root / "src")), check=True)
+    assert {p.name for p in tmp_path.iterdir()} == {
+        "part.json", "sweep.csv", "cdf.csv", "slack.csv"}
+
+
 @pytest.fixture()
 def toy_partition(toy_path, tmp_path):
     out = tmp_path / "part.json"
@@ -290,6 +316,24 @@ class TestDeterminism:
                 assert code == 0
                 outs.append(out.read_bytes())
             assert outs[0] == outs[1]
+
+    def test_concurrent_processes_match_in_process(self, tmp_path, monkeypatch):
+        # certias runs on one thread; parallel work means separate
+        # processes. Two started together each write the bytes of the same
+        # command run through cli.main, LP count included.
+        root = pathlib.Path(__file__).resolve().parent.parent
+        monkeypatch.chdir(root)
+        argv = ["certify", "--problem", "problems/double_integrator.json",
+                "--eps-bar", "1e-4", "--out"]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        outs = [tmp_path / f"proc{i}.json" for i in range(2)]
+        procs = [subprocess.Popen([sys.executable, "-m", "certias.cli", *argv, str(out)],
+                                  cwd=root, env=env) for out in outs]
+        assert [proc.wait(timeout=300) for proc in procs] == [0, 0]
+        assert main([*argv, str(tmp_path / "main.json")]) == 0
+        want = (tmp_path / "main.json").read_bytes()
+        assert json.loads(want)["stats"]["lp_calls"] == 4149
+        assert [out.read_bytes() for out in outs] == [want, want]
 
     # sha256 of `certify --workers 1` documents for the shipped problems,
     # recorded before the simplex kernel was vectorized. A kernel change that
@@ -674,6 +718,20 @@ class TestSweep:
         captured = capsys.readouterr()
         assert "sweep takes no --primal-tol" in captured.err and "--primal-tols" in captured.err
         assert captured.out == "" and not out.exists()
+
+    def test_help_hides_primal_tol(self, toy_path, capsys, monkeypatch):
+        # --help lists only the flags sweep takes, and names --primal-tols
+        # as --dual-tol's default. --primal-tol stays registered, so prefix
+        # matching cannot read it as --primal-tols: it still exits 2.
+        monkeypatch.setenv("COLUMNS", "200")
+        assert main(["sweep", "--help"]) == 0
+        text = capsys.readouterr().out
+        assert "--primal-tols" in text and "--primal-tol " not in text
+        assert "PRIMAL_TOL" not in text
+        assert "(default: each cell's --primal-tols entry)" in text
+        assert main(["sweep", "--problem", toy_path, "--primal-tols", "1e-6",
+                     "--eps-bars", "0", "--primal-tol", "0.5"]) == 2
+        assert "sweep takes no --primal-tol" in capsys.readouterr().err
 
     def test_other_tolerance_flags_echo(self, toy_path, tmp_path):
         # Without --primal-tol the echo keeps its default; the dual
