@@ -207,6 +207,9 @@ def sweep(prob: MpQP, eps_primal_list, eps_bar_list,
         raise ValueError("eps_primal values must be positive")
     if any(eb < 0 for eb in eps_bar_list):
         raise ValueError("eps_bar values must be nonnegative")
+    # 0 and -0 compare equal, so they count as one value.
+    if any(len(set(xs)) < len(xs) for xs in (eps_primal_list, eps_bar_list)):
+        raise ValueError("tolerance and error-bound lists must not repeat a value")
     tol_base = tol_base or Tolerances()
 
     table = SweepTable()

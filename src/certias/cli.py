@@ -12,8 +12,11 @@ compatibility and changes nothing. Parallel work means separate processes,
 each its own certias invocation.
 
 Exit codes: 0 success, 1 validation found mismatches or coverage gaps,
-2 input problems (missing or malformed files, bad flag values, an error set
-whose dimension is not the problem's constraint count), 3 anything
+2 input problems (a flag the command does not take as spelled, abbreviations
+included, or a required one missing; a file that is missing, unreadable,
+not UTF-8 or malformed; an --out that cannot be written; bad flag values,
+a repeated sweep grid value among them; an error set whose dimension is not
+the problem's constraint count), 3 anything
 unexpected, 4 a numerical failure in the geometry kernel (GeometryError: the
 simplex pivot cap or the Fourier-Motzkin row cap), a frontier that outgrew
 its budget (BudgetExceededError, from certify or report), or a sweep cell
@@ -62,9 +65,9 @@ class RunConfig:
     problem_path: Optional[str] = None
     partition_path: Optional[str] = None
     out: Optional[str] = None
-    primal_tol: float = 1e-6
+    primal_tol: float = Tolerances.eps_primal
     dual_tol: Optional[float] = None
-    iter_limit: int = 15
+    iter_limit: int = Tolerances.iter_limit
     eps_bar: Optional[float] = None
     error_model_path: Optional[str] = None
     rel_bound: Optional[float] = None
@@ -100,31 +103,25 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _load_json(path: str) -> dict:
+def _read(path: str, what: str, parse):
+    """parse() of the JSON document at path. A file that cannot be read, is
+    not UTF-8 or JSON, or that parse refuses is bad input naming what the
+    document should have been: a problem, partition or error-model."""
     p = pathlib.Path(path)
     if not p.is_file():
         raise InputError(f"no such file: {path}")
     try:
-        return json.loads(p.read_text())
+        return parse(json.loads(p.read_text(encoding="utf-8")))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
-
-
-def _load_mpqp(path: str) -> MpQP:
-    try:
-        return load_problem(_load_json(path))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"bad problem document {path}: {exc}") from exc
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise InputError(f"bad {what} document {path}: {exc}") from exc
 
 
 def _load_partition(path: str, prob: Optional[MpQP]) -> CertificationResult:
     """The partition document at path. With a problem, it must be that
     problem's, and every working-set row one of its constraint rows."""
-    doc = _load_json(path)
-    try:
-        result = CertificationResult.from_document(doc)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"bad partition document: {exc}") from exc
+    result = _read(path, "partition", CertificationResult.from_document)
     if prob is not None:
         if result.problem_digest != prob.digest():
             raise InputError("the partition belongs to a different problem")
@@ -136,8 +133,8 @@ def _load_partition(path: str, prob: Optional[MpQP]) -> CertificationResult:
 
 
 # Each model or tolerance flag and its RunConfig field. The parsers leave
-# both kinds None when not given, so a command can refuse one (report with
-# --partition, sweep's --primal-tol) before _tol_defaults fills the rest.
+# both kinds None when not given, so report with --partition can refuse one
+# before _tol_defaults fills the rest.
 _MODEL_FLAGS = {"--error-model": "error_model_path", "--eps-bar": "eps_bar",
                 "--rel-bound": "rel_bound"}
 _TOL_FLAGS = {"--primal-tol": "primal_tol", "--dual-tol": "dual_tol",
@@ -155,39 +152,25 @@ def _tol_defaults(cfg: RunConfig) -> RunConfig:
                            if getattr(cfg, name) is None})
 
 
-def build_model(cfg: RunConfig) -> Optional[ErrorModel]:
+def build_model(cfg: RunConfig, prob: Optional[MpQP] = None) -> Optional[ErrorModel]:
     """Error model the flags select, None when no model flag is given.
-    --eps-bar 0 selects exact arithmetic."""
-    given = _given(cfg, _MODEL_FLAGS)
-    if len(given) > 1:
-        raise InputError(f"{' and '.join(given)} are mutually exclusive")
+    --eps-bar 0 selects exact arithmetic. With prob, each polyhedral set of
+    a model file must match the problem's constraint count."""
     if cfg.error_model_path is not None:
-        try:
-            return ErrorModel.from_document(_load_json(cfg.error_model_path))
-        except (KeyError, ValueError, TypeError) as exc:
-            raise InputError(f"bad error-model document "
-                             f"{cfg.error_model_path}: {exc}") from exc
+        def parse(doc):
+            model = ErrorModel.from_document(doc)
+            if prob is not None:
+                model.check_dimension(prob.m)
+            return model
+        return _read(cfg.error_model_path, "error-model", parse)
     try:
         if cfg.rel_bound is not None:
             return ErrorModel(kind=KIND_RELATIVE, rel_bound=cfg.rel_bound)
         if cfg.eps_bar is not None:
             return ErrorModel.from_eps_bar(cfg.eps_bar)
     except ValueError as exc:
-        raise InputError(f"{given[0]}: {exc}") from exc
+        raise InputError(f"{_given(cfg, _MODEL_FLAGS)[0]}: {exc}") from exc
     return None
-
-
-def _model_for(cfg: RunConfig, prob: MpQP) -> Optional[ErrorModel]:
-    """build_model's model, refused when one of its polyhedral sets does not
-    match the problem's constraint count."""
-    model = build_model(cfg)
-    if model is not None:
-        try:
-            model.check_dimension(prob.m)
-        except ValueError as exc:
-            raise InputError(f"bad error-model document "
-                             f"{cfg.error_model_path}: {exc}") from exc
-    return model
 
 
 def result_to_document(result, cfg: RunConfig) -> dict:
@@ -208,21 +191,17 @@ def _emit(obj, cfg: RunConfig) -> None:
         text = dump_document(result_to_document(obj, cfg))
     if cfg.out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         pathlib.Path(cfg.out).write_text(text)
-
-
-def _require(cfg: RunConfig, field_name: str, flag: str):
-    value = getattr(cfg, field_name)
-    if value is None:
-        raise InputError(f"{cfg.command} needs {flag}")
-    return value
+    except OSError as exc:
+        raise InputError(f"cannot write {cfg.out}: {exc.strerror}") from exc
 
 
 def cmd_certify(cfg: RunConfig) -> int:
-    prob = _load_mpqp(_require(cfg, "problem_path", "--problem"))
+    prob = _read(cfg.problem_path, "problem", load_problem)
     cfg = _tol_defaults(cfg)
-    result = certify(prob, cfg.tolerances(), _model_for(cfg, prob))
+    result = certify(prob, cfg.tolerances(), build_model(cfg, prob))
     _emit(result, cfg)
     log.info("certified %d regions (%s)", len(result.regions), result.stats)
     return 0
@@ -237,8 +216,8 @@ def _partition_config(cfg: RunConfig, result: CertificationResult) -> RunConfig:
 
 
 def cmd_validate(cfg: RunConfig) -> int:
-    prob = _load_mpqp(_require(cfg, "problem_path", "--problem"))
-    result = _load_partition(_require(cfg, "partition_path", "--partition"), prob)
+    prob = _read(cfg.problem_path, "problem", load_problem)
+    result = _load_partition(cfg.partition_path, prob)
     override = build_model(cfg)
     if cfg.samples < 1:
         raise InputError("--samples must be at least 1")
@@ -254,15 +233,10 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    # Each cell takes its slack tolerance from --primal-tols.
-    if cfg.primal_tol is not None:
-        raise InputError("sweep takes no --primal-tol: each cell takes its own from --primal-tols")
     cfg = _tol_defaults(cfg)
-    prob = _load_mpqp(_require(cfg, "problem_path", "--problem"))
-    eps_list = _require(cfg, "primal_tols", "--primal-tols")
-    bar_list = _require(cfg, "eps_bars", "--eps-bars")
+    prob = _read(cfg.problem_path, "problem", load_problem)
     try:
-        table = sweep(prob, eps_list, bar_list, cfg.tolerances())
+        table = sweep(prob, cfg.primal_tols, cfg.eps_bars, cfg.tolerances())
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     _emit(table, cfg)
@@ -273,16 +247,15 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_report(cfg: RunConfig) -> int:
-    metric = _require(cfg, "metric", "--metric")
     # slack reads the subproblem maps of --problem.
-    if metric == "slack":
-        _require(cfg, "problem_path", "--problem")
-    elif cfg.problem_path is None and cfg.partition_path is None:
+    if cfg.metric == "slack" and cfg.problem_path is None:
+        raise InputError("report needs --problem")
+    if cfg.problem_path is None and cfg.partition_path is None:
         raise InputError("report needs --problem or --partition")
-    prob = None if cfg.problem_path is None else _load_mpqp(cfg.problem_path)
+    prob = None if cfg.problem_path is None else _read(cfg.problem_path, "problem", load_problem)
     if cfg.partition_path is None:
         cfg = _tol_defaults(cfg)
-        result = certify(prob, cfg.tolerances(), _model_for(cfg, prob))
+        result = certify(prob, cfg.tolerances(), build_model(cfg, prob))
     else:
         given = _given(cfg, _MODEL_FLAGS) + _given(cfg, _TOL_FLAGS)
         if given:
@@ -290,7 +263,7 @@ def cmd_report(cfg: RunConfig) -> int:
         result = _load_partition(cfg.partition_path, prob)
         cfg = _partition_config(cfg, result)
     try:
-        table = iteration_cdf(result) if metric == "cdf" else slack_profile(prob, result)
+        table = iteration_cdf(result) if cfg.metric == "cdf" else slack_profile(prob, result)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     _emit(table, cfg)
@@ -306,22 +279,26 @@ def _float_list(text: str) -> list:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False throughout: a flag is read only as spelled, so a
+    # misspelt or abbreviated one exits 2 instead of standing for another.
     parser = argparse.ArgumentParser(
-        prog="certias",
+        prog="certias", allow_abbrev=False,
         description="Certify worst-case behaviour of a dual active-set QP "
                     "solver over a parameter set.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, model_flags=True, tol_flags=True, dual_default=None):
+    def common(p, *, needs_problem=True, model_flags=True, tol_flags=True,
+               dual_default=None):
         p.add_argument("--problem", dest="problem_path", metavar="PATH",
-                       help="problem document (JSON)")
+                       required=needs_problem, help="problem document (JSON)")
         p.add_argument("--out", metavar="PATH", help="output file; stdout "
                        "when omitted (sweep and report write CSV unless it "
                        "ends in .json)")
         if tol_flags:
-            p.add_argument("--primal-tol", dest="primal_tol", type=float,
-                           help=argparse.SUPPRESS if dual_default else
-                           f"slack tolerance (default {RunConfig.primal_tol})")
+            # sweep takes each cell's slack tolerance from --primal-tols.
+            if dual_default is None:
+                p.add_argument("--primal-tol", dest="primal_tol", type=float,
+                               help=f"slack tolerance (default {RunConfig.primal_tol})")
             p.add_argument("--dual-tol", dest="dual_tol", type=float,
                            help="multiplier tolerance (default: "
                            f"{dual_default or '--primal-tol'})")
@@ -331,42 +308,42 @@ def build_parser() -> argparse.ArgumentParser:
                        help="accepted for compatibility and ignored: "
                        "certias runs on one thread")
         if model_flags:
-            p.add_argument("--eps-bar", dest="eps_bar", type=float,
-                           default=None,
-                           help="per-iteration hypercube error bound")
-            p.add_argument("--error-model", dest="error_model_path",
-                           metavar="PATH",
-                           help="error-model document (JSON)")
-            p.add_argument("--rel-bound", dest="rel_bound", type=float,
-                           default=None, help="relative error bound")
+            model = p.add_mutually_exclusive_group()
+            model.add_argument("--eps-bar", dest="eps_bar", type=float,
+                               help="per-iteration hypercube error bound")
+            model.add_argument("--error-model", dest="error_model_path",
+                               metavar="PATH", help="error-model document (JSON)")
+            model.add_argument("--rel-bound", dest="rel_bound", type=float,
+                               help="relative error bound")
 
-    p_cert = sub.add_parser("certify", help="partition the parameter set")
+    p_cert = sub.add_parser("certify", allow_abbrev=False,
+                            help="partition the parameter set")
     common(p_cert)
 
     # validate runs with the partition's own tolerances, so it takes none.
-    p_val = sub.add_parser("validate",
+    p_val = sub.add_parser("validate", allow_abbrev=False,
                            help="sample the solver against a partition")
     common(p_val, tol_flags=False)
     p_val.add_argument("--partition", dest="partition_path", metavar="PATH",
-                       help="partition document from certify")
+                       required=True, help="partition document from certify")
     p_val.add_argument("--samples", type=int, default=RunConfig.samples)
     p_val.add_argument("--seed", type=int, default=RunConfig.seed)
 
-    p_sweep = sub.add_parser("sweep", help="grid of certifications")
-    # sweep refuses --primal-tol, and --help hides it. It stays registered
-    # so that argparse's prefix matching cannot read it as --primal-tols.
+    p_sweep = sub.add_parser("sweep", allow_abbrev=False,
+                             help="grid of certifications")
     common(p_sweep, model_flags=False,
            dual_default="each cell's --primal-tols entry")
-    p_sweep.add_argument("--primal-tols", dest="primal_tols",
+    p_sweep.add_argument("--primal-tols", dest="primal_tols", required=True,
                          type=_float_list, metavar="A,B,...",
                          help="comma list of slack tolerances")
-    p_sweep.add_argument("--eps-bars", dest="eps_bars", type=_float_list,
-                         metavar="A,B,...",
+    p_sweep.add_argument("--eps-bars", dest="eps_bars", required=True,
+                         type=_float_list, metavar="A,B,...",
                          help="comma list of error bounds")
 
-    p_rep = sub.add_parser("report", help="emit analysis tables")
-    common(p_rep)
-    p_rep.add_argument("--metric", choices=("slack", "cdf"))
+    p_rep = sub.add_parser("report", allow_abbrev=False,
+                           help="emit analysis tables")
+    common(p_rep, needs_problem=False)
+    p_rep.add_argument("--metric", choices=("slack", "cdf"), required=True)
     p_rep.add_argument("--partition", dest="partition_path", metavar="PATH",
                        help="partition document from certify, whose "
                        "tolerances and model the report uses; without it, "
@@ -390,7 +367,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = RunConfig(**{k: v for k, v in vars(args).items()})
+    cfg = RunConfig(**vars(args))
     try:
         return _COMMANDS[cfg.command](cfg)
     except InputError as exc:

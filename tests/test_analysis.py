@@ -339,6 +339,13 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(toy, [1e-6], [-0.1])
 
+    @pytest.mark.parametrize("lists", [([1e-6, 1e-6], [0.0]), ([1e-6], [0.0, 0.1, -0.0])],
+                             ids=["eps-primal", "eps-bar"])
+    def test_repeated_value_rejected(self, toy, lists):
+        # 0 and -0 are one value: each cell is certified once.
+        with pytest.raises(ValueError, match="must not repeat a value"):
+            sweep(toy, *lists)
+
     def test_mpc_trend_grid(self, mpc):
         eps_list = [1e-6, 1e-4, 1e-3]
         bar_list = [0.0, 1e-4, 1e-3]

@@ -1,5 +1,6 @@
 """End-to-end CLI runs against real problem files in a temp directory."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -128,8 +129,11 @@ class TestCertify:
         assert {r["iterations"] for r in doc["regions"]} == {1, 2}
 
     def test_workers_default_to_one(self):
-        for command in ("certify", "validate", "sweep", "report"):
-            assert build_parser().parse_args([command]).workers == 1
+        for argv in (["certify", "--problem", "p"],
+                     ["validate", "--problem", "p", "--partition", "q"],
+                     ["sweep", "--problem", "p", "--primal-tols", "1e-6", "--eps-bars", "0"],
+                     ["report", "--metric", "cdf"]):
+            assert build_parser().parse_args(argv).workers == 1
 
     def test_stdout_when_no_out(self, toy_path, capsys):
         assert main(["certify", "--problem", toy_path]) == 0
@@ -201,7 +205,8 @@ class TestCertify:
         code = main(["certify", "--problem", toy_path, "--eps-bar", "0.1",
                      "--rel-bound", "0.01"])
         assert code == 2
-        assert "mutually exclusive" in capsys.readouterr().err
+        assert ("argument --rel-bound: not allowed with argument --eps-bar"
+                in capsys.readouterr().err)
 
     def test_internal_failure_is_exit_3(self, toy_path, capsys, monkeypatch):
         def boom(*a, **kw):
@@ -620,7 +625,8 @@ class TestValidate:
         code = self._validate(toy_path, toy_partition,
                               "--rel-bound", "0.5", "--eps-bar", "1e-4")
         assert code == 2
-        assert "mutually exclusive" in capsys.readouterr().err
+        assert ("argument --eps-bar: not allowed with argument --rel-bound"
+                in capsys.readouterr().err)
 
     def test_hypercube_file_matches_eps_bar(self, toy_path, toy_partition,
                                             tmp_path, capsys):
@@ -702,6 +708,17 @@ class TestSweep:
                      "--primal-tols", "1e-6"]) == 2
         assert "--eps-bars" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lists", [["1e-6,1e-6", "0"], ["1e-6", "0,-0"]],
+                             ids=["primal-tols", "eps-bars"])
+    def test_repeated_grid_value_exits_2(self, toy_path, tmp_path, capsys, lists):
+        # Each cell once: a repeated value would certify the same cell again.
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--problem", toy_path, "--primal-tols", lists[0],
+                     "--eps-bars", lists[1], "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: tolerance and error-bound lists must not repeat a value\n"
+        assert not out.exists()
+
     def test_non_number_in_list_exits_2(self, toy_path, capsys):
         assert main(["sweep", "--problem", toy_path, "--primal-tols", "1e-6",
                      "--eps-bars", "0,abc"]) == 2
@@ -710,19 +727,18 @@ class TestSweep:
     @pytest.mark.parametrize("flag", [["--primal-tol", "0.5"], ["--primal-tol=0.5"],
                                       ["--primal-tol", "1e-6"]])
     def test_primal_tol_exits_2(self, toy_path, tmp_path, capsys, flag):
-        # Each cell takes its slack tolerance from --primal-tols: a
-        # --primal-tol would be echoed without being used.
+        # Each cell takes its slack tolerance from --primal-tols: sweep has
+        # no --primal-tol, and the parser does not read it as --primal-tols.
         out = tmp_path / "sweep.json"
         assert main(["sweep", "--problem", toy_path, "--primal-tols", "1e-6",
                      "--eps-bars", "0", *flag, "--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert "sweep takes no --primal-tol" in captured.err and "--primal-tols" in captured.err
+        assert "unrecognized arguments: --primal-tol" in captured.err
         assert captured.out == "" and not out.exists()
 
     def test_help_hides_primal_tol(self, toy_path, capsys, monkeypatch):
         # --help lists only the flags sweep takes, and names --primal-tols
-        # as --dual-tol's default. --primal-tol stays registered, so prefix
-        # matching cannot read it as --primal-tols: it still exits 2.
+        # as --dual-tol's default. --primal-tol is not one of them: exit 2.
         monkeypatch.setenv("COLUMNS", "200")
         assert main(["sweep", "--help"]) == 0
         text = capsys.readouterr().out
@@ -731,7 +747,7 @@ class TestSweep:
         assert "(default: each cell's --primal-tols entry)" in text
         assert main(["sweep", "--problem", toy_path, "--primal-tols", "1e-6",
                      "--eps-bars", "0", "--primal-tol", "0.5"]) == 2
-        assert "sweep takes no --primal-tol" in capsys.readouterr().err
+        assert "unrecognized arguments: --primal-tol 0.5" in capsys.readouterr().err
 
     def test_other_tolerance_flags_echo(self, toy_path, tmp_path):
         # Without --primal-tol the echo keeps its default; the dual
@@ -816,7 +832,7 @@ def test_repeated_leaf_exits_2(toy_path, toy_partition, tmp_path, capsys, comman
     argv = [toy_path if arg is None else arg for arg in command]
     assert main([*argv, "--partition", str(bad)]) == 2
     captured = capsys.readouterr()
-    assert "bad partition document: two leaves share a sequence" in captured.err
+    assert f"bad partition document {bad}: two leaves share a sequence" in captured.err
     assert captured.out == ""
 
 
@@ -1012,6 +1028,89 @@ class TestReport:
                      "--partition", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "bad partition document" in err and "no regions" in err
+
+
+def _cut_flags():
+    """(command, flag) for each long flag of each command with its last
+    character cut off, unless the cut string is a flag of its own."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for command, sub in commands.items():
+        flags = {s: a for a in sub._actions for s in a.option_strings if s.startswith("--")}
+        for flag, action in flags.items():
+            if flag[:-1] not in flags:
+                yield pytest.param(command, flag, action.nargs == 0,
+                                   id=f"{command}-{flag[:-1]}")
+
+
+class TestInputGate:
+    # A valid run of each command, and a value each flag takes in it: cut
+    # short, a flag with its value would otherwise stand for the full one.
+    BASE = {"certify": ["--problem", "{toy}"],
+            "validate": ["--problem", "{toy}", "--partition", "{part}", "--samples", "10"],
+            "sweep": ["--problem", "{toy}", "--primal-tols", "1e-6", "--eps-bars", "0"],
+            "report": ["--metric", "cdf", "--problem", "{toy}"]}
+    VALUES = {"--problem": "{toy}", "--partition": "{part}", "--out": "{out}",
+              "--error-model": "{model}", "--metric": "cdf", "--primal-tols": "1e-6",
+              "--eps-bars": "0", "--iter-limit": "15", "--workers": "1",
+              "--samples": "10", "--seed": "0"}
+
+    @pytest.mark.parametrize("command,flag,bare", list(_cut_flags()))
+    def test_abbreviated_flag_exits_2(self, toy_path, toy_partition, tmp_path, capsys,
+                                      command, flag, bare):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"kind": "hypercube", "bound": 0.0}))
+        out = tmp_path / "out.json"
+        cut = [flag[:-1]] if bare else [flag[:-1], self.VALUES.get(flag, "0")]
+        argv = [command, *self.BASE[command], "--out", "{out}", *cut]
+        argv = [a.format(toy=toy_path, part=toy_partition, out=out, model=model)
+                for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: {flag[:-1]}" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_eps_bar_is_not_eps_bars(self, toy_path, tmp_path, capsys):
+        # Read as --eps-bars, the grid held only 0.05 and sweep exited 0.
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--problem", toy_path, "--primal-tols", "1e-6",
+                     "--eps-bars", "0", "--eps-bar", "0.05", "--out", str(out)]) == 2
+        assert "unrecognized arguments: --eps-bar 0.05" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_prob_is_not_problem(self, toy_path, capsys):
+        assert main(["certify", "--prob", toy_path]) == 2
+        captured = capsys.readouterr()
+        assert "the following arguments are required: --problem" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv,what", [
+        (["validate", "--problem", "{toy}", "--partition", "{bad}"], "partition"),
+        (["report", "--metric", "cdf", "--partition", "{bad}"], "partition"),
+        (["certify", "--problem", "{bad}"], "problem"),
+        (["certify", "--problem", "{toy}", "--error-model", "{bad}"], "error-model"),
+    ], ids=["validate-partition", "report-partition", "problem", "error-model"])
+    def test_non_utf8_file_exits_2(self, toy_path, tmp_path, capsys, argv, what):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert main([a.format(toy=toy_path, bad=bad) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: bad {what} document {bad}: ")
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--problem", "{toy}"],
+        ["sweep", "--problem", "{toy}", "--primal-tols", "1e-6", "--eps-bars", "0"],
+        ["report", "--metric", "cdf", "--problem", "{toy}"],
+        ["validate", "--problem", "{toy}", "--partition", "{part}", "--samples", "10"],
+    ], ids=["certify", "sweep", "report", "validate"])
+    def test_unwritable_out_exits_2(self, toy_path, toy_partition, tmp_path, capsys, argv):
+        out = tmp_path / "missing" / "x.json"
+        argv = [a.format(toy=toy_path, part=toy_partition) for a in argv]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out}: No such file or directory\n"
 
 
 class TestLogging:
