@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from certias.certifier import BudgetExceededError, CertificationResult, certify
@@ -196,33 +196,32 @@ def sweep(prob: MpQP, eps_primal_list, eps_bar_list,
     """Certify the cross product of tolerances and error bounds.
 
     Rows come out sorted by (eps_primal, eps_bar) ascending regardless of
-    input order. A cell whose certification fails numerically
-    (GeometryError) or outgrows its budget (BudgetExceededError) is
-    recorded as an annotation and the sweep moves on; any other exception
-    propagates.
+    input order. Every cell's Tolerances and ErrorModel are built before the
+    first is certified, so a value either constructor refuses (a NaN, an
+    infinity, a negative eps_bar) raises ValueError before any work. A cell
+    whose certification fails numerically (GeometryError) or outgrows its
+    budget (BudgetExceededError) is recorded as an annotation and the sweep
+    moves on; any other exception propagates.
     """
     if not eps_primal_list or not eps_bar_list:
         raise ValueError("tolerance and error-bound lists must be nonempty")
     if any(ep <= 0 for ep in eps_primal_list):
         raise ValueError("eps_primal values must be positive")
-    if any(eb < 0 for eb in eps_bar_list):
-        raise ValueError("eps_bar values must be nonnegative")
     # 0 and -0 compare equal, so they count as one value.
     if any(len(set(xs)) < len(xs) for xs in (eps_primal_list, eps_bar_list)):
         raise ValueError("tolerance and error-bound lists must not repeat a value")
     tol_base = tol_base or Tolerances()
+    cells = [(ep, eb, replace(tol_base, eps_primal=ep), ErrorModel.from_eps_bar(eb))
+             for ep in sorted(eps_primal_list) for eb in sorted(eps_bar_list)]
 
     table = SweepTable()
-    for ep in sorted(eps_primal_list):
-        for eb in sorted(eps_bar_list):
-            tol = Tolerances(eps_primal=ep, eps_dual=tol_base.eps_dual,
-                             iter_limit=tol_base.iter_limit)
-            try:
-                result = certify(prob, tol, ErrorModel.from_eps_bar(eb))
-            except (GeometryError, BudgetExceededError) as exc:
-                table.annotations.append((ep, eb, f"{type(exc).__name__}: {exc}"))
-                continue
-            capped = any(r.status == "iter_limit" for r in result.regions)
-            worst = INF if capped else max(r.iterations for r in result.regions)
-            table.rows.append((ep, eb, worst, len(result.regions)))
+    for ep, eb, tol, model in cells:
+        try:
+            result = certify(prob, tol, model)
+        except (GeometryError, BudgetExceededError) as exc:
+            table.annotations.append((ep, eb, f"{type(exc).__name__}: {exc}"))
+            continue
+        capped = any(r.status == "iter_limit" for r in result.regions)
+        worst = INF if capped else max(r.iterations for r in result.regions)
+        table.rows.append((ep, eb, worst, len(result.regions)))
     return table

@@ -9,12 +9,14 @@ state sequence the solver will execute and hence its iteration count, before
 the solver ever runs.
 
 With a nonzero error model the per-branch subsets are inflated by the lpp
-module instead of sliced exactly: the certifier asks the model for the one a
-check at step k sees (ErrorModel.at) and hands it to lift_partition_project,
-which owns every rule about error kinds. The subsets may then overlap; each
-leaf still certifies that its sequence is realizable only within its region,
-so a parameter covered by several leaves gets the worst case over all of
-them.
+module instead of sliced exactly. The certifier asks the model for the one a
+check at step k sees (ErrorModel.at). Under a model of kind none or
+hypercube, partition_step lifts the check's half-planes once with lift_rows,
+whose rows need no region, and stacks them onto every region the check
+splits; polyhedral and relative models go to lift_partition_project, region
+by region. The subsets may then overlap; each leaf still certifies that its
+sequence is realizable only within its region, so a parameter covered by
+several leaves gets the worst case over all of them.
 """
 
 from __future__ import annotations

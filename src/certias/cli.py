@@ -13,10 +13,12 @@ each its own certias invocation.
 
 Exit codes: 0 success, 1 validation found mismatches or coverage gaps,
 2 input problems (a flag the command does not take as spelled, abbreviations
-included, or a required one missing; a file that is missing, unreadable,
-not UTF-8 or malformed; an --out that cannot be written; bad flag values,
-a repeated sweep grid value among them; an error set whose dimension is not
-the problem's constraint count), 3 anything
+included, reported under that command's usage, or a required one missing; a
+file that is missing, unreadable, not UTF-8 or malformed; an --out that
+cannot be written, refused before any work when it is a directory or its
+parent directory is missing or not writable; bad flag values, a repeated or
+bad sweep grid value among them, refused before any cell is certified; an
+error set whose dimension is not the problem's constraint count), 3 anything
 unexpected, 4 a numerical failure in the geometry kernel (GeometryError: the
 simplex pivot cap or the Fourier-Motzkin row cap), a frontier that outgrew
 its budget (BudgetExceededError, from certify or report), or a sweep cell
@@ -27,6 +29,7 @@ each failed one on stderr.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import logging
 import os
@@ -180,6 +183,17 @@ def result_to_document(result, cfg: RunConfig) -> dict:
 
 def dump_document(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _check_out(path: str) -> None:
+    """Refuse, before any work, an --out that is a directory or whose parent
+    directory is missing or not writable. Nothing is created: _emit's write
+    reports whatever else goes wrong."""
+    p = pathlib.Path(path)
+    code = (errno.EISDIR if p.is_dir() else errno.ENOENT if not p.parent.is_dir()
+            else errno.EACCES if not os.access(p.parent, os.W_OK) else 0)
+    if code:
+        raise InputError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def _emit(obj, cfg: RunConfig) -> None:
@@ -364,11 +378,17 @@ def main(argv=None) -> int:
         return 2
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            # Refused by the command's parser, so the usage shown is its own.
+            commands = next(a for a in parser._actions if a.dest == "command").choices
+            commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     cfg = RunConfig(**vars(args))
     try:
+        if cfg.out is not None:
+            _check_out(cfg.out)
         return _COMMANDS[cfg.command](cfg)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,15 +9,17 @@ set, the honest answer is the projection of the lifted set
 
 onto theta. ErrorModel.at decides which set E a check sees: the schedule's
 entry for the step, and for a multiplier check either no error or the
-set's slice on the working set. lift_partition_project then inflates each
-family by that set, in one loop over the four kinds: nothing for exact
-arithmetic, a closed-form right-hand-side relaxation for a sup-norm ball,
-and Fourier-Motzkin elimination for a general polyhedral E. A relative
+set's slice on the working set. lift_rows inflates each family by that
+set: nothing for exact arithmetic, a closed-form right-hand-side relaxation
+for a sup-norm ball, and Fourier-Motzkin elimination for a general
+polyhedral E. It takes no region, so the certifier lifts a check under an
+exact or hypercube model once and stacks the rows onto every region the
+check splits. lift_partition_project lifts against one region, and the
+certifier sends it the other two kinds: polyhedral, and relative, whose
 bound is first converted, per region, to a sup-norm ball by bounding |z|
 over the region with a pair of linear programs per component (rel_to_abs).
-The lift itself, lift_rows, takes no region: its rows are stacked onto
-the region afterwards. ErrorModel.step_bounds gives the per-step hypercube
-bounds that pointwise runs draw their error rows from.
+ErrorModel.step_bounds gives the per-step hypercube bounds that pointwise
+runs draw their error rows from.
 """
 
 from __future__ import annotations
@@ -51,8 +53,10 @@ class ErrorModel:
                converted to a hypercube bound region by region
 
     A bound or rel_bound that is not a finite nonnegative number (a bool is
-    not one), or a nonzero bound, a nonzero rel_bound or a set given to a
-    kind that does not take it, raises ValueError.
+    not one), a perturb_dual that is not a bool, or a nonzero bound, a
+    nonzero rel_bound or a set given to a kind that does not take it, raises
+    ValueError. Only the constructor checks these rules; from_document
+    leaves them to it.
 
     schedule, when given, overrides the model per automaton step: entry k
     applies at step k, and steps past the end fall back to this model.
@@ -74,6 +78,8 @@ class ErrorModel:
         check_number("rel_bound", self.rel_bound)
         if not (0 <= self.bound < math.inf and 0 <= self.rel_bound < math.inf):
             raise ValueError("error bounds must be finite and nonnegative")
+        if not isinstance(self.perturb_dual, bool):
+            raise ValueError(f"perturb_dual must be true or false, not {self.perturb_dual!r}")
         # A size the kind does not read would be dropped without a word.
         for name, given in (("bound", self.bound != 0), ("rel_bound", self.rel_bound != 0),
                             ("set", self.set is not None)):
@@ -169,20 +175,14 @@ class ErrorModel:
         file whose polyhedral set is given in full as {"A": ..., "b": ...}.
 
         The hypercube bound may be spelled eps_bar. Raises ValueError on a
-        key the kind does not take, on a missing bound or set, on a bound
-        that is not a finite nonnegative number (a bool is not), on a
-        perturb_dual that is not a bool, and on a polyhedral set given only
-        as its summary.
+        value that is not a JSON object, on a key the kind does not take, on
+        a missing bound or set, and on a polyhedral set given only as its
+        summary; the values themselves are checked by the constructor, as
+        for a model built in code.
         """
         if not isinstance(doc, dict):
             raise ValueError("an error model must be a JSON object")
         doc = dict(doc)
-        for key in ("bound", "eps_bar", "rel_bound"):
-            if key in doc:
-                check_number(key, doc[key])
-        if not isinstance(doc.get("perturb_dual", False), bool):
-            raise ValueError(f"perturb_dual must be true or false, "
-                             f"not {doc['perturb_dual']!r}")
         if "eps_bar" in doc:
             if "bound" in doc:
                 raise ValueError("give bound or eps_bar, not both")

@@ -329,15 +329,25 @@ class TestSweep:
         with pytest.raises(TypeError, match="bad operand"):
             sweep(toy, [1e-6], [0.0, 0.1])
 
-    def test_input_validation(self, toy):
-        with pytest.raises(ValueError):
-            sweep(toy, [], [0.0])
-        with pytest.raises(ValueError):
-            sweep(toy, [1e-6], [])
-        with pytest.raises(ValueError):
-            sweep(toy, [0.0], [0.0])
-        with pytest.raises(ValueError):
-            sweep(toy, [1e-6], [-0.1])
+    def test_input_validation(self, toy, monkeypatch):
+        # A bad value in either list is refused before any cell is
+        # certified: each NaN or inf comes after cells that would otherwise
+        # have been certified first. A negative eps_bar is the model's rule.
+        calls = []
+        monkeypatch.setattr(analysis, "certify",
+                            lambda *args, **kw: calls.append(args) or certify(*args, **kw))
+        for lists, message in [
+                (([], [0.0]), "nonempty"),
+                (([1e-6], []), "nonempty"),
+                (([0.0], [0.0]), "eps_primal values must be positive"),
+                (([1e-6], [0.0, -0.1]), "error bounds must be finite and nonnegative"),
+                (([1e-6, math.nan], [0.0, 1e-4]), "eps_primal must be finite"),
+                (([1e-6, math.inf], [0.0, 1e-4]), "eps_primal must be finite"),
+                (([1e-6], [0.0, 1e-4, math.inf]), "error bounds must be finite"),
+                (([1e-6, 1e-4], [0.0, math.nan]), "error bounds must be finite")]:
+            with pytest.raises(ValueError, match=message):
+                sweep(toy, *lists)
+        assert calls == []
 
     @pytest.mark.parametrize("lists", [([1e-6, 1e-6], [0.0]), ([1e-6], [0.0, 0.1, -0.0])],
                              ids=["eps-primal", "eps-bar"])

@@ -115,6 +115,20 @@ def toy_partition(toy_path, tmp_path):
     return out
 
 
+@pytest.fixture()
+def work_calls(monkeypatch):
+    """Names of the certify (from cli or from sweep) and validate_conformance
+    calls made after the fixture is set up; each still runs."""
+    from certias import analysis, cli
+    calls = []
+    for module, name in ((cli, "certify"), (analysis, "certify"),
+                         (cli, "validate_conformance")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, _real=real, _name=name, **kw:
+                            calls.append(_name) or _real(*args, **kw))
+    return calls
+
+
 class TestCertify:
     def test_writes_partition(self, toy_path, tmp_path):
         out = tmp_path / "part.json"
@@ -264,8 +278,15 @@ class TestCertify:
         assert "numerical failure: RowExplosionError" in capsys.readouterr().err
 
     def test_bad_flag_exits_2(self, toy_path, capsys):
-        assert main(["certify", "--problem", toy_path,
-                     "--iter-limit", "abc"]) == 2
+        # A bad value and an unknown flag are both reported under the
+        # certify command's usage.
+        for flags, message in ((["--iter-limit", "abc"],
+                                "argument --iter-limit: invalid int value: 'abc'"),
+                               (["--bogus", "1"], "unrecognized arguments: --bogus 1")):
+            assert main(["certify", "--problem", toy_path, *flags]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: certias certify ")
+            assert f"\ncertias certify: error: {message}\n" in err
 
     @pytest.mark.parametrize("argv", [
         ["certify", "--problem", "{toy}", "--iter-limit", "0"],
@@ -296,10 +317,12 @@ class TestCertify:
           "--eps-bar", "nan"], "--eps-bar: error bounds must be finite"),
         (["certify", "--problem", "{toy}", "--primal-tol", "nan"],
          "eps_primal must be finite"),
+        (["sweep", "--problem", "{toy}", "--primal-tols", "1e-6", "--eps-bars", "0,1e-4,nan"],
+         "error bounds must be finite"),
     ], ids=["certify-eps-bar-nan", "certify-rel-bound-inf", "certify-model-nan",
-            "validate-eps-bar-nan", "certify-primal-tol-nan"])
+            "validate-eps-bar-nan", "certify-primal-tol-nan", "sweep-eps-bars-nan"])
     def test_non_finite_value_exits_2(self, toy_path, toy_partition, tmp_path,
-                                      capsys, argv, message):
+                                      capsys, work_calls, argv, message):
         nan_model = tmp_path / "model.json"
         nan_model.write_text('{"kind": "hypercube", "bound": NaN}')
         argv = [a.format(toy=toy_path, part=toy_partition, nan_model=nan_model)
@@ -307,6 +330,7 @@ class TestCertify:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert work_calls == []
 
 
 class TestDeterminism:
@@ -1076,7 +1100,10 @@ class TestInputGate:
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--problem", toy_path, "--primal-tols", "1e-6",
                      "--eps-bars", "0", "--eps-bar", "0.05", "--out", str(out)]) == 2
-        assert "unrecognized arguments: --eps-bar 0.05" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # The sweep command's usage, not the top-level command list.
+        assert err.startswith("usage: certias sweep ")
+        assert "\ncertias sweep: error: unrecognized arguments: --eps-bar 0.05\n" in err
         assert not out.exists()
 
     def test_prob_is_not_problem(self, toy_path, capsys):
@@ -1105,12 +1132,19 @@ class TestInputGate:
         ["report", "--metric", "cdf", "--problem", "{toy}"],
         ["validate", "--problem", "{toy}", "--partition", "{part}", "--samples", "10"],
     ], ids=["certify", "sweep", "report", "validate"])
-    def test_unwritable_out_exits_2(self, toy_path, toy_partition, tmp_path, capsys, argv):
-        out = tmp_path / "missing" / "x.json"
+    def test_unwritable_out_exits_2(self, toy_path, toy_partition, tmp_path, capsys,
+                                    work_calls, argv):
+        # Refused before any work, whether the path is a directory or its
+        # parent is missing, and nothing is left behind.
+        outdir = tmp_path / "outdir"
+        outdir.mkdir()
         argv = [a.format(toy=toy_path, part=toy_partition) for a in argv]
-        assert main([*argv, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err == f"error: cannot write {out}: No such file or directory\n"
+        for out, reason in ((outdir / "missing" / "x.json", "No such file or directory"),
+                            (outdir, "Is a directory")):
+            assert main([*argv, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: cannot write {out}: {reason}\n"
+        assert work_calls == [] and list(outdir.iterdir()) == []
 
 
 class TestLogging:

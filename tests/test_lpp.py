@@ -80,6 +80,13 @@ class TestErrorModel:
         with pytest.raises(ValueError, match=f"^{name} must be a number"):
             ErrorModel(**fields)
 
+    @pytest.mark.parametrize("value", ["no", 1, 0, None, np.bool_(True)])
+    def test_non_bool_perturb_dual_rejected(self, value):
+        # "no" is truthy: taken as given, it would perturb every multiplier
+        # check and be written as "perturb_dual": true.
+        with pytest.raises(ValueError, match="^perturb_dual must be true or false"):
+            ErrorModel(kind="hypercube", bound=0.1, perturb_dual=value)
+
     @pytest.mark.parametrize("model", [
         ErrorModel(),
         ErrorModel(perturb_dual=True),
@@ -286,8 +293,12 @@ class TestErrorModel:
         ({"kind": "hypercube", "bound": 1e-4, "perturb_dual": "false"},
          "perturb_dual must be true or false"),
         ({"kind": "hypercube", "bound": True}, "bound must be a number"),
-        ({"kind": "hypercube", "eps_bar": "1e-4"}, "eps_bar must be a number"),
+        # The alias is renamed before the constructor checks the value.
+        ({"kind": "hypercube", "eps_bar": "1e-4"}, "bound must be a number"),
         ({"kind": "relative", "rel_bound": False}, "rel_bound must be a number"),
+        # The constructor's rule, as for a model built in code.
+        ({"kind": "hypercube", "bound": 0.1, "perturb_dual": "yes"},
+         "perturb_dual must be true or false, not 'yes'"),
     ])
     def test_bad_documents(self, doc, message):
         with pytest.raises(ValueError, match=message):
